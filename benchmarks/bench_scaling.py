@@ -2,7 +2,7 @@
 problem sizes.'
 
 Sweeps the EnzymeN family (N dilutions -> N^3 combination mixes) and fits
-the growth of DAGSolve (float fast path) against LP (HiGHS, relaxed
+the growth of DAGSolve (the exact solver) against LP (HiGHS, relaxed
 bounds).  The reproducible shape: LP time grows strictly faster than
 DAGSolve time across the sweep, so the ratio increases with N.
 """
@@ -12,7 +12,7 @@ import time
 import _report
 import pytest
 
-from repro.core.fastpath import fast_dagsolve, prepare_fast
+from repro.core.dagsolve import dagsolve
 from repro.core.limits import PAPER_LIMITS
 from repro.core.lp import solve_model
 from repro.core.lpmodel import build_lp_model
@@ -33,7 +33,7 @@ def timed(fn, *args, repeat=3):
 @pytest.mark.parametrize("n", SWEEP)
 def test_dagsolve_scaling(benchmark, n):
     dag = enzyme.build_dag(n)
-    benchmark(fast_dagsolve, dag, PAPER_LIMITS)
+    benchmark(dagsolve, dag, PAPER_LIMITS)
 
 
 @pytest.mark.parametrize("n", SWEEP)
@@ -52,7 +52,7 @@ def test_ratio_grows_with_size(benchmark):
         ratios = {}
         for n in SWEEP:
             dag = enzyme.build_dag(n)
-            t_ds = timed(fast_dagsolve, dag, PAPER_LIMITS)
+            t_ds = timed(dagsolve, dag, PAPER_LIMITS)
 
             def lp():
                 model = build_lp_model(
@@ -91,17 +91,22 @@ def test_ratio_grows_with_size(benchmark):
 def test_prepared_context_reuse(benchmark, n):
     """Repeated solves over one DAG skip the adjacency/ratio table build.
 
-    The batch driver and the regeneration executor re-solve the same graph
-    many times; :func:`prepare_fast` hoists the per-node table construction
-    out of the loop, leaving only the arithmetic passes.
+    Hierarchy retries and the runtime planner re-solve the same graph
+    many times; DAGSolve caches its per-node table on the DAG, leaving
+    only the arithmetic passes after the first solve.
     """
     dag = enzyme.build_dag(n)
-    context = prepare_fast(dag)
-    t_fresh = timed(fast_dagsolve, dag, PAPER_LIMITS, repeat=5)
-    t_prepared = timed(fast_dagsolve, context, PAPER_LIMITS, repeat=5)
-    benchmark(fast_dagsolve, context, PAPER_LIMITS)
+
+    def fresh():
+        dag._derived.clear()  # drop the cached table, as a mutation would
+        dagsolve(dag, PAPER_LIMITS)
+
+    t_fresh = timed(fresh, repeat=5)
+    dagsolve(dag, PAPER_LIMITS)
+    t_prepared = timed(dagsolve, dag, PAPER_LIMITS, repeat=5)
+    benchmark(dagsolve, dag, PAPER_LIMITS)
     _report.record(
-        "sec4.3 fast-path prepared context",
+        "sec4.3 DAGSolve cached context",
         f"N={n} solve, fresh vs prepared",
         None,
         f"{t_fresh * 1000:.2f} ms -> {t_prepared * 1000:.2f} ms "

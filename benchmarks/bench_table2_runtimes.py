@@ -11,9 +11,9 @@ Paper numbers (750 MHz Pentium III, Matlab LIPSOL):
 Absolute times are incomparable across two decades of hardware and solver
 engineering (HiGHS vs LIPSOL), so the reproduction targets the *shape*:
 DAGSolve beats LP on every assay and the gap survives at the Enzyme10
-scale.  Both DAGSolve flavours are measured: the exact-rational
-compile-time solver and the float fast path the run-time system would use
-(the paper's C-like implementation corresponds to the latter).
+scale.  The DAGSolve column times :func:`repro.core.dagsolve.dagsolve`,
+the exact solver the compiler runs (integer arithmetic, so it needs no
+float flavour to be fast).
 
 LP timing methodology: the raw enzyme instances are infeasible-by-bounds,
 which modern presolve detects almost instantly; to time a *full* solve (as
@@ -28,7 +28,6 @@ import pytest
 
 from repro.core.dagsolve import dagsolve
 from repro.core.errors import InfeasibleError
-from repro.core.fastpath import fast_dagsolve
 from repro.core.limits import PAPER_LIMITS
 from repro.core.lp import solve_model
 from repro.core.lpmodel import build_lp_model
@@ -68,13 +67,7 @@ def timed(fn, *args, repeat=3):
 # individual timings for the pytest-benchmark table
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("name", list(ASSAYS))
-def test_dagsolve_fast(benchmark, name):
-    dag = ASSAYS[name]()
-    benchmark(fast_dagsolve, dag, PAPER_LIMITS)
-
-
-@pytest.mark.parametrize("name", ["glucose", "enzyme"])
-def test_dagsolve_exact(benchmark, name):
+def test_dagsolve(benchmark, name):
     dag = ASSAYS[name]()
     benchmark(dagsolve, dag, PAPER_LIMITS)
 
@@ -105,20 +98,20 @@ def test_table2_speedup_shape(benchmark):
         rows = {}
         for name, builder in ASSAYS.items():
             dag = builder()
-            t_fast = timed(fast_dagsolve, dag, PAPER_LIMITS)
+            t_ds = timed(dagsolve, dag, PAPER_LIMITS)
             t_lp = timed(lp_full_solve, dag)
-            rows[name] = (t_fast, t_lp)
+            rows[name] = (t_ds, t_lp)
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    for name, (t_fast, t_lp) in rows.items():
+    for name, (t_ds, t_lp) in rows.items():
         paper_ds, paper_lp = PAPER_TIMES[name]
         _report.record(
             "table2 runtimes",
             f"{name}: DAGSolve (s)",
             paper_ds,
-            round(t_fast, 5),
-            "float fast path",
+            round(t_ds, 5),
+            "exact solver",
         )
         _report.record(
             "table2 runtimes",
@@ -131,10 +124,10 @@ def test_table2_speedup_shape(benchmark):
             "table2 runtimes",
             f"{name}: LP/DAGSolve ratio",
             round(paper_lp / max(paper_ds, 1e-3), 1),
-            round(t_lp / t_fast, 1),
+            round(t_lp / t_ds, 1),
             "shape claim: > 1 everywhere",
         )
-        assert t_lp > t_fast, f"{name}: LP should be slower than DAGSolve"
+        assert t_lp > t_ds, f"{name}: LP should be slower than DAGSolve"
 
 
 def test_lp_with_dagsolve_constraints_still_slower(benchmark):
@@ -143,7 +136,7 @@ def test_lp_with_dagsolve_constraints_still_slower(benchmark):
 
     def measure():
         dag = enzyme.build_dag()
-        t_fast = timed(fast_dagsolve, dag, PAPER_LIMITS)
+        t_ds = timed(dagsolve, dag, PAPER_LIMITS)
         model_plain = build_lp_model(
             dag, PAPER_LIMITS, min_volume_bounds=False
         )
@@ -155,9 +148,9 @@ def test_lp_with_dagsolve_constraints_still_slower(benchmark):
         )
         t_plain = timed(solve_model, model_plain)
         t_extra = timed(solve_model, model_extra)
-        return t_fast, t_plain, t_extra
+        return t_ds, t_plain, t_extra
 
-    t_fast, t_plain, t_extra = benchmark.pedantic(
+    t_ds, t_plain, t_extra = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
     _report.record(
@@ -171,7 +164,7 @@ def test_lp_with_dagsolve_constraints_still_slower(benchmark):
         "table2 runtimes",
         "enzyme: constrained-LP/DAGSolve ratio",
         60.0,
-        round(t_extra / t_fast, 1),
+        round(t_extra / t_ds, 1),
         "paper: gap stays large (60x vs 80x)",
     )
-    assert t_extra > t_fast
+    assert t_extra > t_ds

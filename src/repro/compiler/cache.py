@@ -61,7 +61,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core.dagsolve import VnormResult, VolumeAssignment
+from ..core.dagsolve import VnormResult, VolumeAssignment, compute_vnorms
 from ..core.fingerprint import plan_key, source_key, vnorm_key
 from ..core.hierarchy import VolumePlan
 from ..core.serde import (
@@ -410,14 +410,7 @@ class PlanCache:
     # vnorm memo namespace
     # ------------------------------------------------------------------
     def memo_vnorms(self, dag, output_targets=None) -> VnormResult:
-        """DAGSolve backward pass, memoized by structural fingerprint.
-
-        Misses are computed by the integer-scaled exact solver
-        (:mod:`repro.core.intsolve`), whose Fractions are bit-identical
-        to the reference pass — the serde entry is unaffected.
-        """
-        from ..core.intsolve import exact_vnorms
-
+        """DAGSolve backward pass, memoized by structural fingerprint."""
         qkey = self._qualify(vnorm_key(dag, output_targets))
         with self._lock:
             self._expire(qkey)
@@ -434,7 +427,7 @@ class PlanCache:
                 return result
         # compute outside the lock: the solve can be slow and needs no
         # shared state (a racing duplicate just overwrites identically)
-        result = exact_vnorms(dag, output_targets)
+        result = compute_vnorms(dag, output_targets)
         with self._lock:
             self._store(qkey, vnorms_to_dict(result))
             self._vnorm_objects[qkey] = result

@@ -36,8 +36,7 @@ from collections.abc import Sequence
 
 from ...core.cascading import cascade_extreme_mixes, find_extreme_mixes
 from ...core.dag import AssayDAG
-from ...core.dagsolve import dispense
-from ...core.intsolve import exact_dagsolve
+from ...core.dagsolve import dagsolve as exact_dagsolve, dispense
 from ...core.errors import (
     InfeasibleError,
     ResourceExhaustedError,
@@ -46,7 +45,7 @@ from ...core.errors import (
 )
 from ...core.hierarchy import Attempt, VolumeManager, VolumePlan
 from ...core.lp import solve_model
-from ...core.lpdelta import IncrementalLPBuilder
+from ...core.lpmodel import IncrementalLPBuilder
 from ...core.replication import iterative_replication
 from ...core.rounding import max_ratio_error, round_assignment
 from ...ir.builder import build_dag_from_flat
@@ -304,9 +303,11 @@ class RestorePlan(Pass):
 class DAGSolvePass(Pass):
     """DAGSolve: linear Vnorm back-propagation + forward dispensing.
 
-    Runs the integer-scaled exact solver (:mod:`repro.core.intsolve`);
-    its flat per-DAG context is cached on the DAG, so retry rounds over
-    an untransformed graph skip the adjacency walk entirely.
+    Runs :func:`repro.core.dagsolve.dagsolve`, whose flat per-DAG
+    context is cached on the DAG, so retry rounds over an untransformed
+    graph skip the adjacency walk entirely.  With a plan cache, the
+    backward pass goes through the cache's Vnorm memo and only the
+    dispensing pass runs here.
     """
 
     name = "dagsolve"
@@ -366,7 +367,7 @@ class DAGSolvePass(Pass):
 class LPFallback(Pass):
     """LP fallback: strictly more general, used when DAGSolve fails.
 
-    Retry rounds share one :class:`~repro.core.lpdelta.
+    Retry rounds share one :class:`~repro.core.lpmodel.
     IncrementalLPBuilder` (held on the hierarchy state), so a transform
     that rewrites a few nodes only pays row construction for the
     rewritten neighborhood; the previous round's solution is offered to

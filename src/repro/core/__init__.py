@@ -31,7 +31,6 @@ from .dagsolve import (
     dispense,
     scale_for_required_outputs,
 )
-from .fastpath import FastAssignment, fast_dagsolve, fast_vnorms
 from .errors import (
     CycleError,
     DagError,
@@ -91,9 +90,6 @@ __all__ = [
     "dispense",
     "dagsolve",
     "scale_for_required_outputs",
-    "FastAssignment",
-    "fast_dagsolve",
-    "fast_vnorms",
     # lp / ilp
     "LPModel",
     "build_lp_model",

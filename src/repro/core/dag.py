@@ -198,11 +198,11 @@ class AssayDAG:
         #: frozen DAG repeatedly, so the Kahn pass would otherwise rerun
         #: on every pass.
         self._topo_cache: list[str] | None = None
-        #: structure-derived caches (e.g. the integer solver's flat
-        #: :class:`repro.core.intsolve.ExactContext`), cleared together
-        #: with the topological order on any structural mutation.  Entries
-        #: must not bake in mutable node attributes such as ``capacity``
-        #: or ``available_volume``.
+        #: structure-derived caches (e.g. DAGSolve's flat backward-pass
+        #: context), cleared together with the topological order on any
+        #: structural mutation.  Entries must not bake in mutable node
+        #: attributes such as ``capacity``, ``min_volume`` or
+        #: ``available_volume``.
         self._derived: dict[str, object] = {}
 
     def _invalidate_structure(self) -> None:

@@ -25,7 +25,7 @@ final output volumes, the ``waste`` objective minimises total source draw
 minus total delivery.
 
 For the ablation in paper Section 4.3 ("adding DAGSolve's additional
-constraints to the LP formulation"), :func:`build_lp_model` can also emit
+constraints to the LP formulation"), the builder can also emit
 
 * **flow conservation** equalities at intermediate nodes, and
 * **output equalisation** equalities pinning all outputs to the anchor,
@@ -36,23 +36,33 @@ The builder is solver-independent: it produces sparse matrices plus labelled
 rows, so the same model feeds :mod:`repro.core.lp` (scipy ``linprog``/HiGHS),
 :mod:`repro.core.ilp` (scipy ``milp``), and the Table 2 constraint-count
 benchmark.
+
+There is one builder, :class:`IncrementalLPBuilder`.  The Figure 6 retry
+loop keeps one instance across rounds, so a transform that rewrites a few
+nodes only pays row construction for the rewritten neighborhood;
+:func:`build_lp_model` is a single cold build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 from scipy import sparse
 
-from .dag import AssayDAG, Edge, NodeKind
+from .dag import AssayDAG, NodeKind
 from .errors import DagError
 from .limits import HardwareLimits
 from .objectives import resolve_objective
 
-__all__ = ["ConstraintRow", "LPModel", "build_lp_model"]
+__all__ = [
+    "ConstraintRow",
+    "LPModel",
+    "IncrementalLPBuilder",
+    "build_lp_model",
+]
 
 EdgeKey = tuple[str, str]
 
@@ -125,42 +135,457 @@ class LPModel:
         raise IndexError(index)
 
 
-class _MatrixBuilder:
-    """Accumulates sparse rows with labels."""
+#: rows in flat form: concatenated edge keys and float coefficients, then
+#: per row its length, rhs and label.  A per-node bundle is one such
+#: block, so a build concatenates blocks instead of walking rows.
+_Block = tuple[
+    tuple[EdgeKey, ...],
+    tuple[float, ...],
+    tuple[int, ...],
+    tuple[float, ...],
+    tuple[ConstraintRow, ...],
+]
+_EMPTY: _Block = ((), (), (), (), ())
 
-    def __init__(self, n_vars: int) -> None:
-        self.n_vars = n_vars
-        self.data: list[float] = []
-        self.rows: list[int] = []
-        self.cols: list[int] = []
+
+class _Rows:
+    """Accumulates constraint rows in flat form: a node's bundle while it
+    is derived, or a whole model while it is assembled from blocks."""
+
+    __slots__ = ("keys", "values", "lengths", "rhs", "labels")
+
+    def __init__(self) -> None:
+        self.keys: list[EdgeKey] = []
+        self.values: list[float] = []
+        self.lengths: list[int] = []
         self.rhs: list[float] = []
         self.labels: list[ConstraintRow] = []
 
-    def add_row(
+    def add(
         self,
-        coefficients: Sequence[tuple[int, Fraction]],
-        rhs: Fraction,
+        keys: tuple[EdgeKey, ...],
+        values: tuple[float, ...],
+        rhs: float,
         cls: str,
         description: str,
         *,
         equality: bool,
     ) -> None:
-        row_index = len(self.rhs)
-        for col, value in coefficients:
-            if value == 0:
-                continue
-            self.rows.append(row_index)
-            self.cols.append(col)
-            self.data.append(float(value))
-        self.rhs.append(float(rhs))
+        self.keys.extend(keys)
+        self.values.extend(values)
+        self.lengths.append(len(keys))
+        self.rhs.append(rhs)
         self.labels.append(ConstraintRow(cls, description, equality))
 
-    def matrices(self) -> tuple[sparse.csr_matrix, np.ndarray]:
+    def add_scaled(
+        self,
+        groups: list[tuple[tuple[EdgeKey, ...], Fraction]],
+        cls: str,
+        description: str,
+        *,
+        equality: bool,
+    ) -> None:
+        """A ``... <= 0`` / ``== 0`` row from ``(edge keys, coefficient)``
+        groups; a group whose coefficient is exactly zero is dropped."""
+        keys: list[EdgeKey] = []
+        values: list[float] = []
+        for group, coefficient in groups:
+            if coefficient != 0:
+                keys.extend(group)
+                values.extend([float(coefficient)] * len(group))
+        self.add(
+            tuple(keys), tuple(values), 0.0, cls, description, equality=equality
+        )
+
+    def extend(self, block: _Block) -> None:
+        keys, values, lengths, rhs, labels = block
+        self.keys.extend(keys)
+        self.values.extend(values)
+        self.lengths.extend(lengths)
+        self.rhs.extend(rhs)
+        self.labels.extend(labels)
+
+    def block(self) -> _Block:
+        if not self.lengths:
+            return _EMPTY
+        return (
+            tuple(self.keys),
+            tuple(self.values),
+            tuple(self.lengths),
+            tuple(self.rhs),
+            tuple(self.labels),
+        )
+
+    def matrices(
+        self, var_index: dict[EdgeKey, int]
+    ) -> tuple[sparse.csr_matrix, np.ndarray]:
+        n_rows = len(self.rhs)
+        rows = np.repeat(np.arange(n_rows), self.lengths)
+        cols = [var_index[key] for key in self.keys]
         matrix = sparse.coo_matrix(
-            (self.data, (self.rows, self.cols)),
-            shape=(len(self.rhs), self.n_vars),
+            (self.values, (rows, cols)), shape=(n_rows, len(var_index))
         ).tocsr()
         return matrix, np.asarray(self.rhs, dtype=float)
+
+
+class IncrementalLPBuilder:
+    """Build RVol LP models, caching row bundles across builds.
+
+    The model is split into **per-node row bundles** (classes 2-5 plus
+    the class-1 FU-minimum row) keyed by a signature of everything the
+    rows read: the node's kind, capacity, minimum, available volume and
+    output fraction, and its exact in/out edge keys and ratios.  A build
+    walks the DAG once; a node whose signature is unchanged reuses its
+    bundle verbatim — coefficients already floated, keyed by edge rather
+    than column so they survive variable renumbering — and only
+    rewritten neighborhoods pay row construction.  The objective and the
+    class-6 band are cached the same way, keyed by a signature of the
+    output set.  A cold build is a build with nothing cached yet.
+
+    Per-DAG structure (variable order, adjacency, validation) is memoized
+    in ``AssayDAG._derived`` and dropped by any structural mutation;
+    anything that reads a mutable node attribute is rebuilt or checked
+    against the live node on every build.
+
+    One builder is threaded through one hierarchy run (it assumes the
+    same ``limits`` and options for every build); :meth:`build` may be
+    called with any DAG — typically the loop's current graph, which
+    differs from the previous round's only where a transform rewrote it.
+    Reuse counts of the last build are in :attr:`last_stats` and on the
+    model's ``meta["incremental"]``.
+    """
+
+    def __init__(
+        self,
+        limits: HardwareLimits,
+        *,
+        output_tolerance: float | None = 0.1,
+        dagsolve_constraints: bool = False,
+        min_volume_bounds: bool = True,
+        objective=None,
+    ) -> None:
+        self.limits = limits
+        self.output_tolerance = output_tolerance
+        self.dagsolve_constraints = dagsolve_constraints
+        self.min_volume_bounds = min_volume_bounds
+        self.objective = resolve_objective(objective)
+        #: node id -> (signature, ub block, eq block)
+        self._bundles: dict[str, tuple[Any, _Block, _Block]] = {}
+        #: (tail signature, objective pairs, class-6 ub block, eq block)
+        self._tail: tuple[Any, list, _Block, _Block] | None = None
+        #: reuse counters of the most recent :meth:`build`.
+        self.last_stats: dict[str, int] = {"nodes": 0, "reused": 0}
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _structure(dag: AssayDAG) -> dict[str, tuple]:
+        """Per-node adjacency snapshot, memoized per DAG object.
+
+        For each non-EXCESS node id: ``(inbound keys, inbound fractions,
+        outbound keys)`` with excess edges left out (a validated DAG routes
+        excess edges only into EXCESS nodes, so the inbound side is the
+        node's whole in-degree).
+        """
+        table = dag._derived.get("lp-structure")
+        if table is None:
+            table = {}
+            for node in dag.nodes():
+                if node.kind is NodeKind.EXCESS:
+                    continue
+                inbound = dag.in_edges(node.id)
+                table[node.id] = (
+                    tuple(e.key for e in inbound),
+                    tuple(e.fraction for e in inbound),
+                    tuple(
+                        e.key for e in dag.out_edges(node.id) if not e.is_excess
+                    ),
+                )
+            dag._derived["lp-structure"] = table
+        return table
+
+    def _node_bundle(self, node, entry: tuple) -> tuple[_Block, _Block]:
+        """The node's ub/eq rows (constraint classes 1-5)."""
+        in_keys, in_fractions, out_keys = entry
+        is_source = node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
+        ub = _Rows()
+        eq = _Rows()
+
+        # -- class 2: maximum capacity ---------------------------------
+        capacity = node.capacity or self.limits.max_capacity
+        if is_source:
+            if node.kind is NodeKind.CONSTRAINED_INPUT:
+                if node.available_volume is not None:
+                    capacity = min(capacity, node.available_volume)
+            if out_keys:
+                ub.add(
+                    out_keys,
+                    (1.0,) * len(out_keys),
+                    float(capacity),
+                    CLASS_CAPACITY,
+                    f"{node.id}: total draw <= {capacity}",
+                    equality=False,
+                )
+        elif in_keys:
+            ub.add(
+                in_keys,
+                (1.0,) * len(in_keys),
+                float(capacity),
+                CLASS_CAPACITY,
+                f"{node.id}: total input <= {capacity}",
+                equality=False,
+            )
+            if node.min_volume is not None and len(in_keys) > 1:
+                # FU minimum over the whole load (class 1 extension).
+                ub.add(
+                    in_keys,
+                    (-1.0,) * len(in_keys),
+                    -float(node.min_volume),
+                    CLASS_MIN_VOLUME,
+                    f"{node.id}: total input >= {node.min_volume}",
+                    equality=False,
+                )
+
+        # -- classes 3+5: non-deficit with relative output-to-input ------
+        # (outputs have no outbound edges, so they emit no such row)
+        if not is_source and out_keys:
+            fraction_out = node.output_fraction or Fraction(1)
+            keys = out_keys + in_keys
+            values = (1.0,) * len(out_keys) + (-float(fraction_out),) * len(
+                in_keys
+            )
+            ub.add(
+                keys,
+                values,
+                0.0,
+                CLASS_NON_DEFICIT,
+                f"{node.id}: use <= {fraction_out} * input",
+                equality=False,
+            )
+            if self.dagsolve_constraints:
+                eq.add(
+                    keys,
+                    values,
+                    0.0,
+                    CLASS_FLOW_CONSERVATION,
+                    f"{node.id}: use == {fraction_out} * input",
+                    equality=True,
+                )
+
+        # -- class 4: mix-ratio equalities -------------------------------
+        if len(in_keys) > 1:
+            anchor_key, anchor_fraction = in_keys[0], in_fractions[0]
+            negated_anchor = -float(anchor_fraction)
+            for other_key, other_fraction in zip(in_keys[1:], in_fractions[1:]):
+                # anchor / f_anchor == other / f_other
+                eq.add(
+                    (anchor_key, other_key),
+                    (float(other_fraction), negated_anchor),
+                    0.0,
+                    CLASS_RATIO,
+                    (
+                        f"{node.id}: {anchor_key[0]} vs {other_key[0]} "
+                        f"in ratio {anchor_fraction}:{other_fraction}"
+                    ),
+                    equality=True,
+                )
+        return ub.block(), eq.block()
+
+    def _tail_rows(
+        self, dag: AssayDAG, structure: dict[str, tuple], output_nodes: list
+    ) -> tuple[list, _Block, _Block]:
+        """Objective pairs plus the class-6 band, cached by output set."""
+        # keyed per-objective: bundles built for one cost vector must never
+        # serve another, and the objective may read structure (e.g. input
+        # draws) the output-set signature alone would not cover
+        signature = (
+            self.objective.name,
+            self.objective.lp_signature_extra(dag),
+            tuple(
+                (n.id, n.kind, n.output_fraction, structure[n.id])
+                for n in output_nodes
+            ),
+        )
+        cached = self._tail
+        if cached is not None and cached[0] == signature:
+            return cached[1], cached[2], cached[3]
+
+        objective_pairs = self.objective.lp_objective_pairs(
+            dag, output_nodes
+        )
+
+        # -- class 6: relative output-to-output ---------------------------
+        # Each real output's volume is ``output_fraction`` times the sum
+        # of its inbound edges: one coefficient shared by the whole group.
+        real_outputs = [
+            (n.id, structure[n.id][0], n.output_fraction or Fraction(1))
+            for n in output_nodes
+            if n.kind not in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
+            and structure[n.id][0]
+        ]
+        ub = _Rows()
+        eq = _Rows()
+        if len(real_outputs) > 1:
+            anchor, anchor_keys, anchor_fraction = real_outputs[0]
+            if self.output_tolerance is not None:
+                low = Fraction(str(1 - self.output_tolerance))
+                high = Fraction(str(1 + self.output_tolerance))
+            for other, other_keys, other_fraction in real_outputs[1:]:
+                if self.output_tolerance is not None:
+                    # low * other <= anchor  <=>  low*other - anchor <= 0
+                    ub.add_scaled(
+                        [
+                            (other_keys, low * other_fraction),
+                            (anchor_keys, -anchor_fraction),
+                        ],
+                        CLASS_OUTPUT_TO_OUTPUT,
+                        f"{low} * V({other}) <= V({anchor})",
+                        equality=False,
+                    )
+                    # anchor <= high * other
+                    ub.add_scaled(
+                        [
+                            (anchor_keys, anchor_fraction),
+                            (other_keys, -high * other_fraction),
+                        ],
+                        CLASS_OUTPUT_TO_OUTPUT,
+                        f"V({anchor}) <= {high} * V({other})",
+                        equality=False,
+                    )
+                if self.dagsolve_constraints:
+                    eq.add_scaled(
+                        [
+                            (anchor_keys, anchor_fraction),
+                            (other_keys, -other_fraction),
+                        ],
+                        CLASS_OUTPUT_EQUAL,
+                        f"V({anchor}) == V({other})",
+                        equality=True,
+                    )
+        self._tail = (signature, objective_pairs, ub.block(), eq.block())
+        return self._tail[1:]
+
+    # ------------------------------------------------------------------
+    def build(self, dag: AssayDAG) -> LPModel:
+        """Assemble the model, reusing cached bundles where possible."""
+        derived = dag._derived
+        if "lp-valid" not in derived:
+            dag.validate()
+            for node in dag.nodes():
+                if node.unknown_volume and dag.out_degree(node.id) > 0:
+                    raise DagError(
+                        f"node {node.id!r} has unknown output volume and "
+                        "downstream uses; partition the DAG before building "
+                        "the LP"
+                    )
+            derived["lp-valid"] = True
+
+        # Excess machinery is DAGSolve-specific: LP's non-deficit
+        # constraints already allow discarding surplus production, so
+        # cascaded DAGs are modelled without their excess edges.
+        base_index = derived.get("lp-varindex")
+        if base_index is None:
+            base_index = {
+                key: i
+                for i, key in enumerate(
+                    e.key for e in dag.edges() if not e.is_excess
+                )
+            }
+            derived["lp-varindex"] = base_index
+        var_index: dict[EdgeKey, int] = dict(base_index)
+        n_vars = len(var_index)
+
+        # -- class 1: minimum volume, as variable lower bounds ----------
+        # An edge into a single-input node also carries that node's FU
+        # minimum; the override is read from the live node every build.
+        limits = self.limits
+        least_count = limits.least_count
+        max_capacity_f = float(limits.max_capacity)
+        lower = float(least_count) if self.min_volume_bounds else 0.0
+        bounds: list[tuple[float, float | None]] = [
+            (lower, max_capacity_f)
+        ] * n_vars
+
+        structure = self._structure(dag)
+        output_nodes = dag.outputs()
+        ub = _Rows()
+        eq = _Rows()
+        nodes_seen = 0
+        reused = 0
+        bundles = self._bundles
+        live: set[str] = set()
+        for node in dag.nodes():
+            entry = structure.get(node.id)
+            if entry is None:  # EXCESS
+                continue
+            nodes_seen += 1
+            live.add(node.id)
+            minimum = node.min_volume
+            if (
+                minimum is not None
+                and self.min_volume_bounds
+                and len(entry[0]) == 1
+            ):
+                bounds[var_index[entry[0][0]]] = (
+                    float(max(least_count, minimum)),
+                    max_capacity_f,
+                )
+            available = (
+                node.available_volume
+                if node.kind is NodeKind.CONSTRAINED_INPUT
+                else None
+            )
+            signature = (
+                node.kind,
+                node.capacity,
+                minimum,
+                available,
+                node.output_fraction,
+                entry,
+            )
+            cached = bundles.get(node.id)
+            if cached is not None and cached[0] == signature:
+                __, ub_block, eq_block = cached
+                reused += 1
+            else:
+                ub_block, eq_block = self._node_bundle(node, entry)
+                bundles[node.id] = (signature, ub_block, eq_block)
+            ub.extend(ub_block)
+            eq.extend(eq_block)
+        for stale in bundles.keys() - live:
+            del bundles[stale]
+        self.last_stats = {"nodes": nodes_seen, "reused": reused}
+
+        # -- objective + class 6: cached by a signature of the outputs ----
+        objective_pairs, tail_ub, tail_eq = self._tail_rows(
+            dag, structure, output_nodes
+        )
+        cost = np.zeros(n_vars)
+        for key, value in objective_pairs:
+            cost[var_index[key]] -= value  # linprog minimises
+        ub.extend(tail_ub)
+        eq.extend(tail_eq)
+
+        a_ub, b_ub = ub.matrices(var_index)
+        a_eq, b_eq = eq.matrices(var_index)
+        return LPModel(
+            dag=dag,
+            limits=limits,
+            var_index=var_index,
+            objective=cost,
+            a_ub=a_ub,
+            b_ub=b_ub,
+            a_eq=a_eq,
+            b_eq=b_eq,
+            bounds=bounds,
+            rows_ub=ub.labels,
+            rows_eq=eq.labels,
+            meta={
+                "output_tolerance": self.output_tolerance,
+                "dagsolve_constraints": self.dagsolve_constraints,
+                "planning_objective": self.objective.name,
+                "incremental": dict(self.last_stats),
+            },
+        )
 
 
 def build_lp_model(
@@ -172,7 +597,7 @@ def build_lp_model(
     min_volume_bounds: bool = True,
     objective=None,
 ) -> LPModel:
-    """Build the RVol linear model for ``dag``.
+    """Build the RVol linear model for ``dag`` (a cold builder build).
 
     Args:
         dag: validated assay DAG; unknown-volume nodes with downstream uses
@@ -192,205 +617,10 @@ def build_lp_model(
             the paper's timing methodology (their LIPSOL runs reported a
             time for enzyme even though the result underflowed).
     """
-    dag.validate()
-    for node in dag.nodes():
-        if node.unknown_volume and dag.out_degree(node.id) > 0:
-            raise DagError(
-                f"node {node.id!r} has unknown output volume and downstream "
-                "uses; partition the DAG before building the LP"
-            )
-
-    # Excess machinery is DAGSolve-specific: LP's non-deficit constraints
-    # already allow discarding surplus production, so cascaded DAGs are
-    # modelled without their excess edges.
-    edges = [edge for edge in dag.edges() if not edge.is_excess]
-    var_index: dict[EdgeKey, int] = {
-        edge.key: i for i, edge in enumerate(edges)
-    }
-    n_vars = len(var_index)
-
-    def out_vars(node_id: str) -> list[tuple[int, Edge]]:
-        return [
-            (var_index[e.key], e)
-            for e in dag.out_edges(node_id)
-            if not e.is_excess
-        ]
-
-    def in_vars(node_id: str) -> list[tuple[int, Edge]]:
-        return [
-            (var_index[e.key], e)
-            for e in dag.in_edges(node_id)
-            if not e.is_excess
-        ]
-
-    ub = _MatrixBuilder(n_vars)
-    eq = _MatrixBuilder(n_vars)
-
-    # -- class 1: minimum volume, as variable lower bounds ----------------
-    bounds: list[tuple[float, float | None]] = []
-    for edge in edges:
-        if not min_volume_bounds:
-            bounds.append((0.0, float(limits.max_capacity)))
-            continue
-        lo = limits.least_count
-        dst = dag.node(edge.dst)
-        if dst.min_volume is not None and dag.in_degree(edge.dst) == 1:
-            lo = max(lo, dst.min_volume)
-        bounds.append((float(lo), float(limits.max_capacity)))
-
-    output_nodes = [n for n in dag.outputs()]
-    output_ids = {n.id for n in output_nodes}
-
-    for node in dag.nodes():
-        if node.kind is NodeKind.EXCESS:
-            continue
-        inbound = in_vars(node.id)
-        outbound = out_vars(node.id)
-        is_source = node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
-
-        # -- class 2: maximum capacity ---------------------------------
-        capacity = node.capacity or limits.max_capacity
-        if is_source:
-            if node.kind is NodeKind.CONSTRAINED_INPUT:
-                if node.available_volume is not None:
-                    capacity = min(capacity, node.available_volume)
-            if outbound:
-                ub.add_row(
-                    [(i, Fraction(1)) for i, __ in outbound],
-                    Fraction(capacity),
-                    CLASS_CAPACITY,
-                    f"{node.id}: total draw <= {capacity}",
-                    equality=False,
-                )
-        elif inbound:
-            ub.add_row(
-                [(i, Fraction(1)) for i, __ in inbound],
-                Fraction(capacity),
-                CLASS_CAPACITY,
-                f"{node.id}: total input <= {capacity}",
-                equality=False,
-            )
-            if node.min_volume is not None and len(inbound) > 1:
-                # FU minimum over the whole load (class 1 extension).
-                ub.add_row(
-                    [(i, Fraction(-1)) for i, __ in inbound],
-                    -Fraction(node.min_volume),
-                    CLASS_MIN_VOLUME,
-                    f"{node.id}: total input >= {node.min_volume}",
-                    equality=False,
-                )
-
-        # -- classes 3+5: non-deficit with relative output-to-input ------
-        if not is_source and node.id not in output_ids and outbound:
-            fraction_out = node.output_fraction or Fraction(1)
-            coefficients = [(i, Fraction(1)) for i, __ in outbound]
-            coefficients += [(i, -fraction_out) for i, __ in inbound]
-            ub.add_row(
-                coefficients,
-                Fraction(0),
-                CLASS_NON_DEFICIT,
-                f"{node.id}: use <= {fraction_out} * input",
-                equality=False,
-            )
-            if dagsolve_constraints:
-                eq.add_row(
-                    coefficients,
-                    Fraction(0),
-                    CLASS_FLOW_CONSERVATION,
-                    f"{node.id}: use == {fraction_out} * input",
-                    equality=True,
-                )
-
-        # -- class 4: mix-ratio equalities -------------------------------
-        if len(inbound) > 1:
-            anchor_var, anchor_edge = inbound[0]
-            for other_var, other_edge in inbound[1:]:
-                # anchor / f_anchor == other / f_other
-                eq.add_row(
-                    [
-                        (anchor_var, other_edge.fraction),
-                        (other_var, -anchor_edge.fraction),
-                    ],
-                    Fraction(0),
-                    CLASS_RATIO,
-                    (
-                        f"{node.id}: {anchor_edge.src} vs {other_edge.src} "
-                        f"in ratio {anchor_edge.fraction}:{other_edge.fraction}"
-                    ),
-                    equality=True,
-                )
-
-    # -- objective: cost vector delegated to the planning objective -------
-    planning = resolve_objective(objective)
-    cost = np.zeros(n_vars)
-    for key, value in planning.lp_objective_pairs(dag, output_nodes):
-        cost[var_index[key]] -= value  # linprog minimises
-
-    # -- class 6: relative output-to-output -------------------------------
-    def output_volume_coefficients(node_id: str) -> list[tuple[int, Fraction]]:
-        node = dag.node(node_id)
-        fraction_out = node.output_fraction or Fraction(1)
-        return [(i, fraction_out) for i, __ in in_vars(node_id)]
-
-    real_outputs = [
-        n.id
-        for n in output_nodes
-        if n.kind not in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
-        and dag.in_degree(n.id) > 0
-    ]
-    if len(real_outputs) > 1:
-        anchor = real_outputs[0]
-        anchor_coefficients = output_volume_coefficients(anchor)
-        for other in real_outputs[1:]:
-            other_coefficients = output_volume_coefficients(other)
-            if output_tolerance is not None:
-                low = Fraction(str(1 - output_tolerance))
-                high = Fraction(str(1 + output_tolerance))
-                # low * other <= anchor  <=>  low*other - anchor <= 0
-                ub.add_row(
-                    [(i, low * c) for i, c in other_coefficients]
-                    + [(i, -c) for i, c in anchor_coefficients],
-                    Fraction(0),
-                    CLASS_OUTPUT_TO_OUTPUT,
-                    f"{low} * V({other}) <= V({anchor})",
-                    equality=False,
-                )
-                # anchor <= high * other
-                ub.add_row(
-                    [(i, c) for i, c in anchor_coefficients]
-                    + [(i, -high * c) for i, c in other_coefficients],
-                    Fraction(0),
-                    CLASS_OUTPUT_TO_OUTPUT,
-                    f"V({anchor}) <= {high} * V({other})",
-                    equality=False,
-                )
-            if dagsolve_constraints:
-                eq.add_row(
-                    [(i, c) for i, c in anchor_coefficients]
-                    + [(i, -c) for i, c in other_coefficients],
-                    Fraction(0),
-                    CLASS_OUTPUT_EQUAL,
-                    f"V({anchor}) == V({other})",
-                    equality=True,
-                )
-
-    a_ub, b_ub = ub.matrices()
-    a_eq, b_eq = eq.matrices()
-    return LPModel(
-        dag=dag,
-        limits=limits,
-        var_index=var_index,
-        objective=cost,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        rows_ub=ub.labels,
-        rows_eq=eq.labels,
-        meta={
-            "output_tolerance": output_tolerance,
-            "dagsolve_constraints": dagsolve_constraints,
-            "planning_objective": planning.name,
-        },
-    )
+    return IncrementalLPBuilder(
+        limits,
+        output_tolerance=output_tolerance,
+        dagsolve_constraints=dagsolve_constraints,
+        min_volume_bounds=min_volume_bounds,
+        objective=objective,
+    ).build(dag)

@@ -12,11 +12,11 @@ metric the waste-efficient sample-preparation literature optimises
 A :class:`PlanningObjective` makes the goal a first-class strategy that
 each layer consults instead of hard-coding arithmetic:
 
-* ``dagsolve``/``intsolve`` — the dispensing pass asks
+* ``dagsolve`` — the dispensing pass asks
   :attr:`~PlanningObjective.minimize_scale` whether to settle at the
   smallest feasible scale (every edge still clears the least count and
   every FU minimum holds) instead of the capacity anchor;
-* ``lpmodel``/``lpdelta`` — :meth:`~PlanningObjective.lp_objective_pairs`
+* ``lpmodel`` — :meth:`~PlanningObjective.lp_objective_pairs`
   builds the LP cost vector, and
   :meth:`~PlanningObjective.lp_signature_extra` contributes to the
   incremental builder's tail-cache key so cached bundles never

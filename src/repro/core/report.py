@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dag import AssayDAG, NodeKind
-from .dagsolve import VolumeAssignment
+from .dagsolve import VolumeAssignment, dagsolve
 
 __all__ = [
     "FluidUsage",
@@ -211,12 +211,10 @@ def plan_waste_breakdown(plan, assignment=None) -> WasteBreakdown:
     not the plan's, the volumes are re-derived over the post-transform
     graph so the accounting matches what ``repro certify`` checks.
     """
-    from .intsolve import exact_dagsolve
-
     if assignment is None:
         assignment = plan.assignment
     if assignment is None:
         raise ValueError(f"plan for {plan.dag.name!r} has no assignment")
     if assignment.dag is not plan.dag:
-        assignment = exact_dagsolve(plan.dag, assignment.limits)
+        assignment = dagsolve(plan.dag, assignment.limits)
     return waste_breakdown(assignment)

@@ -29,9 +29,8 @@ from fractions import Fraction
 from collections.abc import Mapping
 
 from .dag import AssayDAG, NodeKind
-from .dagsolve import VnormResult, VolumeAssignment, dispense
+from .dagsolve import VnormResult, VolumeAssignment, compute_vnorms, dispense
 from .errors import PartitionError
-from .intsolve import exact_vnorms
 from .limits import HardwareLimits, Number, as_fraction
 from .partition import Partition, PartitionedAssay, partition_unknown_volumes
 
@@ -62,7 +61,7 @@ class RuntimePlanner:
             partition.index: (
                 cache.memo_vnorms(partition.dag)
                 if cache is not None
-                else exact_vnorms(partition.dag)
+                else compute_vnorms(partition.dag)
             )
             for partition in self.partitioned.partitions
         }

@@ -1,4 +1,11 @@
-"""The incremental LP builder: model identity, reuse, honest warm starts."""
+"""The one LP model builder: identity with the oracle, reuse, warm starts.
+
+Every model :class:`IncrementalLPBuilder` assembles — cold, warm, or after
+a rewrite — must equal the from-scratch reference in
+:mod:`oracles.lpmodel`, down to the CSR arrays and row labels.
+"""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +15,9 @@ from repro.core.cascading import cascade_extreme_mixes
 from repro.core.errors import DagError
 from repro.core.limits import PAPER_LIMITS
 from repro.core.lp import solve_model
-from repro.core.lpdelta import IncrementalLPBuilder
-from repro.core.lpmodel import build_lp_model
+from repro.core.lpmodel import IncrementalLPBuilder, build_lp_model
+
+from oracles.lpmodel import build_lp_model as reference_lp_model
 
 OPTION_COMBOS = (
     {},
@@ -48,9 +56,12 @@ class TestModelIdentity:
     def test_cold_and_warm_builds_match_reference(self, options):
         builder = IncrementalLPBuilder(PAPER_LIMITS, **options)
         for dag in corpus():
-            reference = build_lp_model(dag, PAPER_LIMITS, **options)
+            reference = reference_lp_model(dag, PAPER_LIMITS, **options)
             assert_models_equal(reference, builder.build(dag))  # cold
             assert_models_equal(reference, builder.build(dag))  # warm
+            assert_models_equal(
+                reference, build_lp_model(dag, PAPER_LIMITS, **options)
+            )
 
     def test_alternating_dags_match_reference(self):
         """The retry-loop shape: the builder flips between a DAG and its
@@ -60,7 +71,7 @@ class TestModelIdentity:
         builder = IncrementalLPBuilder(PAPER_LIMITS)
         for dag in (base, cascaded, base, cascaded):
             assert_models_equal(
-                build_lp_model(dag, PAPER_LIMITS), builder.build(dag)
+                reference_lp_model(dag, PAPER_LIMITS), builder.build(dag)
             )
 
     def test_structural_mutation_invalidates_derived_caches(self):
@@ -74,8 +85,28 @@ class TestModelIdentity:
         assert "lp-varindex" not in dag._derived
         dag.add_edge(removed)
         assert_models_equal(
-            build_lp_model(dag, PAPER_LIMITS), builder.build(dag)
+            reference_lp_model(dag, PAPER_LIMITS), builder.build(dag)
         )
+
+    def test_min_volume_change_reaches_bounds(self):
+        """Class-1 bounds read the live FU minimum: setting ``min_volume``
+        on a single-input node after a build must move its edge's lower
+        bound, in a fresh builder and in a warm one."""
+        dag = enzyme.build_dag(4)
+        warm = IncrementalLPBuilder(PAPER_LIMITS)
+        warm.build(dag)
+        node = dag.node("combo111.inc")
+        assert dag.in_degree(node.id) == 1
+        node.min_volume = Fraction(5)
+        (edge,) = dag.in_edges(node.id)
+        reference = reference_lp_model(dag, PAPER_LIMITS)
+        for model in (
+            build_lp_model(dag, PAPER_LIMITS),
+            IncrementalLPBuilder(PAPER_LIMITS).build(dag),
+            warm.build(dag),
+        ):
+            assert model.bounds[model.var_index[edge.key]] == (5.0, 100.0)
+            assert_models_equal(reference, model)
 
 
 class TestReuseStats:
@@ -109,7 +140,7 @@ class TestReuseStats:
         node.unknown_volume = True
         node.output_fraction = None
         with pytest.raises(DagError) as reference:
-            build_lp_model(dag, PAPER_LIMITS)
+            reference_lp_model(dag, PAPER_LIMITS)
         builder = IncrementalLPBuilder(PAPER_LIMITS)
         with pytest.raises(DagError) as incremental:
             builder.build(dag)

@@ -28,7 +28,6 @@ from repro.core.dagsolve import dagsolve
 from repro.core.errors import ResourceExhaustedError, VolumeError
 from repro.core.fingerprint import compile_fingerprint
 from repro.core.hierarchy import Attempt, VolumeManager
-from repro.core.intsolve import exact_dagsolve
 from repro.core.limits import PAPER_LIMITS
 from repro.core.objectives import (
     DEFAULT_OBJECTIVE,
@@ -38,6 +37,8 @@ from repro.core.objectives import (
 )
 from repro.core.report import plan_waste_breakdown
 from repro.core.serde import _attempt_from_dict, _attempt_to_dict
+
+from oracles import dagsolve as oracle
 
 
 def simple_mix(stock_parts=1, diluent_parts=3):
@@ -101,8 +102,8 @@ class TestDispenseFloor:
 
     def test_exact_solver_matches_reference(self):
         for dag in (simple_mix(), linear_gradient(5)):
-            reference = dagsolve(dag, PAPER_LIMITS, objective="waste")
-            exact = exact_dagsolve(dag, PAPER_LIMITS, objective="waste")
+            reference = oracle.dagsolve(dag, PAPER_LIMITS, objective="waste")
+            exact = dagsolve(dag, PAPER_LIMITS, objective="waste")
             assert exact.scale == reference.scale
             assert exact.edge_volume == reference.edge_volume
 
