@@ -58,6 +58,7 @@ from .compiler.passes import (
     render_timing_table,
     run_compile,
 )
+from .core.errors import VolumeError
 from .core.hierarchy import VolumeManager
 from .core.limits import as_fraction
 from .lang.errors import FrontendError
@@ -1025,7 +1026,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FrontendError as error:
+    except (FrontendError, VolumeError) as error:
+        # bad assay, or one the machine cannot hold: a coded failure
         print(f"error: {error}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -238,7 +238,29 @@ def cascade_mix(
     consumer's draw (and the excess node disappears once fully consumed).
     Created stages are entered into the registry for later rewrites.
 
-    Returns the rewritten copy of the DAG plus a provenance report.
+    Ownership: ``dag`` is never mutated.  The rewrite is applied to one
+    copy, which is returned together with a provenance report.
+    """
+    new_dag = dag.copy()
+    report = _cascade_in_place(
+        new_dag, node_id, factors, share_registry=share_registry
+    )
+    return new_dag, report
+
+
+def _cascade_in_place(
+    dag: AssayDAG,
+    node_id: str,
+    factors: list[Fraction],
+    *,
+    share_registry: dict[tuple, str] | None,
+) -> CascadeReport:
+    """The cascading rewrite itself, applied to ``dag`` in place.
+
+    Only ever called on a DAG the caller owns (a private working copy):
+    on an error the DAG may be left half rewritten.  The attribute edits
+    (``ratio``, a shared stage's ``excess_fraction``) are always followed
+    by the final stage's ``add_edge``, which drops ``dag._derived``.
     """
     node = dag.node(node_id)
     if node.no_excess:
@@ -268,9 +290,8 @@ def cascade_mix(
             f"{total_factor} for node {node_id!r}"
         )
 
-    new_dag = dag.copy()
-    new_dag.remove_edge(minor.src, node_id)
-    new_dag.remove_edge(major.src, node_id)
+    dag.remove_edge(minor.src, node_id)
+    dag.remove_edge(major.src, node_id)
 
     intermediates: list[str] = []
     shared: list[str] = []
@@ -282,8 +303,8 @@ def cascade_mix(
             next_factor = factors[stage + 1]
             key = (concentrate, major.src, factor)
             existing = share_registry.get(key)
-            if existing is not None and existing in new_dag:
-                stage_node = new_dag.node(existing)
+            if existing is not None and existing in dag:
+                stage_node = dag.node(existing)
                 draw = stage_node.meta.get("cascade_draw", Fraction(0))
                 draw += 1 / next_factor
                 stage_node.meta["cascade_draw"] = draw
@@ -292,14 +313,14 @@ def cascade_mix(
                 )
                 stage_node.excess_fraction = max(Fraction(0), 1 - draw)
                 if stage_node.excess_fraction == 0:
-                    for out in list(new_dag.out_edges(existing)):
+                    for out in list(dag.out_edges(existing)):
                         if out.is_excess:
-                            new_dag.remove_node(out.dst)
+                            dag.remove_node(out.dst)
                 shared.append(existing)
                 concentrate = existing
                 continue
         if is_last:
-            stage_node = new_dag.node(node_id)
+            stage_node = dag.node(node_id)
             stage_node.ratio = None  # the declared ratio no longer applies
             stage_node.meta.setdefault("cascade", []).append(
                 {"stage": stage + 1, "factor": factor}
@@ -320,7 +341,7 @@ def cascade_mix(
                     "cascade_consumers": 1,
                 }
                 share_registry[key] = stage_id
-            stage_node = new_dag.add_node(
+            stage_node = dag.add_node(
                 Node(
                     stage_id,
                     NodeKind.MIX,
@@ -335,11 +356,11 @@ def cascade_mix(
                 )
             )
             intermediates.append(stage_id)
-        new_dag.add_edge(Edge(concentrate, stage_id, 1 / factor))
-        new_dag.add_edge(Edge(major.src, stage_id, 1 - 1 / factor))
+        dag.add_edge(Edge(concentrate, stage_id, 1 / factor))
+        dag.add_edge(Edge(major.src, stage_id, 1 - 1 / factor))
         if not is_last:
             excess_id = f"{stage_id}.excess"
-            new_dag.add_node(
+            dag.add_node(
                 Node(
                     excess_id,
                     NodeKind.EXCESS,
@@ -347,7 +368,7 @@ def cascade_mix(
                     meta={"cascade_of": node_id},
                 )
             )
-            new_dag.add_edge(Edge(stage_id, excess_id, is_excess=True))
+            dag.add_edge(Edge(stage_id, excess_id, is_excess=True))
         concentrate = stage_id
     report = CascadeReport(
         node=node_id,
@@ -356,7 +377,7 @@ def cascade_mix(
         intermediate_ids=tuple(intermediates),
         shared_ids=tuple(shared),
     )
-    return new_dag, report
+    return report
 
 
 def cascade_extreme_mixes(
@@ -374,6 +395,10 @@ def cascade_extreme_mixes(
     producing identical dilutions are shared between cascades, each consumer
     drinking from the others' would-be discard.  The default objective keeps
     the paper's iterative-deepening equal split untouched.
+
+    Ownership: ``dag`` is never mutated, not even when a rewrite fails
+    partway.  The first rewrite copies it once and every rewrite is then
+    applied in place on that private copy.
 
     Returns the rewritten DAG and one report per rewritten node; the DAG is
     returned unchanged (same object) when nothing is extreme.
@@ -399,8 +424,11 @@ def cascade_extreme_mixes(
             )
         else:
             __, factors = _pick_depth(total_factor, limits, max_depth)
-        current, report = cascade_mix(
-            current, node_id, factors, share_registry=registry
+        if current is dag:
+            current = dag.copy()
+        reports.append(
+            _cascade_in_place(
+                current, node_id, factors, share_registry=registry
+            )
         )
-        reports.append(report)
     return current, reports

@@ -106,9 +106,29 @@ def replicate_node(
     "replicating a level of the backward slice" means: the predecessors now
     feed every replica and their own use counts grow accordingly).
 
+    Ownership: ``dag`` is never mutated.  The rewrite is applied to one
+    copy, which is returned together with a provenance report.
+
     Args:
         weights: optional per-use weights (edge Vnorms) used to balance the
             distribution; unweighted uses count 1 each.
+    """
+    new_dag = dag.copy()
+    report = _replicate_in_place(new_dag, node_id, copies, weights=weights)
+    return new_dag, report
+
+
+def _replicate_in_place(
+    dag: AssayDAG,
+    node_id: str,
+    copies: int,
+    *,
+    weights: Mapping[EdgeKey, Fraction] | None,
+) -> ReplicationReport:
+    """The replication rewrite itself, applied to ``dag`` in place.
+
+    Only ever called on a DAG the caller owns (a private working copy):
+    on an error the DAG may be left half rewritten.
     """
     if copies < 2:
         raise ValueError("copies must be >= 2")
@@ -126,7 +146,6 @@ def replicate_node(
     ]
     buckets = _balanced_partition(weighted, copies)
 
-    new_dag = dag.copy()
     # Allocate fresh replica ids: a node can be replicated again in a later
     # iteration (its replicas from the previous round are still in the DAG),
     # so skip suffixes that are already taken.
@@ -144,17 +163,17 @@ def replicate_node(
         replica.label = f"{node.display_name} (replica)"
         replica.meta = dict(node.meta)
         replica.meta["replica_of"] = node_id
-        new_dag.add_node(replica)
+        dag.add_node(replica)
         for edge in inbound:
-            new_dag.add_edge(Edge(edge.src, replica_id, edge.fraction))
+            dag.add_edge(Edge(edge.src, replica_id, edge.fraction))
     # Reassign uses: bucket 0 keeps the original producer.
     for replica_id, bucket in zip(replica_ids, buckets):
         if replica_id == node_id:
             continue
         for (__, dst) in bucket:
-            moved = new_dag.remove_edge(node_id, dst)
-            new_dag.add_edge(Edge(replica_id, dst, moved.fraction))
-    report = ReplicationReport(
+            moved = dag.remove_edge(node_id, dst)
+            dag.add_edge(Edge(replica_id, dst, moved.fraction))
+    return ReplicationReport(
         node=node_id,
         copies=copies,
         replica_ids=tuple(replica_ids),
@@ -162,7 +181,6 @@ def replicate_node(
             tuple(dst for (__, dst) in bucket) for bucket in buckets
         ),
     )
-    return new_dag, report
 
 
 def needed_copies(
@@ -194,6 +212,10 @@ def iterative_replication(
     still-extreme mix ratio that needs cascading instead), or when the
     resource budget is exhausted — mirroring "the replicated code may exceed
     the PLoC's resources; in such cases, compilation fails".
+
+    Ownership: ``dag`` is never mutated, not even when a round raises after
+    earlier rewrites.  The first rewrite copies it once and every rewrite
+    is then applied in place on that private copy.
     """
     current = dag
     reports: list[ReplicationReport] = []
@@ -250,10 +272,11 @@ def iterative_replication(
         weights = {
             e.key: vnorms.edge_vnorm[e.key] for e in uses
         }
-        current, report = replicate_node(
-            current, binding_id, copies, weights=weights
+        if current is dag:
+            current = dag.copy()
+        reports.append(
+            _replicate_in_place(current, binding_id, copies, weights=weights)
         )
-        reports.append(report)
         if max_total_nodes is not None and current.node_count > max_total_nodes:
             raise ResourceExhaustedError(
                 f"replication grew the DAG to {current.node_count} nodes, "

@@ -25,13 +25,19 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..core.dag import AssayDAG, NodeKind
+from ..core.errors import ResourceExhaustedError
 from ..machine.spec import MachineSpec
 
 __all__ = ["AllocationError", "ReservoirAssignment", "ReservoirAllocator"]
 
 
-class AllocationError(Exception):
-    """The assay needs more reservoirs or ports than the machine has."""
+class AllocationError(ResourceExhaustedError):
+    """The assay needs more reservoirs or ports than the machine has.
+
+    A :class:`~repro.core.errors.ResourceExhaustedError`, so every compile
+    boundary that reports volume-management failures as coded compile
+    errors (CLI, batch, service) reports this one too.
+    """
 
 
 @dataclass

@@ -82,6 +82,23 @@ class MachineSpec:
         names = [unit.name for unit in self.functional_units]
         if len(names) != len(set(names)):
             raise ValueError("duplicate functional unit names")
+        # Lookup tables built once per spec.  They are plain attributes,
+        # not fields, so equality, repr and fingerprints ignore them.  The
+        # first claim on a name wins: reservoir, input port, output port,
+        # then functional unit.
+        units = {unit.name: unit for unit in self.functional_units}
+        kinds: dict[str, str] = {}
+        for kind, claimed in (
+            ("reservoir", self.reservoir_names()),
+            ("input-port", self.input_port_names()),
+            ("output-port", self.output_port_names()),
+        ):
+            for name in claimed:
+                kinds.setdefault(name, kind)
+        for unit in self.functional_units:
+            kinds.setdefault(unit.name, unit.kind)
+        object.__setattr__(self, "_unit_of", units)
+        object.__setattr__(self, "_kind_of", kinds)
 
     # ------------------------------------------------------------------
     def reservoir_names(self) -> tuple[str, ...]:
@@ -94,10 +111,12 @@ class MachineSpec:
         return tuple(f"op{i}" for i in range(1, self.n_output_ports + 1))
 
     def unit(self, name: str) -> FunctionalUnitSpec:
-        for candidate in self.functional_units:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no functional unit {name!r} in machine {self.name!r}")
+        try:
+            return self._unit_of[name]
+        except KeyError:
+            raise KeyError(
+                f"no functional unit {name!r} in machine {self.name!r}"
+            ) from None
 
     def units_of_kind(self, kind: str) -> tuple[FunctionalUnitSpec, ...]:
         return tuple(u for u in self.functional_units if u.kind == kind)
@@ -127,16 +146,7 @@ class MachineSpec:
         ``"sensor"``), or ``None`` for a name that addresses nothing on
         this machine.
         """
-        if name in self.reservoir_names():
-            return "reservoir"
-        if name in self.input_port_names():
-            return "input-port"
-        if name in self.output_port_names():
-            return "output-port"
-        for unit in self.functional_units:
-            if unit.name == name:
-                return unit.kind
-        return None
+        return self._kind_of.get(name)
 
     def location_capacity(self, name: str) -> Fraction | None:
         """Capacity of a fluid-holding location (sub-ports share their

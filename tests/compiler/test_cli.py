@@ -105,6 +105,19 @@ class TestCompile:
         assert main(["plan", glucose_file, "--objective", "waste"]) == 0
         assert "dagsolve" in capsys.readouterr().out
 
+    def test_machine_too_small_is_a_coded_error(self, tmp_path, capsys):
+        """EnzymeN 7 needs more input ports than AquaCore has."""
+        from repro.assays import enzyme
+
+        path = tmp_path / "enzyme7.fluid"
+        path.write_text(
+            enzyme.SOURCE.replace("[4]", "[7]").replace("TO 4", "TO 7")
+        )
+        assert main(["compile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of input ports")
+        assert "Traceback" not in captured.err
+
 
 class TestRun:
     def test_readings(self, glucose_file, capsys):

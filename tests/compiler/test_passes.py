@@ -16,6 +16,7 @@ import pytest
 
 from repro.assays import extra, generators, glucose, glycomics, paper_example
 from repro.compiler import compile_assay, compile_dag
+from repro.compiler.batch import BatchJob, compile_many
 from repro.compiler.cache import PlanCache
 from repro.compiler.passes import (
     PASS_EVENT_SCHEMA_VERSION,
@@ -24,6 +25,9 @@ from repro.compiler.passes import (
     render_timing_table,
     run_compile,
 )
+from repro.core.errors import ResourceExhaustedError
+from repro.core.hierarchy import VolumeManager
+from repro.machine.spec import AQUACORE_SPEC
 
 SOURCES = {
     "paper_example": paper_example.SOURCE,
@@ -198,3 +202,22 @@ class TestProfileMode:
         plain = run_compile(source=glucose.SOURCE)
         profiled = run_compile(source=glucose.SOURCE, profile=True)
         assert profiled.compiled.listing() == plain.compiled.listing()
+
+
+class TestAllocationFailure:
+    """Running out of machine resources in codegen is a coded compile
+    failure (a ResourceExhaustedError), not a raw exception."""
+
+    @pytest.mark.parametrize(
+        "n_dilutions, objective", [(7, "default"), (5, "waste")]
+    )
+    def test_out_of_input_ports(self, n_dilutions, objective):
+        manager = VolumeManager(AQUACORE_SPEC.limits, objective=objective)
+        with pytest.raises(ResourceExhaustedError, match="out of input ports"):
+            run_compile(dag=generators.enzyme_n(n_dilutions), manager=manager)
+
+    def test_batch_reports_a_failed_job(self):
+        report = compile_many([BatchJob("e7", dag=generators.enzyme_n(7))])
+        (result,) = report.results
+        assert result.status == "failed"
+        assert result.detail.startswith("out of input ports")

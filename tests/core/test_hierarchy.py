@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from repro.assays import generators
+from repro.compiler.passes import run_compile
+from repro.core.cascading import CascadeReport
 from repro.core.dag import AssayDAG
 from repro.core.hierarchy import VolumeManager
 from repro.core.limits import HardwareLimits, PAPER_LIMITS
+from repro.core.replication import ReplicationReport
+from repro.machine.spec import AQUACORE_XL_SPEC
 
 
 class TestHappyPath:
@@ -89,6 +94,50 @@ class TestTransforms:
         ).plan(enzyme_dag)
         assert not plan.feasible
         assert plan.status == "regeneration"
+
+
+class TestWorkingCopies:
+    """Each transform pass copies the DAG once and rewrites that copy, so
+    every DAG the hierarchy has handed out stays as it was."""
+
+    def test_kept_assignments_match_their_own_dag(self, monkeypatch):
+        kept = []
+        better = VolumeManager._better
+
+        def recording(current, candidate):
+            kept.append(candidate)
+            return better(current, candidate)
+
+        monkeypatch.setattr(VolumeManager, "_better", staticmethod(recording))
+        ctx = run_compile(dag=generators.enzyme_n(5), spec=AQUACORE_XL_SPEC)
+        kinds = {type(t) for t in ctx.plan.transforms}
+        assert kinds == {CascadeReport, ReplicationReport}
+        kept += [ctx.hierarchy.best, ctx.plan.assignment]
+        assert len({id(a.dag) for a in kept}) >= 3  # one per round
+        for assignment in kept:
+            edges = {edge.key for edge in assignment.dag.edges()}
+            assert set(assignment.edge_volume) == edges
+
+    def test_one_dag_copy_per_rewriting_pass(self, monkeypatch):
+        """A per-rewrite clone (13 for this compile) fails here."""
+        copies = []
+        original = AssayDAG.copy
+
+        def counting(self, name=None):
+            copies.append(self.name)
+            return original(self, name)
+
+        monkeypatch.setattr(AssayDAG, "copy", counting)
+        ctx = run_compile(dag=generators.enzyme_n(6), spec=AQUACORE_XL_SPEC)
+        rewriting = [
+            attempt
+            for attempt in ctx.plan.attempts
+            if attempt.stage in ("cascade", "replicate")
+            and attempt.succeeded
+            and attempt.detail
+        ]
+        assert len(rewriting) == 2
+        assert len(copies) <= len(rewriting)
 
 
 class TestRegenerationFallback:

@@ -1,9 +1,11 @@
 """Machine-spec tests."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from repro.core.fingerprint import spec_form
 from repro.core.limits import HardwareLimits
 from repro.machine.spec import (
     AQUACORE_SPEC,
@@ -82,3 +84,67 @@ class TestDerived:
         spec = AQUACORE_SPEC.with_limits(coarse)
         assert spec.limits is coarse
         assert spec.n_reservoirs == AQUACORE_SPEC.n_reservoirs
+
+
+def _linear_kind(spec, name):
+    """The classification as a scan, in lookup precedence order."""
+    if name in spec.reservoir_names():
+        return "reservoir"
+    if name in spec.input_port_names():
+        return "input-port"
+    if name in spec.output_port_names():
+        return "output-port"
+    for unit in spec.functional_units:
+        if unit.name == name:
+            return unit.kind
+    return None
+
+
+class TestComponentTable:
+    @pytest.mark.parametrize(
+        "spec", [AQUACORE_SPEC, AQUACORE_XL_SPEC], ids=lambda s: s.name
+    )
+    def test_table_agrees_with_linear_scan(self, spec):
+        names = [
+            *spec.reservoir_names(),
+            *spec.input_port_names(),
+            *spec.output_port_names(),
+            *(unit.name for unit in spec.functional_units),
+            "nowhere7",
+        ]
+        for name in names:
+            kind = _linear_kind(spec, name)
+            assert spec.component_kind(name) == kind
+            if kind == "reservoir":
+                expected = spec.limits.max_capacity
+            elif kind in ("mixer", "heater", "separator", "sensor"):
+                expected = spec.capacity_of(spec.unit(name))
+            else:
+                expected = None
+            assert spec.location_capacity(name) == expected
+        with pytest.raises(KeyError):
+            spec.unit("nowhere7")
+
+    def test_reservoir_claims_a_clashing_unit_name(self):
+        spec = MachineSpec(
+            name="clash",
+            limits=AQUACORE_SPEC.limits,
+            n_reservoirs=2,
+            n_input_ports=1,
+            n_output_ports=1,
+            functional_units=(
+                FunctionalUnitSpec("s1", "mixer", capacity=Fraction(5)),
+            ),
+        )
+        assert spec.component_kind("s1") == _linear_kind(spec, "s1")
+        assert spec.location_capacity("s1") == spec.limits.max_capacity
+        assert spec.unit("s1").capacity == 5
+
+    def test_table_is_not_a_field(self):
+        assert {"_kind_of", "_unit_of"}.isdisjoint(
+            f.name for f in fields(MachineSpec)
+        )
+        rebuilt = AQUACORE_SPEC.with_limits(AQUACORE_SPEC.limits)
+        assert rebuilt == AQUACORE_SPEC
+        assert spec_form(rebuilt) == spec_form(AQUACORE_SPEC)
+        assert "_kind_of" not in repr(AQUACORE_SPEC)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.assays import glucose, paper_example
+from repro.assays import enzyme, glucose, paper_example
 from repro.service.client import ServiceClient, ServiceError
 
 
@@ -90,6 +90,15 @@ class TestLifecycle:
         with pytest.raises(ServiceError) as info:
             client.result(job["id"])
         assert info.value.code == "not-finished"
+
+    def test_machine_too_small_is_compile_error(self, client):
+        """EnzymeN 7 needs more input ports than AquaCore has."""
+        source = enzyme.SOURCE.replace("[4]", "[7]").replace("TO 4", "TO 7")
+        job = client.submit("compile", source)
+        final = client.wait(job["id"])
+        assert final["state"] == "failed"
+        assert final["error"]["code"] == "compile-error"
+        assert "out of input ports" in final["error"]["message"]
 
     def test_result_before_finished_is_409(self, client):
         job = client.submit(
