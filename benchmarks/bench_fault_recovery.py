@@ -26,7 +26,7 @@ import _report
 
 from repro.assays import enzyme as enzyme_assay
 from repro.assays import glucose, paper_example
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine.faults import FaultInjector, FaultPlan
 from repro.machine.interpreter import Machine
 from repro.runtime.executor import AssayExecutor
@@ -69,7 +69,7 @@ def test_fault_recovery_costs():
     payload = {"seeds": SEEDS, "rates": list(FAULT_RATES), "assays": {}}
 
     for name, source in ASSAYS.items():
-        compiled = compile_assay(source)
+        compiled = run_compile(source=source).compiled
 
         # -- transparency: zero-fault injector vs no injector -------------
         plain = bare_run(compiled)

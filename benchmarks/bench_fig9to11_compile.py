@@ -7,7 +7,7 @@ Checks the compiled listings against the structure the paper prints
 import _report
 import pytest
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.ir.instructions import Opcode
 from repro.assays import enzyme, glucose, glycomics
 
@@ -22,7 +22,7 @@ def opcode_histogram(program):
 
 
 def test_figure9_glucose(benchmark):
-    compiled = benchmark(compile_assay, glucose.SOURCE)
+    compiled = benchmark(lambda: run_compile(source=glucose.SOURCE).compiled)
     histogram = opcode_histogram(compiled.program)
     # Figure 9(b): 3 inputs, 15 moves (2 per mix + 1 to the sensor each),
     # 5 mixes, 5 senses.
@@ -48,7 +48,7 @@ def test_figure9_glucose(benchmark):
 
 
 def test_figure10_glycomics(benchmark):
-    compiled = benchmark(compile_assay, glycomics.SOURCE)
+    compiled = benchmark(lambda: run_compile(source=glycomics.SOURCE).compiled)
     listing = compiled.listing()
     expected_lines = (
         "separate.AF separator1, 30",
@@ -80,7 +80,9 @@ def test_figure10_glycomics(benchmark):
 
 def test_figure11_enzyme(benchmark):
     compiled = benchmark.pedantic(
-        compile_assay, args=(enzyme.SOURCE,), rounds=1, iterations=1
+        lambda: run_compile(source=enzyme.SOURCE).compiled,
+        rounds=1,
+        iterations=1,
     )
     histogram = opcode_histogram(compiled.program)
     # 12 dilution mixes + 3 extra cascade stages + 64 combination mixes.
@@ -139,7 +141,9 @@ def test_reservoir_pressure(benchmark):
     """Figure 11(b) uses indexed reservoir banks; the allocator's peak
     usage quantifies why (16 concurrent fluids before transforms)."""
     compiled = benchmark.pedantic(
-        compile_assay, args=(enzyme.SOURCE,), rounds=1, iterations=1
+        lambda: run_compile(source=enzyme.SOURCE).compiled,
+        rounds=1,
+        iterations=1,
     )
     peak = compiled.program.meta["allocation_peak"]
     _report.record(

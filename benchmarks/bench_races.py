@@ -1,7 +1,8 @@
 """Race-detector cost: wall time vs program size, merged-assay scaling,
 and the static-vs-replay comparison that justifies the analysis.
 
-Four questions, answered over the repo's compiled assay corpus:
+Four questions, answered over the repo's compiled assay corpus
+(``tools/corpus.py``):
 
 * **Intra-program cost** — how does one detector run scale with the
   instruction count of a serial program?
@@ -27,11 +28,11 @@ import _report
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 
-from _corpus import compiled_corpus  # noqa: E402
+from corpus import corpus_entries, interleave  # noqa: E402
 
 from repro.analysis.certify import certify_schedule  # noqa: E402
 from repro.analysis.races import analyze_races  # noqa: E402
-from repro.ir.program import AISProgram  # noqa: E402
+from repro.compiler.passes import run_compile  # noqa: E402
 from repro.machine.topology import ring_topology  # noqa: E402
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_races.json"
@@ -54,23 +55,10 @@ def best_of(fn, repeats=TIMING_REPEATS):
     return best, result
 
 
-def interleave(a: AISProgram, b: AISProgram, pattern) -> AISProgram:
-    merged = AISProgram(name=f"{a.name}|{b.name}", machine=a.machine)
-    streams = [list(a.instructions), list(b.instructions)]
-    cursor, step = [0, 0], 0
-    while cursor[0] < len(streams[0]) or cursor[1] < len(streams[1]):
-        choice = pattern[step % len(pattern)]
-        if cursor[choice] >= len(streams[choice]):
-            choice = 1 - choice
-        merged.append(streams[choice][cursor[choice]])
-        cursor[choice] += 1
-        step += 1
-    return merged
-
-
 def test_race_detector_costs():
     programs, spec = {}, None
-    for name, compiled in compiled_corpus():
+    for name, inputs in corpus_entries():
+        compiled = run_compile(**inputs).compiled
         programs[name] = compiled.program
         spec = compiled.spec
     payload = {"intra": {}, "scaling": [], "static_vs_replay": {},

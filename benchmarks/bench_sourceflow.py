@@ -7,7 +7,7 @@ fixpoint over the rolled CFG: same number of abstract sweeps whether the
 loop says ``FOR i FROM 1 TO 10`` or ``TO 10000``.
 
 Sweeps the dilution-series template over N in {10, 10^2, 10^3, 10^4},
-timing ``verify_source`` (rolled) against ``compile_assay`` +
+timing ``verify_source`` (rolled) against ``run_compile`` +
 ``lint_program`` (unrolled).  Results land in
 ``benchmarks/BENCH_sourceflow.json``.  Hard assertions: the sweep count
 is identical for every N, the rolled verdict stays clean, and at the
@@ -22,7 +22,7 @@ import time
 import _report
 
 from repro.analysis import lint_program, verify_source
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine.spec import AQUACORE_SPEC
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_sourceflow.json"
@@ -53,7 +53,7 @@ def timed(fn, *args, repeat=3):
 
 
 def unrolled_lint(source):
-    compiled = compile_assay(source)
+    compiled = run_compile(source=source).compiled
     return lint_program(compiled.program, AQUACORE_SPEC)
 
 

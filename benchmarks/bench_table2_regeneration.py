@@ -10,7 +10,7 @@ import dataclasses
 import _report
 import pytest
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.core.limits import PAPER_LIMITS
 from repro.machine.interpreter import Machine
 from repro.machine.spec import AQUACORE_SPEC
@@ -51,7 +51,7 @@ def test_zero_regenerations_with_dagsolve(benchmark):
     """'With DAGSolve, there are no regenerations.'"""
 
     def run():
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         machine = Machine(AQUACORE_SPEC)
         return AssayExecutor(compiled, machine).run()
 
@@ -67,7 +67,7 @@ def test_zero_regenerations_with_dagsolve(benchmark):
 
 def test_zero_regenerations_enzyme_with_plan(benchmark):
     def run():
-        compiled = compile_assay(enzyme.SOURCE)
+        compiled = run_compile(source=enzyme.SOURCE).compiled
         machine = Machine(AQUACORE_SPEC)
         return AssayExecutor(compiled, machine).run()
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 import _report
 import pytest
 
-from repro.compiler import compile_assay
 from repro.core.limits import PAPER_LIMITS
 from repro.machine.interpreter import Machine
 from repro.machine.spec import AQUACORE_SPEC

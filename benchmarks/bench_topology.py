@@ -10,7 +10,7 @@ the simulated fluid-path time of each.
 import _report
 import pytest
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine.interpreter import Machine
 from repro.machine.spec import AQUACORE_SPEC
 from repro.machine.topology import bus_topology, ring_topology
@@ -19,7 +19,7 @@ from repro.assays import glucose
 
 
 def run_on(topology):
-    compiled = compile_assay(glucose.SOURCE)
+    compiled = run_compile(source=glucose.SOURCE).compiled
     machine = Machine(AQUACORE_SPEC, topology=topology)
     return AssayExecutor(compiled, machine).run()
 

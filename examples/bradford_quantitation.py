@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from repro.assays import extra
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine import AQUACORE_SPEC, Machine, bus_topology
 from repro.runtime import AssayExecutor
 
@@ -26,7 +26,7 @@ UNKNOWN_CONCENTRATION = 0.22
 
 def main() -> None:
     print("=== Compile (watch the hierarchy pick LP) ===")
-    compiled = compile_assay(extra.BRADFORD_SOURCE)
+    compiled = run_compile(source=extra.BRADFORD_SOURCE).compiled
     print(compiled.plan.summary())
 
     print("\n=== Execute over the shared-bus interconnect ===")
@@ -37,7 +37,9 @@ def main() -> None:
     from repro.core.limits import HardwareLimits
 
     fine = HardwareLimits(max_capacity=Fraction(100), least_count=Fraction(1, 100))
-    compiled = compile_assay(extra.BRADFORD_SOURCE, spec=AQUACORE_SPEC.with_limits(fine))
+    compiled = run_compile(
+        source=extra.BRADFORD_SOURCE, spec=AQUACORE_SPEC.with_limits(fine)
+    ).compiled
     spec = dataclasses.replace(
         AQUACORE_SPEC.with_limits(fine),
         extinction_coefficients={

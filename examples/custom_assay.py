@@ -15,7 +15,7 @@ Run:  python examples/custom_assay.py
 import dataclasses
 from fractions import Fraction
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine import AQUACORE_SPEC, Machine, SpeciesFilter
 from repro.runtime import AssayExecutor
 
@@ -67,7 +67,7 @@ END
 
 def main() -> None:
     print("=== Compile ===")
-    compiled = compile_assay(SOURCE)
+    compiled = run_compile(source=SOURCE).compiled
     print(f"static plan: {compiled.is_static} "
           "(the YIELD hint removed the unknown volume)")
     print(f"plan status: {compiled.plan.status}")

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from repro import PAPER_LIMITS, dagsolve
 from repro.assays import enzyme
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.core.cascading import cascade_mix, stage_factors
 from repro.core.dagsolve import compute_vnorms
 from repro.core.replication import replicate_node
@@ -66,7 +66,7 @@ def main() -> None:
     print(f"final minimum: {pl(minimum)} -> FEASIBLE: {final.feasible}")
 
     print("\n=== Automatic compilation (the Figure 6 hierarchy) ===")
-    compiled = compile_assay(enzyme.SOURCE)
+    compiled = run_compile(source=enzyme.SOURCE).compiled
     print(f"plan status: {compiled.plan.status}")
     for note in compiled.diagnostics:
         print(f"  {note}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from repro.assays import glucose
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine import AQUACORE_SPEC, Machine
 from repro.runtime import AssayExecutor
 
@@ -25,7 +25,7 @@ SAMPLE_CONCENTRATION = 0.35
 
 def main() -> None:
     print("=== Compile ===")
-    compiled = compile_assay(glucose.SOURCE)
+    compiled = run_compile(source=glucose.SOURCE).compiled
     print(f"{len(compiled.program)} AIS instructions; "
           f"plan: {compiled.plan.status}; "
           f"min dispense {float(compiled.assignment.min_edge()[1]):.2f} nl")

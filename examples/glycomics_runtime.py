@@ -14,7 +14,7 @@ Run:  python examples/glycomics_runtime.py
 from fractions import Fraction
 
 from repro.assays import glycomics
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine import AQUACORE_SPEC, Machine, SpeciesFilter, FractionalYield
 from repro.runtime import AssayExecutor
 
@@ -22,7 +22,7 @@ from repro.runtime import AssayExecutor
 def run_with(yield1: Fraction, yield2: Fraction, label: str) -> None:
     print(f"--- {label}: affinity yield {float(yield1):.0%}, "
           f"LC yield {float(yield2):.0%} ---")
-    compiled = compile_assay(glycomics.SOURCE)
+    compiled = run_compile(source=glycomics.SOURCE).compiled
     machine = Machine(
         AQUACORE_SPEC,
         separation_models={
@@ -47,7 +47,7 @@ def run_with(yield1: Fraction, yield2: Fraction, label: str) -> None:
 
 
 def main() -> None:
-    compiled = compile_assay(glycomics.SOURCE)
+    compiled = run_compile(source=glycomics.SOURCE).compiled
     print("=== Compile-time analysis ===")
     print(f"partitions: {compiled.planner.n_partitions} "
           "(the Figure 13 cut at the three separators)")

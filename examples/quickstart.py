@@ -8,7 +8,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import PAPER_LIMITS, dagsolve
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.assays import paper_example
 
 
@@ -39,7 +39,7 @@ def main() -> None:
     print(f"  feasible: {assignment.feasible}")
 
     print("\n=== Compiled AquaCore program ===")
-    compiled = compile_assay(paper_example.SOURCE)
+    compiled = run_compile(source=paper_example.SOURCE).compiled
     print(compiled.listing())
     print(f"\nplan status: {compiled.plan.status}; "
           f"diagnostics: {len(compiled.diagnostics)}")

@@ -25,12 +25,12 @@ Library entry point::
     diagnostics = analyze(compiled.program, compiled.spec)
 
 The same pass runs as an opt-in pipeline stage
-(``compile_assay(..., lint=True)``) and behind ``repro lint file.ais``.
+(``run_compile(..., lint=True)``) and behind ``repro lint file.ais``.
 
 The sibling :mod:`repro.analysis.certify` package audits the compiler's
 *output* instead — translation validation of the volume plan plus
 schedule-interference analysis — behind ``repro certify`` and
-``compile_assay(..., certify=True)``.
+``run_compile(..., certify=True)``.
 
 The sibling :mod:`repro.analysis.sourceflow` package analyses the
 *rolled* program instead of the unrolling: a CFG over the checked AST

@@ -25,7 +25,7 @@ Entry points::
     report = certify_program(program, spec)   # bare listing, schedule only
 
 The same analysis runs behind ``repro certify`` and as an opt-in pipeline
-stage (``compile_assay(..., certify=True)``).
+stage (``run_compile(..., certify=True)``).
 """
 
 from .codes import ALL_CODES, PLAN_CODES, SCHED_CODES, CodeInfo

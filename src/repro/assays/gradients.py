@@ -8,11 +8,11 @@ and every cascade stage discards statically-known excess.  The
 ``--objective waste`` planner front-loads the stage splits and shares
 identical stages between neighbouring gradient points, so these
 generators are the workload behind ``benchmarks/bench_waste.py`` and
-``tools/waste_corpus.py``.
+the ``waste`` check of ``tools/corpus.py``.
 
 All generators are deterministic (no seeds, no randomness): the same
-arguments always produce the identical DAG, which the corpus tools rely
-on for byte-identity checks.
+arguments always produce the identical DAG, which the corpus harness and
+the golden listings rely on for byte-identity checks.
 """
 
 from __future__ import annotations

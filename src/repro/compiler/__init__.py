@@ -1,9 +1,10 @@
 """Compiler driver: assay source -> AIS program + volume plan.
 
+* :mod:`repro.compiler.passes` — the instrumented pass pipeline;
+  :func:`~repro.compiler.passes.run_compile` is the one compile entry
+  point, and ``run_compile(...).compiled`` is a :class:`CompiledAssay`;
 * :mod:`repro.compiler.codegen` — DAG -> AIS instruction selection,
   storage-less operand placement, matrix/pusher loading;
-* :mod:`repro.compiler.pipeline` — the end-to-end driver
-  (:func:`compile_assay`) producing a :class:`CompiledAssay`;
 * :mod:`repro.compiler.diagnostics` — structured warnings (underflow risk,
   regeneration fallback, transforms applied);
 * :mod:`repro.compiler.cache` — content-addressed plan cache (in-memory
@@ -17,18 +18,10 @@ from .cache import CacheStats, PlanCache
 from .codegen import CodegenError, execution_order, generate
 from .rolled import RolledListing, render_rolled, render_rolled_source
 from .diagnostics import Diagnostic, DiagnosticSink
-from .pipeline import (
-    CompiledAssay,
-    compile_assay,
-    compile_dag,
-    static_fingerprint,
-)
+from .passes.context import CompiledAssay
 
 __all__ = [
-    "compile_assay",
-    "compile_dag",
     "compile_many",
-    "static_fingerprint",
     "CompiledAssay",
     "BatchJob",
     "BatchItemResult",

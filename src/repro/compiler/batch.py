@@ -21,7 +21,7 @@ traffic, not one at a time.  :func:`compile_many` is that driver:
    reused by every subsequent batch.
 
 With ``lint``/``certify`` (or ``materialize_hits=True``), warm hits are
-re-materialized through :func:`~repro.compiler.pipeline.compile_dag` so
+re-materialized through :func:`~repro.compiler.passes.run_compile` so
 codegen and the analyses run — the plan stage is still served from cache.
 Without them, hits skip everything downstream of the hash lookup, which is
 what gives the warm corpus re-run its order-of-magnitude throughput.
@@ -48,8 +48,7 @@ from ..lang.errors import FrontendError
 from ..machine.spec import AQUACORE_SPEC, MachineSpec
 from .cache import PlanCache, entry_from_plan
 from .diagnostics import Severity, severity_counts
-from .passes import front_end_dag
-from .pipeline import compile_dag
+from .passes import front_end_dag, run_compile
 from .pool import default_workers, pool_map, worker_cache
 
 __all__ = [
@@ -212,8 +211,8 @@ def _compile_payload(payload: dict[str, Any]) -> dict[str, Any]:
     dag = dag_from_dict(payload["dag"])
     manager = VolumeManager(spec.limits, **payload["options"])
     try:
-        compiled = compile_dag(
-            dag,
+        compiled = run_compile(
+            dag=dag,
             spec=spec,
             name=payload["name"],
             aux_fluids=tuple(payload["aux_fluids"]),
@@ -224,7 +223,7 @@ def _compile_payload(payload: dict[str, Any]) -> dict[str, Any]:
             # over the parent's cache directory (vnorm memo + plan prefix
             # hits); inline it is None, exactly as before.
             cache=worker_cache(),
-        )
+        ).compiled
     except (FrontendError, VolumeError) as error:
         return {
             "ok": False,
@@ -485,8 +484,8 @@ def _serve_hit(
         )
     manager = VolumeManager(spec.limits, **options, cache=cache)
     try:
-        compiled = compile_dag(
-            dag,
+        compiled = run_compile(
+            dag=dag,
             spec=spec,
             name=job.name,
             aux_fluids=tuple(aux_fluids),
@@ -494,7 +493,7 @@ def _serve_hit(
             lint=lint,
             certify=certify,
             cache=cache,
-        )
+        ).compiled
     except (FrontendError, VolumeError) as error:
         return BatchItemResult(
             name=job.name,

@@ -10,8 +10,8 @@ surfaced as ``repro compile --time-passes`` / ``--explain``.
 
 Entry points:
 
-* :func:`run_compile` — full compile; behind ``compile_assay`` /
-  ``compile_dag`` / ``compile_many`` and every CLI command;
+* :func:`run_compile` — full compile, the one compile entry point;
+  behind ``compile_many``, the service and every CLI command;
 * :func:`front_end` — source -> validated DAG only;
 * :func:`run_hierarchy` — just the volume-management loop (behind
   :meth:`repro.core.hierarchy.VolumeManager.plan`).
@@ -20,7 +20,7 @@ See ``docs/ARCHITECTURE.md`` for the pass graph and a guide to writing
 new passes.
 """
 
-from .context import CompileContext, HierarchyState
+from .context import CompileContext, CompiledAssay, HierarchyState
 from .events import (
     PASS_EVENT_SCHEMA_VERSION,
     PassEvent,
@@ -60,6 +60,7 @@ from .stages import (
 
 __all__ = [
     "CompileContext",
+    "CompiledAssay",
     "HierarchyState",
     "PASS_EVENT_SCHEMA_VERSION",
     "PassEvent",

@@ -28,9 +28,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...ir.regalloc import ReservoirAssignment
     from ...lang.unroll import FlatAssay
     from ..cache import PlanCache
-    from ..pipeline import CompiledAssay
 
-__all__ = ["CompileContext", "HierarchyState"]
+__all__ = ["CompileContext", "CompiledAssay", "HierarchyState"]
+
+
+@dataclass
+class CompiledAssay:
+    """Everything the compiler produced for one assay (``ctx.compiled``)."""
+
+    name: str
+    program: "AISProgram"
+    dag: AssayDAG                     # the volume DAG as written
+    final_dag: AssayDAG               # after transforms (== dag when none)
+    spec: MachineSpec
+    allocation: "ReservoirAssignment"
+    source: str | None = None
+    flat: "FlatAssay" | None = None
+    plan: VolumePlan | None = None             # static case
+    assignment: VolumeAssignment | None = None  # rounded, static case
+    planner: "RuntimePlanner" | None = None    # statically-unknown case
+    diagnostics: DiagnosticSink = field(default_factory=DiagnosticSink)
+
+    @property
+    def is_static(self) -> bool:
+        """True when volume assignment completed fully at compile time."""
+        return self.planner is None
+
+    @property
+    def needs_regeneration(self) -> bool:
+        return self.plan is not None and self.plan.needs_regeneration
+
+    def listing(self) -> str:
+        return self.program.render()
 
 
 @dataclass
@@ -91,7 +120,7 @@ class CompileContext:
     planner: "RuntimePlanner" | None = None
     program: "AISProgram" | None = None
     allocation: "ReservoirAssignment" | None = None
-    compiled: "CompiledAssay" | None = None
+    compiled: CompiledAssay | None = None
 
     # ---- instrumentation ---------------------------------------------
     diagnostics: DiagnosticSink = field(default_factory=DiagnosticSink)

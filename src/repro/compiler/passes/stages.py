@@ -23,10 +23,9 @@ Back end::
     Codegen -> LintPass -> Assemble -> CertifyPass
 
 :func:`run_compile` wires them into the one :class:`PassManager` every
-driver (``compile_dag``, ``compile_assay``, ``compile_many``, the CLI)
-now routes through; :func:`front_end` runs just the front half for tools
-that stop at the DAG.  The legacy entry points in
-:mod:`repro.compiler.pipeline` are deprecated shims over these.
+driver (``compile_many``, the service, the CLI) routes through;
+:func:`front_end` runs just the front half for tools that stop at the
+DAG.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from ...lang.semantic import analyze
 from ...lang.unroll import unroll
 from ...machine.spec import AQUACORE_SPEC, MachineSpec
 from ..codegen import generate
-from .context import CompileContext, HierarchyState
+from .context import CompileContext, CompiledAssay, HierarchyState
 from .events import PassEventBus
 from .manager import OK, Pass, PassManager, PassOutcome
 
@@ -737,8 +736,6 @@ class Assemble(Pass):
     name = "assemble"
 
     def run(self, ctx: CompileContext) -> PassOutcome:
-        from ..pipeline import CompiledAssay
-
         ctx.compiled = CompiledAssay(
             name=ctx.resolved_name,
             program=ctx.program,
@@ -882,10 +879,10 @@ def run_compile(
 ) -> CompileContext:
     """Compile through the one instrumented pass manager.
 
-    This is the single driver behind ``compile_assay``, ``compile_dag``,
-    ``compile_many`` workers, and every CLI command.  Returns the full
+    This is the single compile entry point: ``compile_many`` workers,
+    the service and every CLI command call it.  Returns the full
     :class:`CompileContext`; the caller-facing result is
-    ``ctx.compiled`` (a :class:`~repro.compiler.pipeline.CompiledAssay`).
+    ``ctx.compiled`` (a :class:`~repro.compiler.passes.context.CompiledAssay`).
     """
     ctx = CompileContext(
         source=source,

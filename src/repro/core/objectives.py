@@ -122,8 +122,9 @@ class MaxOutputObjective(PlanningObjective):
     """Paper-faithful goal: maximise total output production (Section 3.2).
 
     Every layer takes its legacy path — the compiled listings are
-    byte-identical to the pre-objective compiler (pinned by the golden
-    suites and ``tools/waste_corpus.py``).
+    byte-identical to the pre-objective compiler (pinned by
+    ``tests/compiler/test_golden.py`` and the ``waste`` check of
+    ``tools/corpus.py``).
     """
 
     name = "default"

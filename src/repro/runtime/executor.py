@@ -1,7 +1,8 @@
 """Assay execution: plan resolution, guards, and regeneration fallback.
 
-:class:`AssayExecutor` runs a :class:`~repro.compiler.pipeline.CompiledAssay`
-on a :class:`~repro.machine.Machine`:
+:class:`AssayExecutor` runs a
+:class:`~repro.compiler.passes.context.CompiledAssay` on a
+:class:`~repro.machine.Machine`:
 
 * **static assays** resolve every metered move through the rounded
   compile-time :class:`~repro.core.dagsolve.VolumeAssignment`
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from ..compiler.pipeline import CompiledAssay
+from ..compiler.passes.context import CompiledAssay
 from ..core.errors import PartitionError, VolumeError
 from ..core.limits import as_fraction
 from ..core.runtime_assign import RuntimeSession

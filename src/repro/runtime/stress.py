@@ -1,7 +1,7 @@
 """Seeded stress harness: survival matrices under injected faults.
 
-``repro stress`` (and ``tools/stress_corpus.py`` in CI) drive a compiled
-assay through N deterministic fault scenarios — one
+``repro stress`` (and the ``stress`` check of ``tools/corpus.py``) drive
+a compiled assay through N deterministic fault scenarios — one
 :class:`~repro.machine.faults.FaultPlan` per seed — and tabulate how the
 hardened executor coped: how many scenarios survived, what recovery cost
 (regenerations, retries, extra input volume), and which fault classes
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any
 from collections.abc import Callable, Iterable
 
-from ..compiler.pipeline import CompiledAssay
+from ..compiler.passes.context import CompiledAssay
 from ..machine.faults import ALL_KINDS, FaultInjector, FaultKind, FaultPlan
 from ..machine.interpreter import Machine
 from .executor import AssayExecutor, ExecutionResult, FailureReport, RetryPolicy

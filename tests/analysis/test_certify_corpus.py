@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis.certify import certify
 from repro.assays import enzyme, extra, glucose, glycomics, paper_example
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine.spec import AQUACORE_SPEC
 from repro.machine.topology import bus_topology, ring_topology
 
@@ -58,7 +58,7 @@ PAPER_BENCHMARKS = ("glucose", "glycomics", "enzyme")
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_certifies_clean(name):
-    compiled = compile_assay(CORPUS[name])
+    compiled = run_compile(source=CORPUS[name]).compiled
     report = certify(compiled)
     assert report.is_clean, report.render_text()
     assert report.exit_code == 0
@@ -68,8 +68,8 @@ def test_corpus_certifies_clean(name):
 @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
 def test_paper_benchmarks_certify_on_bus(name):
     """The paper's measured benchmarks (Figures 12-14) on the AquaCore
-    bus — the smoke gate CI runs via tools/certify_corpus.py."""
-    compiled = compile_assay(CORPUS[name])
+    bus — the smoke gate CI runs via ``tools/corpus.py --check certify``."""
+    compiled = run_compile(source=CORPUS[name]).compiled
     report = certify(compiled, topology=bus_topology(compiled.spec))
     assert report.is_clean, report.render_text()
 
@@ -79,7 +79,7 @@ def test_paper_benchmarks_route_on_ring(name):
     """A ring layout stays *routable* (no errors), but generated code that
     assumed the bus legitimately warns about wet paths through occupied
     units — the layout-sensitivity signal, not a miscompile."""
-    compiled = compile_assay(CORPUS[name])
+    compiled = run_compile(source=CORPUS[name]).compiled
     report = certify(compiled, topology=ring_topology(compiled.spec))
     assert report.counts["error"] == 0, report.render_text()
     assert "SCHED-UNROUTABLE" not in report.codes()
@@ -87,7 +87,7 @@ def test_paper_benchmarks_route_on_ring(name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_pipeline_certify_stage_adds_no_errors(name):
-    compiled = compile_assay(CORPUS[name], certify=True)
+    compiled = run_compile(source=CORPUS[name], certify=True).compiled
     certificate = [
         d
         for d in compiled.diagnostics
@@ -100,14 +100,14 @@ def test_pipeline_certify_stage_adds_no_errors(name):
 
 
 def test_static_corpus_checks_both_halves():
-    compiled = compile_assay(CORPUS["glucose"])
+    compiled = run_compile(source=CORPUS["glucose"]).compiled
     report = certify(compiled)
     assert report.plan_checked and report.schedule_checked
     assert report.metrics["delivered_nl"] > 0
 
 
 def test_runtime_assay_defers_plan_half():
-    compiled = compile_assay(CORPUS["glycomics"])
+    compiled = run_compile(source=CORPUS["glycomics"]).compiled
     report = certify(compiled)
     assert not report.plan_checked
     assert "PLAN-DEFERRED" in report.codes()
@@ -171,6 +171,6 @@ def test_certify_package_exists_with_expected_modules():
 
 
 def test_certify_spec_override():
-    compiled = compile_assay(CORPUS["figure2"])
+    compiled = run_compile(source=CORPUS["figure2"]).compiled
     report = certify(compiled, spec=AQUACORE_SPEC)
     assert report.machine == AQUACORE_SPEC.name

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.certify import certify_plan
 from repro.assays import glucose
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.core.dag import AssayDAG, Edge, Node, NodeKind
 from repro.core.limits import PAPER_LIMITS
 
@@ -27,7 +27,7 @@ def _errors(diagnostics):
 
 
 def _glucose():
-    return compile_assay(glucose.SOURCE)
+    return run_compile(source=glucose.SOURCE).compiled
 
 
 def _mix_dag(**mix_kwargs) -> AssayDAG:

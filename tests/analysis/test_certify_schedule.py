@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from repro.analysis.certify import certify_program, certify_schedule
 from repro.assays import glucose
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.ir.instructions import input_, mix, move, output, sense
 from repro.ir.program import AISProgram
 from repro.machine.spec import AQUACORE_SPEC
@@ -49,7 +49,7 @@ class TestCleanSchedules:
         assert intervals[0].end == 5
 
     def test_compiled_glucose_certifies(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         diagnostics, _ = certify_schedule(
             compiled.program,
             compiled.spec,

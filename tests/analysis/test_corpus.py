@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import lint_program, lint_text
 from repro.assays import enzyme, extra, glucose, glycomics, paper_example
-from repro.compiler import compile_assay, compile_dag
+from repro.compiler.passes import run_compile
 
 CORPUS = {
     "figure2": paper_example.SOURCE,
@@ -43,7 +43,7 @@ CORPUS["custom-example"] = _custom_assay_source()
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_compiled_corpus_lints_clean(name):
-    compiled = compile_assay(CORPUS[name])
+    compiled = run_compile(source=CORPUS[name]).compiled
     report = lint_program(compiled.program, compiled.spec)
     assert report.counts["error"] == 0, report.render_text()
     assert report.is_clean, report.render_text()
@@ -52,7 +52,7 @@ def test_compiled_corpus_lints_clean(name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_rendered_corpus_round_trips_clean(name):
-    compiled = compile_assay(CORPUS[name])
+    compiled = run_compile(source=CORPUS[name]).compiled
     report = lint_text(compiled.program.render(), compiled.spec)
     assert report.is_clean, report.render_text()
 
@@ -68,7 +68,7 @@ def test_rendered_corpus_round_trips_clean(name):
     ids=lambda fn: fn.__module__.rsplit(".", 1)[-1],
 )
 def test_hand_built_dags_lint_clean(build):
-    compiled = compile_dag(build(), lint=True)
+    compiled = run_compile(dag=build(), lint=True).compiled
     errors = [
         d
         for d in compiled.diagnostics

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import analyze
 from repro.assays import glucose, paper_example
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.ir.instructions import Opcode
 from repro.ir.program import AISProgram
 
@@ -64,8 +64,8 @@ ALLOWED = {
 }
 
 _COMPILED = {
-    "figure2": compile_assay(paper_example.SOURCE),
-    "glucose": compile_assay(glucose.SOURCE),
+    "figure2": run_compile(source=paper_example.SOURCE).compiled,
+    "glucose": run_compile(source=glucose.SOURCE).compiled,
 }
 
 

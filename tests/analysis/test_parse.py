@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from repro.assays import glucose, paper_example
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.ir.instructions import Opcode
 from repro.ir.parse import AISParseError, parse_ais
 
 
 def test_round_trip_paper_example():
-    compiled = compile_assay(paper_example.SOURCE)
+    compiled = run_compile(source=paper_example.SOURCE).compiled
     text = compiled.program.render()
     reparsed = parse_ais(text)
     assert reparsed.render() == text
@@ -20,7 +20,7 @@ def test_round_trip_paper_example():
 
 
 def test_round_trip_glucose():
-    compiled = compile_assay(glucose.SOURCE)
+    compiled = run_compile(source=glucose.SOURCE).compiled
     text = compiled.program.render()
     assert parse_ais(text).render() == text
 

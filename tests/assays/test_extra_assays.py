@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.core.dagsolve import compute_vnorms
 from repro.machine.interpreter import Machine
 from repro.machine.separation import SpeciesFilter
@@ -16,12 +16,12 @@ from repro.assays import extra
 
 class TestElisa:
     def test_static_thanks_to_yield_hints(self):
-        compiled = compile_assay(extra.ELISA_SOURCE)
+        compiled = run_compile(source=extra.ELISA_SOURCE).compiled
         assert compiled.is_static
         assert compiled.plan.status == "dagsolve"
 
     def test_executes_with_species_filter(self):
-        compiled = compile_assay(extra.ELISA_SOURCE)
+        compiled = run_compile(source=extra.ELISA_SOURCE).compiled
         spec = dataclasses.replace(
             AQUACORE_SPEC,
             extinction_coefficients={"sample": Fraction(4)},
@@ -46,7 +46,7 @@ class TestElisa:
         """Our machine does not model enzymatic development, so the three
         kinetic reads see the same composition — a documented fidelity
         boundary, pinned here."""
-        compiled = compile_assay(extra.ELISA_SOURCE)
+        compiled = run_compile(source=extra.ELISA_SOURCE).compiled
         machine = Machine(AQUACORE_SPEC)
         result = AssayExecutor(compiled, machine).run()
         readings = [result.results[f"Reading[{i}]"] for i in (1, 2, 3)]
@@ -57,7 +57,7 @@ class TestBradford:
     def test_lp_rescues_the_dye_sharing(self):
         """Six 1:50 dye reactions defeat DAGSolve's equal-output constraint
         (the standards' minor shares underflow) but LP balances them."""
-        compiled = compile_assay(extra.BRADFORD_SOURCE)
+        compiled = run_compile(source=extra.BRADFORD_SOURCE).compiled
         assert compiled.plan.status == "lp"
         assert compiled.assignment.feasible
 
@@ -82,7 +82,7 @@ class TestBradford:
         assert got["standard[5]"] == expected["standard[5]"]
 
     def test_standard_curve_monotone(self):
-        compiled = compile_assay(extra.BRADFORD_SOURCE)
+        compiled = run_compile(source=extra.BRADFORD_SOURCE).compiled
         spec = dataclasses.replace(
             AQUACORE_SPEC,
             extinction_coefficients={
@@ -98,7 +98,7 @@ class TestBradford:
 
 class TestPcrPrep:
     def test_compiles_and_runs(self):
-        compiled = compile_assay(extra.PCR_PREP_SOURCE)
+        compiled = run_compile(source=extra.PCR_PREP_SOURCE).compiled
         assert compiled.assignment.feasible
         spec = dataclasses.replace(
             AQUACORE_SPEC,
@@ -128,6 +128,6 @@ class TestPcrPrep:
         assert ratios == [(1, 9), (1, 99), (1, 999)]
 
     def test_fluorescence_sensor_used(self):
-        compiled = compile_assay(extra.PCR_PREP_SOURCE)
+        compiled = run_compile(source=extra.PCR_PREP_SOURCE).compiled
         listing = compiled.listing()
         assert "sense.FL sensor1" in listing

@@ -5,7 +5,7 @@ import pytest
 from repro.assays import generators, glucose, glycomics, paper_example
 from repro.compiler.batch import BatchJob, BatchReport, compile_many
 from repro.compiler.cache import PlanCache
-from repro.compiler.pipeline import compile_assay
+from repro.compiler.passes import run_compile
 
 
 def source_jobs():
@@ -98,8 +98,8 @@ class TestWarm:
         for result in warm.results:
             assert result.certified_clean is True
             assert result.errors == 0
-        fresh = compile_assay(paper_example.SOURCE)
-        warm_single = compile_assay(paper_example.SOURCE, cache=cache)
+        fresh = run_compile(source=paper_example.SOURCE).compiled
+        warm_single = run_compile(source=paper_example.SOURCE, cache=cache).compiled
         assert warm_single.listing() == fresh.listing()
 
     def test_spec_delta_misses(self):

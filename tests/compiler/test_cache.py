@@ -6,12 +6,11 @@ import pytest
 
 from repro.assays import enzyme, glycomics, paper_example
 from repro.compiler.cache import PlanCache, entry_from_plan, plan_from_entry
-from repro.compiler.pipeline import compile_dag, static_fingerprint
+from repro.compiler.passes import run_compile
 from repro.core.hierarchy import VolumeManager
 from repro.core.limits import PAPER_LIMITS
 from repro.core.rounding import round_assignment
 from repro.core.serde import dumps_canonical
-from repro.machine.spec import AQUACORE_SPEC
 
 
 def planned(dag):
@@ -116,8 +115,8 @@ class TestPipelineIntegration:
     def test_warm_compile_listing_identical(self):
         cache = PlanCache()
         dag = paper_example.build_dag()
-        cold = compile_dag(dag, cache=cache)
-        warm = compile_dag(paper_example.build_dag(), cache=cache)
+        cold = run_compile(dag=dag, cache=cache).compiled
+        warm = run_compile(dag=paper_example.build_dag(), cache=cache).compiled
         assert warm.listing() == cold.listing()
         assert any(
             d.code == "plan-cache" for d in warm.diagnostics.items
@@ -129,8 +128,8 @@ class TestPipelineIntegration:
     def test_warm_plan_volumes_exact(self):
         cache = PlanCache()
         dag = enzyme.build_dag()
-        cold = compile_dag(dag, cache=cache)
-        warm = compile_dag(enzyme.build_dag(), cache=cache)
+        cold = run_compile(dag=dag, cache=cache).compiled
+        warm = run_compile(dag=enzyme.build_dag(), cache=cache).compiled
         assert warm.plan.assignment.node_volume == (
             cold.plan.assignment.node_volume
         )
@@ -140,8 +139,8 @@ class TestPipelineIntegration:
         from repro.analysis.certify import certify
 
         cache = PlanCache()
-        compile_dag(enzyme.build_dag(), cache=cache)
-        warm = compile_dag(enzyme.build_dag(), cache=cache)
+        run_compile(dag=enzyme.build_dag(), cache=cache)
+        warm = run_compile(dag=enzyme.build_dag(), cache=cache).compiled
         report = certify(warm)
         assert report.counts["error"] == 0, report.render_text()
         assert report.counts["warning"] == 0, report.render_text()
@@ -149,32 +148,20 @@ class TestPipelineIntegration:
     def test_option_delta_misses(self):
         cache = PlanCache()
         dag = paper_example.build_dag()
-        compile_dag(dag, cache=cache)
+        run_compile(dag=dag, cache=cache)
         manager = VolumeManager(PAPER_LIMITS, use_lp=False)
-        recompiled = compile_dag(
-            paper_example.build_dag(), manager=manager, cache=cache
-        )
+        recompiled = run_compile(
+            dag=paper_example.build_dag(), manager=manager, cache=cache
+        ).compiled
         assert not any(
             d.code == "plan-cache" for d in recompiled.diagnostics.items
         )
 
-    def test_static_fingerprint_matches_manual(self):
-        from repro.core.fingerprint import compile_fingerprint
-
-        dag = paper_example.build_dag()
-        manager = VolumeManager(PAPER_LIMITS)
-        assert static_fingerprint(dag, AQUACORE_SPEC, manager) == (
-            compile_fingerprint(
-                dag, AQUACORE_SPEC.limits, AQUACORE_SPEC,
-                manager.options_dict(),
-            )
-        )
-
     def test_runtime_partition_vnorms_memoized(self):
         cache = PlanCache()
-        compile_dag(glycomics.build_dag(), cache=cache)
+        run_compile(dag=glycomics.build_dag(), cache=cache)
         misses = cache.stats.to_dict()["by_namespace"]["vnorms"]["misses"]
-        compile_dag(glycomics.build_dag(), cache=cache)
+        run_compile(dag=glycomics.build_dag(), cache=cache)
         stats = cache.stats.to_dict()["by_namespace"]["vnorms"]
         assert misses > 0
         assert stats["hits"] >= misses      # second compile all served
@@ -183,11 +170,11 @@ class TestPipelineIntegration:
     def test_disk_cache_serves_new_process_state(self, tmp_path):
         """A fresh PlanCache over the same directory restores the plan."""
         directory = str(tmp_path)
-        cold = compile_dag(
-            enzyme.build_dag(), cache=PlanCache(directory=directory)
-        )
+        cold = run_compile(
+            dag=enzyme.build_dag(), cache=PlanCache(directory=directory)
+        ).compiled
         fresh = PlanCache(directory=directory)
-        warm = compile_dag(enzyme.build_dag(), cache=fresh)
+        warm = run_compile(dag=enzyme.build_dag(), cache=fresh).compiled
         assert fresh.stats.disk_hits >= 1
         assert warm.listing() == cold.listing()
 

@@ -34,9 +34,9 @@ class TestGlucoseListing:
 
     @pytest.fixture
     def program(self):
-        from repro.compiler import compile_assay
+        from repro.compiler.passes import run_compile
 
-        return compile_assay(glucose.SOURCE).program
+        return run_compile(source=glucose.SOURCE).compiled.program
 
     def test_inputs_first(self, program):
         first_three = [i.opcode for i in program.instructions[:3]]
@@ -136,10 +136,10 @@ class TestCascadeCodegen:
 
 class TestSeparatorCodegen:
     def test_matrix_and_pusher_loaded(self):
-        from repro.compiler import compile_assay
+        from repro.compiler.passes import run_compile
         from repro.assays import glycomics
 
-        program = compile_assay(glycomics.SOURCE).program
+        program = run_compile(source=glycomics.SOURCE).compiled.program
         listing = program.render()
         assert "move separator1.matrix, s" in listing
         assert "move separator1.pusher, s" in listing
@@ -147,10 +147,10 @@ class TestSeparatorCodegen:
         assert "separate.LC separator2, 2400" in listing
 
     def test_refill_before_reuse(self):
-        from repro.compiler import compile_assay
+        from repro.compiler.passes import run_compile
         from repro.assays import glycomics
 
-        program = compile_assay(glycomics.SOURCE).program
+        program = run_compile(source=glycomics.SOURCE).compiled.program
         refills = [
             i
             for i in program.instructions
@@ -160,10 +160,10 @@ class TestSeparatorCodegen:
         assert len(refills) == 2
 
     def test_effluent_consumed_from_out1(self):
-        from repro.compiler import compile_assay
+        from repro.compiler.passes import run_compile
         from repro.assays import glycomics
 
-        listing = compile_assay(glycomics.SOURCE).program.render()
+        listing = run_compile(source=glycomics.SOURCE).compiled.program.render()
         assert "separator2.out1" in listing
 
 

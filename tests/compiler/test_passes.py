@@ -1,21 +1,15 @@
-"""The instrumented pass manager: golden equivalence + event contract.
+"""The instrumented pass manager: the event contract.
 
-Two suites:
-
-* **Golden equivalence** — the deprecated shims (``compile_assay`` /
-  ``compile_dag``) must produce byte-identical AIS listings and identical
-  volume-plan summaries to driving :func:`repro.compiler.passes.run_compile`
-  directly, across the whole assay corpus.
-* **Event contract** — every executed pass emits exactly one
-  :class:`PassEvent`; a warm plan cache skips exactly the volume-management
-  prefix (restore-plan ``cached``/``hit``, hierarchy + round ``skipped``)
-  while codegen still runs and the listing stays byte-identical.
+Every executed pass emits exactly one :class:`PassEvent`; a warm plan
+cache skips exactly the volume-management prefix (restore-plan
+``cached``/``hit``, hierarchy + round ``skipped``) while codegen still
+runs and the listing stays byte-identical.  The byte reference for the
+listings themselves is ``tests/compiler/test_golden.py``.
 """
 
 import pytest
 
-from repro.assays import extra, generators, glucose, glycomics, paper_example
-from repro.compiler import compile_assay, compile_dag
+from repro.assays import generators, glucose
 from repro.compiler.batch import BatchJob, compile_many
 from repro.compiler.cache import PlanCache
 from repro.compiler.passes import (
@@ -28,58 +22,6 @@ from repro.compiler.passes import (
 from repro.core.errors import ResourceExhaustedError
 from repro.core.hierarchy import VolumeManager
 from repro.machine.spec import AQUACORE_SPEC
-
-SOURCES = {
-    "paper_example": paper_example.SOURCE,
-    "glucose": glucose.SOURCE,
-    "glycomics": glycomics.SOURCE,
-    "elisa": extra.ELISA_SOURCE,
-    "bradford": extra.BRADFORD_SOURCE,
-    "pcr_prep": extra.PCR_PREP_SOURCE,
-}
-
-DAGS = {
-    "paper_example": paper_example.build_dag,
-    "enzyme_4": lambda: generators.enzyme_n(4),
-    "serial_dilution": lambda: generators.serial_dilution(5),
-    "mix_tree": lambda: generators.binary_mix_tree(3),
-    "fanout": lambda: generators.fanout_chain(4, 3),
-    "bradford_dag": extra.build_bradford_dag,
-}
-
-
-def plan_summary(compiled):
-    if compiled.plan is None:
-        return None
-    return compiled.plan.summary()
-
-
-class TestGoldenEquivalence:
-    @pytest.mark.parametrize("name", sorted(SOURCES))
-    def test_compile_assay_shim_matches_pass_manager(self, name):
-        source = SOURCES[name]
-        legacy = compile_assay(source)
-        ctx = run_compile(source=source)
-        assert legacy.listing() == ctx.compiled.listing()
-        assert plan_summary(legacy) == plan_summary(ctx.compiled)
-        assert [str(d) for d in legacy.diagnostics] == [
-            str(d) for d in ctx.compiled.diagnostics
-        ]
-
-    @pytest.mark.parametrize("name", sorted(DAGS))
-    def test_compile_dag_shim_matches_pass_manager(self, name):
-        legacy = compile_dag(DAGS[name]())
-        ctx = run_compile(dag=DAGS[name]())
-        assert legacy.listing() == ctx.compiled.listing()
-        assert plan_summary(legacy) == plan_summary(ctx.compiled)
-
-    def test_lint_and_certify_ride_the_same_compile(self):
-        legacy = compile_assay(glucose.SOURCE, lint=True, certify=True)
-        ctx = run_compile(source=glucose.SOURCE, lint=True, certify=True)
-        assert legacy.listing() == ctx.compiled.listing()
-        assert [str(d) for d in legacy.diagnostics] == [
-            str(d) for d in ctx.compiled.diagnostics
-        ]
 
 
 class TestEventContract:

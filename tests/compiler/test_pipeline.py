@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler import compile_assay, compile_dag
+from repro.compiler.passes import run_compile
 from repro.core.hierarchy import VolumeManager
 from repro.machine.spec import AQUACORE_SPEC
 from repro.assays import enzyme, glucose, glycomics, paper_example
@@ -10,7 +10,7 @@ from repro.assays import enzyme, glucose, glycomics, paper_example
 
 class TestStaticCompilation:
     def test_glucose(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         assert compiled.is_static
         assert compiled.plan.status == "dagsolve"
         assert compiled.assignment is not None
@@ -18,18 +18,18 @@ class TestStaticCompilation:
         assert compiled.planner is None
 
     def test_assignment_is_rounded(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         least = compiled.spec.limits.least_count
         for volume in compiled.assignment.edge_volume.values():
             assert (volume / least).denominator == 1
 
     def test_rounding_note_emitted(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         codes = {d.code for d in compiled.diagnostics}
         assert "rounding-error" in codes
 
     def test_enzyme_transform_notes(self):
-        compiled = compile_assay(enzyme.SOURCE)
+        compiled = run_compile(source=enzyme.SOURCE).compiled
         codes = [d.code for d in compiled.diagnostics]
         assert codes.count("transform") >= 3  # the three 1:999 cascades
         assert compiled.final_dag.node_count > compiled.dag.node_count
@@ -40,7 +40,7 @@ class TestStaticCompilation:
             allow_cascading=False,
             allow_replication=False,
         )
-        compiled = compile_assay(enzyme.SOURCE, manager=manager)
+        compiled = run_compile(source=enzyme.SOURCE, manager=manager).compiled
         assert compiled.needs_regeneration
         codes = {d.code for d in compiled.diagnostics}
         assert "regeneration-fallback" in codes
@@ -48,13 +48,13 @@ class TestStaticCompilation:
 
 class TestRuntimeCompilation:
     def test_glycomics(self):
-        compiled = compile_assay(glycomics.SOURCE)
+        compiled = run_compile(source=glycomics.SOURCE).compiled
         assert not compiled.is_static
         assert compiled.planner.n_partitions == 4
         assert compiled.assignment is None
 
     def test_underflow_risk_warning(self):
-        compiled = compile_assay(glycomics.SOURCE)
+        compiled = run_compile(source=glycomics.SOURCE).compiled
         warnings = [d for d in compiled.diagnostics if d.code == "underflow-risk"]
         assert len(warnings) == 1  # the X2 = 1/204 constrained input
 
@@ -69,25 +69,25 @@ class TestRuntimeCompilation:
             "LCSEPARATE it MATRIX C_18 USING buffer3b FOR 2400",
             "LCSEPARATE it MATRIX C_18 USING buffer3b YIELD 1 : 2 FOR 2400",
         )
-        compiled = compile_assay(source)
+        compiled = run_compile(source=source).compiled
         assert compiled.is_static  # hints removed all unknown volumes
 
 
 class TestCompileDag:
     def test_hand_built_dag(self, fig2_dag):
-        compiled = compile_dag(fig2_dag)
+        compiled = run_compile(dag=fig2_dag).compiled
         assert compiled.is_static
         assert compiled.listing().startswith("figure2{")
 
     def test_listing_contains_ratio_moves(self, fig2_dag):
-        listing = compile_dag(fig2_dag).listing()
+        listing = run_compile(dag=fig2_dag).compiled.listing()
         assert "move mixer1, s2, 4" in listing  # B's share of the 1:4 mix
 
 
 class TestFigure9Listing:
     def test_glucose_matches_paper_shape(self):
         """Figure 9(b): same instruction multiset (modulo column layout)."""
-        listing = compile_assay(glucose.SOURCE).listing()
+        listing = run_compile(source=glucose.SOURCE).compiled.listing()
         for line in (
             "input s1, ip1 ;Glucose",
             "input s2, ip2 ;Reagent",
@@ -105,5 +105,5 @@ class TestFigure9Listing:
 
     def test_glucose_instruction_count_close_to_paper(self):
         """Figure 9(b) lists 28 instructions (3 inputs + 5 x 5)."""
-        program = compile_assay(glucose.SOURCE).program
+        program = run_compile(source=glucose.SOURCE).compiled.program
         assert len(program) == 28

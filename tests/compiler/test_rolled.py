@@ -116,8 +116,8 @@ END
     def test_compact_vs_unrolled_size(self):
         """The point of rolled output: the enzyme listing is an order of
         magnitude shorter than the unrolled program."""
-        from repro.compiler import compile_assay
+        from repro.compiler.passes import run_compile
 
         rolled = render_rolled_source(enzyme.SOURCE)
-        unrolled = compile_assay(enzyme.SOURCE)
+        unrolled = run_compile(source=enzyme.SOURCE).compiled
         assert len(rolled.lines) * 5 < len(unrolled.program)

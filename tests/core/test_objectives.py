@@ -1,11 +1,12 @@
 """Pluggable planning objectives: registry, per-layer behaviour, keying.
 
 The ``default`` objective must be invisible (byte-identical plans to the
-pre-objective compiler — the corpus gate in ``tools/waste_corpus.py``
-pins that repo-wide); these tests pin the ``waste`` objective's visible
-behaviour layer by layer: the scale-minimising dispense floor, the
-front-loaded cascade splits with stage sharing, the LP cost vector, and
-the per-objective fingerprint/cache keying.
+pre-objective compiler — ``tests/compiler/test_golden.py`` and the
+``waste`` check of ``tools/corpus.py`` pin that repo-wide); these tests
+pin the ``waste`` objective's visible behaviour layer by layer: the
+scale-minimising dispense floor, the front-loaded cascade splits with
+stage sharing, the LP cost vector, and the per-objective
+fingerprint/cache keying.
 """
 
 from fractions import Fraction

@@ -54,6 +54,24 @@ class TestDesignPromises:
         for example in examples:
             assert (ROOT / "examples" / example).exists(), example
 
+    def test_named_tools_exist(self):
+        """Every ``tools/<name>.py`` the docs, the verify skill or CI
+        name must exist (``perfbench/`` keeps its own README)."""
+        documents = [
+            ROOT / "README.md",
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+            ROOT / ".github" / "workflows" / "ci.yml",
+        ]
+        named = set()
+        for document in documents:
+            if document.exists():
+                text = document.read_text()
+                named |= set(re.findall(r"\btools/(\w+\.py)", text))
+        assert named, "no tools/*.py named in the docs"
+        for tool in sorted(named):
+            assert (ROOT / "tools" / tool).exists(), tool
+
     def test_docs_exist(self):
         for path in ("docs/LANGUAGE.md", "docs/AIS.md"):
             assert (ROOT / path).exists(), path

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compiler import compile_assay, compile_dag
+from repro.compiler.passes import run_compile
 from repro.machine.interpreter import Machine
 from repro.machine.separation import FractionalYield
 from repro.machine.spec import AQUACORE_SPEC
@@ -32,7 +32,7 @@ def machine_with(coefficients=None, models=None):
 
 class TestGlucoseEndToEnd:
     def test_zero_regenerations_with_plan(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         result = AssayExecutor(compiled, machine_with()).run()
         assert result.regenerations == 0
 
@@ -43,7 +43,7 @@ class TestGlucoseEndToEnd:
         assert report.regeneration_count == 2
 
     def test_consumption_matches_plan(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         result = AssayExecutor(compiled, machine_with()).run()
         ports = result.machine.ports
         drawn = {
@@ -54,7 +54,7 @@ class TestGlucoseEndToEnd:
             assert drawn[fluid] == plan.node_volume[fluid]
 
     def test_calibration_is_monotone(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         machine = machine_with({"Glucose": Fraction(2), "Sample": Fraction(1)})
         result = AssayExecutor(compiled, machine).run()
         series = [result.results[f"Result[{i}]"] for i in range(1, 5)]
@@ -63,13 +63,13 @@ class TestGlucoseEndToEnd:
 
 class TestEnzymeEndToEnd:
     def test_transformed_plan_executes_clean(self):
-        compiled = compile_assay(enzyme.SOURCE)
+        compiled = run_compile(source=enzyme.SOURCE).compiled
         result = AssayExecutor(compiled, machine_with()).run()
         assert result.regenerations == 0
         assert len(result.results) == 64
 
     def test_every_dispense_at_least_the_least_count(self):
-        compiled = compile_assay(enzyme.SOURCE)
+        compiled = run_compile(source=enzyme.SOURCE).compiled
         result = AssayExecutor(compiled, machine_with()).run()
         least = AQUACORE_SPEC.limits.least_count
         for event in result.trace.events:
@@ -79,7 +79,7 @@ class TestEnzymeEndToEnd:
 
 class TestGlycomicsEndToEnd:
     def test_runtime_partitions_execute(self):
-        compiled = compile_assay(glycomics.SOURCE)
+        compiled = run_compile(source=glycomics.SOURCE).compiled
         machine = machine_with(
             models={
                 "separator1": FractionalYield(Fraction(2, 5)),
@@ -94,7 +94,7 @@ class TestGlycomicsEndToEnd:
         """When a separation yields almost nothing, the X2 draw underflows
         and Biostream-style regeneration kicks in (the paper's warning for
         glycomics' Vnorm-1/204 constrained input)."""
-        compiled = compile_assay(glycomics.SOURCE)
+        compiled = run_compile(source=glycomics.SOURCE).compiled
         machine = machine_with(
             models={
                 "separator1": FractionalYield(Fraction(2, 5)),
@@ -114,7 +114,7 @@ class TestGlycomicsEndToEnd:
 
 class TestFigure2EndToEnd:
     def test_hand_dag_compiles_and_runs(self, fig2_dag):
-        compiled = compile_dag(fig2_dag)
+        compiled = run_compile(dag=fig2_dag).compiled
         result = AssayExecutor(compiled, machine_with()).run()
         assert result.regenerations == 0
         machine = result.machine
@@ -124,7 +124,7 @@ class TestFigure2EndToEnd:
         assert total > 0
 
     def test_planned_and_executed_mix_volumes_agree(self, fig2_dag):
-        compiled = compile_dag(fig2_dag)
+        compiled = run_compile(dag=fig2_dag).compiled
         result = AssayExecutor(compiled, machine_with()).run()
         plan = compiled.assignment
         mix_events = [
@@ -140,7 +140,7 @@ class TestFigure2EndToEnd:
 
 class TestWetCost:
     def test_trace_statistics(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         result = AssayExecutor(compiled, machine_with()).run()
         trace = result.trace
         assert trace.wet_instruction_count == len(trace)

@@ -8,7 +8,7 @@ compiled assays without a single metering error.
 
 import pytest
 
-from repro.compiler import compile_assay, compile_dag
+from repro.compiler.passes import run_compile
 from repro.machine.interpreter import Machine
 from repro.machine.separation import FractionalYield
 from repro.machine.spec import AQUACORE_SPEC, AQUACORE_XL_SPEC
@@ -24,7 +24,7 @@ class TestStrictMetering:
         ids=["glucose", "enzyme", "figure2"],
     )
     def test_static_assays(self, source):
-        compiled = compile_assay(source)
+        compiled = run_compile(source=source).compiled
         machine = Machine(AQUACORE_SPEC, strict_metering=True)
         result = AssayExecutor(compiled, machine).run()
         assert result.regenerations == 0
@@ -32,7 +32,7 @@ class TestStrictMetering:
     def test_random_dags(self):
         for seed in range(8):
             dag = generators.layered_random_dag(4, 3, 2, seed=seed, max_ratio=9)
-            compiled = compile_dag(dag, spec=AQUACORE_XL_SPEC)
+            compiled = run_compile(dag=dag, spec=AQUACORE_XL_SPEC).compiled
             machine = Machine(AQUACORE_XL_SPEC, strict_metering=True)
             AssayExecutor(compiled, machine).run()
 
@@ -40,7 +40,7 @@ class TestStrictMetering:
         """Run-time dispensing quantises per-partition volumes, so even the
         measured-volume path stays strict-metering clean... provided the
         separation yields are themselves least-count multiples."""
-        compiled = compile_assay(glycomics.SOURCE)
+        compiled = run_compile(source=glycomics.SOURCE).compiled
         machine = Machine(
             AQUACORE_SPEC,
             strict_metering=True,

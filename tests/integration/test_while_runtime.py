@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine.interpreter import Machine
 from repro.machine.spec import AQUACORE_SPEC
 from repro.runtime.executor import AssayExecutor
@@ -43,7 +43,7 @@ class TestDynamicWhile:
     def test_loop_stops_when_condition_clears(self):
         """OD starts at 50 (stock coeff 100, half concentration) and halves
         per dilution: 50 -> 25 stops the loop after exactly one iteration."""
-        compiled = compile_assay(SOURCE)
+        compiled = run_compile(source=SOURCE).compiled
         result = AssayExecutor(compiled, machine_with_stock_od(100)).run()
         mixes = [e for e in result.trace.events if e.opcode == "mix"]
         # initial mix + 1 in-loop dilution (50 -> 25, then 25 > 25 is False)
@@ -53,7 +53,7 @@ class TestDynamicWhile:
 
     def test_loop_runs_longer_with_stronger_stock(self):
         """OD 200 halves as 100, 50, 25: three in-loop dilutions."""
-        compiled = compile_assay(SOURCE)
+        compiled = run_compile(source=SOURCE).compiled
         result = AssayExecutor(compiled, machine_with_stock_od(400)).run()
         mixes = [e for e in result.trace.events if e.opcode == "mix"]
         assert len(mixes) == 1 + 3
@@ -63,7 +63,7 @@ class TestDynamicWhile:
     def test_hint_bounds_the_loop(self):
         """A stock so strong the threshold is never reached runs all HINT
         iterations and no more."""
-        compiled = compile_assay(SOURCE)
+        compiled = run_compile(source=SOURCE).compiled
         result = AssayExecutor(
             compiled, machine_with_stock_od(100000)
         ).run()
@@ -73,7 +73,7 @@ class TestDynamicWhile:
     def test_all_iterations_provisioned(self):
         """The volume plan covers the worst case: 7 mixes' worth of
         diluent is planned even when fewer run."""
-        compiled = compile_assay(SOURCE)
+        compiled = run_compile(source=SOURCE).compiled
         planned_mixes = [
             n
             for n in compiled.final_dag.nodes()
@@ -89,4 +89,4 @@ class TestDynamicWhile:
             "WHILE od > 1 HINT 2 START\nMIX it AND diluent FOR 5;\nENDWHILE\nENDWHILE",
         )
         with pytest.raises(SemanticError):
-            compile_assay(nested)
+            run_compile(source=nested)

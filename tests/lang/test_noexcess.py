@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.lang.parser import parse
 from repro.lang.semantic import analyze
 from repro.lang.errors import ParseError
@@ -31,7 +31,7 @@ class TestDeclaration:
 
 class TestVolumeManagementEffect:
     def test_protected_extreme_mix_cannot_cascade(self):
-        compiled = compile_assay(PROTECTED)
+        compiled = run_compile(source=PROTECTED).compiled
         assert compiled.plan.status == "regeneration"
         cascade_attempts = [
             a for a in compiled.plan.attempts if a.stage == "cascade"
@@ -40,7 +40,7 @@ class TestVolumeManagementEffect:
         assert "no-excess" in cascade_attempts[0].detail
 
     def test_unprotected_version_cascades_fine(self):
-        compiled = compile_assay(UNPROTECTED)
+        compiled = run_compile(source=UNPROTECTED).compiled
         assert compiled.plan.feasible
         assert compiled.plan.was_transformed
 
@@ -74,7 +74,7 @@ dose = MIX drug AND carrier IN RATIOS 1 : 1 FOR 10;
 dilute = MIX other AND carrier IN RATIOS 1 : 9999 FOR 10;
 END
 """
-        compiled = compile_assay(source)
+        compiled = run_compile(source=source).compiled
         # the extreme mix does not touch the protected fluid: it cascades
         assert compiled.plan.feasible
         assert compiled.plan.was_transformed

@@ -76,11 +76,11 @@ class TestAssayTotals:
         """3 inputs + 15 moves + 5x10s mixes + 5 senses = 73 s."""
         import dataclasses
 
-        from repro.compiler import compile_assay
+        from repro.compiler.passes import run_compile
         from repro.runtime.executor import AssayExecutor
         from repro.assays import glucose
 
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         result = AssayExecutor(compiled, Machine(AQUACORE_SPEC)).run()
         assert result.trace.total_seconds == 3 + 15 + 5 * 10 + 5
 

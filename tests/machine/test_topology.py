@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine.errors import ComponentError
 from repro.machine.interpreter import Machine
 from repro.machine.spec import AQUACORE_SPEC
@@ -127,13 +127,13 @@ class TestConflicts:
 
 class TestMachineIntegration:
     def test_bus_machine_runs_glucose(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         machine = Machine(AQUACORE_SPEC, topology=bus_topology(AQUACORE_SPEC))
         result = AssayExecutor(compiled, machine).run()
         assert result.regenerations == 0
 
     def test_transfer_time_scales_with_hops(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         flat = Machine(AQUACORE_SPEC)
         bus = Machine(AQUACORE_SPEC, topology=bus_topology(AQUACORE_SPEC))
         t_flat = AssayExecutor(compiled, flat).run().trace.total_seconds

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 from repro.assays import glucose
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine.interpreter import Machine
 from repro.machine.trace import (
     ExecutionTrace,
@@ -16,7 +16,7 @@ from repro.runtime.executor import AssayExecutor
 
 
 def executed_trace():
-    compiled = compile_assay(glucose.SOURCE)
+    compiled = run_compile(source=glucose.SOURCE).compiled
     return AssayExecutor(compiled, Machine(compiled.spec)).run().trace
 
 

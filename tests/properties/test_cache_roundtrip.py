@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assays import generators
-from repro.compiler import compile_dag
+from repro.compiler.passes import run_compile
 from repro.compiler.cache import PlanCache, entry_from_plan, plan_from_entry
 from repro.core.hierarchy import VolumeManager
 from repro.core.limits import PAPER_LIMITS
@@ -46,8 +46,8 @@ class TestEntryByteIdentity:
     @settings(max_examples=20, deadline=None)
     def test_warm_compile_equals_cold_compile(self, seed):
         cache = PlanCache()
-        cold = compile_dag(random_dag(seed), cache=cache)
-        warm = compile_dag(random_dag(seed), cache=cache)
+        cold = run_compile(dag=random_dag(seed), cache=cache).compiled
+        warm = run_compile(dag=random_dag(seed), cache=cache).compiled
         assert warm.listing() == cold.listing()
         if cold.plan is not None and cold.plan.assignment is not None:
             assert warm.plan.assignment.node_volume == (
@@ -68,7 +68,7 @@ class TestEntryByteIdentity:
 
         directory = tmp_path_factory.mktemp("cache")
         cache = PlanCache(directory=str(directory))
-        compile_dag(random_dag(seed), cache=cache)
+        run_compile(dag=random_dag(seed), cache=cache)
         for path in pathlib.Path(directory).glob("plan-*.json"):
             on_disk = path.read_text()
             assert dumps_canonical(json.loads(on_disk)) == on_disk
@@ -89,8 +89,8 @@ class TestMultiTenantProperties:
     def test_tenants_are_isolated_but_byte_identical(self, seed, a, b):
         """B never sees A's entries; both still compile to one listing."""
         cache = PlanCache()
-        cold = compile_dag(random_dag(seed), cache=cache.for_tenant(a))
-        other = compile_dag(random_dag(seed), cache=cache.for_tenant(b))
+        cold = run_compile(dag=random_dag(seed), cache=cache.for_tenant(a)).compiled
+        other = run_compile(dag=random_dag(seed), cache=cache.for_tenant(b)).compiled
         if a == b:
             if cold.plan is not None:
                 assert _warm_hit(other)
@@ -103,8 +103,8 @@ class TestMultiTenantProperties:
     def test_same_tenant_warm_hit_is_byte_identical(self, seed, tenant):
         cache = PlanCache()
         view = cache.for_tenant(tenant)
-        cold = compile_dag(random_dag(seed), cache=view)
-        warm = compile_dag(random_dag(seed), cache=view)
+        cold = run_compile(dag=random_dag(seed), cache=view).compiled
+        warm = run_compile(dag=random_dag(seed), cache=view).compiled
         assert warm.listing() == cold.listing()
         if cold.plan is not None:
             assert _warm_hit(warm)
@@ -121,14 +121,14 @@ class TestMultiTenantProperties:
         now = [0.0]
         cache = PlanCache(ttl_seconds=100.0, clock=lambda: now[0])
         view = cache.for_tenant(tenant)
-        cold = compile_dag(random_dag(seed), cache=view)
+        cold = run_compile(dag=random_dag(seed), cache=view).compiled
         now[0] = 101.0
-        recompiled = compile_dag(random_dag(seed), cache=view)
+        recompiled = run_compile(dag=random_dag(seed), cache=view).compiled
         assert not _warm_hit(recompiled)    # expired: must recompute
         assert recompiled.listing() == cold.listing()
         if cold.plan is not None:
             assert cache.stats.expired >= 1
             now[0] = 102.0                  # fresh deposit serves again
-            warm = compile_dag(random_dag(seed), cache=view)
+            warm = run_compile(dag=random_dag(seed), cache=view).compiled
             assert _warm_hit(warm)
             assert warm.listing() == cold.listing()

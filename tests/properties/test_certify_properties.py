@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.certify import certify, certify_plan
 from repro.assays import generators
-from repro.compiler import compile_dag
+from repro.compiler.passes import run_compile
 
 seeds = st.integers(min_value=0, max_value=5000)
 
@@ -27,7 +27,7 @@ def _compiled(seed: int, separator_probability: float = 0.0):
         4, 2, 2, seed=seed, max_ratio=5,
         separator_probability=separator_probability,
     )
-    return compile_dag(dag)
+    return run_compile(dag=dag).compiled
 
 
 class TestCompilerOutputCertifies:

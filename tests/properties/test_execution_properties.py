@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import compile_dag
+from repro.compiler.passes import run_compile
 from repro.machine.interpreter import Machine
 from repro.machine.spec import AQUACORE_XL_SPEC
 from repro.runtime.executor import AssayExecutor
@@ -23,7 +23,7 @@ def build(seed):
 
 def execute(seed):
     dag = build(seed)
-    compiled = compile_dag(dag, spec=AQUACORE_XL_SPEC)
+    compiled = run_compile(dag=dag, spec=AQUACORE_XL_SPEC).compiled
     machine = Machine(AQUACORE_XL_SPEC)
     executor = AssayExecutor(compiled, machine)
     return compiled, executor.run()

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.assays import generators
-from repro.compiler import compile_dag
+from repro.compiler.passes import run_compile
 from repro.machine.faults import LOSS_KINDS, FaultInjector, FaultPlan
 from repro.machine.interpreter import Machine
 from repro.machine.spec import AQUACORE_XL_SPEC
@@ -32,7 +32,7 @@ fault_seeds = st.integers(min_value=0, max_value=10_000)
 
 def build_compiled(seed):
     dag = generators.layered_random_dag(4, 3, 2, seed=seed, max_ratio=9)
-    return compile_dag(dag, spec=AQUACORE_XL_SPEC)
+    return run_compile(dag=dag, spec=AQUACORE_XL_SPEC).compiled
 
 
 def run(compiled, injector=None):
@@ -61,9 +61,8 @@ class TestZeroFaultTransparency:
 
     def test_empty_plan_on_corpus_assay(self):
         from repro.assays import glucose
-        from repro.compiler import compile_assay
 
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         plain = run(compiled)
         injected = run(compiled, FaultInjector(FaultPlan.none()))
         assert canonical_trace(injected) == canonical_trace(plain)
@@ -96,9 +95,8 @@ class TestLossFaultTransparency:
     @settings(max_examples=15, deadline=None)
     def test_glucose_readings_survive_loss_faults(self, fault_seed):
         from repro.assays import glucose
-        from repro.compiler import compile_assay
 
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         baseline = run(compiled)
         plan = FaultPlan.seeded(fault_seed, 0.08, kinds=LOSS_KINDS)
         faulty = run(compiled, FaultInjector(plan))

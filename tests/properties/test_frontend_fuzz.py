@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.ir.builder import build_dag_from_flat
 from repro.lang.parser import parse
 from repro.lang.unroll import unroll
@@ -81,7 +81,7 @@ class TestAcceptedProgramsNeverCrash:
     @settings(max_examples=15, deadline=None)
     def test_compile_and_execute(self, seed):
         source = generate_source(seed)
-        compiled = compile_assay(source, spec=AQUACORE_XL_SPEC)
+        compiled = run_compile(source=source, spec=AQUACORE_XL_SPEC).compiled
         if compiled.plan is not None and not compiled.plan.feasible:
             return  # regeneration plans may legitimately fail to execute
         machine = Machine(AQUACORE_XL_SPEC)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import lint_program, verify_source
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.lang.errors import FrontendError
 from repro.machine.spec import AQUACORE_SPEC
 
@@ -87,7 +87,7 @@ END
 def unrolled_has_definite_error(source: str) -> bool:
     """Ground truth at a concrete bound: front-end raise or lint error."""
     try:
-        compiled = compile_assay(source)
+        compiled = run_compile(source=source).compiled
     except FrontendError:
         return True
     report = lint_program(compiled.program, AQUACORE_SPEC)

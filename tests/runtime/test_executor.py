@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine.interpreter import Machine
 from repro.machine.separation import FractionalYield
 from repro.machine.spec import AQUACORE_SPEC
@@ -23,21 +23,21 @@ def glucose_machine():
 
 class TestStaticExecution:
     def test_glucose_runs_clean(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         result = AssayExecutor(compiled, glucose_machine()).run()
         assert result.regenerations == 0
         assert len(result.results) == 5
 
     def test_glucose_calibration_series(self):
         """OD falls with dilution: 1:1 > 1:2 > 1:4 > 1:8."""
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         result = AssayExecutor(compiled, glucose_machine()).run()
         readings = [result.results[f"Result[{i}]"] for i in range(1, 5)]
         assert readings == sorted(readings, reverse=True)
         assert float(readings[0]) == pytest.approx(1.0, abs=0.02)
 
     def test_no_volume_left_unaccounted(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         executor = AssayExecutor(compiled, glucose_machine())
         result = executor.run()
         machine = result.machine
@@ -52,7 +52,7 @@ class TestStaticExecution:
         )
 
     def test_plan_resolver_volumes(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         resolver = PlanResolver(compiled.assignment)
         moves = [
             i
@@ -66,7 +66,7 @@ class TestStaticExecution:
 
 class TestRuntimeExecution:
     def make_executor(self, yield1=Fraction(1, 2), yield2=Fraction(1, 2), yield3=Fraction(1, 2)):
-        compiled = compile_assay(glycomics.SOURCE)
+        compiled = run_compile(source=glycomics.SOURCE).compiled
         machine = Machine(
             AQUACORE_SPEC,
             separation_models={
@@ -114,7 +114,7 @@ class TestRegenerationPath:
     def test_sabotaged_plan_triggers_regeneration(self):
         """Halve every planned input volume: draws must exhaust sources and
         the executor must recover by re-executing backward slices."""
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         sabotaged = dataclasses.replace(compiled)
         assignment = compiled.assignment
         for node in list(assignment.node_volume):
@@ -130,7 +130,7 @@ class TestRegenerationPath:
     def test_regeneration_disabled_raises(self):
         from repro.machine.errors import EmptyError
 
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         for node in ("Glucose", "Reagent", "Sample"):
             compiled.assignment.node_volume[node] = (
                 compiled.assignment.node_volume[node] / 4
@@ -161,7 +161,7 @@ END
 """
 
     def test_untaken_branch_skipped(self):
-        compiled = compile_assay(self.SOURCE)
+        compiled = run_compile(source=self.SOURCE).compiled
         machine = Machine(AQUACORE_SPEC)  # OD reads 0 -> r > 100 is False
         machine.bind_port("ip1", "a")
         machine.bind_port("ip2", "b")

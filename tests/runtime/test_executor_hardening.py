@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from repro.assays import glucose
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.ir.instructions import Opcode
 from repro.machine.errors import RegenerationExhausted, TransportError
 from repro.machine.faults import FaultInjector, FaultKind, FaultPlan, ScheduledFault
@@ -24,7 +24,7 @@ from repro.runtime.executor import AssayExecutor, FailureReport, RetryPolicy
 
 def sabotaged_glucose(divisor=4):
     """Quarter the planned input volumes so draws exhaust their sources."""
-    compiled = compile_assay(glucose.SOURCE)
+    compiled = run_compile(source=glucose.SOURCE).compiled
     for node in ("Glucose", "Reagent", "Sample"):
         compiled.assignment.node_volume[node] = (
             compiled.assignment.node_volume[node] / divisor
@@ -111,7 +111,7 @@ class TestPolicyBounds:
         assert excinfo.value.reason == "budget"
 
     def test_unsabotaged_run_needs_no_budget(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         executor = AssayExecutor(
             compiled,
             Machine(compiled.spec),
@@ -148,7 +148,7 @@ class TestTransientTransport:
         return FaultInjector(plan), index
 
     def test_retry_recovers_from_transient_failure(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         injector, index = self.scheduled_injector(compiled, (1,))
         executor = AssayExecutor(
             compiled, Machine(compiled.spec), injector=injector
@@ -160,7 +160,7 @@ class TestTransientTransport:
         assert retry.index == index
         # the retry is recovery bookkeeping, not a wet instruction
         baseline = AssayExecutor(
-            compile_assay(glucose.SOURCE), Machine(compiled.spec)
+            run_compile(source=glucose.SOURCE).compiled, Machine(compiled.spec)
         ).run()
         assert (
             result.trace.wet_instruction_count
@@ -169,7 +169,7 @@ class TestTransientTransport:
         assert result.results == baseline.results
 
     def test_persistent_blockage_exhausts_retries(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         injector, index = self.scheduled_injector(compiled, (1, 2, 3, 4))
         executor = AssayExecutor(
             compiled,
@@ -187,7 +187,7 @@ class TestTransientTransport:
         }
 
     def test_transport_error_without_capture_propagates(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         injector, __ = self.scheduled_injector(compiled, (1, 2, 3, 4, 5))
         executor = AssayExecutor(
             compiled,
@@ -201,7 +201,7 @@ class TestTransientTransport:
 
 class TestDepletionRecovery:
     def test_depletion_triggers_regeneration_and_completes(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         index = first_move_index(compiled)
         plan = FaultPlan(
             schedule=(
@@ -217,6 +217,6 @@ class TestDepletionRecovery:
         assert result.regenerations >= 1
         assert machine.injector.injected == {"reservoir-depletion": 1}
         baseline = AssayExecutor(
-            compile_assay(glucose.SOURCE), Machine(compiled.spec)
+            run_compile(source=glucose.SOURCE).compiled, Machine(compiled.spec)
         ).run()
         assert result.results == baseline.results

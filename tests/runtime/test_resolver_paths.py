@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.core.errors import PartitionError
 from repro.ir.instructions import input_, move
 from repro.runtime.executor import PlanResolver, RuntimeResolver
@@ -14,7 +14,7 @@ from repro.assays import glucose, glycomics
 class TestPlanResolver:
     @pytest.fixture
     def resolver(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         return PlanResolver(compiled.assignment), compiled
 
     def test_edge_lookup(self, resolver):
@@ -45,11 +45,11 @@ class TestPlanResolver:
 class TestRuntimeResolver:
     @pytest.fixture
     def resolver(self):
-        compiled = compile_assay(glycomics.SOURCE)
+        compiled = run_compile(source=glycomics.SOURCE).compiled
         return RuntimeResolver(compiled), compiled
 
     def test_static_requires_no_planner(self):
-        compiled = compile_assay(glucose.SOURCE)
+        compiled = run_compile(source=glucose.SOURCE).compiled
         with pytest.raises(PartitionError):
             RuntimeResolver(compiled)
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.assays import glucose, paper_example
 from repro.cli import main
-from repro.compiler import compile_assay
+from repro.compiler.passes import run_compile
 from repro.machine.faults import FaultKind
 from repro.machine.spec import AQUACORE_SPEC
 from repro.runtime.stress import stress_compiled
@@ -18,7 +18,7 @@ pytestmark = pytest.mark.stress
 
 @pytest.fixture(scope="module")
 def figure2_compiled():
-    return compile_assay(paper_example.SOURCE)
+    return run_compile(source=paper_example.SOURCE).compiled
 
 
 class TestStressCompiled:
@@ -45,7 +45,7 @@ class TestStressCompiled:
             extinction_coefficients={"Glucose": Fraction(1)},
         )
         report = stress_compiled(
-            compile_assay(glucose.SOURCE, spec=spec),
+            run_compile(source=glucose.SOURCE, spec=spec).compiled,
             seeds=6,
             fault_rate=0.3,
             kinds={FaultKind.SENSOR_MISREAD},
