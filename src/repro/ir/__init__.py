@@ -31,7 +31,7 @@ from .instructions import (
 )
 from .program import AISProgram
 from .regalloc import AllocationError, ReservoirAllocator, ReservoirAssignment
-from .slicing import backward_slice, def_use_chains
+from .slicing import SliceIndex, backward_slice, def_use_chains
 
 __all__ = [
     "build_dag_from_flat",
@@ -57,6 +57,7 @@ __all__ = [
     "AllocationError",
     "AISParseError",
     "parse_ais",
+    "SliceIndex",
     "backward_slice",
     "def_use_chains",
 ]

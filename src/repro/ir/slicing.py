@@ -26,15 +26,24 @@ dry-*        registers                                registers (ignored)
 A ``move`` without a relative volume drains its source; a metered move
 leaves fluid behind, so the source's previous definition stays live — the
 def-use chains model both.
+
+:class:`SliceIndex` computes these facts once per program; regeneration
+builds one per run and answers every slice query from it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from bisect import bisect_left
+from collections.abc import Sequence
 
 from .instructions import Instruction, Opcode, Operand
 
-__all__ = ["def_use_chains", "backward_slice", "slice_for_location"]
+__all__ = [
+    "SliceIndex",
+    "def_use_chains",
+    "backward_slice",
+    "slice_for_location",
+]
 
 Location = str
 
@@ -88,60 +97,74 @@ def _reads_writes(
     return [], [], []  # dry ops do not touch fluid state
 
 
+class SliceIndex:
+    """The def-use facts of one straight-line program, built in one pass.
+
+    One scan of each instruction's ``(reads, writes, kills)`` yields the
+    def-use chains and, for each location, the program-order list of the
+    instructions that write or kill it, so every slice query walks only
+    the chains.  The index describes the program as it was when built; it
+    is stale once an instruction changes.
+    """
+
+    def __init__(self, program: Sequence[Instruction]) -> None:
+        self.chains: list[list[int]] = []
+        #: location -> its (index, written) events in program order; a
+        #: kill (written False) precedes a write at the same index.
+        self._events: dict[Location, list[tuple[int, bool]]] = {}
+        last_writer: dict[Location, int] = {}
+        for index, instruction in enumerate(program):
+            reads, writes, kills = _reads_writes(instruction)
+            self.chains.append(
+                sorted({last_writer[loc] for loc in reads if loc in last_writer})
+            )
+            for location in kills:
+                last_writer.pop(location, None)
+                self._events.setdefault(location, []).append((index, False))
+            for location in writes:
+                last_writer[location] = index
+                self._events.setdefault(location, []).append((index, True))
+
+    def backward_slice(self, index: int) -> list[int]:
+        """Indices of the transitive producers of instruction ``index``
+        (inclusive), in program order — the code to re-execute to
+        regenerate that instruction's inputs."""
+        if not (0 <= index < len(self.chains)):
+            raise IndexError(index)
+        needed: set[int] = set()
+        stack = [index]
+        while stack:
+            current = stack.pop()
+            if current not in needed:
+                needed.add(current)
+                stack.extend(self.chains[current])
+        return sorted(needed)
+
+    def slice_for_location(self, location: Location, before: int) -> list[int]:
+        """Backward slice that regenerates the contents of ``location`` as
+        they stood just before instruction ``before``."""
+        events = self._events.get(location, [])
+        last = bisect_left(events, (before,))
+        if last == 0 or not events[last - 1][1]:
+            return []
+        return self.backward_slice(events[last - 1][0])
+
+
 def def_use_chains(program: Sequence[Instruction]) -> list[list[int]]:
     """For each instruction, the indices of the instructions that produced
     the fluid it reads (its direct dependences)."""
-    last_writer: dict[Location, int] = {}
-    chains: list[list[int]] = []
-    for index, instruction in enumerate(program):
-        reads, writes, kills = _reads_writes(instruction)
-        deps = sorted(
-            {
-                last_writer[location]
-                for location in reads
-                if location in last_writer
-            }
-        )
-        chains.append(deps)
-        for location in kills:
-            last_writer.pop(location, None)
-        for location in writes:
-            last_writer[location] = index
-    return chains
+    return SliceIndex(program).chains
 
 
 def backward_slice(
     program: Sequence[Instruction], index: int
 ) -> list[int]:
-    """Indices of the transitive producers of instruction ``index``
-    (inclusive), in program order — the code to re-execute to regenerate
-    that instruction's inputs."""
-    if not (0 <= index < len(program)):
-        raise IndexError(index)
-    chains = def_use_chains(program)
-    needed: set[int] = set()
-    stack = [index]
-    while stack:
-        current = stack.pop()
-        if current in needed:
-            continue
-        needed.add(current)
-        stack.extend(chains[current])
-    return sorted(needed)
+    """:meth:`SliceIndex.backward_slice` over ``program``."""
+    return SliceIndex(program).backward_slice(index)
 
 
 def slice_for_location(
     program: Sequence[Instruction], location: Location, before: int
 ) -> list[int]:
-    """Backward slice that regenerates the contents of ``location`` as they
-    stood just before instruction ``before``."""
-    last_writer: dict[Location, int] = {}
-    for index in range(before):
-        __, writes, kills = _reads_writes(program[index])
-        for written in kills:
-            last_writer.pop(written, None)
-        for written in writes:
-            last_writer[written] = index
-    if location not in last_writer:
-        return []
-    return backward_slice(program, last_writer[location])
+    """:meth:`SliceIndex.slice_for_location` over ``program``."""
+    return SliceIndex(program).slice_for_location(location, before)

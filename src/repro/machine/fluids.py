@@ -24,10 +24,15 @@ class Mixture:
     """A volume of (possibly mixed) fluid.
 
     Invariants: all component volumes are >= 0 and their sum is
-    :attr:`volume`.  The empty mixture has no components.
+    :attr:`volume`.  The empty mixture has no components.  The total is
+    kept exactly rather than re-summed on every read, so ``components``
+    is only ever replaced by the methods here.
     """
 
     components: dict[str, Fraction] = field(default_factory=dict)
+    _volume: Fraction = field(
+        default=Fraction(0), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         clean: dict[str, Fraction] = {}
@@ -40,6 +45,7 @@ class Mixture:
             if value > 0:
                 clean[species] = value
         self.components = clean
+        self._volume = sum(clean.values(), Fraction(0))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -54,7 +60,7 @@ class Mixture:
     # ------------------------------------------------------------------
     @property
     def volume(self) -> Fraction:
-        return sum(self.components.values(), Fraction(0))
+        return self._volume
 
     @property
     def is_empty(self) -> bool:
@@ -102,6 +108,7 @@ class Mixture:
         if requested == total:
             taken = Mixture(dict(self.components))
             self.components = {}
+            self._volume = Fraction(0)
             return taken
         share = requested / total
         taken: dict[str, Fraction] = {}
@@ -111,6 +118,8 @@ class Mixture:
             taken[species] = part
             remaining[species] = amount - part
         self.components = {k: v for k, v in remaining.items() if v > 0}
+        # exact: the remaining components sum to total - requested
+        self._volume = total - requested
         return Mixture(taken)
 
     def take_all(self) -> "Mixture":

@@ -38,7 +38,7 @@ from ..core.errors import PartitionError, VolumeError
 from ..core.limits import as_fraction
 from ..core.runtime_assign import RuntimeSession
 from ..ir.instructions import Instruction, Opcode
-from ..ir.slicing import slice_for_location
+from ..ir.slicing import SliceIndex
 from ..lang.ast import BinOp, Compare, Expr, Index, Name, Num
 from ..machine.errors import (
     EmptyError,
@@ -242,6 +242,9 @@ class AssayExecutor:
         self.transient_retries = 0
         self.regeneration_volume = Fraction(0)
         self._location_regenerations: dict[str, int] = {}
+        #: built at a run's first regeneration; the program is fixed
+        #: for the run, so every later slice query reuses it.
+        self._slices: SliceIndex | None = None
         self._bind_ports()
         if compiled.is_static:
             if compiled.assignment is None:
@@ -329,6 +332,7 @@ class AssayExecutor:
     def run(self) -> ExecutionResult:
         program = self.compiled.program
         failure: FailureReport | None = None
+        self._slices = None
         for index, instruction in enumerate(program):
             sense_guard = instruction.meta.get("guard")
             if sense_guard is not None and not self._guard_allows(instruction):
@@ -507,9 +511,9 @@ class AssayExecutor:
                 attempts=count - 1,
                 reason="location-cap",
             ) from error
-        slice_indices = slice_for_location(
-            self.compiled.program.instructions, location, index
-        )
+        if self._slices is None:
+            self._slices = SliceIndex(self.compiled.program.instructions)
+        slice_indices = self._slices.slice_for_location(location, index)
         if not slice_indices:
             raise RegenerationExhausted(
                 f"no producing slice found for {location!r}; cannot "

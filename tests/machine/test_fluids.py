@@ -3,7 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.machine.components import Container
+from repro.machine.errors import CapacityError
 from repro.machine.fluids import Mixture
 
 
@@ -108,3 +112,82 @@ class TestTransforms:
         assert mixture.approx_equal({"a": 1, "b": 2})
         assert not mixture.approx_equal({"a": 1})
         assert mixture.approx_equal({"a": 1, "b": Fraction(21, 10)}, tolerance=Fraction(2, 10))
+
+
+def summed_repr(mixture: Mixture) -> str:
+    """The repr format, with the total summed from the components."""
+    if not mixture.components:
+        return "Mixture(empty)"
+    parts = ", ".join(
+        f"{species}={float(amount):.4g}"
+        for species, amount in sorted(mixture.components.items())
+    )
+    total = sum(mixture.components.values(), Fraction(0))
+    return f"Mixture({parts}; total={float(total):.4g} nl)"
+
+
+species = st.sampled_from(["a", "b", "c", "d"])
+amounts = st.fractions(min_value=0, max_value=50, max_denominator=60)
+shares = st.fractions(min_value=0, max_value=1, max_denominator=30)
+steps = st.one_of(
+    st.tuples(st.just("pure"), species, amounts),
+    st.tuples(st.just("merge"), species, amounts),
+    st.tuples(st.just("take"), shares),
+    st.tuples(st.just("split"), st.lists(shares, max_size=3)),
+    st.tuples(st.just("take_all")),
+    st.tuples(st.just("scaled"), st.fractions(0, 3, max_denominator=7)),
+    st.tuples(st.just("relabelled"), species),
+    st.tuples(st.just("deposit")),
+    st.tuples(st.just("draw"), shares),
+    st.tuples(st.just("discard")),
+)
+
+
+class TestKeptVolume:
+    """The total kept on a mixture stays the exact sum of its components
+    through every operation, and takes no part in ``==`` or ``repr``."""
+
+    @staticmethod
+    def check(mixture: Mixture) -> None:
+        assert mixture.volume == sum(mixture.components.values(), Fraction(0))
+        assert Mixture(dict(mixture.components)) == mixture
+        assert repr(mixture) == summed_repr(mixture)
+
+    @given(st.lists(steps, max_size=25))
+    @settings(max_examples=100, deadline=None)
+    def test_every_step_keeps_the_sum(self, program):
+        current = Mixture.pure("a", 10)
+        container = Container("r1", Fraction(200))
+        for step in program:
+            op, *args = step
+            portions: tuple[Mixture, ...] = ()
+            if op == "pure":
+                current = Mixture.pure(*args)
+            elif op == "merge":
+                current = current.merge(Mixture.pure(*args))
+            elif op == "take":
+                portions = (current.take(current.volume * args[0]),)
+            elif op == "split":
+                volumes, left = [], current.volume
+                for share in args[0]:
+                    volumes.append(left * share)
+                    left -= volumes[-1]
+                portions = current.split(volumes)
+            elif op == "take_all":
+                portions = (current.take_all(),)
+            elif op == "scaled":
+                current = current.scaled(args[0])
+            elif op == "relabelled":
+                current = current.relabelled(args[0])
+            elif op == "deposit":
+                try:
+                    container.deposit(current)
+                except CapacityError:
+                    pass
+            elif op == "draw":
+                current = container.draw(container.volume * args[0])
+            else:
+                container.discard()
+            for mixture in (current, container.contents, *portions):
+                self.check(mixture)
+            assert container.volume <= container.capacity
