@@ -37,8 +37,10 @@ Usage (also via ``python -m repro``)::
         [--url URL] [--tenant NAME]                 # running daemon; prints
                                                     # the CLI-identical output
 
-Common options: ``--machine {aquacore,aquacore-xl}``, ``--no-lp``,
-``--no-cascade``, ``--no-replicate``.  Pass ``-`` to read from stdin.
+Common options: ``--machine``, ``--objective`` and the hierarchy switches
+``--no-*``; their names and choices come from :mod:`repro.commands` and the
+registries it names, shared with ``repro serve``.  Pass ``-`` to read from
+stdin.
 """
 
 from __future__ import annotations
@@ -47,30 +49,42 @@ import argparse
 import dataclasses
 import os
 import sys
-from fractions import Fraction
 from collections.abc import Sequence
 
+from .commands import (
+    JOBS,
+    STRESS_PARAMS,
+    SWITCHES,
+    ParamError,
+    compile_source,
+)
 from .compiler.passes import (
     CompileContext,
     PassEventBus,
     events_payload,
     front_end,
     render_timing_table,
-    run_compile,
 )
 from .core.errors import VolumeError
-from .core.hierarchy import VolumeManager
 from .core.limits import as_fraction
+from .core.objectives import OBJECTIVES
+from .ir.parse import AISParseError
 from .lang.errors import FrontendError
 from .machine.interpreter import Machine
 from .machine.separation import FractionalYield
-from .machine.spec import AQUACORE_SPEC, AQUACORE_XL_SPEC, MachineSpec
+from .machine.spec import MACHINES, MachineSpec
+from .machine.topology import TOPOLOGIES
 from .runtime.executor import AssayExecutor
 from .runtime.regeneration import naive_regeneration_count
 
 __all__ = ["main", "build_parser"]
 
-MACHINES = {"aquacore": AQUACORE_SPEC, "aquacore-xl": AQUACORE_XL_SPEC}
+
+def _program_name(path: str) -> str:
+    """The default program name: the file's stem, or ``stdin``."""
+    if path == "-":
+        return "stdin"
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def _read_source(path: str) -> str:
@@ -96,12 +110,30 @@ def _spec(args) -> MachineSpec:
 
 
 def _cli_options(args) -> dict:
-    return {
-        "use_lp": not getattr(args, "no_lp", False),
-        "allow_cascading": not getattr(args, "no_cascade", False),
-        "allow_replication": not getattr(args, "no_replicate", False),
-        "objective": getattr(args, "objective", "default"),
+    options = {
+        switch.key: not getattr(args, switch.dest, False)
+        for switch in SWITCHES
     }
+    options["objective"] = getattr(args, "objective", "default")
+    return options
+
+
+def _params(kind: str, args) -> dict:
+    """The job ``params`` of ``kind`` in wire form, as ``repro client``
+    sends them."""
+    params: dict = {}
+    if kind == "stress":
+        params["seeds"] = args.seeds
+        params["fault_rate"] = args.fault_rate
+        if args.kinds:
+            params["kinds"] = args.kinds.split(",")
+        if args.budget:
+            params["budget"] = args.budget
+    if kind in ("lint", "certify") and args.assay:
+        params["assay"] = True
+    if kind == "certify" and args.topology:
+        params["topology"] = args.topology
+    return params
 
 
 @dataclasses.dataclass
@@ -109,9 +141,9 @@ class Invocation:
     """One CLI request, resolved exactly once.
 
     Every source-taking subcommand shares this preamble: read the file
-    (or stdin), resolve the machine spec and volume-manager knobs, and
-    compute the default program name.  The compile itself always goes
-    through the one pass manager (:func:`repro.compiler.passes.run_compile`).
+    (or stdin) and resolve the machine spec and volume-manager knobs.
+    The compile itself always goes through the one pass manager
+    (:func:`repro.commands.compile_source`).
     """
 
     path: str
@@ -119,51 +151,20 @@ class Invocation:
     spec: MachineSpec
     options: dict
 
-    @property
-    def default_name(self) -> str:
-        if self.path == "-":
-            return "stdin"
-        return os.path.splitext(os.path.basename(self.path))[0]
-
-    def manager(self) -> VolumeManager:
-        return VolumeManager(self.spec.limits, **self.options)
-
     def front_end(self) -> CompileContext:
         """Frontend passes only: parse, unroll, build + validate the DAG."""
         return front_end(source=self.source, spec=self.spec)
 
-    def compile(
-        self,
-        *,
-        lint: bool = False,
-        certify: bool = False,
-        source_lint: bool = False,
-        race_check: bool = False,
-        profile: bool = False,
-        cache=None,
-        bus: PassEventBus | None = None,
-    ) -> CompileContext:
+    def compile(self, **run_options) -> CompileContext:
         """Full compile through the pass manager; returns the context."""
-        return run_compile(
-            source=self.source,
-            spec=self.spec,
-            manager=self.manager(),
-            lint=lint,
-            certify=certify,
-            source_lint=source_lint,
-            race_check=race_check,
-            profile=profile,
-            cache=cache,
-            bus=bus,
-        )
+        return compile_source(self.source, self.spec, self.options, **run_options)
 
 
-def _invocation(args, path: str | None = None) -> Invocation:
+def _invocation(args) -> Invocation:
     """Build the shared front-end preamble from parsed CLI args."""
-    file_path = path if path is not None else args.file
     return Invocation(
-        path=file_path,
-        source=_read_source(file_path),
+        path=args.file,
+        source=_read_source(args.file),
         spec=_spec(args),
         options=_cli_options(args),
     )
@@ -347,12 +348,7 @@ def _cmd_compile_batch(args) -> int:
     spec = _spec(args)
     jobs = []
     for path in args.files:
-        name = (
-            "stdin"
-            if path == "-"
-            else os.path.splitext(os.path.basename(path))[0]
-        )
-        jobs.append(BatchJob(name, source=_read_source(path)))
+        jobs.append(BatchJob(_program_name(path), source=_read_source(path)))
     report = compile_many(
         jobs,
         spec=spec,
@@ -392,12 +388,7 @@ def cmd_run(args) -> int:
         if not value:
             raise SystemExit(f"--sep-yield expects UNIT=FRACTION, got {item!r}")
         models[unit] = FractionalYield(as_fraction(value))
-    topology = None
-    if args.topology:
-        from .machine.topology import bus_topology, ring_topology
-
-        builder = {"bus": bus_topology, "ring": ring_topology}[args.topology]
-        topology = builder(spec)
+    topology = TOPOLOGIES[args.topology](spec) if args.topology else None
     machine = Machine(spec, separation_models=models, topology=topology)
     executor = AssayExecutor(compiled, machine)
     result = executor.run()
@@ -419,86 +410,46 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _lint_topology(args, spec):
-    """The optional channel topology a ``lint --races`` run asked for."""
-    if not getattr(args, "topology", None):
-        return None
-    from .machine.topology import bus_topology, ring_topology
+def _print_report(report, as_json: bool) -> int:
+    print(report.render_json() if as_json else report.render_text())
+    return report.exit_code
 
-    builder = {"bus": bus_topology, "ring": ring_topology}[args.topology]
-    return builder(spec)
+
+def cmd_job(args) -> int:
+    """lint, certify and stress: the job body ``repro serve`` runs too."""
+    inv = _invocation(args)
+    report = JOBS[args.command](
+        inv.source,
+        inv.spec,
+        inv.options,
+        _params(args.command, args),
+        name=_program_name(inv.path),
+    )
+    return _print_report(report, args.json)
 
 
 def cmd_lint(args) -> int:
-    from .analysis import lint_program, lint_text
-    from .ir.parse import AISParseError
-
+    if not (args.races or args.source):
+        return cmd_job(args)
     inv = _invocation(args)
     spec = inv.spec
+    name = _program_name(inv.path)
     if args.races:
         from .analysis import analyze_races, race_text
 
-        topology = _lint_topology(args, spec)
+        topology = TOPOLOGIES[args.topology](spec) if args.topology else None
         if args.assay:
             compiled = inv.compile().compiled
             report = analyze_races(
                 compiled.program, spec, topology=topology
             )
         else:
-            try:
-                report = race_text(
-                    inv.source,
-                    spec,
-                    name=inv.default_name,
-                    topology=topology,
-                )
-            except AISParseError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-    elif args.source:
+            report = race_text(inv.source, spec, name=name, topology=topology)
+    else:
         from .analysis import verify_source
 
-        report = verify_source(inv.source, spec, name=inv.default_name)
-    elif args.assay:
-        compiled = inv.compile().compiled
-        report = lint_program(compiled.program, spec)
-    else:
-        try:
-            report = lint_text(inv.source, spec, name=inv.default_name)
-        except AISParseError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.json:
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return report.exit_code
-
-
-def cmd_certify(args) -> int:
-    from .analysis.certify import certify, certify_program
-    from .ir.parse import AISParseError, parse_ais
-    from .machine.topology import bus_topology, ring_topology
-
-    inv = _invocation(args)
-    spec = inv.spec
-    builder = {"bus": bus_topology, "ring": ring_topology}[args.topology]
-    topology = builder(spec)
-    if args.assay:
-        compiled = inv.compile().compiled
-        report = certify(compiled, topology=topology)
-    else:
-        try:
-            program = parse_ais(inv.source, name=inv.default_name)
-        except AISParseError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        report = certify_program(program, spec, topology=topology)
-    if args.json:
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return report.exit_code
+        report = verify_source(inv.source, spec, name=name)
+    return _print_report(report, args.json)
 
 
 def cmd_bench_regen(args) -> int:
@@ -514,38 +465,6 @@ def cmd_bench_regen(args) -> int:
     if report.hard_failures:
         print(f"hard failures (need cascading): {report.hard_failures}")
     return 0
-
-
-def cmd_stress(args) -> int:
-    from .machine.faults import parse_kinds
-    from .runtime.stress import stress_compiled
-
-    inv = _invocation(args)
-    spec = inv.spec
-    compiled = inv.compile().compiled
-    try:
-        kinds = parse_kinds(args.kinds.split(",")) if args.kinds else None
-    except ValueError as error:
-        raise SystemExit(f"--kinds: {error}") from None
-    try:
-        budget = as_fraction(args.budget) if args.budget else None
-    except ValueError:
-        raise SystemExit(
-            f"--budget expects a volume in nl, got {args.budget!r}"
-        ) from None
-    report = stress_compiled(
-        compiled,
-        seeds=args.seeds,
-        fault_rate=args.fault_rate,
-        **({"kinds": kinds} if kinds is not None else {}),
-        budget=budget,
-        machine_factory=lambda: Machine(spec),
-    )
-    if args.json:
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return 0 if report.survived == len(report.scenarios) else 1
 
 
 def _parse_tokens(items) -> dict[str, str]:
@@ -591,58 +510,27 @@ def cmd_serve(args) -> int:
 
 
 def cmd_client(args) -> int:
-    import json as json_module
+    import json
 
     from .service.client import ServiceClient, ServiceError
 
     client = ServiceClient(args.url, token=args.token, tenant=args.tenant)
-    if args.kind != "metrics":
-        try:
-            source = _read_source(args.file)
-        except (OSError, UnicodeDecodeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    source = None if args.kind == "metrics" else _read_source(args.file)
     try:
         if args.kind == "metrics":
-            print(
-                json_module.dumps(
-                    client.metrics(), indent=2, sort_keys=True
-                )
-            )
+            print(json.dumps(client.metrics(), indent=2, sort_keys=True))
             return 0
-        params: dict = {}
-        if args.kind == "stress":
-            params["seeds"] = args.seeds
-            params["fault_rate"] = args.fault_rate
-            if args.kinds:
-                params["kinds"] = args.kinds.split(",")
-            if args.budget:
-                params["budget"] = args.budget
-        if args.kind in ("lint", "certify") and args.assay:
-            params["assay"] = True
-        if args.kind == "certify" and args.topology:
-            params["topology"] = args.topology
-        name = (
-            "stdin"
-            if args.file == "-"
-            else os.path.splitext(os.path.basename(args.file))[0]
-        )
-        options: dict | None = None
-        if args.kind == "compile" and args.objective:
-            options = {"objective": args.objective}
         response = client.run(
             args.kind,
             source,
-            name=name,
+            name=_program_name(args.file),
             machine=args.machine,
-            params=params,
-            options=options,
+            params=_params(args.kind, args),
+            options={"objective": args.objective} if args.objective else None,
             timeout=args.timeout,
         )
         job = response["job"]
-        sys.stdout.write(
-            client.artifact(job["id"]).decode("utf-8")
-        )
+        sys.stdout.write(client.artifact(job["id"]).decode("utf-8"))
         return int(response["result"].get("exit_code", 0))
     except ServiceError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -662,6 +550,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def machine_option(p, default="aquacore"):
+        p.add_argument(
+            "--machine",
+            choices=sorted(MACHINES),
+            default=default,
+            help="machine configuration (default: aquacore)",
+        )
+
+    def topology_option(p, help, default=None):
+        p.add_argument(
+            "--topology", choices=tuple(TOPOLOGIES), default=default, help=help
+        )
+
+    def stress_options(p):
+        for param in STRESS_PARAMS:
+            p.add_argument(
+                param.flag,
+                type=param.type,
+                default=param.default,
+                metavar=param.metavar,
+                help=param.help,
+            )
+
     def common(p, run_options=False, multi=False):
         if multi:
             p.add_argument(
@@ -671,21 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
             )
         else:
             p.add_argument("file", help="assay source file, or - for stdin")
-        p.add_argument(
-            "--machine",
-            choices=sorted(MACHINES),
-            default="aquacore",
-            help="machine configuration (default: aquacore)",
-        )
-        p.add_argument("--no-lp", action="store_true",
-                       help="disable the LP fallback stage")
-        p.add_argument("--no-cascade", action="store_true",
-                       help="disable cascading of extreme mix ratios")
-        p.add_argument("--no-replicate", action="store_true",
-                       help="disable static replication")
+        machine_option(p)
+        for switch in SWITCHES:
+            p.add_argument(switch.flag, action="store_true", help=switch.help)
         p.add_argument(
             "--objective",
-            choices=("default", "waste"),
+            choices=tuple(OBJECTIVES),
             default="default",
             help="planning objective: 'default' maximises delivered output "
             "(paper-faithful); 'waste' minimises loaded-minus-delivered "
@@ -710,10 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="N",
                 help="print the first N trace events",
             )
-            p.add_argument(
-                "--topology",
-                choices=("bus", "ring"),
-                help="route transfers over a channel topology (wet time "
+            topology_option(
+                p,
+                "route transfers over a channel topology (wet time "
                 "scales with hop count)",
             )
 
@@ -818,12 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fluid-safety analyzer over an AIS listing",
     )
     p_lint.add_argument("file", help="AIS listing, or - for stdin")
-    p_lint.add_argument(
-        "--machine",
-        choices=sorted(MACHINES),
-        default="aquacore",
-        help="machine configuration (default: aquacore)",
-    )
+    machine_option(p_lint)
     p_lint.add_argument(
         "--json", action="store_true", help="emit a JSON report"
     )
@@ -847,10 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lockset interference analysis reporting RACE-* findings and "
         "a summary.mhp block (combine with --assay to compile first)",
     )
-    p_lint.add_argument(
-        "--topology",
-        choices=("bus", "ring"),
-        help="with --races: channel topology for route-contention "
+    topology_option(
+        p_lint,
+        "with --races: channel topology for route-contention "
         "findings (omitted = occupancy/re-banking analysis only)",
     )
     p_lint.set_defaults(handler=cmd_lint)
@@ -860,12 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a compiled plan + schedule (translation validation)",
     )
     p_certify.add_argument("file", help="AIS listing, or - for stdin")
-    p_certify.add_argument(
-        "--machine",
-        choices=sorted(MACHINES),
-        default="aquacore",
-        help="machine configuration (default: aquacore)",
-    )
+    machine_option(p_certify)
     p_certify.add_argument(
         "--json", action="store_true", help="emit a JSON report"
     )
@@ -875,13 +765,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat the input as assay source: compile it, then certify "
         "the volume plan and generated schedule",
     )
-    p_certify.add_argument(
-        "--topology",
-        choices=("bus", "ring"),
+    topology_option(
+        p_certify,
+        "channel topology for route/interference checks (default: bus)",
         default="bus",
-        help="channel topology for route/interference checks (default: bus)",
     )
-    p_certify.set_defaults(handler=cmd_certify)
+    p_certify.set_defaults(handler=cmd_job)
 
     p_run = sub.add_parser("run", help="execute on the AquaCore model")
     common(p_run, run_options=True)
@@ -892,9 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="count regenerations under the naive baseline",
     )
     p_regen.add_argument("file")
-    p_regen.add_argument(
-        "--machine", choices=sorted(MACHINES), default="aquacore"
-    )
+    machine_option(p_regen)
     p_regen.add_argument(
         "--ignore-least-count",
         action="store_true",
@@ -908,36 +795,11 @@ def build_parser() -> argparse.ArgumentParser:
         "a survival matrix",
     )
     common(p_stress)
-    p_stress.add_argument(
-        "--seeds",
-        type=int,
-        default=10,
-        metavar="N",
-        help="number of deterministic fault scenarios (seed k for "
-        "scenario k; default: 10)",
-    )
-    p_stress.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.05,
-        metavar="R",
-        help="per-(kind, attempt) fault probability (default: 0.05)",
-    )
-    p_stress.add_argument(
-        "--kinds",
-        metavar="CSV",
-        help="comma-separated fault kinds to enable (default: all; see "
-        "docs/ROBUSTNESS.md for the taxonomy)",
-    )
-    p_stress.add_argument(
-        "--budget",
-        metavar="NL",
-        help="global regeneration budget in extra input volume (nl)",
-    )
+    stress_options(p_stress)
     p_stress.add_argument(
         "--json", action="store_true", help="emit the canonical JSON report"
     )
-    p_stress.set_defaults(handler=cmd_stress)
+    p_stress.set_defaults(handler=cmd_job)
 
     p_serve = sub.add_parser(
         "serve",
@@ -986,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_client.add_argument(
         "kind",
-        choices=("compile", "lint", "certify", "stress", "metrics"),
+        choices=("compile", *JOBS, "metrics"),
     )
     p_client.add_argument(
         "file", nargs="?", default="-",
@@ -996,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default="http://127.0.0.1:8642",
         help="daemon base URL (default: http://127.0.0.1:8642)",
     )
-    p_client.add_argument("--machine", choices=sorted(MACHINES))
+    machine_option(p_client, default=None)
     p_client.add_argument("--token", help="bearer token")
     p_client.add_argument("--tenant", help="tenant name (open mode)")
     p_client.add_argument(
@@ -1008,14 +870,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint/certify: treat the input as assay source",
     )
     p_client.add_argument(
-        "--objective", choices=("default", "waste"),
-        help="compile: planning objective for the submitted job",
+        "--objective", choices=tuple(OBJECTIVES),
+        help="planning objective for the jobs that compile",
     )
-    p_client.add_argument("--topology", choices=("bus", "ring"))
-    p_client.add_argument("--seeds", type=int, default=10)
-    p_client.add_argument("--fault-rate", type=float, default=0.05)
-    p_client.add_argument("--kinds", metavar="CSV")
-    p_client.add_argument("--budget", metavar="NL")
+    topology_option(p_client, "certify: channel topology (default: bus)")
+    stress_options(p_client)
     p_client.set_defaults(handler=cmd_client)
 
     return parser
@@ -1026,10 +885,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FrontendError, VolumeError) as error:
-        # bad assay, or one the machine cannot hold: a coded failure
+    except (AISParseError, FrontendError, VolumeError) as error:
+        # bad listing or assay, or one the machine cannot hold: a coded
+        # failure
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except ParamError as error:
+        raise SystemExit(f"{error.param.flag}: {error}") from None
     except BrokenPipeError:
         # output piped into a pager/head that closed early: not an error
         try:

@@ -379,7 +379,7 @@ class LPFallback(Pass):
         return ctx.manager.use_lp
 
     def skip_reason(self, ctx: CompileContext) -> str:
-        return "LP disabled (--no-lp)"
+        return "LP disabled (use_lp off)"
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         state = ctx.hierarchy
@@ -453,7 +453,7 @@ class CascadeTransform(Pass):
         return ctx.manager.allow_cascading
 
     def skip_reason(self, ctx: CompileContext) -> str:
-        return "cascading disabled (--no-cascade)"
+        return "cascading disabled (allow_cascading off)"
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         state = ctx.hierarchy
@@ -498,7 +498,7 @@ class ReplicateTransform(Pass):
         return ctx.manager.allow_replication
 
     def skip_reason(self, ctx: CompileContext) -> str:
-        return "replication disabled (--no-replicate)"
+        return "replication disabled (allow_replication off)"
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         state = ctx.hierarchy

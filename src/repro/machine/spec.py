@@ -22,6 +22,7 @@ __all__ = [
     "MachineSpec",
     "AQUACORE_SPEC",
     "AQUACORE_XL_SPEC",
+    "MACHINES",
 ]
 
 #: Functional unit kinds the interpreter understands.
@@ -205,3 +206,8 @@ AQUACORE_XL_SPEC = MachineSpec(
     n_output_ports=4,
     functional_units=_DEFAULT_UNITS,
 )
+
+#: Every machine a request may name (``--machine``, the wire ``machine``).
+MACHINES: dict[str, MachineSpec] = {
+    spec.name: spec for spec in (AQUACORE_SPEC, AQUACORE_XL_SPEC)
+}

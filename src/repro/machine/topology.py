@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from .errors import ComponentError
 from .spec import MachineSpec
 
-__all__ = ["ChannelTopology", "bus_topology", "ring_topology"]
+__all__ = ["ChannelTopology", "TOPOLOGIES", "bus_topology", "ring_topology"]
 
 Segment = tuple[str, str]
 
@@ -231,3 +231,7 @@ def ring_topology(spec: MachineSpec) -> ChannelTopology:
     if len(locations) > 2:
         topology.add_channel(locations[-1], locations[0])
     return topology
+
+
+#: Every topology a request may name (``--topology``, ``params.topology``).
+TOPOLOGIES = {"bus": bus_topology, "ring": ring_topology}

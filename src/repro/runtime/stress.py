@@ -83,6 +83,11 @@ class StressReport:
         return sum(1 for s in self.scenarios if s.survived)
 
     @property
+    def exit_code(self) -> int:
+        """0 when every scenario survived, else 1."""
+        return 0 if self.survived == len(self.scenarios) else 1
+
+    @property
     def survival_rate(self) -> float:
         return self.survived / len(self.scenarios) if self.scenarios else 1.0
 

@@ -26,12 +26,19 @@ Validation is strict: unknown top-level or ``params`` keys, wrong
 types, and unsupported kinds are rejected with a structured
 :class:`SchemaError` carrying the HTTP status and a stable error code.
 Oversized programs are rejected with 413 / ``oversized-program``.
+Machines, topologies, objectives, the ``options`` switches and the stress
+ranges come from the tables the CLI uses (:mod:`repro.commands`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+from ..commands import JOBS, STRESS_PARAMS, SWITCHES
+from ..core.objectives import OBJECTIVES
+from ..machine.spec import MACHINES
+from ..machine.topology import TOPOLOGIES
 
 __all__ = [
     "DEFAULT_MAX_SOURCE_BYTES",
@@ -45,21 +52,19 @@ __all__ = [
 #: bumped only on breaking changes to request/response payload shapes.
 WIRE_SCHEMA_VERSION = 1
 
-JOB_KINDS = ("compile", "lint", "certify", "stress")
+JOB_KINDS = ("compile", *JOBS)
 
 #: default cap on the submitted source text (bytes, UTF-8).
 DEFAULT_MAX_SOURCE_BYTES = 262_144
 
 _TOP_KEYS = {"kind", "source", "name", "machine", "options", "params"}
-_OPTION_KEYS = {"use_lp", "allow_cascading", "allow_replication", "objective"}
-_OBJECTIVES = ("default", "waste")
+_OPTION_KEYS = {switch.key for switch in SWITCHES} | {"objective"}
 _PARAM_KEYS = {
     "compile": set(),
     "lint": {"assay"},
     "certify": {"assay", "topology"},
-    "stress": {"seeds", "fault_rate", "kinds", "budget"},
+    "stress": {param.key for param in STRESS_PARAMS},
 }
-_TOPOLOGIES = ("bus", "ring")
 
 
 class SchemaError(Exception):
@@ -88,16 +93,6 @@ class JobRequest:
     options: dict[str, bool | str] = field(default_factory=dict)
     params: dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "source": self.source,
-            "name": self.name,
-            "machine": self.machine,
-            "options": dict(self.options),
-            "params": dict(self.params),
-        }
-
 
 def _expect(condition: bool, code: str, message: str, status: int = 400):
     if not condition:
@@ -120,50 +115,25 @@ def _validate_params(kind: str, params: dict[str, Any]) -> dict[str, Any]:
         )
     if "topology" in params:
         _expect(
-            params["topology"] in _TOPOLOGIES,
+            isinstance(params["topology"], str)
+            and params["topology"] in TOPOLOGIES,
             "bad-request",
-            f"params.topology must be one of {_TOPOLOGIES}",
+            f"params.topology must be one of {tuple(TOPOLOGIES)}",
         )
-    if "seeds" in params:
-        _expect(
-            isinstance(params["seeds"], int)
-            and not isinstance(params["seeds"], bool)
-            and 1 <= params["seeds"] <= 10_000,
-            "bad-request",
-            "params.seeds must be an integer in [1, 10000]",
-        )
-    if "fault_rate" in params:
-        rate = params["fault_rate"]
-        _expect(
-            isinstance(rate, (int, float))
-            and not isinstance(rate, bool)
-            and 0.0 <= float(rate) <= 1.0,
-            "bad-request",
-            "params.fault_rate must be a number in [0, 1]",
-        )
-    if "kinds" in params:
-        kinds = params["kinds"]
-        _expect(
-            isinstance(kinds, list)
-            and kinds
-            and all(isinstance(item, str) for item in kinds),
-            "bad-request",
-            "params.kinds must be a non-empty list of fault-kind names",
-        )
-    if "budget" in params:
-        _expect(
-            isinstance(params["budget"], str) and params["budget"],
-            "bad-request",
-            "params.budget must be a volume string in nl",
-        )
+    # the stress ranges; fault-kind names and budget volumes are checked
+    # when the job runs (``bad-params``)
+    for param in STRESS_PARAMS:
+        if param.key in params:
+            _expect(
+                param.accepts(params[param.key]),
+                "bad-request",
+                f"params.{param.key} must be {param.expects}",
+            )
     return dict(params)
 
 
 def parse_job_request(
-    body: Any,
-    *,
-    machines: tuple[str, ...] = ("aquacore", "aquacore-xl"),
-    max_source_bytes: int = DEFAULT_MAX_SOURCE_BYTES,
+    body: Any, *, max_source_bytes: int = DEFAULT_MAX_SOURCE_BYTES
 ) -> JobRequest:
     """Validate a decoded submit body into a :class:`JobRequest`.
 
@@ -201,11 +171,11 @@ def parse_job_request(
         "bad-request",
         "name must be a string of at most 128 chars",
     )
-    machine = body.get("machine", machines[0])
+    machine = body.get("machine", "aquacore")
     _expect(
-        machine in machines,
+        isinstance(machine, str) and machine in MACHINES,
         "bad-request",
-        f"machine must be one of {machines}, got {machine!r}",
+        f"machine must be one of {tuple(MACHINES)}, got {machine!r}",
     )
     options = body.get("options", {})
     _expect(
@@ -228,9 +198,10 @@ def parse_job_request(
     )
     if "objective" in options:
         _expect(
-            options["objective"] in _OBJECTIVES,
+            isinstance(options["objective"], str)
+            and options["objective"] in OBJECTIVES,
             "bad-request",
-            f"options.objective must be one of {_OBJECTIVES}, "
+            f"options.objective must be one of {tuple(OBJECTIVES)}, "
             f"got {options['objective']!r}",
         )
     params = body.get("params", {})

@@ -13,8 +13,9 @@ same pass manager as the CLI:
 * **identical concurrent submissions coalesce**: the first becomes the
   leader, every other job (any tenant) awaits the same result and each
   deposits the entry into its *own* tenant namespace;
-* **lint / certify / stress** jobs run in worker threads and return the
-  exact v1 JSON reports the CLI emits.
+* **lint / certify / stress** jobs run in worker threads through the job
+  bodies the CLI runs (:data:`repro.commands.JOBS`) and return the exact
+  v1 JSON reports the CLI emits.
 
 Endpoints (wire schema v1, see ``docs/SERVICE.md``)::
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +41,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..commands import JOBS, ParamError
 from ..compiler import pool as pool_module
 from ..compiler.cache import PlanCache, TenantCache, _TENANT_RE, entry_from_plan
 from ..compiler.diagnostics import severity_counts
@@ -48,8 +51,9 @@ from ..core.errors import VolumeError
 from ..core.fingerprint import compile_fingerprint, plan_key
 from ..core.hierarchy import VolumeManager
 from ..core.serde import SerdeError, dag_from_dict, dag_to_dict
+from ..ir.parse import AISParseError
 from ..lang.errors import FrontendError
-from ..machine.spec import AQUACORE_SPEC, AQUACORE_XL_SPEC, MachineSpec
+from ..machine.spec import MACHINES, MachineSpec
 from .httpio import HttpError, HttpRequest, read_request, response_bytes
 from .jobs import Job, JobState, JobStore
 from .metrics import MetricsRegistry
@@ -68,11 +72,6 @@ __all__ = [
     "ServiceHandle",
     "start_in_thread",
 ]
-
-MACHINES: dict[str, MachineSpec] = {
-    "aquacore": AQUACORE_SPEC,
-    "aquacore-xl": AQUACORE_XL_SPEC,
-}
 
 
 class JobFailure(Exception):
@@ -120,11 +119,6 @@ def _error_payload(code: str, message: str) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # job execution (thread / pool side)
 # ---------------------------------------------------------------------------
-def _options_for(spec: MachineSpec, raw: dict[str, bool | str]) -> dict[str, Any]:
-    """Normalize request options to the full fingerprint knob set."""
-    return VolumeManager(spec.limits, **raw).options_dict()
-
-
 def _prepare_compile(
     request: JobRequest, spec: MachineSpec, options: dict[str, Any]
 ):
@@ -137,8 +131,23 @@ def _prepare_compile(
     return dag, aux_fluids, fingerprint
 
 
-def _compile_summary(ctx, bus: PassEventBus, fingerprint: str) -> dict[str, Any]:
-    """The JSON-able outcome of one in-process compile context."""
+def _compile(
+    dag, aux_fluids, spec: MachineSpec, options, fingerprint: str, cache
+) -> dict[str, Any]:
+    """Compile one front-ended DAG; the JSON-able outcome, warm or cold."""
+    bus = PassEventBus()
+    manager = VolumeManager(spec.limits, **options)
+    try:
+        ctx = run_compile(
+            dag=dag,
+            aux_fluids=tuple(aux_fluids),
+            spec=spec,
+            manager=manager,
+            cache=cache,
+            bus=bus,
+        )
+    except (FrontendError, VolumeError) as error:
+        return {"ok": False, "code": "compile-error", "detail": str(error)}
     compiled = ctx.compiled
     entry = None
     if compiled.plan is not None:
@@ -161,7 +170,7 @@ def _compile_summary(ctx, bus: PassEventBus, fingerprint: str) -> dict[str, Any]
         "events": events_payload(
             bus,
             program=compiled.name,
-            machine=ctx.spec.name,
+            machine=spec.name,
             fingerprint=fingerprint,
         ),
     }
@@ -174,144 +183,14 @@ def _compile_cold(payload: dict[str, Any]) -> dict[str, Any]:
     arrives in serde form (no re-parse), the plan entry travels back for
     the parent to deposit into the submitting tenants' namespaces.
     """
-    spec: MachineSpec = payload["spec"]
-    dag = dag_from_dict(payload["dag"])
-    bus = PassEventBus()
-    manager = VolumeManager(spec.limits, **payload["options"])
-    try:
-        ctx = run_compile(
-            dag=dag,
-            aux_fluids=tuple(payload["aux_fluids"]),
-            spec=spec,
-            manager=manager,
-            bus=bus,
-            cache=pool_module.worker_cache(),
-        )
-    except (FrontendError, VolumeError) as error:
-        return {"ok": False, "code": "compile-error", "detail": str(error)}
-    return _compile_summary(ctx, bus, payload["fingerprint"])
-
-
-def _compile_warm(
-    request: JobRequest,
-    spec: MachineSpec,
-    options: dict[str, Any],
-    dag,
-    aux_fluids,
-    fingerprint: str,
-    cache: TenantCache,
-) -> dict[str, Any]:
-    """Serve one warm job in-process through the tenant cache view."""
-    bus = PassEventBus()
-    manager = VolumeManager(spec.limits, **options)
-    try:
-        ctx = run_compile(
-            dag=dag,
-            aux_fluids=tuple(aux_fluids),
-            spec=spec,
-            manager=manager,
-            cache=cache,
-            bus=bus,
-        )
-    except (FrontendError, VolumeError) as error:
-        raise JobFailure("compile-error", str(error)) from error
-    return _compile_summary(ctx, bus, fingerprint)
-
-
-def _run_lint(request: JobRequest, spec: MachineSpec, options) -> dict[str, Any]:
-    from ..analysis import lint_program, lint_text
-    from ..ir.parse import AISParseError
-
-    if request.params.get("assay"):
-        compiled = _compile_for_analysis(request, spec, options)
-        report = lint_program(compiled.program, spec)
-    else:
-        try:
-            report = lint_text(request.source, spec, name=request.name)
-        except AISParseError as error:
-            raise JobFailure("parse-error", str(error)) from error
-    return {
-        "report": report.to_dict(),
-        "artifact": report.render_json() + "\n",
-        "exit_code": report.exit_code,
-    }
-
-
-def _run_certify(request: JobRequest, spec: MachineSpec, options) -> dict[str, Any]:
-    from ..analysis.certify import certify, certify_program
-    from ..ir.parse import AISParseError, parse_ais
-    from ..machine.topology import bus_topology, ring_topology
-
-    builder = {"bus": bus_topology, "ring": ring_topology}[
-        request.params.get("topology", "bus")
-    ]
-    topology = builder(spec)
-    if request.params.get("assay"):
-        compiled = _compile_for_analysis(request, spec, options)
-        report = certify(compiled, topology=topology)
-    else:
-        try:
-            program = parse_ais(request.source, name=request.name)
-        except AISParseError as error:
-            raise JobFailure("parse-error", str(error)) from error
-        report = certify_program(program, spec, topology=topology)
-    return {
-        "report": report.to_dict(),
-        "artifact": report.render_json() + "\n",
-        "exit_code": report.exit_code,
-    }
-
-
-def _run_stress(
-    request: JobRequest, spec: MachineSpec, options, cache
-) -> dict[str, Any]:
-    from ..core.limits import as_fraction
-    from ..machine.faults import parse_kinds
-    from ..machine.interpreter import Machine
-    from ..runtime.stress import stress_compiled
-
-    params = request.params
-    try:
-        kinds = (
-            parse_kinds(params["kinds"]) if params.get("kinds") else None
-        )
-    except ValueError as error:
-        raise JobFailure("bad-params", str(error)) from error
-    try:
-        budget = (
-            as_fraction(params["budget"]) if params.get("budget") else None
-        )
-    except ValueError as error:
-        raise JobFailure("bad-params", str(error)) from error
-    compiled = _compile_for_analysis(request, spec, options, cache=cache)
-    report = stress_compiled(
-        compiled,
-        seeds=params.get("seeds", 10),
-        fault_rate=params.get("fault_rate", 0.05),
-        **({"kinds": kinds} if kinds is not None else {}),
-        budget=budget,
-        machine_factory=lambda: Machine(spec),
+    return _compile(
+        dag_from_dict(payload["dag"]),
+        payload["aux_fluids"],
+        payload["spec"],
+        payload["options"],
+        payload["fingerprint"],
+        pool_module.worker_cache(),
     )
-    survived_all = report.survived == len(report.scenarios)
-    return {
-        "report": report.to_dict(),
-        "artifact": report.render_json() + "\n",
-        "exit_code": 0 if survived_all else 1,
-    }
-
-
-def _compile_for_analysis(
-    request: JobRequest, spec: MachineSpec, options, cache=None
-):
-    """Assay source -> CompiledAssay for the analyzer/stress job kinds."""
-    manager = VolumeManager(spec.limits, **options)
-    try:
-        ctx = run_compile(
-            source=request.source, spec=spec, manager=manager, cache=cache
-        )
-    except (FrontendError, VolumeError) as error:
-        raise JobFailure("frontend-error", str(error)) from error
-    return ctx.compiled
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +379,7 @@ class ReproService:
         body = request.json()
         try:
             job_request = parse_job_request(
-                body,
-                machines=tuple(sorted(MACHINES)),
-                max_source_bytes=self.config.max_source_bytes,
+                body, max_source_bytes=self.config.max_source_bytes
             )
         except SchemaError as error:
             self.metrics.request_rejected()
@@ -612,34 +489,45 @@ class ReproService:
             )
 
     async def _execute(self, job: Job) -> None:
-        spec = MACHINES[job.request.machine]
-        options = _options_for(spec, job.request.options)
+        request = job.request
+        spec = MACHINES[request.machine]
+        # the full fingerprint knob set
+        options = VolumeManager(spec.limits, **request.options).options_dict()
         loop = asyncio.get_running_loop()
-        if job.request.kind == "compile":
+        if request.kind == "compile":
             await self._execute_compile(job, spec, options, loop)
             return
         tcache = self.tenant_cache(job.tenant)
-        if job.request.kind == "lint":
-            summary = await loop.run_in_executor(
-                self._threads, _run_lint, job.request, spec, options
-            )
-        elif job.request.kind == "certify":
-            summary = await loop.run_in_executor(
-                self._threads, _run_certify, job.request, spec, options
-            )
-        else:  # stress
-            summary = await loop.run_in_executor(
-                self._threads, _run_stress, job.request, spec, options, tcache
-            )
-        job.artifact = summary["artifact"].encode("utf-8")
+        body = functools.partial(
+            JOBS[request.kind],
+            request.source,
+            spec,
+            options,
+            request.params,
+            name=request.name,
+            # stress compiles through the tenant's plan cache; lint and
+            # certify of an assay compile uncached
+            cache=tcache if request.kind == "stress" else None,
+        )
+        try:
+            report = await loop.run_in_executor(self._threads, body)
+        except AISParseError as error:
+            raise JobFailure("parse-error", str(error)) from error
+        except (FrontendError, VolumeError) as error:
+            raise JobFailure("frontend-error", str(error)) from error
+        except ParamError as error:
+            raise JobFailure(
+                "bad-params", f"params.{error.param.key}: {error}"
+            ) from error
+        job.artifact = (report.render_json() + "\n").encode("utf-8")
         job.artifact_type = "application/json; charset=utf-8"
         job.result = {
             "version": WIRE_SCHEMA_VERSION,
-            "kind": job.request.kind,
-            "name": job.request.name,
+            "kind": request.kind,
+            "name": request.name,
             "machine": spec.name,
-            "report": summary["report"],
-            "exit_code": summary["exit_code"],
+            "report": report.to_dict(),
+            "exit_code": report.exit_code,
         }
 
     async def _execute_compile(self, job, spec, options, loop) -> None:
@@ -653,12 +541,11 @@ class ReproService:
             job.cache = "hit"
             summary = await loop.run_in_executor(
                 self._threads,
-                _compile_warm,
-                job.request,
-                spec,
-                options,
+                _compile,
                 dag,
                 aux_fluids,
+                spec,
+                options,
                 fingerprint,
                 tcache,
             )
@@ -691,6 +578,8 @@ class ReproService:
                 finally:
                     self._inflight.pop(fingerprint, None)
                 deposit = True
+        if not summary["ok"]:
+            raise JobFailure(summary["code"], summary["detail"])
         if deposit and summary.get("entry") is not None:
             tcache.put(plan_key(fingerprint), summary["entry"])
         if summary["events"] is not None and not job.coalesced:
@@ -748,8 +637,6 @@ class ReproService:
             summary = await loop.run_in_executor(
                 self._threads, _compile_cold, payload
             )
-        if not summary["ok"]:
-            raise JobFailure(summary["code"], summary["detail"])
         return summary
 
 

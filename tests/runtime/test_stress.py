@@ -110,3 +110,20 @@ class TestStressCli:
         assert code == 0
         with pytest.raises(SystemExit, match="unknown fault kind"):
             main(["stress", assay_file, "--kinds", "gremlins"])
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seeds", "0"], "--seeds: must be an integer in"),
+            (["--fault-rate", "7"], "--fault-rate: must be a number in"),
+            (["--budget=-5"], "--budget: must be a non-negative volume"),
+            (["--budget", "1/0"], "--budget: must be a non-negative volume"),
+        ],
+    )
+    def test_out_of_range_params_rejected(
+        self, assay_file, capsys, flags, message
+    ):
+        """The CLI applies the wire's stress ranges: no vacuous 0/0 pass."""
+        with pytest.raises(SystemExit, match=message):
+            main(["stress", assay_file, *flags])
+        assert capsys.readouterr().out == ""

@@ -8,6 +8,7 @@ loop survives each one.
 
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -81,6 +82,16 @@ class TestLifecycle:
         assert len(result["report"]["scenarios"]) == 2
         artifact = json.loads(client.artifact(response["job"]["id"]))
         assert artifact == result["report"]
+        # names and volumes are checked when the job runs: a negative
+        # budget fails the same way as a malformed one
+        for budget in ("-5", "lots"):
+            job = client.submit(
+                "stress", paper_example.SOURCE, params={"budget": budget}
+            )
+            final = client.wait(job["id"])
+            assert final["state"] == "failed"
+            assert final["error"]["code"] == "bad-params"
+            assert "params.budget" in final["error"]["message"]
 
     def test_failed_job_reports_error(self, client):
         job = client.submit("compile", "ASSAY broken\nSTART\nBOGUS;\nEND")
@@ -118,20 +129,35 @@ class TestLifecycle:
         for job_id in ids:
             client.wait(job_id)
 
-    def test_cancel_queued_job(self, service, client):
+    def test_cancel_queued_job(self, service, client, monkeypatch):
+        """Deterministic: the blocker holds the one worker until the gate
+        opens, and the gate opens only after the cancel."""
+        from repro.service import server as server_module
+
+        gate = threading.Event()
+        real_stress = server_module.JOBS["stress"]
+
+        def gated_stress(*args, **kwargs):
+            assert gate.wait(timeout=120), "gate never released"
+            return real_stress(*args, **kwargs)
+
+        monkeypatch.setitem(server_module.JOBS, "stress", gated_stress)
         # one worker: the stress job occupies it, the compile queues
         blocker = client.submit(
             "stress", glucose.SOURCE, params={"seeds": 40}
         )
-        deadline = time.monotonic() + 60
-        while client.status(blocker["id"])["state"] == "queued":
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        victim = client.submit("compile", paper_example.SOURCE)
-        assert client.status(victim["id"])["state"] == "queued"
-        client.cancel(victim["id"])
-        final = client.wait(victim["id"])
-        assert final["state"] == "cancelled"
+        try:
+            deadline = time.monotonic() + 60
+            while client.status(blocker["id"])["state"] == "queued":
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            victim = client.submit("compile", paper_example.SOURCE)
+            assert client.status(victim["id"])["state"] == "queued"
+            client.cancel(victim["id"])
+            final = client.wait(victim["id"])
+            assert final["state"] == "cancelled"
+        finally:
+            gate.set()
         assert client.wait(blocker["id"])["state"] == "done"
         metrics = client.metrics()
         assert metrics["jobs"]["compile"]["cancelled"] == 1

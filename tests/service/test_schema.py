@@ -48,6 +48,7 @@ class TestTopLevel:
 
     def test_unknown_machine(self):
         rejects(body(machine="dropbot"), "bad-request")
+        rejects(body(machine=["aquacore"]), "bad-request")
 
     def test_bad_name(self):
         rejects(body(name=""), "bad-request")
@@ -80,6 +81,7 @@ class TestOptions:
         error = rejects(body(options={"objective": "speed"}), "bad-request")
         assert "objective" in str(error)
         rejects(body(options={"objective": True}), "bad-request")
+        rejects(body(options={"objective": ["waste"]}), "bad-request")
 
 
 class TestParams:
@@ -100,6 +102,10 @@ class TestParams:
         assert request.params["topology"] == "ring"
         rejects(
             body(kind="certify", params={"topology": "mesh"}), "bad-request"
+        )
+        rejects(
+            body(kind="certify", params={"topology": {"bus": 1}}),
+            "bad-request",
         )
 
     def test_stress_bounds(self):
