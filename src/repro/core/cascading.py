@@ -87,12 +87,23 @@ def is_extreme_mix(
     With the paper's 100 nl / 100 pl hardware the dynamic range is 1000, so
     a 1:999 mix (minor share 1/1000) is extreme while 1:99 (1/100) is not.
     """
+    return _is_extreme(dag, node_id, _minor_share_limit(limits), slack)
+
+
+def _minor_share_limit(limits: HardwareLimits) -> Fraction:
+    """The largest extreme minor share: ``1 / dynamic range``."""
+    return limits.least_count / limits.max_capacity
+
+
+def _is_extreme(
+    dag: AssayDAG, node_id: str, share_limit: Fraction, slack: Fraction
+) -> bool:
     node = dag.node(node_id)
     inbound = [e for e in dag.in_edges(node_id) if not e.is_excess]
     if node.kind is not NodeKind.MIX or len(inbound) < 2:
         return False
     minor = min(edge.fraction for edge in inbound)
-    return minor * slack <= 1 / limits.dynamic_range
+    return minor * slack <= share_limit
 
 
 def find_extreme_mixes(
@@ -102,10 +113,11 @@ def find_extreme_mixes(
     slack: Fraction = Fraction(1),
 ) -> list[str]:
     """All mix nodes with an extreme minor share, in topological order."""
+    share_limit = _minor_share_limit(limits)
     return [
         node_id
         for node_id in dag.topological_order()
-        if is_extreme_mix(dag, node_id, limits, slack=slack)
+        if _is_extreme(dag, node_id, share_limit, slack)
     ]
 
 

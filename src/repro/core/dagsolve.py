@@ -29,10 +29,15 @@ would otherwise *be* the solve):
   denominator ``M``, grown lazily — a division ``v * p / q`` that would be
   inexact first multiplies ``M`` (and every stored value) by
   ``q // gcd(v * p, q)``, after which it divides evenly;
-* the dispensing pass picks its scale as an integer ratio and divides
-  once per result;
-* results materialize as ``Fraction(int_value, M)`` in canonical form, so
-  they are the exact rationals Figure 4 defines.
+* the dispensing pass picks its scale as an integer ratio ``num / den``
+  and keeps the backward pass's integers: volume ``= int_value * num /
+  (M * den)``;
+* results are read-only exact views over those integers.  An entry
+  becomes the canonical ``Fraction`` Figure 4 defines only when it is
+  first read, and reading a whole table materializes it once.  The
+  feasibility verdicts (:meth:`VolumeAssignment.violations`,
+  :meth:`~VolumeAssignment.min_edge`) compare the integers directly, so a
+  failed attempt builds a Fraction only for each violator's volume.
 
 The backward pass reads a flat per-DAG context (reverse-topological row
 tuples with pre-resolved edge keys and ratio numerators/denominators),
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from math import gcd
 
 from .dag import AssayDAG, NodeKind
@@ -73,6 +78,97 @@ _Scaled = tuple[dict[str, int], dict[str, int], dict[EdgeKey, int], int]
 _CONTEXT_KEY = "dagsolve-context"
 
 
+def _fraction(num: int, den: int, _new=object.__new__, _gcd=gcd) -> Fraction:
+    """``Fraction(num, den)`` for a known-positive ``den``.
+
+    Result materialization dominates the solve once the integer passes are
+    this cheap, and ``Fraction.__new__``'s type dispatch is most of that
+    cost.  Both arguments are plain ints here and ``den`` (a scale product)
+    is always positive, so reduce by gcd and fill the slots directly — the
+    canonical form is identical to the public constructor's.
+    """
+    g = _gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    f = _new(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
+
+
+class _ExactTable(Mapping):
+    """Read-only exact view of one integer table: ``value = int * num / den``.
+
+    DAGSolve's results (three Vnorm tables, three volume tables) are views
+    over the backward pass's integers.  ``basis`` is the ``(num, den)`` pair
+    with ``num >= 0`` and ``den > 0``; the tables of one result share one
+    basis object, so their integers compare directly.  An entry becomes a
+    canonical :class:`Fraction` when first read; a whole-table read
+    (``items``, ``values``, ``==``) materializes every entry once, in the
+    integers' order.
+    """
+
+    __slots__ = ("_ints", "_basis", "_values", "_full")
+
+    def __init__(self, ints: dict, basis: tuple[int, int]) -> None:
+        self._ints = ints
+        self._basis = basis
+        self._values: dict = {}
+        self._full = False
+
+    def __getitem__(self, key) -> Fraction:
+        value = self._values.get(key)
+        if value is None:
+            num, den = self._basis
+            value = self._values[key] = _fraction(self._ints[key] * num, den)
+        return value
+
+    def __contains__(self, key) -> bool:
+        return key in self._ints
+
+    def __iter__(self) -> Iterator:
+        return iter(self._ints)
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+    def _materialized(self) -> dict:
+        if not self._full:
+            values = self._values
+            num, den = self._basis
+            self._values = {
+                key: values[key] if key in values else _fraction(v * num, den)
+                for key, v in self._ints.items()
+            }
+            self._full = True
+        return self._values
+
+    def items(self):
+        return self._materialized().items()
+
+    def values(self):
+        return self._materialized().values()
+
+    def __repr__(self) -> str:
+        return repr(self._materialized())
+
+
+def _shared_basis(
+    first: Mapping, second: Mapping, third: Mapping
+) -> tuple[int, int] | None:
+    """The basis of three views over one result's integers, else None."""
+    if (
+        type(first) is _ExactTable
+        and type(second) is _ExactTable
+        and type(third) is _ExactTable
+    ):
+        basis = first._basis
+        if second._basis is basis and third._basis is basis:
+            return basis
+    return None
+
+
 @dataclass
 class VnormResult:
     """Vnorms produced by the backward pass.
@@ -82,11 +178,15 @@ class VnormResult:
     entering the node; it differs from production only for nodes with
     ``output_fraction != 1`` (separators) and is the quantity bounded by the
     capacity constraint (paper Figure 3 bounds ``K = r + s``).
+
+    :func:`compute_vnorms` returns the three tables as read-only views over
+    the backward pass's integers, which :func:`dispense` reuses as they
+    are; tables of any other origin are plain dicts.
     """
 
-    node_vnorm: dict[str, Fraction]
-    node_input_vnorm: dict[str, Fraction]
-    edge_vnorm: dict[EdgeKey, Fraction]
+    node_vnorm: Mapping[str, Fraction]
+    node_input_vnorm: Mapping[str, Fraction]
+    edge_vnorm: Mapping[EdgeKey, Fraction]
     #: number of node and edge visits; used by tests to certify linearity.
     nodes_visited: int = 0
     edges_visited: int = 0
@@ -128,13 +228,19 @@ class VolumeAssignment:
     Produced by :func:`dispense` (DAGSolve), by the LP/ILP solvers, or by the
     run-time assigner; consumers (codegen, the simulator, the benchmarks)
     treat all sources uniformly.
+
+    DAGSolve's tables are read-only exact views over its integers, and its
+    verdicts (:meth:`violations`, :meth:`min_edge`,
+    :meth:`min_edge_volume`) compare those integers.  To fabricate a
+    different assignment, pass new dicts (``dataclasses.replace(a,
+    node_volume={...})``); every other table takes the Fraction path.
     """
 
     dag: AssayDAG
     limits: HardwareLimits
-    node_volume: dict[str, Fraction]
-    node_input_volume: dict[str, Fraction]
-    edge_volume: dict[EdgeKey, Fraction]
+    node_volume: Mapping[str, Fraction]
+    node_input_volume: Mapping[str, Fraction]
+    edge_volume: Mapping[EdgeKey, Fraction]
     scale: Fraction | None = None
     method: str = "dagsolve"
     vnorms: VnormResult | None = None
@@ -144,14 +250,35 @@ class VolumeAssignment:
     meta: dict[str, object] = field(default_factory=dict)
 
     # -- inspection ----------------------------------------------------
-    def min_edge_volume(self) -> Fraction:
-        if not self.edge_volume:
-            raise VolumeError("assignment has no edges")
-        return min(self.edge_volume.values())
+    def _integer_basis(self) -> tuple[int, int] | None:
+        """The shared ``(num, den)`` basis when the tables are DAGSolve's
+        own views and the checks are strict, else None (Fraction path).
+
+        ``num > 0`` keeps the integer order equal to the volume order, so
+        ties in :meth:`min_edge` break exactly as on the Fraction path.
+        """
+        if self.tolerance:
+            return None
+        basis = _shared_basis(
+            self.node_volume, self.node_input_volume, self.edge_volume
+        )
+        if basis is None or basis[0] <= 0:
+            return None
+        return basis
 
     def min_edge(self) -> tuple[EdgeKey, Fraction]:
-        key = min(self.edge_volume, key=self.edge_volume.__getitem__)
+        """The edge with the smallest volume (first in table order on ties)."""
+        if not self.edge_volume:
+            raise VolumeError("assignment has no edges")
+        if self._integer_basis() is not None:
+            ints = self.edge_volume._ints
+            key = min(ints, key=ints.__getitem__)
+        else:
+            key = min(self.edge_volume, key=self.edge_volume.__getitem__)
         return key, self.edge_volume[key]
+
+    def min_edge_volume(self) -> Fraction:
+        return self.min_edge()[1]
 
     def max_node_volume(self) -> Fraction:
         return max(
@@ -166,33 +293,102 @@ class VolumeAssignment:
         share never needs to be metered separately — it simply stays behind
         in the functional unit.
         """
+        basis = self._integer_basis()
+        if basis is not None:
+            return self._integer_violations(basis)
         found: list[Violation] = []
         slack = self.tolerance
+        least_count = self.limits.least_count
+        floor = least_count - slack
         for edge in self.dag.edges():
             volume = self.edge_volume[edge.key]
-            if not edge.is_excess and volume < self.limits.least_count - slack:
+            if not edge.is_excess and volume < floor:
                 found.append(
                     Violation(
                         "underflow",
                         f"{edge.src}->{edge.dst}",
                         volume,
-                        self.limits.least_count,
+                        least_count,
                     )
                 )
+        max_capacity = self.limits.max_capacity
+        default_ceiling = max_capacity + slack
         for node in self.dag.nodes():
-            capacity = node.capacity or self.limits.max_capacity
+            capacity = node.capacity or max_capacity
+            ceiling = capacity + slack if node.capacity else default_ceiling
             load = max(
                 self.node_volume[node.id], self.node_input_volume[node.id]
             )
-            if load > capacity + slack:
+            if load > ceiling:
                 found.append(Violation("overflow", node.id, load, capacity))
             if node.min_volume is not None:
                 held = self.node_input_volume[node.id]
                 if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
                     held = self.node_volume[node.id]
-                if held < node.min_volume - slack:
+                minimum = node.min_volume
+                if held < (minimum - slack if slack else minimum):
                     found.append(
-                        Violation("min-volume", node.id, held, node.min_volume)
+                        Violation("min-volume", node.id, held, minimum)
+                    )
+        return found
+
+    def _integer_violations(self, basis: tuple[int, int]) -> list[Violation]:
+        """:meth:`violations` over the views' integers.
+
+        A volume is ``v * num / den``, so ``volume < p / q`` is
+        ``v * num * q < p * den``; only a violator's volume is read as a
+        Fraction.
+        """
+        num, den = basis
+        node_table = self.node_volume
+        held_table = self.node_input_volume
+        edge_table = self.edge_volume
+        node_ints = node_table._ints
+        held_ints = held_table._ints
+        edge_ints = edge_table._ints
+        found: list[Violation] = []
+        least_count = self.limits.least_count
+        factor = num * least_count.denominator
+        bound = least_count.numerator * den
+        for edge in self.dag.edges():
+            if not edge.is_excess and edge_ints[edge.key] * factor < bound:
+                found.append(
+                    Violation(
+                        "underflow",
+                        f"{edge.src}->{edge.dst}",
+                        edge_table[edge.key],
+                        least_count,
+                    )
+                )
+        max_capacity = self.limits.max_capacity
+        for node in self.dag.nodes():
+            node_id = node.id
+            produced = node_ints[node_id]
+            entering = held_ints[node_id]
+            capacity = node.capacity or max_capacity
+            if (
+                max(produced, entering) * num * capacity.denominator
+                > capacity.numerator * den
+            ):
+                load = (
+                    node_table[node_id]
+                    if produced >= entering
+                    else held_table[node_id]
+                )
+                found.append(Violation("overflow", node_id, load, capacity))
+            minimum = node.min_volume
+            if minimum is not None:
+                held, table = entering, held_table
+                if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
+                    held, table = produced, node_table
+                if (
+                    held * num * minimum.denominator
+                    < minimum.numerator * den
+                ):
+                    found.append(
+                        Violation(
+                            "min-volume", node_id, table[node_id], minimum
+                        )
                     )
         return found
 
@@ -238,25 +434,6 @@ def _check_solvable(dag: AssayDAG) -> None:
                 "and downstream uses; partition the DAG first "
                 "(repro.core.partition) before running DAGSolve"
             )
-
-
-def _fraction(num: int, den: int, _new=object.__new__, _gcd=gcd) -> Fraction:
-    """``Fraction(num, den)`` for a known-positive ``den``.
-
-    Result materialization dominates the solve once the integer passes are
-    this cheap, and ``Fraction.__new__``'s type dispatch is most of that
-    cost.  Both arguments are plain ints here and ``den`` (a scale product)
-    is always positive, so reduce by gcd and fill the slots directly — the
-    canonical form is identical to the public constructor's.
-    """
-    g = _gcd(num, den)
-    if g > 1:
-        num //= g
-        den //= g
-    f = _new(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
 
 
 class _SolveContext:
@@ -480,10 +657,11 @@ def _backward(
 
 def _vnorm_result(scaled: _Scaled, context: _SolveContext) -> VnormResult:
     node_vn, node_in, edge_vn, scale = scaled
+    basis = (1, scale)
     return VnormResult(
-        node_vnorm={n: _fraction(v, scale) for n, v in node_vn.items()},
-        node_input_vnorm={n: _fraction(v, scale) for n, v in node_in.items()},
-        edge_vnorm={k: _fraction(v, scale) for k, v in edge_vn.items()},
+        node_vnorm=_ExactTable(node_vn, basis),
+        node_input_vnorm=_ExactTable(node_in, basis),
+        edge_vnorm=_ExactTable(edge_vn, basis),
         nodes_visited=context.nodes_visited,
         edges_visited=context.edges_visited,
     )
@@ -502,7 +680,8 @@ def compute_vnorms(
             proportions; the default normalises every output to 1).
 
     Returns:
-        A :class:`VnormResult` with exact rational Vnorms.
+        A :class:`VnormResult` with exact rational Vnorms (read-only views
+        over the pass's integers).
     """
     context = _context(dag)
     scaled = _backward(context, _validated_targets(context, output_targets))
@@ -514,7 +693,8 @@ def _common_denominator(vnorms: VnormResult) -> _Scaled:
 
     Vnorms restored from a cache entry (or built by hand) carry no shared
     scale, so the dispensing pass first takes the LCM of their
-    denominators.
+    denominators.  Vnorms from :func:`compute_vnorms` skip this: see
+    :func:`_scaled_vnorms`.
     """
     tables = (vnorms.node_vnorm, vnorms.node_input_vnorm, vnorms.edge_vnorm)
     scale = 1
@@ -535,6 +715,27 @@ def _common_denominator(vnorms: VnormResult) -> _Scaled:
             ints[key] = value.numerator * factor
         scaled.append(ints)
     return scaled[0], scaled[1], scaled[2], scale
+
+
+def _scaled_vnorms(vnorms: VnormResult) -> _Scaled:
+    """The integer tables behind ``vnorms``.
+
+    Vnorms :func:`compute_vnorms` returned are views over the backward
+    pass's integers under basis ``(1, M)``; those are used as they are.
+    Anything else (a cache restore, hand-built tables) goes through
+    :func:`_common_denominator`.
+    """
+    basis = _shared_basis(
+        vnorms.node_vnorm, vnorms.node_input_vnorm, vnorms.edge_vnorm
+    )
+    if basis is not None and basis[0] == 1:
+        return (
+            vnorms.node_vnorm._ints,
+            vnorms.node_input_vnorm._ints,
+            vnorms.edge_vnorm._ints,
+            basis[1],
+        )
+    return _common_denominator(vnorms)
 
 
 def _min_ratio(
@@ -645,19 +846,13 @@ def _forward(
             best = floor
 
     scale_num, scale_den = best
-    denominator = scale * scale_den
+    basis = (scale_num, scale * scale_den)
     return VolumeAssignment(
         dag=dag,
         limits=limits,
-        node_volume={
-            n: _fraction(v * scale_num, denominator) for n, v in node_vn.items()
-        },
-        node_input_volume={
-            n: _fraction(v * scale_num, denominator) for n, v in node_in.items()
-        },
-        edge_volume={
-            k: _fraction(v * scale_num, denominator) for k, v in edge_vn.items()
-        },
+        node_volume=_ExactTable(node_vn, basis),
+        node_input_volume=_ExactTable(node_in, basis),
+        edge_volume=_ExactTable(edge_vn, basis),
         scale=Fraction(scale_num, scale_den),
         method="dagsolve",
         vnorms=vnorms,
@@ -685,7 +880,7 @@ def dispense(
     unchanged: a DAG infeasible under the default anchor is dispensed at
     the anchor so its violations read identically.
     """
-    return _forward(dag, limits, _common_denominator(vnorms), objective, vnorms)
+    return _forward(dag, limits, _scaled_vnorms(vnorms), objective, vnorms)
 
 
 def scale_for_required_outputs(
@@ -743,7 +938,8 @@ def dagsolve(
     """Run both DAGSolve passes and return the volume assignment.
 
     The backward pass hands its integers straight to the forward pass, so
-    nothing is put over a common denominator twice.
+    nothing is put over a common denominator twice, and the result's
+    tables are views over those same integers.
 
     Args:
         dag: validated assay DAG.

@@ -88,10 +88,15 @@ class VolumePlan:
         lines += [f"  {attempt}" for attempt in self.attempts]
         lines += [f"  transform: {report}" for report in self.transforms]
         if self.assignment is not None:
-            key, volume = self.assignment.min_edge()
-            lines.append(
-                f"  min dispense {float(volume):.4g} nl at {key[0]}->{key[1]}"
-            )
+            try:
+                key, volume = self.assignment.min_edge()
+            except VolumeError:
+                lines.append("  no dispense: the assignment has no edges")
+            else:
+                lines.append(
+                    f"  min dispense {float(volume):.4g} nl at "
+                    f"{key[0]}->{key[1]}"
+                )
         return "\n".join(lines)
 
 

@@ -28,7 +28,7 @@ from math import ceil
 from collections.abc import Mapping
 
 from .dag import AssayDAG, Edge, Node, NodeKind
-from .dagsolve import compute_vnorms, dispense
+from .dagsolve import _scaled_vnorms, compute_vnorms, dispense
 from .errors import DagError, ResourceExhaustedError
 from .limits import HardwareLimits
 
@@ -216,9 +216,22 @@ def iterative_replication(
     Ownership: ``dag`` is never mutated, not even when a round raises after
     earlier rewrites.  The first rewrite copies it once and every rewrite
     is then applied in place on that private copy.
+
+    There is no planning-objective parameter on purpose: ``dispense``
+    keeps the same feasibility window under every objective (``waste``
+    only moves the anchor inside it), so which nodes underflow, which node
+    binds and how many copies it needs are the same under all of them.
+
+    Every verdict is taken on DAGSolve's integers (one shared denominator
+    ``M`` per round): the binding search compares ``capacity / load`` as
+    integer ratios, and Fractions are built only for the copy count (the
+    binding node's load and the required scale), the chosen weights, and
+    error text.
     """
     current = dag
     reports: list[ReplicationReport] = []
+    max_capacity = limits.max_capacity
+    least_count = limits.least_count
     for __ in range(max_rounds):
         vnorms = compute_vnorms(current)
         assignment = dispense(current, vnorms, limits)
@@ -228,26 +241,31 @@ def iterative_replication(
         if not underflows:
             return current, reports
         min_key, min_volume = assignment.min_edge()
-        min_vnorm = vnorms.edge_vnorm[min_key]
-        required_scale = limits.least_count / min_vnorm
+        node_vn, node_in, edge_vn, scale = _scaled_vnorms(vnorms)
+        min_vnorm = edge_vn[min_key]
 
         # Find the binding node: the one whose capacity bound yields the
-        # current (insufficient) scale.
+        # current (insufficient) scale.  Its bound ``capacity / (load/M)``
+        # is held as the pair (cap_num, cap_den * load): M is common to
+        # every node and cancels.
         binding_id = None
-        binding_bound = None
+        bound_num = bound_den = 0
         for node in current.nodes():
-            load = max(
-                vnorms.node_vnorm[node.id], vnorms.node_input_vnorm[node.id]
-            )
+            load = max(node_vn[node.id], node_in[node.id])
             if load == 0:
                 continue
-            capacity = node.capacity or limits.max_capacity
-            bound = capacity / load
-            if binding_bound is None or bound < binding_bound:
-                binding_bound = bound
+            capacity = node.capacity or max_capacity
+            num = capacity.numerator
+            den = capacity.denominator * load
+            if binding_id is None or num * bound_den < bound_num * den:
+                bound_num, bound_den = num, den
                 binding_id = node.id
-        assert binding_id is not None and binding_bound is not None
-        if binding_bound >= required_scale:
+        assert binding_id is not None
+        # required scale = least_count / (min_vnorm/M); M cancels again.
+        if (
+            bound_num * least_count.denominator * min_vnorm
+            >= least_count.numerator * bound_den
+        ):
             # Capacity is not the limiter; replication cannot help (the
             # constrained input or the ratio itself binds).
             raise ResourceExhaustedError(
@@ -259,11 +277,11 @@ def iterative_replication(
         uses = [
             e for e in current.out_edges(binding_id) if not e.is_excess
         ]
-        capacity = binding.capacity or limits.max_capacity
-        load = max(
-            vnorms.node_vnorm[binding_id],
-            vnorms.node_input_vnorm[binding_id],
+        capacity = binding.capacity or max_capacity
+        load = Fraction(
+            max(node_vn[binding_id], node_in[binding_id]), scale
         )
+        required_scale = least_count * Fraction(scale, min_vnorm)
         copies = min(len(uses), needed_copies(load, capacity, required_scale))
         if copies < 2:
             raise ResourceExhaustedError(

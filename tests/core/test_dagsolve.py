@@ -5,6 +5,7 @@ exact rationals) — DAGSolve is deterministic rational arithmetic, so there
 is no tolerance anywhere in this file.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -218,9 +219,17 @@ class TestViolations:
 
     def test_overflow_error_type(self, fig2_dag, limits):
         assignment = dagsolve(fig2_dag, limits)
-        # Fabricate an overflow to check the error mapping.
-        assignment.node_volume["B"] = Fraction(1000)
-        assignment.node_input_volume["B"] = Fraction(1000)
+        # Fabricate an overflow to check the error mapping.  DAGSolve's
+        # tables are read-only views, so the fabricated assignment gets
+        # new dicts (and with them the Fraction path of the checks).
+        assignment = dataclasses.replace(
+            assignment,
+            node_volume={**assignment.node_volume, "B": Fraction(1000)},
+            node_input_volume={
+                **assignment.node_input_volume,
+                "B": Fraction(1000),
+            },
+        )
         with pytest.raises(OverflowError_):
             assignment.require_feasible()
 

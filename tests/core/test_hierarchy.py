@@ -1,5 +1,6 @@
 """Volume-management hierarchy tests (paper Figure 6)."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,14 @@ from repro.assays import generators
 from repro.compiler.passes import run_compile
 from repro.core.cascading import CascadeReport
 from repro.core.dag import AssayDAG
+from repro.core.errors import VolumeError
 from repro.core.hierarchy import VolumeManager
 from repro.core.limits import HardwareLimits, PAPER_LIMITS
 from repro.core.replication import ReplicationReport
 from repro.machine.spec import AQUACORE_XL_SPEC
+
+# the module, not the ``repro.core.dagsolve`` function re-exported over it
+dagsolve_module = importlib.import_module("repro.core.dagsolve")
 
 
 class TestHappyPath:
@@ -138,6 +143,62 @@ class TestWorkingCopies:
         ]
         assert len(rewriting) == 2
         assert len(copies) <= len(rewriting)
+
+
+class TestIntegerVerdicts:
+    """DAGSolve's verdicts read its integers, not Fractions."""
+
+    def test_cold_compile_never_rebuilds_a_common_denominator(
+        self, monkeypatch
+    ):
+        """Every dispense in a cold compile reuses the backward pass's
+        integers; only restored or hand-built Vnorms need the LCM."""
+        calls = []
+        original = dagsolve_module._common_denominator
+
+        def counting(vnorms):
+            calls.append(vnorms)
+            return original(vnorms)
+
+        monkeypatch.setattr(dagsolve_module, "_common_denominator", counting)
+        ctx = run_compile(dag=generators.enzyme_n(6), spec=AQUACORE_XL_SPEC)
+        assert ctx.plan.feasible
+        assert calls == []
+
+    def test_failed_attempt_reads_only_its_violators(self, monkeypatch):
+        """A failed DAGSolve attempt materializes one Fraction per
+        violation at most: none for the entries that pass."""
+        made = []
+        original = dagsolve_module._fraction
+
+        def counting(num, den):
+            made.append((num, den))
+            return original(num, den)
+
+        monkeypatch.setattr(dagsolve_module, "_fraction", counting)
+        assignment = dagsolve_module.dagsolve(
+            generators.enzyme_n(6), AQUACORE_XL_SPEC.limits
+        )
+        violations = assignment.violations()
+        assert violations
+        assert len(made) <= len(violations)
+        # the minimum edge underflows, so ranking it reads no new entry
+        assignment.min_edge()
+        assert len(made) <= len(violations)
+
+
+class TestSummary:
+    def test_edgeless_plan_summary(self):
+        """A one-input assay dispenses nothing: ``min_edge`` raises the
+        coded error and the summary says so instead of crashing."""
+        dag = AssayDAG("one")
+        dag.add_input("A")
+        plan = VolumeManager(PAPER_LIMITS).plan(dag)
+        with pytest.raises(VolumeError):
+            plan.assignment.min_edge()
+        with pytest.raises(VolumeError):
+            plan.assignment.min_edge_volume()
+        assert "no dispense" in plan.summary()
 
 
 class TestRegenerationFallback:

@@ -1,5 +1,6 @@
 """Static replication tests (paper Section 3.4.2, Figure 14)."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,12 @@ from repro.core.replication import (
     needed_copies,
     replicate_node,
 )
-from repro.assays import enzyme
+from repro.assays import enzyme, generators, gradients
+from repro.compiler.passes import stages
+from repro.core import replication
+from repro.core.hierarchy import VolumeManager
+from repro.core.limits import PAPER_LIMITS
+from repro.machine.spec import AQUACORE_XL_SPEC
 
 
 def fanout_dag(uses: int) -> AssayDAG:
@@ -177,3 +183,52 @@ class TestIterativeReplication:
             dag.add_mix(f"m{i}", {"stock": 3, f"r{i}": 1})
         with pytest.raises(ResourceExhaustedError):
             iterative_replication(dag, limits, max_total_nodes=81)
+
+
+def _replication_inputs(monkeypatch, dag, limits):
+    """Every DAG the hierarchy hands to replication, under both
+    objectives (their cascades differ, so their inputs may too)."""
+    seen = [dag]
+    original = stages.iterative_replication
+
+    def recording(current, *args, **kwargs):
+        seen.append(current)
+        return original(current, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stages, "iterative_replication", recording)
+        for objective in ("default", "waste"):
+            VolumeManager(limits, objective=objective).plan(dag)
+    return seen
+
+
+def _outcome(dag, limits):
+    try:
+        out, reports = iterative_replication(dag, limits)
+    except ResourceExhaustedError as error:
+        return str(error)
+    return reports, {(edge.key, edge.fraction) for edge in out.edges()}
+
+
+class TestObjectiveIndependence:
+    """``iterative_replication`` takes no objective: ``dispense`` keeps one
+    feasibility window under every objective, so dispensing at the waste
+    anchor instead changes no rewrite."""
+
+    @pytest.mark.parametrize(
+        "dag,limits",
+        [
+            (generators.enzyme_n(5), AQUACORE_XL_SPEC.limits),
+            (generators.enzyme_n(6), AQUACORE_XL_SPEC.limits),
+        ]
+        + [(dag, PAPER_LIMITS) for dag in gradients.gradient_corpus()],
+        ids=lambda value: getattr(value, "name", None),
+    )
+    def test_reports_identical_under_waste(self, monkeypatch, dag, limits):
+        inputs = _replication_inputs(monkeypatch, dag, limits)
+        default = [_outcome(current, limits) for current in inputs]
+        waste_dispense = functools.partial(
+            replication.dispense, objective="waste"
+        )
+        monkeypatch.setattr(replication, "dispense", waste_dispense)
+        assert [_outcome(current, limits) for current in inputs] == default

@@ -1,14 +1,18 @@
 """Reference implementations kept as test oracles.
 
-``src/`` has exactly one DAGSolve, one LP model builder and one backward
-slicer.  The modules here are the straightforward versions they replaced,
-kept verbatim so the property and identity suites can check the
-production code against an independent derivation:
+``src/`` has exactly one DAGSolve, one LP model builder, one backward
+slicer and one replication loop.  The modules here are the
+straightforward versions they replaced, kept verbatim so the property
+and identity suites can check the production code against an
+independent derivation:
 
 * :mod:`oracles.dagsolve` — DAGSolve's two passes in
   :class:`fractions.Fraction` arithmetic (paper Figure 4, line by line);
 * :mod:`oracles.lpmodel` — the LP model built from scratch, one
   constraint row at a time (paper Section 3.2);
 * :mod:`oracles.slicing` — backward slicing that rescans the program on
-  every query (regeneration's code selection, paper Section 1).
+  every query (regeneration's code selection, paper Section 1);
+* :mod:`oracles.replication` — the static-replication loop with every
+  verdict taken in Fraction arithmetic over :mod:`oracles.dagsolve`
+  (paper Section 3.4.2).
 """

@@ -10,6 +10,7 @@ Fraction, every visit counter, every violation verdict, and every
 validation error is exactly what the oracle produces.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assays import generators, glycomics
+from repro.core.dag import NodeKind
 from repro.core.dagsolve import (
     _CONTEXT_KEY,
     _context,
@@ -279,3 +281,92 @@ class TestContextInvalidation:
         assert_same_assignment(
             oracle.dagsolve(dag, PAPER_LIMITS), dagsolve(dag, PAPER_LIMITS)
         )
+
+
+def draw_node_bounds(dag, rng):
+    """Give about a third of the nodes a ``capacity`` and a third a
+    ``min_volume`` (re-drawn on every call)."""
+    for node in dag.nodes():
+        node.capacity = None
+        node.min_volume = None
+        if rng.random() < 0.3:
+            node.capacity = Fraction(rng.randint(5, 150), rng.randint(1, 3))
+        if rng.random() < 0.3:
+            node.min_volume = Fraction(rng.randint(1, 90), rng.randint(1, 3))
+
+
+def assert_same_verdicts(reference, candidate):
+    assert candidate._integer_basis() is not None  # the integer path
+    assert reference._integer_basis() is None  # the Fraction path
+    assert reference.violations() == candidate.violations()
+    assert reference.min_edge() == candidate.min_edge()
+    assert reference.min_edge_volume() == candidate.min_edge_volume()
+
+
+class TestIntegerVerdicts:
+    """``violations()``/``min_edge()`` decide on DAGSolve's integers; the
+    oracle's plain-dict assignments decide in Fractions."""
+
+    @given(
+        seed=dag_seeds,
+        shape=shapes,
+        bounds_seed=st.integers(min_value=0, max_value=10_000),
+        objective=objectives,
+        max_ratio=st.sampled_from([9, 99]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_node_bounds(self, seed, shape, bounds_seed, objective, max_ratio):
+        """Per-node bounds drawn before the solve steer the anchor and the
+        waste floor; bounds re-drawn after it put loads over capacity and
+        holdings under their minimum, so every integer branch runs."""
+        dag = random_dag(seed, shape, max_ratio=max_ratio)
+        rng = random.Random(bounds_seed)
+        draw_node_bounds(dag, rng)
+        reference = oracle.dagsolve(dag, PAPER_LIMITS, objective=objective)
+        candidate = dagsolve(dag, PAPER_LIMITS, objective=objective)
+        assert_same_assignment(reference, candidate)
+        assert_same_verdicts(reference, candidate)
+        draw_node_bounds(dag, rng)
+        assert_same_verdicts(reference, candidate)
+
+    def test_every_violation_kind_is_reached(self):
+        kinds = set()
+        for seed in range(40):
+            dag = random_dag(seed, (3, 3, 2), max_ratio=99)
+            reference = oracle.dagsolve(dag, PAPER_LIMITS)
+            candidate = dagsolve(dag, PAPER_LIMITS)
+            draw_node_bounds(dag, random.Random(seed))
+            assert_same_verdicts(reference, candidate)
+            kinds |= {v.kind for v in candidate.violations()}
+        assert kinds == {"underflow", "overflow", "min-volume"}
+
+    @given(seed=dag_seeds, shape=shapes)
+    @settings(max_examples=30, deadline=None)
+    def test_bounds_met_exactly(self, seed, shape):
+        """A load exactly at capacity and a holding exactly at its minimum
+        pass; one part in 10**12 past either bound fails, as in the
+        oracle."""
+        dag = random_dag(seed, shape, max_ratio=99)
+        reference = oracle.dagsolve(dag, PAPER_LIMITS)
+        candidate = dagsolve(dag, PAPER_LIMITS)
+        nudge = Fraction(1, 10**12)
+        for node in dag.nodes():
+            load = max(
+                candidate.node_volume[node.id],
+                candidate.node_input_volume[node.id],
+            )
+            node.capacity = load
+            node.min_volume = candidate.node_input_volume[node.id]
+            if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
+                node.min_volume = candidate.node_volume[node.id]
+        before = {v.subject for v in candidate.violations()}
+        assert not any(subject in before for subject in dag.node_ids())
+        assert_same_verdicts(reference, candidate)
+        for node in dag.nodes():
+            node.capacity -= nudge
+            node.min_volume += nudge
+        assert_same_verdicts(reference, candidate)
+        flagged = {(v.kind, v.subject) for v in candidate.violations()}
+        for node in dag.nodes():
+            assert ("overflow", node.id) in flagged
+            assert ("min-volume", node.id) in flagged
