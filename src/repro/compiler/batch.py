@@ -11,26 +11,25 @@ traffic, not one at a time.  :func:`compile_many` is that driver:
    content-addressed; identical fingerprints within the batch compile
    exactly once (think a calibration sweep submitting the same dilution
    ladder 50 times);
-3. **fan-out** — unique cold fingerprints are compiled in parallel worker
-   processes (``max_workers``); workers receive the serialized DAG (no
-   re-parsing) and return serialized plan entries, which the parent
-   deposits in the shared :class:`~repro.compiler.cache.PlanCache`.
-   Fan-out runs on the process-wide *persistent* pool
-   (:mod:`repro.compiler.pool`): workers are spawned once with the
-   compiler stack pre-imported and a read-mostly cache handle, then
-   reused by every subsequent batch.
+3. **fan-out** — unique cold fingerprints go to :func:`compile_task`
+   on the process-wide warm pool (:func:`~repro.compiler.pool.pool_map`,
+   ``max_workers``); workers receive the serialized DAG (no re-parsing)
+   and return serialized plan entries, which the parent deposits in the
+   shared :class:`~repro.compiler.cache.PlanCache`.
 
-With ``lint``/``certify`` (or ``materialize_hits=True``), warm hits are
-re-materialized through :func:`~repro.compiler.passes.run_compile` so
-codegen and the analyses run — the plan stage is still served from cache.
-Without them, hits skip everything downstream of the hash lookup, which is
-what gives the warm corpus re-run its order-of-magnitude throughput.
+With ``lint``/``certify``, warm hits run :func:`compile_one` so codegen
+and the analyzers see a real program — the plan stage is still served
+from cache.  Without them, hits skip everything downstream of the hash
+lookup, which is what gives the warm corpus re-run its
+order-of-magnitude throughput.
+
+``repro serve`` runs the same two functions: :func:`compile_one` for
+warm hits, :func:`compile_task` for cold compiles.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 from collections.abc import Mapping, Sequence
@@ -46,9 +45,16 @@ from ..core.hierarchy import VolumeManager
 from ..core.serde import SerdeError, dag_from_dict, dag_to_dict
 from ..lang.errors import FrontendError
 from ..machine.spec import AQUACORE_SPEC, MachineSpec
-from .cache import PlanCache, entry_from_plan
+from . import cache as plan_cache
+from .cache import PlanCache
 from .diagnostics import Severity, severity_counts
-from .passes import front_end_dag, run_compile
+from .passes import (
+    CompiledAssay,
+    PassEventBus,
+    events_payload,
+    front_end_dag,
+    run_compile,
+)
 from .pool import default_workers, pool_map, worker_cache
 
 __all__ = [
@@ -56,6 +62,8 @@ __all__ = [
     "BatchItemResult",
     "BatchReport",
     "compile_many",
+    "compile_one",
+    "compile_task",
     "default_workers",
 ]
 
@@ -192,96 +200,130 @@ class BatchReport:
 
 
 # ---------------------------------------------------------------------------
-# worker side
+# one compile: the body and the pool task both front ends run
 # ---------------------------------------------------------------------------
-def _severity_counts(diagnostics) -> dict[str, int]:
-    """Error/warning tallies via the shared severity table."""
-    return severity_counts(diagnostics.items)
+def compile_one(
+    dag: AssayDAG,
+    aux_fluids: Sequence[str],
+    spec: MachineSpec,
+    options: Mapping[str, object],
+    fingerprint: str,
+    cache: PlanCache | None = None,
+    *,
+    name: str | None = None,
+    lint: bool = False,
+    certify: bool = False,
+    bus: PassEventBus | None = None,
+) -> tuple[CompiledAssay | None, dict[str, Any]]:
+    """Compile one front-ended DAG in-process; returns ``(compiled, summary)``.
 
-
-def _compile_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """Compile one serialized job; runs in a worker process (or inline).
-
-    The payload carries the already-built DAG in serde form, so workers
-    never re-run the frontend.  Returns a JSON-able summary plus the cache
-    entry (or None when the plan is uncacheable / runtime-deferred).
+    A ``cache`` holding ``fingerprint`` serves the plan stage (a warm
+    hit); codegen and the analyzers still run.  The summary is JSON-able
+    and has one shape for every caller: ``ok`` (else ``code``/``detail``),
+    ``plan_status``, ``cacheable``, ``errors``, ``warnings``,
+    ``certified_clean`` (None unless ``certify``), ``listing``,
+    ``events`` (None without a ``bus``) and ``elapsed_s``.
     """
     started = time.perf_counter()
-    spec: MachineSpec = payload["spec"]
-    dag = dag_from_dict(payload["dag"])
-    manager = VolumeManager(spec.limits, **payload["options"])
     try:
         compiled = run_compile(
             dag=dag,
             spec=spec,
-            name=payload["name"],
-            aux_fluids=tuple(payload["aux_fluids"]),
-            manager=manager,
-            lint=payload["lint"],
-            certify=payload["certify"],
-            # inside a persistent-pool worker this is a read-mostly handle
-            # over the parent's cache directory (vnorm memo + plan prefix
-            # hits); inline it is None, exactly as before.
-            cache=worker_cache(),
+            name=name,
+            aux_fluids=tuple(aux_fluids),
+            manager=VolumeManager(spec.limits, **options),
+            lint=lint,
+            certify=certify,
+            cache=cache,
+            bus=bus,
         ).compiled
     except (FrontendError, VolumeError) as error:
-        return {
+        return None, {
             "ok": False,
+            "code": "compile-error",
             "detail": str(error),
             "elapsed_s": time.perf_counter() - started,
         }
-    entry = None
-    cacheable = compiled.plan is not None
-    if cacheable:
-        try:
-            entry = entry_from_plan(
-                compiled.plan, compiled.assignment, payload["fingerprint"]
-            )
-        except SerdeError:
-            cacheable = False
-    counts = _severity_counts(compiled.diagnostics)
-    certified_clean: bool | None = None
-    if payload["certify"]:
-        certified_clean = not any(
-            item.code.startswith(("PLAN-", "SCHED-"))
-            and item.severity is not Severity.NOTE
-            for item in compiled.diagnostics.items
-        )
-    return {
+    items = compiled.diagnostics.items
+    counts = severity_counts(items)
+    return compiled, {
         "ok": True,
-        "entry": entry,
-        "cacheable": cacheable,
         "plan_status": (
             compiled.plan.status if compiled.plan is not None else "runtime"
         ),
+        "cacheable": compiled.plan is not None,
         "errors": counts["error"],
         "warnings": counts["warning"],
-        "certified_clean": certified_clean,
+        "certified_clean": (
+            not any(
+                item.code.startswith(("PLAN-", "SCHED-"))
+                and item.severity is not Severity.NOTE
+                for item in items
+            )
+            if certify
+            else None
+        ),
+        "listing": compiled.listing(),
+        "events": (
+            None
+            if bus is None
+            else events_payload(
+                bus,
+                program=compiled.name,
+                machine=spec.name,
+                fingerprint=fingerprint,
+            )
+        ),
         "elapsed_s": time.perf_counter() - started,
     }
 
 
-# ---------------------------------------------------------------------------
-# parent side
-# ---------------------------------------------------------------------------
-def _frontend(job: BatchJob):
-    """Run the pass-manager front end to (dag, aux_fluids)."""
-    return front_end_dag(job.source, job.dag, job.aux_fluids)
+def compile_task(payload: dict[str, Any]) -> dict[str, Any]:
+    """Compile one cold job; runs in a pool worker or inline.
+
+    The payload carries :func:`compile_one`'s arguments with the DAG in
+    serde form (``"dag"``), so workers never re-run the frontend.  The
+    summary gains ``entry``: the serialized plan for the parent to
+    deposit, or None when the plan is runtime-deferred or does not
+    serialize.  This is the only compile path that makes a cache entry.
+    """
+    arguments = dict(payload)
+    compiled, summary = compile_one(
+        dag_from_dict(arguments.pop("dag")),
+        # in a persistent-pool worker a read-mostly handle over the
+        # parent's cache directory (vnorm memo, plan prefix hits)
+        cache=worker_cache(),
+        bus=PassEventBus(),
+        **arguments,
+    )
+    summary["entry"] = None
+    if summary["ok"] and summary["cacheable"]:
+        try:
+            # looked up on its module, so a tracer wrapping it sees the call
+            summary["entry"] = plan_cache.entry_from_plan(
+                compiled.plan, compiled.assignment, payload["fingerprint"]
+            )
+        except SerdeError:
+            summary["cacheable"] = False
+    return summary
 
 
-def _result_from_summary(
-    name: str, status: str, fingerprint: str, summary: dict[str, Any]
+# ---------------------------------------------------------------------------
+# the batch driver
+# ---------------------------------------------------------------------------
+def _item(
+    name: str, status: str, fingerprint: str, summary: dict, elapsed_s: float
 ) -> BatchItemResult:
+    """One job's result row from a :func:`compile_one` summary."""
+    if not summary["ok"]:
+        return BatchItemResult(
+            name, "failed", fingerprint, elapsed_s,
+            cacheable=False, detail=summary["detail"],
+        )
+    fields = ("plan_status", "cacheable", "errors", "warnings", "certified_clean")
     return BatchItemResult(
-        name=name,
-        status=status,
-        fingerprint=fingerprint,
-        elapsed_s=summary["elapsed_s"],
-        plan_status=summary.get("plan_status"),
-        cacheable=summary.get("cacheable", False),
-        errors=summary.get("errors", 0),
-        warnings=summary.get("warnings", 0),
-        certified_clean=summary.get("certified_clean"),
+        name, status, fingerprint, elapsed_s,
+        **{key: summary[key] for key in fields},
     )
 
 
@@ -294,8 +336,6 @@ def compile_many(
     max_workers: int = 1,
     lint: bool = False,
     certify: bool = False,
-    materialize_hits: bool | None = None,
-    persistent_pool: bool = True,
 ) -> BatchReport:
     """Compile a fleet of assays with dedupe, caching, and fan-out.
 
@@ -307,15 +347,13 @@ def compile_many(
             ``allow_cascading``, ...); part of every fingerprint.
         cache: shared plan cache; a private in-memory one is created when
             omitted (so intra-batch dedupe still works).
-        max_workers: worker processes for cold compiles; ``1`` compiles
-            in-process (still deduped and cached); ``0`` auto-detects.
-        lint / certify: run the analyzers on every job (forces hit
-            materialization).
-        materialize_hits: force warm hits through codegen even without
-            the analyzers; default False unless lint/certify.
-        persistent_pool: fan out on the process-wide warm worker pool
-            (:mod:`repro.compiler.pool`), reused across ``compile_many``
-            calls; ``False`` restores the per-batch throwaway executor.
+        max_workers: worker processes for cold compiles, on the
+            process-wide warm pool (:mod:`repro.compiler.pool`); ``1``
+            compiles in-process (still deduped and cached); ``0``
+            auto-detects.
+        lint / certify: run the analyzers on every job; warm hits then
+            go through :func:`compile_one` with the plan served from
+            cache.
 
     Returns:
         A :class:`BatchReport`; no exception escapes per-job compilation
@@ -325,8 +363,7 @@ def compile_many(
         max_workers = default_workers()
     if max_workers < 1:
         raise ValueError("max_workers must be >= 1 (or 0 for auto)")
-    if materialize_hits is None:
-        materialize_hits = lint or certify
+    materialize = lint or certify
     cache = cache if cache is not None else PlanCache()
     # Normalize to the full knob set so batch fingerprints equal the
     # pipeline's static fingerprints (a manager built from partial options
@@ -337,190 +374,100 @@ def compile_many(
     started = time.perf_counter()
 
     results: list[BatchItemResult | None] = [None] * len(jobs)
-    #: fingerprint -> list of (job index, name); first entry compiles.
-    pending: "dict[str, list[int]]" = {}
+    #: fingerprint -> job indices; the first one compiles.
+    pending: dict[str, list[int]] = {}
     payloads: dict[str, dict[str, Any]] = {}
 
     for index, job in enumerate(jobs):
         item_started = time.perf_counter()
-        src_fp: str | None = None
+        src_fp = fingerprint = entry = None
         if job.source is not None:
             src_fp = source_fingerprint(job.source, spec, options)
-            if not materialize_hits:
+            if not materialize:
+                # warm fast path: a known source skips the front end
                 fingerprint = cache.get_source_fingerprint(src_fp)
-                if fingerprint is not None:
-                    entry = cache.get(plan_key(fingerprint))
-                    if entry is not None:
-                        results[index] = BatchItemResult(
-                            name=job.name,
-                            status="hit",
-                            fingerprint=fingerprint,
-                            elapsed_s=time.perf_counter() - item_started,
-                            plan_status=entry["plan"]["status"],
-                            cacheable=True,
-                        )
-                        continue
-        try:
-            # the front-end passes validate the DAG on the way through
-            dag, aux_fluids = _frontend(job)
-            fingerprint = compile_fingerprint(
-                dag, spec.limits, spec, options
-            )
-        except (FrontendError, VolumeError) as error:
+        if fingerprint is not None:
+            entry = cache.get(plan_key(fingerprint))
+        if entry is None:
+            try:
+                # the front-end passes validate the DAG on the way through
+                dag, aux_fluids = front_end_dag(
+                    job.source, job.dag, job.aux_fluids
+                )
+                fingerprint = compile_fingerprint(
+                    dag, spec.limits, spec, options
+                )
+            except (FrontendError, VolumeError) as error:
+                results[index] = BatchItemResult(
+                    name=job.name,
+                    status="failed",
+                    elapsed_s=time.perf_counter() - item_started,
+                    cacheable=False,
+                    detail=str(error),
+                )
+                continue
+            if src_fp is not None:
+                cache.put_source_fingerprint(src_fp, fingerprint)
+            if cache.contains(plan_key(fingerprint)):
+                if materialize:
+                    _, summary = compile_one(
+                        dag, aux_fluids, spec, options, fingerprint, cache,
+                        name=job.name, lint=lint, certify=certify,
+                    )
+                    results[index] = _item(
+                        job.name, "hit", fingerprint, summary,
+                        time.perf_counter() - item_started,
+                    )
+                    continue
+                entry = cache.get(plan_key(fingerprint))
+        if entry is not None:
             results[index] = BatchItemResult(
                 name=job.name,
-                status="failed",
+                status="hit",
+                fingerprint=fingerprint,
                 elapsed_s=time.perf_counter() - item_started,
-                cacheable=False,
-                detail=str(error),
+                plan_status=entry["plan"]["status"],
+                cacheable=True,
             )
             continue
-        if src_fp is not None:
-            cache.put_source_fingerprint(src_fp, fingerprint)
-
-        if cache.contains(plan_key(fingerprint)):
-            results[index] = _serve_hit(
-                job, dag, aux_fluids, fingerprint, spec, options, cache,
-                lint, certify, materialize_hits, item_started,
-            )
-            if results[index] is not None:
-                continue
         if fingerprint in pending:
             pending[fingerprint].append(index)
             continue
         cache.stats.record_miss(plan_key(fingerprint))
         pending[fingerprint] = [index]
         payloads[fingerprint] = {
-            "name": job.name,
             "dag": dag_to_dict(dag),
             "aux_fluids": list(aux_fluids),
             "spec": spec,
             "options": options,
+            "fingerprint": fingerprint,
+            "name": job.name,
             "lint": lint,
             "certify": certify,
-            "fingerprint": fingerprint,
         }
 
-    # ------------------------------------------------------------------
-    # fan the unique cold fingerprints out
-    # ------------------------------------------------------------------
-    order = list(pending)
-    if order:
-        if max_workers > 1 and len(order) > 1:
-            items = [payloads[fp] for fp in order]
-            if persistent_pool:
-                summaries = pool_map(
-                    _compile_payload,
-                    items,
-                    max_workers=max_workers,
-                    cache_dir=cache.directory,
-                )
-            else:
-                with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                    summaries = list(pool.map(_compile_payload, items))
-        else:
-            summaries = [_compile_payload(payloads[fp]) for fp in order]
-        for fingerprint, summary in zip(order, summaries):
-            indices = pending[fingerprint]
-            if not summary["ok"]:
-                for position, index in enumerate(indices):
-                    results[index] = BatchItemResult(
-                        name=jobs[index].name,
-                        status="failed",
-                        fingerprint=fingerprint,
-                        elapsed_s=(
-                            summary["elapsed_s"] if position == 0 else 0.0
-                        ),
-                        cacheable=False,
-                        detail=summary["detail"],
-                    )
-                continue
-            if summary["entry"] is not None:
-                cache.put(plan_key(fingerprint), summary["entry"])
-            for position, index in enumerate(indices):
-                status = "compiled" if position == 0 else "deduped"
-                result = _result_from_summary(
-                    jobs[index].name, status, fingerprint, summary
-                )
-                if position > 0:
-                    result.elapsed_s = 0.0
-                results[index] = result
+    # fan the unique cold fingerprints out; a lone one compiles inline
+    summaries = pool_map(
+        compile_task,
+        payloads.values(),
+        max_workers=max_workers if len(payloads) > 1 else 1,
+        cache_dir=cache.directory,
+    )
+    for (fingerprint, indices), summary in zip(pending.items(), summaries):
+        if summary["ok"] and summary["entry"] is not None:
+            cache.put(plan_key(fingerprint), summary["entry"])
+        for position, index in enumerate(indices):
+            results[index] = _item(
+                jobs[index].name,
+                "compiled" if position == 0 else "deduped",
+                fingerprint,
+                summary,
+                summary["elapsed_s"] if position == 0 else 0.0,
+            )
 
-    report = BatchReport(
+    return BatchReport(
         results=[r for r in results if r is not None],
         workers=max_workers,
         wall_s=time.perf_counter() - started,
         cache_stats=cache.stats.to_dict(),
-    )
-    return report
-
-
-def _serve_hit(
-    job: BatchJob,
-    dag: AssayDAG,
-    aux_fluids,
-    fingerprint: str,
-    spec: MachineSpec,
-    options: dict[str, object],
-    cache: PlanCache,
-    lint: bool,
-    certify: bool,
-    materialize: bool,
-    item_started: float,
-) -> BatchItemResult | None:
-    """Serve one warm job; returns None if the entry turned out unusable
-    (caller then treats the job as cold)."""
-    if not materialize:
-        entry = cache.get(plan_key(fingerprint))
-        if entry is None:
-            return None
-        return BatchItemResult(
-            name=job.name,
-            status="hit",
-            fingerprint=fingerprint,
-            elapsed_s=time.perf_counter() - item_started,
-            plan_status=entry["plan"]["status"],
-            cacheable=True,
-        )
-    manager = VolumeManager(spec.limits, **options, cache=cache)
-    try:
-        compiled = run_compile(
-            dag=dag,
-            spec=spec,
-            name=job.name,
-            aux_fluids=tuple(aux_fluids),
-            manager=manager,
-            lint=lint,
-            certify=certify,
-            cache=cache,
-        ).compiled
-    except (FrontendError, VolumeError) as error:
-        return BatchItemResult(
-            name=job.name,
-            status="failed",
-            fingerprint=fingerprint,
-            elapsed_s=time.perf_counter() - item_started,
-            cacheable=False,
-            detail=str(error),
-        )
-    counts = _severity_counts(compiled.diagnostics)
-    certified_clean: bool | None = None
-    if certify:
-        certified_clean = not any(
-            item.code.startswith(("PLAN-", "SCHED-"))
-            and item.severity is not Severity.NOTE
-            for item in compiled.diagnostics.items
-        )
-    return BatchItemResult(
-        name=job.name,
-        status="hit",
-        fingerprint=fingerprint,
-        elapsed_s=time.perf_counter() - item_started,
-        plan_status=(
-            compiled.plan.status if compiled.plan is not None else "runtime"
-        ),
-        cacheable=compiled.plan is not None,
-        errors=counts["error"],
-        warnings=counts["warning"],
-        certified_clean=certified_clean,
     )

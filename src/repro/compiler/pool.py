@@ -1,13 +1,9 @@
-"""Persistent worker pool for batch compilation fan-out.
+"""Persistent worker pool for cold-compile fan-out.
 
-:func:`~repro.compiler.batch.compile_many` used to spin up a fresh
-``ProcessPoolExecutor`` for every batch, so each call paid worker
-startup — interpreter boot (under spawn), ``repro`` + scipy imports,
-allocator warm-up — before compiling anything.  Under traffic the batch
-driver is invoked repeatedly with small batches, which made cold-spawn
-overhead a first-order cost.
-
-This module keeps **one warm pool per process**:
+A fresh ``ProcessPoolExecutor`` per batch would pay worker startup —
+interpreter boot, ``repro`` + scipy imports — before compiling anything,
+and both the batch driver and ``repro serve`` send small batches
+repeatedly.  This module keeps **one warm pool per process**:
 
 * :func:`get_pool` returns the live executor, creating it on first use
   (or when the requested worker count / cache directory changes).  The
@@ -17,33 +13,27 @@ This module keeps **one warm pool per process**:
   cache *directory* when there is one — workers then serve their own
   vnorm-memo and plan-prefix hits from disk.  (Disk writes are atomic
   and canonical, so concurrent writers are safe by construction.)
-* :func:`pool_map` maps a function over payloads on the warm pool and
-  degrades gracefully: a ``BrokenProcessPool`` (a worker was OOM-killed
-  or crashed) tears the pool down and falls back to inline execution,
-  so a batch never fails outright because of pool state.
-* :func:`shutdown_pool` disposes the pool; it is registered with
-  :mod:`atexit` so interpreter shutdown reaps the workers.
+* :func:`submit` queues one task and returns a cancellable future; every
+  task ends counted once as ``completed``, ``cancelled`` or ``broken``
+  (lost to a ``BrokenProcessPool``: a worker was OOM-killed or crashed).
+* :func:`pool_map` is the front door of ``compile_many`` and ``repro
+  serve``: it reruns in-process whatever a broken pool lost, so a caller
+  never fails because of pool state.
+* :func:`shutdown_pool` disposes the pool (also at exit).
 
 The worker-side cache handle is exposed via :func:`worker_cache`; in
 the parent process (inline compiles, ``max_workers == 1``) it is simply
 ``None``.
-
-The service daemon (``repro serve``) multiplexes its cold compiles onto
-the same warm pool through :func:`submit`, a per-job front door that
-returns a cancellable :class:`concurrent.futures.Future` and keeps
-exact in-flight counters (queued / running / completed) for the
-``/metrics`` endpoint.  :func:`shutdown_pool` detects a running asyncio
-event loop and degrades to a non-blocking shutdown there, so service
-teardown never deadlocks the loop thread that is awaiting pool results.
 """
 
 from __future__ import annotations
 
 import asyncio
 import atexit
+import functools
 import os
 import threading
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
@@ -69,7 +59,9 @@ _STATS = {
     "cancelled": 0,
     "inflight": 0,
 }
-_STATS_LOCK = threading.Lock()
+#: guards the pool slot and the counters; never held across a shutdown,
+#: so a done callback taking it cannot deadlock a joining thread.
+_LOCK = threading.Lock()
 
 #: set inside worker processes by the initializer; None in the parent.
 _WORKER_CACHE = None
@@ -79,8 +71,8 @@ def _warm_worker(cache_dir: str | None) -> None:
     """Pool initializer: preload the compiler stack, open the cache.
 
     Runs once per worker process.  The imports cover everything
-    :func:`repro.compiler.batch._compile_payload` touches (parser,
-    pass pipeline, scipy's linprog), so the first real task starts hot.
+    :func:`repro.compiler.batch.compile_task` touches (parser, pass
+    pipeline, scipy's linprog), so the first real task starts hot.
     """
     import repro.compiler.batch  # noqa: F401  (pulls pipeline + passes)
     import repro.core.lp  # noqa: F401  (pulls scipy.optimize)
@@ -104,40 +96,24 @@ def get_pool(
 
     A pool is identified by ``(max_workers, cache_dir)``; asking for a
     different shape shuts the old pool down first, so there is never
-    more than one alive.
+    more than one alive.  Safe to call from several threads.
     """
     global _POOL, _POOL_KEY
     key = (max_workers, cache_dir)
-    if _POOL is not None and _POOL_KEY == key:
-        _STATS["reused"] += 1
-        return _POOL
-    shutdown_pool()
-    _POOL = ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_warm_worker,
-        initargs=(cache_dir,),
-    )
-    _POOL_KEY = key
-    _STATS["created"] += 1
-    return _POOL
-
-
-def pool_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any] | Iterable[Any],
-    *,
-    max_workers: int,
-    cache_dir: str | None = None,
-) -> list[Any]:
-    """Map ``fn`` over ``items`` on the warm pool, inline on breakage."""
-    items = list(items)
-    pool = get_pool(max_workers, cache_dir)
-    try:
-        return list(pool.map(fn, items))
-    except BrokenProcessPool:
-        _STATS["broken"] += 1
-        shutdown_pool()
-        return [fn(item) for item in items]
+    with _LOCK:
+        if _POOL is not None and _POOL_KEY == key:
+            _STATS["reused"] += 1
+            return _POOL
+        old, pool = _POOL, ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=_warm_worker,
+            initargs=(cache_dir,),
+        )
+        _POOL, _POOL_KEY = pool, key
+        _STATS["created"] += 1
+    if old is not None:
+        old.shutdown(wait=_blocking_ok(), cancel_futures=True)
+    return pool
 
 
 def submit(
@@ -147,29 +123,67 @@ def submit(
     max_workers: int,
     cache_dir: str | None = None,
 ) -> "Future[Any]":
-    """Queue one job on the warm pool; returns a cancellable future.
+    """Queue one task on the warm pool; returns a cancellable future.
 
-    Unlike :func:`pool_map` this never blocks: the caller owns the
-    future (``repro serve`` awaits it via ``asyncio.wrap_future``).
-    Queued-but-unstarted jobs can be cancelled through the future; the
-    in-flight counter is maintained by a done callback either way.
+    Never blocks and never raises for pool state: a pool that is already
+    broken yields a future failed with ``BrokenProcessPool``.  A done
+    callback keeps the counters either way.
     """
     pool = get_pool(max_workers, cache_dir)
-    with _STATS_LOCK:
+    with _LOCK:
         _STATS["submitted"] += 1
         _STATS["inflight"] += 1
-    future = pool.submit(fn, payload)
-    future.add_done_callback(_job_done)
+    try:
+        future = pool.submit(fn, payload)
+    except BrokenProcessPool as error:
+        future = Future()
+        future.set_exception(error)
+    future.add_done_callback(functools.partial(_task_done, pool))
     return future
 
 
-def _job_done(future: "Future[Any]") -> None:
-    with _STATS_LOCK:
+def _task_done(pool: ProcessPoolExecutor, future: "Future[Any]") -> None:
+    """Count one finished task once; forget ``pool`` if it broke."""
+    global _POOL, _POOL_KEY
+    with _LOCK:
         _STATS["inflight"] -= 1
         if future.cancelled():
             _STATS["cancelled"] += 1
+        elif isinstance(future.exception(), BrokenProcessPool):
+            _STATS["broken"] += 1
+            if _POOL is pool:
+                # the executor has already terminated its workers
+                _POOL, _POOL_KEY = None, None
         else:
             _STATS["completed"] += 1
+
+
+def pool_map(
+    fn: Callable[[Any], Any],
+    items: Iterable[Any],
+    *,
+    max_workers: int,
+    cache_dir: str | None = None,
+) -> list[Any]:
+    """``fn`` over ``items`` on the warm pool; lost tasks rerun inline.
+
+    ``max_workers <= 1`` runs every item inline, with no pool.  Blocks
+    until every result is in, so an event loop calls it from a thread.
+    """
+    items = list(items)
+    if max_workers <= 1:
+        return [fn(item) for item in items]
+    futures = [
+        submit(fn, item, max_workers=max_workers, cache_dir=cache_dir)
+        for item in items
+    ]
+    results = []
+    for future, item in zip(futures, items):
+        try:
+            results.append(future.result())
+        except BrokenProcessPool:
+            results.append(fn(item))
+    return results
 
 
 def default_workers() -> int:
@@ -188,9 +202,18 @@ def default_workers() -> int:
 
 
 def pool_stats() -> dict[str, int]:
-    """Lifetime pool counters (created / reused / broken), for reporting."""
-    with _STATS_LOCK:
+    """Lifetime pool and task counters, for reporting."""
+    with _LOCK:
         return dict(_STATS)
+
+
+def _blocking_ok() -> bool:
+    """False on a thread running an asyncio event loop."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return True
+    return False
 
 
 def shutdown_pool(wait: bool | None = None) -> None:
@@ -203,16 +226,12 @@ def shutdown_pool(wait: bool | None = None) -> None:
     background).  Pass ``wait=True``/``False`` to force either.
     """
     global _POOL, _POOL_KEY
-    if wait is None:
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            wait = True
-        else:
-            wait = False
-    if _POOL is not None:
+    with _LOCK:
         pool, _POOL, _POOL_KEY = _POOL, None, None
-        pool.shutdown(wait=wait, cancel_futures=True)
+    if pool is not None:
+        pool.shutdown(
+            wait=_blocking_ok() if wait is None else wait, cancel_futures=True
+        )
 
 
 atexit.register(shutdown_pool)

@@ -3,19 +3,21 @@
 One asyncio event loop accepts HTTP/JSON jobs and runs them through the
 same pass manager as the CLI:
 
-* **warm compiles** are served in-process from the shared
+* **warm compiles** run :func:`repro.compiler.batch.compile_one` in a
+  worker thread, served from the shared
   :class:`~repro.compiler.cache.PlanCache` (per-tenant namespaces); the
   job's PassEvents prove the hierarchy prefix was skipped;
-* **cold compiles** fan out to the persistent worker pool
-  (:mod:`repro.compiler.pool`) when the service runs with more than one
-  worker, falling back to an in-process thread otherwise (and on pool
-  breakage);
+* **cold compiles** run the batch driver's pool task
+  :func:`~repro.compiler.batch.compile_task` on the persistent worker
+  pool (:func:`~repro.compiler.pool.pool_map`) when the service runs
+  with more than one worker, else in the job's thread;
 * **identical concurrent submissions coalesce**: the first becomes the
   leader, every other job (any tenant) awaits the same result and each
   deposits the entry into its *own* tenant namespace;
 * **lint / certify / stress** jobs run in worker threads through the job
-  bodies the CLI runs (:data:`repro.commands.JOBS`) and return the exact
-  v1 JSON reports the CLI emits.
+  bodies the CLI runs (:data:`repro.commands.JOBS`), compiling an assay
+  through the tenant's plan cache, and return the exact v1 JSON reports
+  the CLI emits.
 
 Endpoints (wire schema v1, see ``docs/SERVICE.md``)::
 
@@ -37,20 +39,20 @@ import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..commands import JOBS, ParamError
+from ..compiler import batch as batch_module
 from ..compiler import pool as pool_module
-from ..compiler.cache import PlanCache, TenantCache, _TENANT_RE, entry_from_plan
-from ..compiler.diagnostics import severity_counts
-from ..compiler.passes import PassEventBus, events_payload, run_compile
+from ..compiler.cache import PlanCache, TenantCache, _TENANT_RE
+from ..compiler.cache import entry_from_plan  # noqa: F401  (traced by name)
+from ..compiler.passes import PassEventBus
 from ..compiler.passes.stages import front_end_dag
 from ..core.errors import VolumeError
 from ..core.fingerprint import compile_fingerprint, plan_key
 from ..core.hierarchy import VolumeManager
-from ..core.serde import SerdeError, dag_from_dict, dag_to_dict
+from ..core.serde import dag_to_dict
 from ..ir.parse import AISParseError
 from ..lang.errors import FrontendError
 from ..machine.spec import MACHINES, MachineSpec
@@ -129,68 +131,6 @@ def _prepare_compile(
         raise JobFailure("frontend-error", str(error)) from error
     fingerprint = compile_fingerprint(dag, spec.limits, spec, options)
     return dag, aux_fluids, fingerprint
-
-
-def _compile(
-    dag, aux_fluids, spec: MachineSpec, options, fingerprint: str, cache
-) -> dict[str, Any]:
-    """Compile one front-ended DAG; the JSON-able outcome, warm or cold."""
-    bus = PassEventBus()
-    manager = VolumeManager(spec.limits, **options)
-    try:
-        ctx = run_compile(
-            dag=dag,
-            aux_fluids=tuple(aux_fluids),
-            spec=spec,
-            manager=manager,
-            cache=cache,
-            bus=bus,
-        )
-    except (FrontendError, VolumeError) as error:
-        return {"ok": False, "code": "compile-error", "detail": str(error)}
-    compiled = ctx.compiled
-    entry = None
-    if compiled.plan is not None:
-        try:
-            entry = entry_from_plan(
-                compiled.plan, compiled.assignment, fingerprint
-            )
-        except SerdeError:
-            entry = None
-    counts = severity_counts(compiled.diagnostics.items)
-    return {
-        "ok": True,
-        "listing": compiled.listing(),
-        "plan_status": (
-            compiled.plan.status if compiled.plan is not None else "runtime"
-        ),
-        "errors": counts["error"],
-        "warnings": counts["warning"],
-        "entry": entry,
-        "events": events_payload(
-            bus,
-            program=compiled.name,
-            machine=spec.name,
-            fingerprint=fingerprint,
-        ),
-    }
-
-
-def _compile_cold(payload: dict[str, Any]) -> dict[str, Any]:
-    """Compile one serialized cold job; runs in a pool worker or thread.
-
-    Mirrors :func:`repro.compiler.batch._compile_payload`: the DAG
-    arrives in serde form (no re-parse), the plan entry travels back for
-    the parent to deposit into the submitting tenants' namespaces.
-    """
-    return _compile(
-        dag_from_dict(payload["dag"]),
-        payload["aux_fluids"],
-        payload["spec"],
-        payload["options"],
-        payload["fingerprint"],
-        pool_module.worker_cache(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +437,6 @@ class ReproService:
         if request.kind == "compile":
             await self._execute_compile(job, spec, options, loop)
             return
-        tcache = self.tenant_cache(job.tenant)
         body = functools.partial(
             JOBS[request.kind],
             request.source,
@@ -505,9 +444,7 @@ class ReproService:
             options,
             request.params,
             name=request.name,
-            # stress compiles through the tenant's plan cache; lint and
-            # certify of an assay compile uncached
-            cache=tcache if request.kind == "stress" else None,
+            cache=self.tenant_cache(job.tenant),
         )
         try:
             report = await loop.run_in_executor(self._threads, body)
@@ -536,58 +473,28 @@ class ReproService:
         )
         job.fingerprint = fingerprint
         tcache = self.tenant_cache(job.tenant)
-        deposit = False
         if tcache.contains(plan_key(fingerprint)):
             job.cache = "hit"
-            summary = await loop.run_in_executor(
+            _, summary = await loop.run_in_executor(
                 self._threads,
-                _compile,
-                dag,
-                aux_fluids,
-                spec,
-                options,
-                fingerprint,
-                tcache,
+                functools.partial(
+                    batch_module.compile_one,
+                    dag, aux_fluids, spec, options, fingerprint, tcache,
+                    bus=PassEventBus(),
+                ),
             )
         else:
-            future = self._inflight.get(fingerprint)
-            if future is not None:
-                job.cache = "coalesced"
-                job.coalesced = True
-                self.metrics.job_coalesced()
-                status, value = await future
-                if status == "error":
-                    raise value
-                summary = value
-                deposit = True
-            else:
-                job.cache = "miss"
-                future = loop.create_future()
-                self._inflight[fingerprint] = future
-                try:
-                    summary = await self._cold_compile(
-                        job, spec, options, dag, aux_fluids, fingerprint, loop
-                    )
-                except BaseException as error:
-                    if not future.done():
-                        future.set_result(("error", error))
-                    raise
-                else:
-                    if not future.done():
-                        future.set_result(("ok", summary))
-                finally:
-                    self._inflight.pop(fingerprint, None)
-                deposit = True
+            summary = await self._cold_compile(
+                job, dag, aux_fluids, spec, options, fingerprint, loop
+            )
+            if summary["ok"] and summary["entry"] is not None:
+                tcache.put(plan_key(fingerprint), summary["entry"])
         if not summary["ok"]:
             raise JobFailure(summary["code"], summary["detail"])
-        if deposit and summary.get("entry") is not None:
-            tcache.put(plan_key(fingerprint), summary["entry"])
-        if summary["events"] is not None and not job.coalesced:
+        if not job.coalesced:
             # a coalesced follower shares the leader's events; folding
             # them in twice would double-count the pass histograms
-            self.metrics.observe_pass_events(
-                summary["events"].get("passes", [])
-            )
+            self.metrics.observe_pass_events(summary["events"]["passes"])
         job.artifact = (summary["listing"] + "\n").encode("utf-8")
         job.artifact_type = "text/plain; charset=utf-8"
         job.result = {
@@ -609,8 +516,19 @@ class ReproService:
         }
 
     async def _cold_compile(
-        self, job, spec, options, dag, aux_fluids, fingerprint, loop
+        self, job, dag, aux_fluids, spec, options, fingerprint, loop
     ) -> dict[str, Any]:
+        """Lead one cold compile, or await the identical one in flight."""
+        future = self._inflight.get(fingerprint)
+        if future is not None:
+            job.cache = "coalesced"
+            job.coalesced = True
+            self.metrics.job_coalesced()
+            status, value = await future
+            if status == "error":
+                raise value
+            return value
+        job.cache = "miss"
         payload = {
             "dag": dag_to_dict(dag),
             "aux_fluids": list(aux_fluids),
@@ -618,26 +536,33 @@ class ReproService:
             "options": options,
             "fingerprint": fingerprint,
         }
-        summary = None
-        if self.config.use_process_pool and self.config.workers > 1:
-            try:
-                summary = await asyncio.wrap_future(
-                    pool_module.submit(
-                        _compile_cold,
-                        payload,
-                        max_workers=self.config.workers,
-                        cache_dir=self.cache.directory,
-                    )
-                )
-            except (BrokenProcessPool, SerdeError):
-                # worker died (or the DAG cannot travel): recover inline
-                pool_module.shutdown_pool()
-                summary = None
-        if summary is None:
-            summary = await loop.run_in_executor(
-                self._threads, _compile_cold, payload
+        future = self._inflight[fingerprint] = loop.create_future()
+        try:
+            [summary] = await loop.run_in_executor(
+                self._threads,
+                functools.partial(
+                    pool_module.pool_map,
+                    batch_module.compile_task,
+                    [payload],
+                    max_workers=(
+                        self.config.workers
+                        if self.config.use_process_pool
+                        else 1
+                    ),
+                    cache_dir=self.cache.directory,
+                ),
             )
-        return summary
+        except BaseException as error:
+            outcome = ("error", error)
+            raise
+        else:
+            outcome = ("ok", summary)
+            return summary
+        finally:
+            self._inflight.pop(fingerprint, None)
+            # a cancelled follower cancels the future it awaits
+            if not future.done():
+                future.set_result(outcome)
 
 
 # ---------------------------------------------------------------------------

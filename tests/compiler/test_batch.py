@@ -102,6 +102,23 @@ class TestWarm:
         warm_single = run_compile(source=paper_example.SOURCE, cache=cache).compiled
         assert warm_single.listing() == fresh.listing()
 
+    def test_materialized_hits_match_cold_on_certify_findings(self):
+        """EnzymeN 5 on aquacore double-books: the warm re-materialized
+        hit reports the same findings as the cold compile."""
+        cache = PlanCache()
+        jobs = [BatchJob("enzyme-5", dag=generators.enzyme_n(5))]
+        cold = compile_many(jobs, cache=cache, lint=True, certify=True)
+        warm = compile_many(jobs, cache=cache, lint=True, certify=True)
+        assert cold.results[0].status == "compiled"
+        assert warm.results[0].status == "hit"
+        fields = ("plan_status", "errors", "warnings", "certified_clean")
+        for name in fields:
+            assert getattr(warm.results[0], name) == getattr(
+                cold.results[0], name
+            ), name
+        assert cold.results[0].certified_clean is False
+        assert cold.results[0].errors > 0
+
     def test_spec_delta_misses(self):
         from repro.machine.spec import AQUACORE_XL_SPEC
 

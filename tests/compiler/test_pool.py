@@ -40,15 +40,6 @@ class TestWarmReuse:
         assert pool_stats()["created"] == before + 2
         shutdown_pool()
 
-    def test_opt_out_uses_fresh_executor(self):
-        shutdown_pool()
-        before = pool_stats()
-        report = compile_many(
-            fleet(), cache=PlanCache(), max_workers=2, persistent_pool=False
-        )
-        assert report.failed == 0
-        assert pool_stats() == before
-
     def test_pooled_cache_entries_byte_identical(self, tmp_path):
         """Disk entries written through pool workers equal inline ones."""
         shutdown_pool()
@@ -82,11 +73,34 @@ class TestWarmReuse:
 
 
 class _BrokenExecutor:
-    def map(self, fn, items):
+    """A pool that already broke: submitting to it raises."""
+
+    def submit(self, fn, item):
         raise BrokenProcessPool("worker died")
 
 
+def _die_in_worker(item):
+    """Kill the worker process that runs this; return ``value`` inline."""
+    parent, value = item
+    if os.getpid() != parent:
+        os._exit(1)
+    return value
+
+
 class TestDegradation:
+    def test_dead_worker_reruns_inline_and_drops_the_pool(self):
+        shutdown_pool()
+        before = pool_stats()
+        items = [(os.getpid(), value) for value in range(3)]
+        assert pool_map(_die_in_worker, items, max_workers=2) == [0, 1, 2]
+        after = pool_stats()
+        assert after["broken"] == before["broken"] + 3
+        assert after["completed"] == before["completed"]
+        # the broken pool was forgotten: the next task gets a fresh one
+        assert pool_module.submit(str, 7, max_workers=2).result(120) == "7"
+        assert pool_stats()["created"] == after["created"] + 1
+        shutdown_pool()
+
     def test_broken_pool_falls_back_inline(self, monkeypatch):
         shutdown_pool()
         monkeypatch.setattr(
@@ -94,9 +108,13 @@ class TestDegradation:
                 _BrokenExecutor()
             )
         )
-        before = pool_stats()["broken"]
+        before = pool_stats()
         assert pool_map(str, [1, 2, 3], max_workers=2) == ["1", "2", "3"]
-        assert pool_stats()["broken"] == before + 1
+        after = pool_stats()
+        # each lost task is counted once, as broken, never as completed
+        assert after["broken"] == before["broken"] + 3
+        assert after["completed"] == before["completed"]
+        assert after["inflight"] == before["inflight"]
 
 
 class TestSubmit:

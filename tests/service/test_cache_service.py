@@ -10,8 +10,13 @@ PassEvents *prove* the hierarchy passes were skipped (restore-plan
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
+import pytest
 
 from repro.assays import glucose, paper_example
+from repro.compiler import pool as pool_module
 from repro.service.client import ServiceClient
 
 
@@ -107,3 +112,43 @@ class TestTTL:
         assert cache.stats.expired >= 1
         third = client.run("compile", glucose.SOURCE)["result"]
         assert third["cache"] == "hit"      # re-deposited after expiry
+
+
+class TestCachePolicy:
+    @pytest.mark.parametrize("kind", ["lint", "certify"])
+    def test_assay_jobs_compile_through_tenant_cache(self, service, kind):
+        alice = ServiceClient(service.url, tenant="alice")
+        alice.run("compile", glucose.SOURCE)
+        before = alice.metrics()["cache_by_tenant"]["alice"]["hits"]
+        alice.run(kind, glucose.SOURCE, params={"assay": True})
+        after = alice.metrics()["cache_by_tenant"]["alice"]["hits"]
+        assert after == before + 1
+
+
+class _BrokenFutures:
+    """An executor whose every task is lost to a dead worker."""
+
+    def submit(self, fn, payload):
+        future = Future()
+        future.set_exception(BrokenProcessPool("worker died"))
+        return future
+
+
+class TestPoolBreakage:
+    def test_broken_task_counted_broken_and_rerun_inline(
+        self, service_factory, monkeypatch
+    ):
+        monkeypatch.setattr(
+            pool_module, "get_pool",
+            lambda workers, cache_dir=None: _BrokenFutures(),
+        )
+        handle = service_factory(workers=2, use_process_pool=True)
+        client = ServiceClient(handle.url)
+        before = client.metrics()["pool"]
+        job = client.run("compile", glucose.SOURCE)
+        assert job["job"]["state"] == "done"
+        assert job["result"]["cache"] == "miss"
+        after = client.metrics()["pool"]
+        assert after["broken"] == before["broken"] + 1
+        assert after["completed"] == before["completed"]
+        assert after["inflight"] == before["inflight"]

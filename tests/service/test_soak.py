@@ -144,17 +144,17 @@ class TestSoak:
         submission has reached its cache decision, then release it."""
         import time
 
-        from repro.service import server as server_module
+        from repro.compiler import batch as batch_module
 
         fan_out = 4
         gate = threading.Event()
-        real_cold = server_module._compile_cold
+        real_cold = batch_module.compile_task
 
         def gated_cold(payload):
             assert gate.wait(timeout=120), "gate never released"
             return real_cold(payload)
 
-        monkeypatch.setattr(server_module, "_compile_cold", gated_cold)
+        monkeypatch.setattr(batch_module, "compile_task", gated_cold)
         handle = start_in_thread(
             ServiceConfig(workers=fan_out, use_process_pool=False)
         )
