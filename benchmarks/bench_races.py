@@ -72,7 +72,7 @@ def test_race_detector_costs():
         payload["intra"][name] = {
             "instructions": len(program.instructions),
             "wall_s": seconds,
-            "sensitive_pairs": report.mhp["mhp_pairs"],
+            "sensitive_pairs": report.extras["mhp"]["mhp_pairs"],
         }
 
     biggest = max(
@@ -93,8 +93,8 @@ def test_race_detector_costs():
         )
         payload["scaling"].append({
             "programs": count,
-            "wet_instructions": report.mhp["wet_instructions"],
-            "mhp_pairs": report.mhp["mhp_pairs"],
+            "wet_instructions": report.extras["mhp"]["wet_instructions"],
+            "mhp_pairs": report.extras["mhp"]["mhp_pairs"],
             "wall_s": seconds,
         })
     _report.record(

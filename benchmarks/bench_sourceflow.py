@@ -68,13 +68,13 @@ def test_source_verification_is_flat_in_trip_count():
         # a single unrolled pass at N=10^4 already takes ~10 s; one
         # measurement is plenty to make the point
         t_unrolled = timed(unrolled_lint, source, repeat=3 if n <= 100 else 1)
-        rows[n] = (t_source, t_unrolled, report.stats["sweeps"])
+        rows[n] = (t_source, t_unrolled, report.extras["fixpoint"]["sweeps"])
         payload["points"].append(
             {
                 "n": n,
                 "source_ms": round(t_source * 1000, 3),
                 "unrolled_ms": round(t_unrolled * 1000, 3),
-                "sweeps": report.stats["sweeps"],
+                "sweeps": report.extras["fixpoint"]["sweeps"],
             }
         )
         _report.record(
@@ -82,7 +82,7 @@ def test_source_verification_is_flat_in_trip_count():
             f"N={n} dilution series, rolled vs unrolled lint",
             "rolled analysis independent of N",
             f"source {t_source * 1000:.2f} ms "
-            f"({report.stats['sweeps']} sweeps), "
+            f"({report.extras['fixpoint']['sweeps']} sweeps), "
             f"unrolled {t_unrolled * 1000:.2f} ms",
         )
 

@@ -16,8 +16,11 @@ instruction stream:
 * :mod:`repro.analysis.checks` — the check registry (use-after-consume,
   double-fill, dead-fluid, static overflow/underflow, storage-less
   operand misuse, dry/wet register clash, operand sanity);
-* :mod:`repro.analysis.lint` — the ``repro lint`` driver: text/JSON
-  rendering and severity-based exit codes.
+* :mod:`repro.analysis.lint` — the ``repro lint`` driver;
+* :mod:`repro.analysis.report` — :class:`AnalysisReport`, the one report
+  every analyzer returns (text/JSON rendering, severity-based exit
+  codes), and :class:`CodeInfo`, the entry type of the stable code
+  catalogues.
 
 Library entry point::
 
@@ -44,12 +47,13 @@ interleaving the barriers admit — behind ``repro lint --races`` and
 ``analyze_races([a, b], spec)``.
 """
 
-from .certify import CertificateReport, certify, certify_program
+from .certify import certify, certify_program
 from .checks import AnalysisContext, Check, all_checks, analyze, check_codes, register
 from .dataflow import Access, AccessKind, ForwardAnalysis, Place, ValueFlow
-from .lint import LintReport, lint_program, lint_text
-from .races import RaceReport, analyze_races, race_text
-from .sourceflow import SourceReport, verify_program, verify_source
+from .lint import lint_program, lint_text
+from .races import analyze_races, race_text
+from .report import AnalysisReport, CodeInfo
+from .sourceflow import verify_program, verify_source
 from .state import AbsContent, AbstractState, ContentKind, VolumeInterval
 
 __all__ = [
@@ -64,13 +68,12 @@ __all__ = [
     "AccessKind",
     "Place",
     "ValueFlow",
-    "LintReport",
+    "AnalysisReport",
+    "CodeInfo",
     "lint_program",
     "lint_text",
-    "RaceReport",
     "analyze_races",
     "race_text",
-    "SourceReport",
     "verify_program",
     "verify_source",
     "AbsContent",

@@ -28,23 +28,21 @@ The same analysis runs behind ``repro certify`` and as an opt-in pipeline
 stage (``run_compile(..., certify=True)``).
 """
 
-from .codes import ALL_CODES, PLAN_CODES, SCHED_CODES, CodeInfo
+from .codes import ALL_CODES, PLAN_CODES, SCHED_CODES
 from .constraints import ReferenceModel, reference_model
 from .plan import certify_plan
-from .report import CertificateReport, certify, certify_program
+from .report import certify, certify_program
 from .schedule import OccupancyRecord, certify_schedule
 
 __all__ = [
     "ALL_CODES",
     "PLAN_CODES",
     "SCHED_CODES",
-    "CodeInfo",
     "ReferenceModel",
     "reference_model",
     "certify_plan",
     "certify_schedule",
     "OccupancyRecord",
-    "CertificateReport",
     "certify",
     "certify_program",
 ]

@@ -7,135 +7,125 @@ half (translation validation of the volume assignment against the
 re-derived IVol constraint system), ``SCHED-*`` codes from the schedule
 half (hardware-interference analysis over the emitted instruction
 stream).  The catalogue below is the single source of truth; the table
-in ``docs/ANALYSIS.md`` is generated from the same text.
+in ``docs/ANALYSIS.md`` is written by hand, and
+``tests/analysis/test_code_docs.py`` checks that it lists every code
+with its catalogue severity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ...compiler.diagnostics import Severity
+from ..report import CodeInfo, catalogue
 
-__all__ = ["CodeInfo", "PLAN_CODES", "SCHED_CODES", "ALL_CODES"]
-
-
-@dataclass(frozen=True)
-class CodeInfo:
-    """One stable diagnostic code: default severity and a one-line gloss."""
-
-    code: str
-    severity: str  # "error" | "warning" | "note" — the *default* severity
-    title: str
+__all__ = ["PLAN_CODES", "SCHED_CODES", "ALL_CODES"]
 
 
-def _catalogue(*entries: CodeInfo) -> dict[str, CodeInfo]:
-    return {entry.code: entry for entry in entries}
-
-
-PLAN_CODES: dict[str, CodeInfo] = _catalogue(
+PLAN_CODES: dict[str, CodeInfo] = catalogue(
     CodeInfo(
         "PLAN-COVERAGE",
-        "error",
+        Severity.ERROR,
         "the assignment is missing (or has a negative) volume for a DAG "
         "node or edge",
     ),
     CodeInfo(
         "PLAN-FLOW",
-        "error",
+        Severity.ERROR,
         "flow conservation violated: a node's input, production, or use "
         "totals disagree with its edge volumes",
     ),
     CodeInfo(
         "PLAN-QUANT",
-        "error",
+        Severity.ERROR,
         "a dispensed edge volume is not an integer multiple of the least "
         "count (not expressible in IVol)",
     ),
     CodeInfo(
         "PLAN-UNDERFLOW",
-        "error",
+        Severity.ERROR,
         "a metered edge volume is below the least count",
     ),
     CodeInfo(
         "PLAN-OVERFLOW",
-        "error",
+        Severity.ERROR,
         "a node's held volume exceeds its capacity",
     ),
     CodeInfo(
         "PLAN-MIN-VOLUME",
-        "error",
+        Severity.ERROR,
         "a functional-unit minimum-load constraint is violated",
     ),
     CodeInfo(
         "PLAN-BUDGET",
-        "error",
+        Severity.ERROR,
         "draws from a constrained input exceed its measured available "
         "volume",
     ),
     CodeInfo(
         "PLAN-RATIO",
-        "error",
+        Severity.ERROR,
         "a mix input deviates from its declared share by more than the "
         "rounding tolerance",
     ),
     CodeInfo(
         "PLAN-EXCESS",
-        "error",
+        Severity.ERROR,
         "an excess edge's volume disagrees with its producer's surplus, "
         "or a NOEXCESS fluid produces excess",
     ),
     CodeInfo(
         "PLAN-SLICE",
-        "error",
+        Severity.ERROR,
         "a replication or cascade slice is inconsistent with its origin "
         "(recipe mismatch or broken stage chain)",
     ),
     CodeInfo(
         "PLAN-DEFERRED",
-        "note",
+        Severity.NOTE,
         "volumes are resolved at run time; plan certification limited to "
         "the schedule half",
     ),
     CodeInfo(
         "PLAN-WASTE",
-        "note",
+        Severity.NOTE,
         "waste/optimality report: achieved output volume vs. the "
         "unrounded equal-output bound",
     ),
 )
 
 
-SCHED_CODES: dict[str, CodeInfo] = _catalogue(
+SCHED_CODES: dict[str, CodeInfo] = catalogue(
     CodeInfo(
         "SCHED-DOUBLE-BOOK",
-        "error",
+        Severity.ERROR,
         "a transfer or operation deposits into a component that still "
         "holds another live fluid",
     ),
     CodeInfo(
         "SCHED-DRY-PUMP",
-        "error",
+        Severity.ERROR,
         "a transfer or operation reads a component that holds nothing "
         "(dry transport hazard)",
     ),
     CodeInfo(
         "SCHED-PORT-CLASH",
-        "error",
+        Severity.ERROR,
         "one input port sources two different fluids",
     ),
     CodeInfo(
         "SCHED-UNROUTABLE",
-        "error",
+        Severity.ERROR,
         "no channel route exists between a transfer's endpoints on the "
         "chosen topology",
     ),
     CodeInfo(
         "SCHED-ROUTE-THROUGH",
-        "warning",
+        Severity.WARNING,
         "a transfer's route passes through a component that currently "
         "holds a live fluid (wet transport hazard)",
     ),
     CodeInfo(
         "SCHED-ROUTE-OVERLAP",
-        "error",
+        Severity.ERROR,
         "two transfers scheduled to overlap in time contend for a shared "
         "channel segment, pump, or junction",
     ),

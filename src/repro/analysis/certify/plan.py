@@ -54,13 +54,6 @@ _FEASIBILITY_CODES = frozenset(
     }
 )
 
-_SEVERITIES = {
-    "error": Severity.ERROR,
-    "warning": Severity.WARNING,
-    "note": Severity.NOTE,
-}
-
-
 def _nl(value: Fraction) -> str:
     return f"{float(value):.6g} nl"
 
@@ -101,7 +94,7 @@ class _PlanChecker:
         node: str | None = None,
         operand: str | None = None,
     ) -> None:
-        severity = _SEVERITIES[PLAN_CODES[code].severity]
+        severity = PLAN_CODES[code].severity
         if code in _FEASIBILITY_CODES and not self.expect_feasible:
             severity = Severity.WARNING
         self.findings.append(

@@ -2,10 +2,10 @@
 
 ``certify(compiled)`` runs both halves over a compiler result — plan
 certification against the final DAG and schedule interference over the
-emitted program — and packages the findings as a
-:class:`CertificateReport` with the same rendering, JSON schema and
-exit-code policy as the lint driver.  ``certify_program`` covers bare AIS
-listings (no plan to validate, schedule half only).
+emitted program — and packages the findings as the shared
+:class:`~repro.analysis.report.AnalysisReport` (verdict ``certified``,
+which PLAN-DEFERRED and other notes keep).  ``certify_program`` covers
+bare AIS listings (no plan to validate, schedule half only).
 
 The compiled assay is accessed duck-typed (``final_dag``, ``assignment``,
 ``program``, ``spec``, ``allocation``, ``plan``, ``planner``) so this
@@ -15,8 +15,6 @@ audits.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Sequence
 
@@ -25,22 +23,17 @@ from ...compiler.diagnostics import (
     EXIT_ERRORS,
     EXIT_WARNINGS,
     Diagnostic,
-    DiagnosticSink,
-    Severity,
-    exit_code_for,
-    report_payload,
-    severity_counts,
 )
 from ...core.dag import NodeKind
 from ...ir.program import AISProgram
 from ...machine.spec import AQUACORE_SPEC, MachineSpec
 from ...machine.topology import ChannelTopology, bus_topology
+from ..report import AnalysisReport
 from .codes import PLAN_CODES
 from .plan import certify_plan
-from .schedule import OccupancyRecord, certify_schedule
+from .schedule import certify_schedule
 
 __all__ = [
-    "CertificateReport",
     "certify",
     "certify_program",
     "EXIT_CLEAN",
@@ -49,75 +42,31 @@ __all__ = [
 ]
 
 
-@dataclass
-class CertificateReport:
-    """The outcome of certifying one compiled assay (or bare program)."""
-
-    program: str
-    machine: str
-    findings: list[Diagnostic] = field(default_factory=list)
-    plan_checked: bool = False
-    schedule_checked: bool = False
-    metrics: dict[str, float] = field(default_factory=dict)
-    occupancy: list[OccupancyRecord] = field(default_factory=list)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return severity_counts(self.findings)
-
-    @property
-    def is_clean(self) -> bool:
-        """No warnings or errors (notes are informational)."""
-        counts = self.counts
-        return counts["error"] == 0 and counts["warning"] == 0
-
-    @property
-    def exit_code(self) -> int:
-        """Shared severity table (repro.compiler.diagnostics)."""
-        return exit_code_for(self.findings)
-
-    def codes(self) -> list[str]:
-        return [finding.code for finding in self.findings]
-
-    def sink(self) -> DiagnosticSink:
-        sink = DiagnosticSink()
-        sink.extend(self.findings)
-        return sink
-
-    # ------------------------------------------------------------------
-    def render_text(self) -> str:
-        counts = self.counts
-        lines = [str(finding) for finding in self.findings]
-        halves = []
-        halves.append("plan" if self.plan_checked else "plan skipped")
-        halves.append(
-            "schedule" if self.schedule_checked else "schedule skipped"
-        )
-        verdict = (
-            "certified"
-            if self.is_clean
-            else f"{counts['error']} error(s), {counts['warning']} "
-            f"warning(s), {counts['note']} note(s)"
-        )
-        lines.append(f"{self.program}: {verdict} [{' + '.join(halves)}]")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, object]:
-        return report_payload(
-            "certify",
-            self.program,
-            self.machine,
-            self.findings,
-            exit_code=self.exit_code,
-            extra_summary={
-                "plan_checked": self.plan_checked,
-                "schedule_checked": self.schedule_checked,
-                "metrics": self.metrics,
-            },
-        )
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+def _certificate(
+    program: str,
+    machine: str,
+    findings: list[Diagnostic],
+    *,
+    plan_checked: bool,
+    metrics: dict[str, float],
+) -> AnalysisReport:
+    """The report both entry points return; the schedule half always
+    runs, the plan half only when there is a static plan."""
+    plan = "plan" if plan_checked else "plan skipped"
+    return AnalysisReport(
+        tool="certify",
+        program=program,
+        machine=machine,
+        findings=findings,
+        extras={
+            "plan_checked": plan_checked,
+            "schedule_checked": True,
+            "metrics": metrics,
+        },
+        verdict="certified",
+        verdict_allows_notes=True,
+        detail=f"{plan} + schedule",
+    )
 
 
 def _initial_occupancy(compiled: object) -> dict[str, str]:
@@ -144,7 +93,7 @@ def certify(
     topology: ChannelTopology | None = None,
     ratio_tolerance: Fraction | None = None,
     slots: Sequence[int] | None = None,
-) -> CertificateReport:
+) -> AnalysisReport:
     """Certify a compiled assay: validate its plan, then its schedule.
 
     Args:
@@ -161,10 +110,6 @@ def certify(
             :func:`~.schedule.certify_schedule`).
     """
     machine_spec = spec or compiled.spec
-    report = CertificateReport(
-        program=compiled.program.name, machine=machine_spec.name
-    )
-
     assignment = getattr(compiled, "assignment", None)
     plan = getattr(compiled, "plan", None)
     if assignment is not None:
@@ -178,29 +123,25 @@ def certify(
             expect_feasible=expect_feasible,
             ratio_tolerance=ratio_tolerance,
         )
-        report.findings.extend(findings)
-        report.metrics = metrics
-        report.plan_checked = True
     else:
-        report.findings.append(
-            Diagnostic(
-                Severity.NOTE,
-                "PLAN-DEFERRED",
-                PLAN_CODES["PLAN-DEFERRED"].title,
-            )
-        )
+        deferred = PLAN_CODES["PLAN-DEFERRED"]
+        findings = [Diagnostic(deferred.severity, deferred.code, deferred.title)]
+        metrics = {}
 
-    schedule_findings, occupancy = certify_schedule(
+    schedule_findings, __ = certify_schedule(
         compiled.program,
         machine_spec,
         topology=topology or bus_topology(machine_spec),
         initial=_initial_occupancy(compiled),
         slots=slots,
     )
-    report.findings.extend(schedule_findings)
-    report.occupancy = occupancy
-    report.schedule_checked = True
-    return report
+    return _certificate(
+        compiled.program.name,
+        machine_spec.name,
+        findings + schedule_findings,
+        plan_checked=assignment is not None,
+        metrics=metrics,
+    )
 
 
 def certify_program(
@@ -210,21 +151,19 @@ def certify_program(
     topology: ChannelTopology | None = None,
     initial: dict[str, str] | None = None,
     slots: Sequence[int] | None = None,
-) -> CertificateReport:
+) -> AnalysisReport:
     """Certify a bare AIS listing (schedule interference only).
 
     Without a volume plan there is nothing for the plan half to validate;
     hand-written listings get the full occupancy/routing analysis.
     """
-    report = CertificateReport(program=program.name, machine=spec.name)
-    findings, occupancy = certify_schedule(
+    findings, __ = certify_schedule(
         program,
         spec,
         topology=topology or bus_topology(spec),
         initial=initial,
         slots=slots,
     )
-    report.findings.extend(findings)
-    report.occupancy = occupancy
-    report.schedule_checked = True
-    return report
+    return _certificate(
+        program.name, spec.name, findings, plan_checked=False, metrics={}
+    )

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from ...compiler.diagnostics import Diagnostic, Severity
-from ...ir.instructions import Instruction, Opcode, Operand
+from ...ir.instructions import Instruction, Opcode, Operand, fluid_label
 from ...ir.program import AISProgram
 from ...machine.errors import ComponentError
 from ...machine.spec import MachineSpec
@@ -141,15 +141,6 @@ class _ScheduleChecker:
     # ------------------------------------------------------------------
     # primitive state transitions
     # ------------------------------------------------------------------
-    def _fluid_label(self, instruction: Instruction) -> str:
-        for key in ("node", "dst_node", "aux", "park", "sense_of"):
-            value = instruction.meta.get(key)
-            if value is not None:
-                return str(value)
-        if instruction.edge is not None:
-            return str(instruction.edge[0])
-        return instruction.comment or "fluid"
-
     def _release(self, location: str, index: int) -> None:
         hold = self.holds.pop(location, None)
         if hold is not None:
@@ -222,7 +213,7 @@ class _ScheduleChecker:
     ) -> None:
         port = str(instruction.src)
         dst = str(instruction.dst)
-        fluid = self._fluid_label(instruction)
+        fluid = fluid_label(instruction)
         self._check_route(index, port, dst, guarded)
         seen = self.port_fluid.get(port)
         if seen is not None and seen != fluid and not guarded:
@@ -284,7 +275,7 @@ class _ScheduleChecker:
                     index=index,
                     operand=src,
                 )
-            fluids = {self._fluid_label(instruction)}
+            fluids = {fluid_label(instruction)}
             unknown_src = True
         else:
             fluids = set(source.fluids)
@@ -352,7 +343,7 @@ class _ScheduleChecker:
                     operand=unit,
                 )
             self.holds[unit] = _Hold(
-                {self._fluid_label(instruction)},
+                {fluid_label(instruction)},
                 state="product",
                 unknown=True,
                 start=index,
@@ -386,7 +377,7 @@ class _ScheduleChecker:
                 operand=outlet,
             )
         fluids = set(feed.fluids) if feed is not None else set()
-        fluids.add(self._fluid_label(instruction))
+        fluids.add(fluid_label(instruction))
         unknown = guarded or (feed.unknown if feed is not None else True)
         # the separation consumes the feed and both auxiliary wells
         for well in (unit, f"{unit}.matrix", f"{unit}.pusher", outlet):

@@ -1,8 +1,10 @@
 """Lint driver: the ``repro lint`` entry point as a library.
 
 Wraps :func:`repro.analysis.checks.analyze` with input handling (textual
-AIS listings or compiled programs), rendering (compiler-style text or
-JSON) and the severity-based exit-code policy:
+AIS listings or compiled programs) and returns the shared
+:class:`~repro.analysis.report.AnalysisReport`, whose rendering
+(compiler-style text or JSON) follows the severity-based exit-code
+policy:
 
 * ``0`` — clean, or notes only;
 * ``1`` — warnings;
@@ -11,27 +13,16 @@ JSON) and the severity-based exit-code policy:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from ..compiler.diagnostics import (
-    EXIT_CLEAN,
-    EXIT_ERRORS,
-    EXIT_WARNINGS,
-    Diagnostic,
-    DiagnosticSink,
-    exit_code_for,
-    report_payload,
-    severity_counts,
-)
+from ..compiler.diagnostics import EXIT_CLEAN, EXIT_ERRORS, EXIT_WARNINGS
 from ..ir.parse import parse_ais
 from ..ir.program import AISProgram
 from ..machine.spec import AQUACORE_SPEC, MachineSpec
 from .checks import Check, analyze
+from .report import AnalysisReport
 
 __all__ = [
-    "LintReport",
     "lint_program",
     "lint_text",
     "EXIT_CLEAN",
@@ -40,72 +31,15 @@ __all__ = [
 ]
 
 
-@dataclass
-class LintReport:
-    """The outcome of linting one program."""
-
-    program: str
-    machine: str
-    findings: list[Diagnostic] = field(default_factory=list)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return severity_counts(self.findings)
-
-    @property
-    def is_clean(self) -> bool:
-        """No warnings or errors (notes are informational)."""
-        return self.counts["error"] == 0 and self.counts["warning"] == 0
-
-    @property
-    def exit_code(self) -> int:
-        """Shared severity table (repro.compiler.diagnostics)."""
-        return exit_code_for(self.findings)
-
-    def sink(self) -> DiagnosticSink:
-        sink = DiagnosticSink()
-        sink.extend(self.findings)
-        return sink
-
-    # ------------------------------------------------------------------
-    def render_text(self) -> str:
-        counts = self.counts
-        lines = [str(finding) for finding in self.findings]
-        summary = (
-            f"{self.program}: "
-            + (
-                "clean"
-                if not self.findings
-                else f"{counts['error']} error(s), {counts['warning']} "
-                f"warning(s), {counts['note']} note(s)"
-            )
-        )
-        lines.append(summary)
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, object]:
-        """The stable v1 report schema shared with ``repro certify``
-        (see :func:`repro.compiler.diagnostics.report_payload`)."""
-        return report_payload(
-            "lint",
-            self.program,
-            self.machine,
-            self.findings,
-            exit_code=self.exit_code,
-        )
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
 def lint_program(
     program: AISProgram,
     spec: MachineSpec = AQUACORE_SPEC,
     *,
     checks: Sequence[Check] | None = None,
-) -> LintReport:
+) -> AnalysisReport:
     """Lint an in-memory program."""
-    return LintReport(
+    return AnalysisReport(
+        tool="lint",
         program=program.name,
         machine=spec.name,
         findings=analyze(program, spec, checks=checks),
@@ -118,7 +52,7 @@ def lint_text(
     *,
     name: str = "program",
     checks: Sequence[Check] | None = None,
-) -> LintReport:
+) -> AnalysisReport:
     """Parse an AIS listing and lint it.
 
     Raises:

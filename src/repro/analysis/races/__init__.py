@@ -35,20 +35,13 @@ compile pass (``repro compile --race-check``).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from ...compiler.diagnostics import (
-    Diagnostic,
-    exit_code_for,
-    report_payload,
-    severity_counts,
-)
 from ...ir.parse import parse_ais
 from ...ir.program import AISProgram
 from ...machine.spec import AQUACORE_SPEC, MachineSpec
 from ...machine.topology import ChannelTopology
+from ..report import AnalysisReport
 from .codes import RACE_CODES
 from .detector import RaceDetector
 from .hb import Barrier, BarrierOrder, DataflowOrder
@@ -58,73 +51,9 @@ __all__ = [
     "Barrier",
     "BarrierOrder",
     "DataflowOrder",
-    "RaceReport",
     "analyze_races",
     "race_text",
 ]
-
-
-@dataclass
-class RaceReport:
-    """The outcome of one race-detection run."""
-
-    program: str
-    machine: str
-    findings: list[Diagnostic] = field(default_factory=list)
-    #: MHP statistics (the ``summary.mhp`` block of the JSON report).
-    mhp: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return severity_counts(self.findings)
-
-    @property
-    def is_clean(self) -> bool:
-        """No warnings or errors (notes are informational)."""
-        counts = self.counts
-        return counts["error"] == 0 and counts["warning"] == 0
-
-    @property
-    def exit_code(self) -> int:
-        """Shared severity table (repro.compiler.diagnostics)."""
-        return exit_code_for(self.findings)
-
-    def codes(self) -> set[str]:
-        return {finding.code for finding in self.findings}
-
-    # ------------------------------------------------------------------
-    def render_text(self) -> str:
-        counts = self.counts
-        lines = [str(finding) for finding in self.findings]
-        lines.append(
-            f"{self.program}: "
-            + (
-                "race-free"
-                if not self.findings
-                else f"{counts['error']} error(s), {counts['warning']} "
-                f"warning(s), {counts['note']} note(s)"
-            )
-            + (
-                f" [{self.mhp.get('mhp_pairs', 0)} MHP pair(s) over "
-                f"{self.mhp.get('programs', 1)} program(s)]"
-            )
-        )
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, object]:
-        """The stable v1 report schema shared with ``repro lint`` and
-        ``repro certify`` plus a ``summary.mhp`` block."""
-        return report_payload(
-            "races",
-            self.program,
-            self.machine,
-            self.findings,
-            exit_code=self.exit_code,
-            extra_summary={"mhp": dict(self.mhp)},
-        )
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def analyze_races(
@@ -135,7 +64,7 @@ def analyze_races(
     barriers: Sequence[Barrier] = (),
     share_storage: bool = False,
     name: str | None = None,
-) -> RaceReport:
+) -> AnalysisReport:
     """Statically detect races over one program or a merged schedule.
 
     Args:
@@ -156,8 +85,10 @@ def analyze_races(
         name: report title; defaults to the joined program names.
 
     Returns:
-        a :class:`RaceReport`; ``counts["error"] == 0`` certifies every
-        interleaving the barriers admit as interference-free.
+        the shared :class:`~repro.analysis.report.AnalysisReport` with
+        the MHP statistics under ``extras["mhp"]``;
+        ``counts["error"] == 0`` certifies every interleaving the
+        barriers admit as interference-free.
     """
     if isinstance(programs, AISProgram):
         programs = [programs]
@@ -171,11 +102,18 @@ def analyze_races(
         barriers=barriers,
         share_storage=share_storage,
     ).run()
-    return RaceReport(
+    mhp = detector.mhp
+    return AnalysisReport(
+        tool="races",
         program=name or "+".join(program.name for program in programs),
         machine=spec.name,
         findings=detector.findings,
-        mhp=detector.mhp,
+        extras={"mhp": mhp},
+        verdict="race-free",
+        detail=(
+            f"{mhp['mhp_pairs']} MHP pair(s) over "
+            f"{mhp['programs']} program(s)"
+        ),
     )
 
 
@@ -185,7 +123,7 @@ def race_text(
     *,
     name: str = "program",
     topology: ChannelTopology | None = None,
-) -> RaceReport:
+) -> AnalysisReport:
     """Parse an AIS listing and race-check it (the CLI path).
 
     Raises:

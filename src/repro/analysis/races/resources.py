@@ -9,9 +9,9 @@ down to flat :class:`ResourceAccess` records:
 * every fluid-bearing location access becomes one record; destructive
   reads (drains, metered draws, unit-op feeds) count as **writes**, since
   they mutate the location's content — only ``sense`` is a pure read;
-* input-port accesses carry the sourced **fluid label** (the certifier's
-  convention: codegen's ``meta`` provenance keys, then the DAG edge, then
-  the comment), so the detector can tell a consistent shared port from a
+* input-port accesses carry the sourced **fluid label**
+  (:func:`repro.ir.instructions.fluid_label`, the rule the certifier
+  uses too), so the detector can tell a consistent shared port from a
   port clash;
 * accesses under a dynamic guard, or to names the spec cannot classify,
   are **inexact** — conflicts involving them are *possible* races
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...ir.instructions import Instruction, Opcode
+from ...ir.instructions import Opcode, fluid_label
 from ...ir.program import AISProgram
 from ...machine.spec import MachineSpec
 from ..dataflow import Access, AccessKind, ForwardAnalysis
@@ -39,7 +39,6 @@ __all__ = [
     "Transfer",
     "ProgramAccesses",
     "extract_accesses",
-    "fluid_label",
 ]
 
 #: transfer opcodes whose endpoints contend for channel routes.
@@ -84,17 +83,6 @@ class ProgramAccesses:
     transfers: list[Transfer]
     #: distinct reservoirs the program parks fluid in (peak bank demand).
     reservoir_demand: int
-
-
-def fluid_label(instruction: Instruction) -> str:
-    """The fluid an instruction handles, by the certifier's convention."""
-    for key in ("node", "dst_node", "aux", "park", "sense_of"):
-        value = instruction.meta.get(key)
-        if value is not None:
-            return str(value)
-    if instruction.edge is not None:
-        return str(instruction.edge[0])
-    return instruction.comment or "fluid"
 
 
 def _is_write(kind: AccessKind) -> bool:

@@ -11,9 +11,11 @@ loop bounds.  Verification cost is O(program size), independent of N.
 Public entry points:
 
 * :func:`verify_program` — verify a parsed+checked AST;
-* :func:`verify_source` — parse, check, and verify assay source text;
-* :class:`SourceReport` — findings + fixpoint stats, sharing the v1
-  report schema and severity/exit-code table with lint and certify.
+* :func:`verify_source` — parse, check, and verify assay source text.
+
+Both return the shared :class:`~repro.analysis.report.AnalysisReport`
+(verdict ``verified for all loop bounds``) with the fixpoint statistics
+under ``extras["fixpoint"]`` — the ``summary.fixpoint`` JSON block.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from ...lang import ast
 from ...lang.parser import parse
 from ...lang.semantic import SymbolTable, analyze
 from ...machine.spec import AQUACORE_SPEC, MachineSpec
+from ..report import AnalysisReport
 from .cfg import SourceCFG, build_cfg
-from .checks import SRC_CODES, SourceReport, run_checks
+from .checks import SRC_CODES, run_checks
 from .domain import IT_CELL, DryVal, IntInterval, SourceState
 from .engine import MAX_SWEEPS, WIDEN_DELAY, FactLog, run_fixpoint
 
@@ -37,7 +40,6 @@ __all__ = [
     "SourceState",
     "SourceCFG",
     "FactLog",
-    "SourceReport",
     "build_cfg",
     "run_fixpoint",
     "run_checks",
@@ -51,24 +53,28 @@ def verify_program(
     spec: MachineSpec = AQUACORE_SPEC,
     *,
     symbols: SymbolTable | None = None,
-) -> SourceReport:
+) -> AnalysisReport:
     """Verify a checked AST for all loop bounds."""
     if symbols is None:
         symbols = analyze(program)
     cfg = build_cfg(program, symbols)
     facts = run_fixpoint(cfg, spec)
     findings = run_checks(cfg, facts, spec)
-    return SourceReport(
+    return AnalysisReport(
+        tool="sourceflow",
         program=program.name,
         machine=spec.name,
         findings=findings,
-        stats={
-            "sweeps": facts.sweeps,
-            "converged": facts.converged,
-            "blocks": len(cfg.blocks),
-            "reachable_blocks": facts.reachable_blocks,
-            "loops": len(cfg.loops),
+        extras={
+            "fixpoint": {
+                "sweeps": facts.sweeps,
+                "converged": facts.converged,
+                "blocks": len(cfg.blocks),
+                "reachable_blocks": facts.reachable_blocks,
+                "loops": len(cfg.loops),
+            }
         },
+        verdict="verified for all loop bounds",
     )
 
 
@@ -77,7 +83,7 @@ def verify_source(
     spec: MachineSpec = AQUACORE_SPEC,
     *,
     name: str | None = None,
-) -> SourceReport:
+) -> AnalysisReport:
     """Parse, semantically check, and source-verify assay text.
 
     Raises:

@@ -18,126 +18,109 @@ The code table is catalogued in ``docs/ANALYSIS.md``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
-from ...compiler.diagnostics import (
-    Diagnostic,
-    DiagnosticSink,
-    Severity,
-    exit_code_for,
-    report_payload,
-    severity_counts,
-)
+from ...compiler.diagnostics import Diagnostic, Severity
 from ...machine.spec import MachineSpec
+from ..report import CodeInfo, catalogue
 from ..state import ContentKind
 from .cfg import SourceCFG
 from .domain import IT_CELL, IntInterval
 from .engine import FactLog
 
-__all__ = ["SRC_CODES", "SourceReport", "run_checks"]
-
-
-@dataclass(frozen=True)
-class CodeInfo:
-    code: str
-    severity: str  # severity of the *definite* form
-    summary: str
+__all__ = ["SRC_CODES", "run_checks"]
 
 
 #: the stable SRC code catalogue (definite-form severities).
-SRC_CODES: dict[str, CodeInfo] = {
-    info.code: info
-    for info in (
-        CodeInfo(
-            "SRC-READ-BEFORE-FILL",
-            "error",
-            "a fluid is read on a path where it definitely holds nothing "
-            "(before its only definitions, or `it` before any operation)",
-        ),
-        CodeInfo(
-            "SRC-USE-AFTER-CONSUME",
-            "error",
-            "a separation waste (or otherwise consumed cell) is used "
-            "downstream",
-        ),
-        CodeInfo(
-            "SRC-DOUBLE-FILL",
-            "error",
-            "a single-assignment fluid is definitely defined twice "
-            "(e.g. an unsubscripted definition inside a loop that runs "
-            "more than once)",
-        ),
-        CodeInfo(
-            "SRC-AUX-NOT-INPUT",
-            "error",
-            "a separation matrix/pusher names a produced fluid instead "
-            "of a primary input",
-        ),
-        CodeInfo(
-            "SRC-DEAD-FLUID",
-            "warning",
-            "a produced fluid never reaches an OUTPUT or SENSE",
-        ),
-        CodeInfo(
-            "SRC-INDEX-RANGE",
-            "error",
-            "a subscript interval falls (partly) outside the declared "
-            "bank extent",
-        ),
-        CodeInfo(
-            "SRC-DRY-UNDEFINED",
-            "error",
-            "a dry variable is read where it is (possibly) unassigned",
-        ),
-        CodeInfo(
-            "SRC-RUNTIME-VALUE",
-            "error",
-            "a sensed (run-time) value is used where a static value is "
-            "required (ratio, bound, subscript)",
-        ),
-        CodeInfo("SRC-DIV-ZERO", "error", "a dry division by (possible) zero"),
-        CodeInfo(
-            "SRC-RATIO-NONPOSITIVE",
-            "error",
-            "a mix ratio part that is (possibly) zero or negative",
-        ),
-        CodeInfo(
-            "SRC-FRACTION-RANGE",
-            "error",
-            "a YIELD/KEEP hint outside (0, 1]",
-        ),
-        CodeInfo("SRC-WHILE-HINT", "error", "a WHILE hint below zero"),
-        CodeInfo(
-            "SRC-INFEASIBLE-MIX",
-            "error",
-            "a NOEXCESS mix whose exact ratios cannot fit the mixer "
-            "capacity at the least count",
-        ),
-        CodeInfo(
-            "SRC-EXTREME-MIX",
-            "note",
-            "a mix whose ratio spread may exceed the mixer's dynamic "
-            "range (would need cascading)",
-        ),
-        CodeInfo(
-            "SRC-ALIASED-MIX",
-            "error",
-            "two mix operands that (may) resolve to the same fluid",
-        ),
-        CodeInfo(
-            "SRC-DRY-WET-CLASH",
-            "warning",
-            "a SENSE result stored into a loop counter",
-        ),
-        CodeInfo(
-            "SRC-NO-CONVERGENCE",
-            "error",
-            "the fixpoint hit its sweep ceiling (engine bug guard); "
-            "results are partial",
-        ),
-    )
-}
+SRC_CODES: dict[str, CodeInfo] = catalogue(
+    CodeInfo(
+        "SRC-READ-BEFORE-FILL",
+        Severity.ERROR,
+        "a fluid is read on a path where it definitely holds nothing "
+        "(before its only definitions, or `it` before any operation)",
+    ),
+    CodeInfo(
+        "SRC-USE-AFTER-CONSUME",
+        Severity.ERROR,
+        "a separation waste (or otherwise consumed cell) is used "
+        "downstream",
+    ),
+    CodeInfo(
+        "SRC-DOUBLE-FILL",
+        Severity.ERROR,
+        "a single-assignment fluid is definitely defined twice "
+        "(e.g. an unsubscripted definition inside a loop that runs "
+        "more than once)",
+    ),
+    CodeInfo(
+        "SRC-AUX-NOT-INPUT",
+        Severity.ERROR,
+        "a separation matrix/pusher names a produced fluid instead "
+        "of a primary input",
+    ),
+    CodeInfo(
+        "SRC-DEAD-FLUID",
+        Severity.WARNING,
+        "a produced fluid never reaches an OUTPUT or SENSE",
+    ),
+    CodeInfo(
+        "SRC-INDEX-RANGE",
+        Severity.ERROR,
+        "a subscript interval falls (partly) outside the declared "
+        "bank extent",
+    ),
+    CodeInfo(
+        "SRC-DRY-UNDEFINED",
+        Severity.ERROR,
+        "a dry variable is read where it is (possibly) unassigned",
+    ),
+    CodeInfo(
+        "SRC-RUNTIME-VALUE",
+        Severity.ERROR,
+        "a sensed (run-time) value is used where a static value is "
+        "required (ratio, bound, subscript)",
+    ),
+    CodeInfo(
+        "SRC-DIV-ZERO", Severity.ERROR, "a dry division by (possible) zero"
+    ),
+    CodeInfo(
+        "SRC-RATIO-NONPOSITIVE",
+        Severity.ERROR,
+        "a mix ratio part that is (possibly) zero or negative",
+    ),
+    CodeInfo(
+        "SRC-FRACTION-RANGE",
+        Severity.ERROR,
+        "a YIELD/KEEP hint outside (0, 1]",
+    ),
+    CodeInfo("SRC-WHILE-HINT", Severity.ERROR, "a WHILE hint below zero"),
+    CodeInfo(
+        "SRC-INFEASIBLE-MIX",
+        Severity.ERROR,
+        "a NOEXCESS mix whose exact ratios cannot fit the mixer "
+        "capacity at the least count",
+    ),
+    CodeInfo(
+        "SRC-EXTREME-MIX",
+        Severity.NOTE,
+        "a mix whose ratio spread may exceed the mixer's dynamic "
+        "range (would need cascading)",
+    ),
+    CodeInfo(
+        "SRC-ALIASED-MIX",
+        Severity.ERROR,
+        "two mix operands that (may) resolve to the same fluid",
+    ),
+    CodeInfo(
+        "SRC-DRY-WET-CLASH",
+        Severity.WARNING,
+        "a SENSE result stored into a loop counter",
+    ),
+    CodeInfo(
+        "SRC-NO-CONVERGENCE",
+        Severity.ERROR,
+        "the fixpoint hit its sweep ceiling (engine bug guard); "
+        "results are partial",
+    ),
+)
 
 
 class _Emitter:
@@ -536,67 +519,3 @@ def _check_clashes(out: _Emitter, facts: FactLog) -> None:
             "counter; the sensed value would clobber the iteration",
             operand=name,
         )
-
-
-# ---------------------------------------------------------------------------
-@dataclass
-class SourceReport:
-    """The outcome of source-level verification of one program."""
-
-    program: str
-    machine: str
-    findings: list[Diagnostic] = field(default_factory=list)
-    #: fixpoint instrumentation, surfaced in the JSON summary.
-    stats: dict[str, int | bool] = field(default_factory=dict)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return severity_counts(self.findings)
-
-    @property
-    def is_clean(self) -> bool:
-        """No warnings or errors (notes are informational)."""
-        return self.counts["error"] == 0 and self.counts["warning"] == 0
-
-    @property
-    def exit_code(self) -> int:
-        """Shared severity table (repro.compiler.diagnostics)."""
-        return exit_code_for(self.findings)
-
-    def codes(self) -> set[str]:
-        return {finding.code for finding in self.findings}
-
-    def sink(self) -> DiagnosticSink:
-        sink = DiagnosticSink()
-        sink.extend(self.findings)
-        return sink
-
-    # ------------------------------------------------------------------
-    def render_text(self) -> str:
-        counts = self.counts
-        lines = [str(finding) for finding in self.findings]
-        summary = (
-            f"{self.program}: "
-            + (
-                "verified for all loop bounds"
-                if not self.findings
-                else f"{counts['error']} error(s), {counts['warning']} "
-                f"warning(s), {counts['note']} note(s)"
-            )
-        )
-        lines.append(summary)
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, object]:
-        """The stable v1 report schema shared with lint/certify."""
-        return report_payload(
-            "sourceflow",
-            self.program,
-            self.machine,
-            self.findings,
-            exit_code=self.exit_code,
-            extra_summary={"fixpoint": dict(self.stats)},
-        )
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -729,14 +729,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat the input as assay source: compile it, then lint "
         "the generated program",
     )
-    p_lint.add_argument(
+    # --source and --races pick different analyzers: passing both is a
+    # usage error rather than one of them silently ignored
+    lint_mode = p_lint.add_mutually_exclusive_group()
+    lint_mode.add_argument(
         "--source",
         action="store_true",
         help="treat the input as assay source and verify the *rolled* "
         "program: one fixpoint whose SRC-* verdicts hold for every "
         "loop bound (no unrolling, no compile)",
     )
-    p_lint.add_argument(
+    lint_mode.add_argument(
         "--races",
         action="store_true",
         help="run the static race detector instead: happens-before + "
@@ -883,6 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "lint" and args.topology and not args.races:
+        parser.error("lint: --topology only applies with --races")
     try:
         return args.handler(args)
     except (AISParseError, FrontendError, VolumeError) as error:

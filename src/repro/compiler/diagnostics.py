@@ -22,7 +22,6 @@ __all__ = [
     "Severity",
     "Diagnostic",
     "DiagnosticSink",
-    "REPORT_SCHEMA_VERSION",
     "EXIT_CLEAN",
     "EXIT_WARNINGS",
     "EXIT_ERRORS",
@@ -30,7 +29,6 @@ __all__ = [
     "SEVERITY_EXIT_CODES",
     "severity_counts",
     "exit_code_for",
-    "report_payload",
 ]
 
 # ---------------------------------------------------------------------------
@@ -139,13 +137,6 @@ class DiagnosticSink:
         return "\n".join(str(d) for d in self.items)
 
 
-# ---------------------------------------------------------------------------
-# shared JSON report schema (``repro lint --json`` / ``repro certify --json``)
-# ---------------------------------------------------------------------------
-#: bumped only on breaking changes to the payload shape below.
-REPORT_SCHEMA_VERSION = 1
-
-
 def severity_counts(diagnostics: Iterable[Diagnostic]) -> dict[str, int]:
     """Tally diagnostics per severity level."""
     counts = {"error": 0, "warning": 0, "note": 0}
@@ -171,43 +162,3 @@ def exit_code_for(diagnostics: Iterable[Diagnostic]) -> int:
         if worst is None or diagnostic.severity.rank > worst.rank:
             worst = diagnostic.severity
     return SEVERITY_EXIT_CODES[worst]
-
-
-def report_payload(
-    tool: str,
-    program: str,
-    machine: str,
-    diagnostics: Iterable[Diagnostic],
-    *,
-    exit_code: int | None = None,
-    extra_summary: dict[str, object] | None = None,
-) -> dict[str, object]:
-    """The stable top-level JSON schema emitted by ``repro lint --json``
-    and ``repro certify --json`` (documented in docs/ANALYSIS.md)::
-
-        {"version": 1, "tool": ..., "program": ..., "machine": ...,
-         "diagnostics": [...], "summary": {"clean": ..., "errors": ...,
-         "warnings": ..., "notes": ..., "exit_code": ...}}
-
-    ``extra_summary`` lets a tool add keys under ``summary`` without
-    touching the stable ones.
-    """
-    items = list(diagnostics)
-    counts = severity_counts(items)
-    summary: dict[str, object] = {
-        "clean": counts["error"] == 0 and counts["warning"] == 0,
-        "errors": counts["error"],
-        "warnings": counts["warning"],
-        "notes": counts["note"],
-        "exit_code": exit_code_for(items) if exit_code is None else exit_code,
-    }
-    if extra_summary:
-        summary.update(extra_summary)
-    return {
-        "version": REPORT_SCHEMA_VERSION,
-        "tool": tool,
-        "program": program,
-        "machine": machine,
-        "diagnostics": [diagnostic.to_dict() for diagnostic in items],
-        "summary": summary,
-    }

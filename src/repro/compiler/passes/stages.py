@@ -156,7 +156,7 @@ class SourceLintPass(Pass):
         return PassOutcome(
             detail=(
                 f"{len(report.findings)} finding(s), "
-                f"{report.stats['sweeps']} sweep(s)"
+                f"{report.extras['fixpoint']['sweeps']} sweep(s)"
             )
         )
 
@@ -798,7 +798,7 @@ class RaceCheckPass(Pass):
         return PassOutcome(
             detail=(
                 f"{len(report.findings)} finding(s), "
-                f"{report.mhp.get('mhp_pairs', 0)} schedule-sensitive "
+                f"{report.extras['mhp']['mhp_pairs']} schedule-sensitive "
                 "pair(s)"
             )
         )

@@ -39,6 +39,7 @@ __all__ = [
     "Opcode",
     "Operand",
     "Instruction",
+    "fluid_label",
     "input_",
     "output",
     "move",
@@ -214,6 +215,24 @@ class Instruction:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def fluid_label(instruction: Instruction) -> str:
+    """The fluid an instruction handles: the first codegen ``meta``
+    provenance key present (``node``, ``dst_node``, ``aux``, ``park``,
+    ``sense_of``), then the DAG edge's source, then the comment.
+
+    The schedule certifier and the race detector both compare fluids by
+    this label, so ``SCHED-PORT-CLASH`` and ``RACE-PORT`` agree on when
+    two loads from one input port source different fluids.
+    """
+    for key in ("node", "dst_node", "aux", "park", "sense_of"):
+        value = instruction.meta.get(key)
+        if value is not None:
+            return str(value)
+    if instruction.edge is not None:
+        return str(instruction.edge[0])
+    return instruction.comment or "fluid"
 
 
 def _num(value: Fraction | None) -> str:

@@ -62,7 +62,7 @@ def test_corpus_certifies_clean(name):
     report = certify(compiled)
     assert report.is_clean, report.render_text()
     assert report.exit_code == 0
-    assert report.schedule_checked
+    assert report.extras["schedule_checked"]
 
 
 @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
@@ -102,14 +102,14 @@ def test_pipeline_certify_stage_adds_no_errors(name):
 def test_static_corpus_checks_both_halves():
     compiled = run_compile(source=CORPUS["glucose"]).compiled
     report = certify(compiled)
-    assert report.plan_checked and report.schedule_checked
-    assert report.metrics["delivered_nl"] > 0
+    assert report.extras["plan_checked"] and report.extras["schedule_checked"]
+    assert report.extras["metrics"]["delivered_nl"] > 0
 
 
 def test_runtime_assay_defers_plan_half():
     compiled = run_compile(source=CORPUS["glycomics"]).compiled
     report = certify(compiled)
-    assert not report.plan_checked
+    assert not report.extras["plan_checked"]
     assert "PLAN-DEFERRED" in report.codes()
     assert report.is_clean, report.render_text()
 

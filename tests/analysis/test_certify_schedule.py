@@ -234,6 +234,7 @@ class TestCertifyProgram:
             output("op1", "mixer1"),
         )
         report = certify_program(program, AQUACORE_SPEC)
-        assert report.schedule_checked and not report.plan_checked
+        assert report.extras["schedule_checked"]
+        assert not report.extras["plan_checked"]
         assert report.exit_code == 0
         assert "certified" in report.render_text()

@@ -103,3 +103,26 @@ def test_lint_machine_choice(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_CLEAN
     assert payload["machine"] == "aquacore-xl"
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--source", "--races"], ("--source", "--races")),
+        (["--topology", "ring"], ("--topology", "--races")),
+        (["--source", "--topology", "ring"], ("--topology", "--races")),
+    ],
+)
+def test_lint_rejects_conflicting_modes(tmp_path, capsys, flags, named):
+    """A mode flag the chosen analyzer would ignore is a usage error, not
+    a silently different run (exit 2, both flags named)."""
+    from repro.assays import glucose
+
+    src = tmp_path / "glucose.fluid"
+    src.write_text(glucose.SOURCE)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lint", str(src), *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    for flag in named:
+        assert flag in err

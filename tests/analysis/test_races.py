@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.analysis.certify import certify_schedule
 from repro.analysis.certify.codes import SCHED_CODES
 from repro.analysis.races import (
     RACE_CODES,
@@ -58,7 +59,9 @@ class TestCodeCatalogue:
         assert all(code.startswith("RACE-") for code in RACE_CODES)
 
     def test_severity_split(self):
-        severities = {code: info.severity for code, info in RACE_CODES.items()}
+        severities = {
+            code: info.severity.value for code, info in RACE_CODES.items()
+        }
         assert severities == {
             "RACE-WW": "error",
             "RACE-RW": "error",
@@ -169,6 +172,30 @@ class TestMergedDetection:
         assert finding.operand == "ip1"
         assert "'A'" in finding.message and "'B'" in finding.message
 
+    @pytest.mark.parametrize(
+        "first, second, clash",
+        [
+            ({"meta": {"node": "A"}}, {"comment": "A"}, False),
+            ({"edge": ("A", "x")}, {"meta": {"aux": "A"}}, False),
+            ({"meta": {"park": "A"}}, {"meta": {"node": "B"}}, True),
+            ({"comment": "A"}, {"comment": "B"}, True),
+            (
+                {"meta": {"node": "A", "sense_of": "B"}},
+                {"meta": {"sense_of": "B"}},
+                True,
+            ),
+        ],
+    )
+    def test_port_clash_agrees_with_the_certifier(self, first, second, clash):
+        """RACE-PORT and SCHED-PORT-CLASH name fluids by one rule
+        (``repro.ir.instructions.fluid_label``)."""
+        a = input_("s1", "ip1", abs_volume=Fraction(10), **first)
+        b = input_("s2", "ip1", abs_volume=Fraction(10), **second)
+        serial, __ = certify_schedule(_program(a, b), AQUACORE_SPEC)
+        merged = analyze_races([_program(a, name="a"), _program(b, name="b")])
+        assert ("SCHED-PORT-CLASH" in {d.code for d in serial}) is clash
+        assert ("RACE-PORT" in merged.codes()) is clash
+
     def test_port_sharing_one_fluid_is_safe(self):
         a = _assay("a", port="ip1", fluid="A", reservoir="s1")
         b = _assay(
@@ -237,8 +264,8 @@ class TestMergedDetection:
             [a, b], barriers=[(len(a.instructions), 0)]
         )
         assert report.findings == []
-        assert report.mhp["mhp_pairs"] == 0
-        assert report.mhp["barriers"] == 1
+        assert report.extras["mhp"]["mhp_pairs"] == 0
+        assert report.extras["mhp"]["barriers"] == 1
 
     def test_duplicate_pairs_are_grouped(self):
         a = _assay("a", port="ip1", fluid="A", reservoir="s1")
@@ -249,7 +276,7 @@ class TestMergedDetection:
     def test_mhp_summary_block(self):
         a = _assay("a", port="ip1", fluid="A", reservoir="s1")
         b = _assay("b", port="ip2", fluid="B", reservoir="s2")
-        mhp = analyze_races([a, b]).mhp
+        mhp = analyze_races([a, b]).extras["mhp"]
         assert mhp["mode"] == "merged"
         assert mhp["programs"] == 2
         assert mhp["pairs"] == mhp["mhp_pairs"] > 0
@@ -348,8 +375,8 @@ class TestSingleMode:
         program = _assay("a", port="ip1", fluid="A", reservoir="s1")
         report = analyze_races(program)
         assert report.findings == []
-        assert report.mhp["mode"] == "single"
-        assert report.mhp["mhp_pairs"] == 0
+        assert report.extras["mhp"]["mode"] == "single"
+        assert report.extras["mhp"]["mhp_pairs"] == 0
 
     def test_sense_fence_between_sessions_orders_them(self):
         # the sense result feeds dynamic guards, so it fences the stream:

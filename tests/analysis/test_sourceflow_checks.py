@@ -188,15 +188,15 @@ def test_defect_fires_its_code(code):
 def test_defect_severity_matches_registry(code):
     report = verify_source(BROKEN[code], name=code)
     registered = SRC_CODES[code].severity
-    severities = {f.severity.value for f in report.findings if f.code == code}
+    severities = {f.severity for f in report.findings if f.code == code}
     assert registered in severities
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_verifies_clean_for_all_bounds(name):
     report = verify_source(CORPUS[name], name=name)
-    assert report.stats["converged"]
-    assert report.stats["sweeps"] < MAX_SWEEPS
+    assert report.extras["fixpoint"]["converged"]
+    assert report.extras["fixpoint"]["sweeps"] < MAX_SWEEPS
     assert report.is_clean, report.render_text()
     assert report.exit_code == 0
 
@@ -225,8 +225,8 @@ def test_verdict_is_independent_of_trip_count():
     for report in reports.values():
         assert report.is_clean
         assert report.codes() == baseline.codes()
-        assert report.stats["sweeps"] == baseline.stats["sweeps"]
-        assert report.stats["blocks"] == baseline.stats["blocks"]
+        assert report.extras["fixpoint"]["sweeps"] == baseline.extras["fixpoint"]["sweeps"]
+        assert report.extras["fixpoint"]["blocks"] == baseline.extras["fixpoint"]["blocks"]
 
 
 def test_while_with_widening_terminates():
@@ -244,8 +244,8 @@ OUTPUT r;
 END
 """
     report = verify_source(source, name="spin")
-    assert report.stats["converged"]
-    assert report.stats["sweeps"] < MAX_SWEEPS
+    assert report.extras["fixpoint"]["converged"]
+    assert report.extras["fixpoint"]["sweeps"] < MAX_SWEEPS
     assert report.is_clean, report.render_text()
 
 

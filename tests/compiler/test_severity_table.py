@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis import lint as lint_mod
 from repro.analysis.certify import report as certify_mod
+from repro.analysis.report import AnalysisReport
 from repro.compiler.diagnostics import (
     EXIT_CLEAN,
     EXIT_ERRORS,
@@ -20,7 +21,6 @@ from repro.compiler.diagnostics import (
     DiagnosticSink,
     Severity,
     exit_code_for,
-    report_payload,
     severity_counts,
 )
 
@@ -95,11 +95,16 @@ class TestConsumersShareTheTable:
         ],
     )
     def test_lint_and_certify_reports_agree(self, findings, expected):
-        lint_report = lint_mod.LintReport(
-            program="p", machine="m", findings=list(findings)
+        lint_report = AnalysisReport(
+            tool="lint", program="p", machine="m", findings=list(findings)
         )
-        certify_report = certify_mod.CertificateReport(
-            program="p", machine="m", findings=list(findings)
+        certify_report = AnalysisReport(
+            tool="certify",
+            program="p",
+            machine="m",
+            findings=list(findings),
+            verdict="certified",
+            verdict_allows_notes=True,
         )
         assert lint_report.exit_code == expected
         assert certify_report.exit_code == expected
@@ -108,9 +113,9 @@ class TestConsumersShareTheTable:
 
     def test_report_payload_embeds_the_shared_exit_code(self):
         findings = [diag(Severity.WARNING)]
-        payload = report_payload(
-            "lint", "p", "m", findings, exit_code=exit_code_for(findings)
-        )
+        payload = AnalysisReport(
+            tool="lint", program="p", machine="m", findings=findings
+        ).to_dict()
         counts = severity_counts(findings)
         assert payload["summary"]["exit_code"] == EXIT_WARNINGS
         assert payload["summary"]["errors"] == counts["error"]

@@ -104,7 +104,7 @@ class TestMetricsInvariants:
         if compiled.assignment is None:
             return
         report = certify(compiled)
-        metrics = report.metrics
+        metrics = report.extras["metrics"]
         assert metrics["loaded_nl"] >= 0
         assert metrics["delivered_nl"] >= 0
         # nothing delivered can exceed what was loaded

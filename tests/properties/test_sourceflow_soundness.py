@@ -102,7 +102,7 @@ def unrolled_has_definite_error(source: str) -> bool:
 def test_definite_unrolled_errors_are_subsumed(n, mutation):
     source = build_source(n, mutation)
     report = verify_source(source, name="prop")
-    assert report.stats["converged"]
+    assert report.extras["fixpoint"]["converged"]
     src_errors = {
         f.code for f in report.findings if f.severity.value == "error"
     }
@@ -126,4 +126,4 @@ def test_healthy_template_is_clean_and_bound_independent(n):
     assert not unrolled_has_definite_error(build_source(n, None))
     # same invariants regardless of the drawn bound
     assert report.codes() == baseline.codes()
-    assert report.stats["sweeps"] == baseline.stats["sweeps"]
+    assert report.extras["fixpoint"]["sweeps"] == baseline.extras["fixpoint"]["sweeps"]

@@ -210,7 +210,7 @@ def certify_smoke(certificate) -> str | None:
     if not summary["schedule_checked"]:
         return "schedule half was not certified"
     if summary["plan_checked"]:
-        metrics = certificate.metrics
+        metrics = summary["metrics"]
         if metrics.get("delivered_nl", 0) <= 0:
             return "certified plan delivers nothing"
         if metrics["delivered_nl"] > metrics["loaded_nl"] + 1e-9:
@@ -250,7 +250,7 @@ def check_sourceflow(entries, report, verbose) -> int:
         if entry.source is None:
             continue
         verdict = verify_source(entry.source, name=entry.name)
-        stats = verdict.stats
+        stats = verdict.extras["fixpoint"]
         if not stats["converged"]:
             print(f"{entry.name:16s} FIXPOINT DID NOT CONVERGE")
             failures += 1
@@ -309,7 +309,7 @@ def check_races(entries, report, verbose) -> int:
         )
         print(
             f"{name:16s} {status:24s} "
-            f"[{races.mhp['mhp_pairs']} schedule-sensitive pair(s)]"
+            f"[{races.extras['mhp']['mhp_pairs']} schedule-sensitive pair(s)]"
         )
         bad = bool(counts["error"] or counts["warning"])
         if verbose or bad:
@@ -327,7 +327,7 @@ def check_races(entries, report, verbose) -> int:
         ok = unfenced.counts["error"] > 0 and fenced.counts["error"] == 0
         print(
             f"{left}+{right}: unfenced {unfenced.counts['error']} "
-            f"error(s) over {unfenced.mhp['mhp_pairs']} MHP pair(s); "
+            f"error(s) over {unfenced.extras['mhp']['mhp_pairs']} MHP pair(s); "
             f"fenced {fenced.counts['error']} error(s)"
             + ("" if ok else "  <-- FAIL")
         )
