@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from collections.abc import Mapping, Sequence
 
 from ...core.dag import AssayDAG
-from ...core.dagsolve import VolumeAssignment
+from ...core.dagsolve import VolumeAssignment, Violation
 from ...core.hierarchy import Attempt, TransformReport, VolumeManager, VolumePlan
 from ...machine.spec import AQUACORE_SPEC, MachineSpec
 from ..diagnostics import DiagnosticSink
@@ -64,9 +64,16 @@ class CompiledAssay:
 
 @dataclass
 class HierarchyState:
-    """Working state of the Figure 6 loop (owned by the hierarchy passes)."""
+    """Working state of the Figure 6 loop (owned by the hierarchy passes).
+
+    Every stage reports through :meth:`record`; the solver stages hand
+    their assignment to :meth:`settle`, and :meth:`volume_plan` is the
+    one place a :class:`VolumePlan` is built from the loop's history.
+    """
 
     current: AssayDAG
+    #: name of the planning objective, stamped on every attempt.
+    objective: str = "default"
     attempts: list[Attempt] = field(default_factory=list)
     transforms: list[TransformReport] = field(default_factory=list)
     best: VolumeAssignment | None = None
@@ -81,6 +88,51 @@ class HierarchyState:
     #: previous LP solution in the previous model's variable order, offered
     #: to the solver as a warm start on the next attempt.
     lp_warm: list[float] | None = None
+
+    def record(
+        self,
+        stage: str,
+        succeeded: bool,
+        detail: str = "",
+        violations: Sequence[Violation] = (),
+    ) -> None:
+        """Append this round's attempt at ``stage`` to the history."""
+        self.attempts.append(
+            Attempt(
+                stage,
+                self.round,
+                succeeded,
+                detail=detail,
+                violations=tuple(violations),
+                objective=self.objective,
+            )
+        )
+
+    def settle(
+        self, stage: str, assignment: VolumeAssignment, note: str = ""
+    ) -> str:
+        """Record a solver's assignment and keep it.
+
+        A feasible assignment becomes the plan (which ends the loop); an
+        infeasible one competes for ``best``, the regeneration fallback.
+        The attempt's detail is ``note``, or else the first violations.
+        Returns the verdict for the pass event.
+        """
+        violations = assignment.violations()
+        detail = note or "; ".join(str(v) for v in violations[:3])
+        self.record(stage, not violations, detail, violations)
+        if violations:
+            self.best = VolumeManager._better(self.best, assignment)
+            return f"{len(violations)} violation(s)"
+        self.plan = self.volume_plan(assignment, stage)
+        return "feasible"
+
+    def volume_plan(
+        self, assignment: VolumeAssignment | None, status: str
+    ) -> VolumePlan:
+        return VolumePlan(
+            self.current, assignment, status, self.attempts, self.transforms
+        )
 
 
 @dataclass

@@ -8,9 +8,9 @@ how many diagnostics the pass added — to a pluggable :class:`PassEventBus`.
 The bus mirrors the run-time trace machinery
 (:class:`repro.machine.trace.ExecutionTrace`): a flat, append-only record
 of structured events that round-trips through ``to_dict`` and renders as
-a human table.  Subscribers (``bus.subscribe``) receive each event as it
-is emitted, so external tooling — a tracer, a progress bar, a metrics
-exporter — can tap the compile without touching the passes themselves.
+a human table.  Consumers read the record after the compile: the CLI
+renders it, the compile service folds each job's ``events_payload``
+into its per-pass metrics.
 
 ``repro compile --time-passes`` prints :func:`render_timing_table`;
 ``--stats-json`` writes :func:`events_payload`.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
-from collections.abc import Callable
 
 __all__ = [
     "PASS_EVENT_SCHEMA_VERSION",
@@ -100,7 +99,7 @@ class PassEvent:
 
 
 class PassEventBus:
-    """Append-only event record plus fan-out to live subscribers.
+    """Append-only record of the events one compile emits.
 
     Args:
         fingerprints: ask passes to compute input/output content
@@ -112,15 +111,9 @@ class PassEventBus:
     def __init__(self, *, fingerprints: bool = False) -> None:
         self.events: list[PassEvent] = []
         self.fingerprints = fingerprints
-        self._subscribers: list[Callable[[PassEvent], None]] = []
-
-    def subscribe(self, callback: Callable[[PassEvent], None]) -> None:
-        self._subscribers.append(callback)
 
     def emit(self, event: PassEvent) -> PassEvent:
         self.events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
         return event
 
     # ------------------------------------------------------------------

@@ -41,7 +41,7 @@ class Pass:
     """One compilation stage.
 
     Subclasses set :attr:`name` and implement :meth:`run`.  Override
-    :meth:`applicable` for passes that only run under some configurations
+    :meth:`skip` for passes that only run under some configurations
     (the manager emits a ``skipped`` event with the reason instead of
     calling :meth:`run`), and :meth:`fingerprint_in` /
     :meth:`fingerprint_out` to describe the artifact the pass transforms
@@ -51,12 +51,9 @@ class Pass:
     #: stable pass name used in events, ``--explain``, and tests.
     name: str = "pass"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return True
-
-    def skip_reason(self, ctx: CompileContext) -> str:
-        """Why :meth:`applicable` said no (for the skipped event)."""
-        return ""
+    def skip(self, ctx: CompileContext) -> str | None:
+        """Why this pass does not run on ``ctx``; ``None`` when it does."""
+        return None
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         raise NotImplementedError
@@ -128,13 +125,11 @@ def run_instrumented(
     profiled directly — their stages are, which avoids nesting profilers.
     """
     bus = ctx.events
-    if not pass_.applicable(ctx):
+    reason = pass_.skip(ctx)
+    if reason is not None:
         return bus.emit(
             PassEvent(
-                name=pass_.name,
-                status="skipped",
-                round=round,
-                detail=pass_.skip_reason(ctx),
+                name=pass_.name, status="skipped", round=round, detail=reason
             )
         )
     fp_in = pass_.fingerprint_in(ctx) if bus.fingerprints else None
@@ -196,18 +191,11 @@ class PassManager:
     def __init__(self, passes: Sequence[Pass]) -> None:
         self.passes: list[Pass] = list(passes)
 
-    def plan_names(self) -> list[str]:
-        return [p.name for p in self.passes]
-
     # ------------------------------------------------------------------
     def run(self, ctx: CompileContext) -> CompileContext:
         for pass_ in self.passes:
-            self.run_pass(pass_, ctx)
+            run_instrumented(pass_, ctx)
         return ctx
-
-    def run_pass(self, pass_: Pass, ctx: CompileContext) -> PassEvent:
-        """Run one pass with timing/fingerprint/event instrumentation."""
-        return run_instrumented(pass_, ctx)
 
     # ------------------------------------------------------------------
     def explain(self, ctx: CompileContext | None = None) -> str:

@@ -42,7 +42,7 @@ from ...core.errors import (
     SolverError,
     VolumeError,
 )
-from ...core.hierarchy import Attempt, VolumeManager, VolumePlan
+from ...core.hierarchy import VolumeManager, VolumePlan
 from ...core.lp import solve_model
 from ...core.lpmodel import IncrementalLPBuilder
 from ...core.replication import iterative_replication
@@ -55,7 +55,7 @@ from ...machine.spec import AQUACORE_SPEC, MachineSpec
 from ..codegen import generate
 from .context import CompileContext, CompiledAssay, HierarchyState
 from .events import PassEventBus
-from .manager import OK, Pass, PassManager, PassOutcome
+from .manager import OK, Pass, PassManager, PassOutcome, run_instrumented
 
 __all__ = [
     "ParseSource",
@@ -104,6 +104,12 @@ def _has_unknown_flows(dag: AssayDAG) -> bool:
     )
 
 
+#: the skip reason of every static-plan pass on a runtime-deferred assay.
+RUNTIME_DEFERRED = "runtime-deferred assay"
+#: the skip reason of the passes that need the rolled program.
+NO_AST = "no AST (DAG or flat assay supplied directly)"
+
+
 # ---------------------------------------------------------------------------
 # front end
 # ---------------------------------------------------------------------------
@@ -112,13 +118,8 @@ class ParseSource(Pass):
 
     name = "parse"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.source is not None and ctx.flat is None and ctx.dag is None
-
-    def skip_reason(self, ctx: CompileContext) -> str:
-        if ctx.dag is not None:
-            return "DAG supplied directly"
-        return "pre-unrolled input"
+    def skip(self, ctx: CompileContext) -> str | None:
+        return "DAG supplied directly" if ctx.dag is not None else None
 
     def fingerprint_in(self, ctx: CompileContext) -> str | None:
         return _sha256(ctx.source) if ctx.source is not None else None
@@ -139,13 +140,10 @@ class SourceLintPass(Pass):
 
     name = "source-lint"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.source_lint and ctx.ast is not None
-
-    def skip_reason(self, ctx: CompileContext) -> str:
+    def skip(self, ctx: CompileContext) -> str | None:
         if not ctx.source_lint:
             return "source lint not requested"
-        return "no AST (DAG or flat assay supplied directly)"
+        return NO_AST if ctx.ast is None else None
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         # local import: repro.analysis imports the compiler's products
@@ -166,11 +164,8 @@ class Unroll(Pass):
 
     name = "unroll"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.ast is not None and ctx.flat is None
-
-    def skip_reason(self, ctx: CompileContext) -> str:
-        return "no AST (DAG or flat assay supplied directly)"
+    def skip(self, ctx: CompileContext) -> str | None:
+        return NO_AST if ctx.ast is None else None
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         ctx.flat = unroll(ctx.ast, ctx.symbols)
@@ -214,10 +209,9 @@ class Partition(Pass):
 
     name = "partition"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return _has_unknown_flows(ctx.dag)
-
-    def skip_reason(self, ctx: CompileContext) -> str:
+    def skip(self, ctx: CompileContext) -> str | None:
+        if _has_unknown_flows(ctx.dag):
+            return None
         return "all volumes statically known"
 
     def run(self, ctx: CompileContext) -> PassOutcome:
@@ -274,13 +268,10 @@ class RestorePlan(Pass):
 
     name = "restore-plan"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.is_static and ctx.cache is not None
-
-    def skip_reason(self, ctx: CompileContext) -> str:
+    def skip(self, ctx: CompileContext) -> str | None:
         if not ctx.is_static:
-            return "runtime-deferred assay"
-        return "no plan cache configured"
+            return RUNTIME_DEFERRED
+        return "no plan cache configured" if ctx.cache is None else None
 
     def fingerprint_in(self, ctx: CompileContext) -> str | None:
         return ctx.compile_fingerprint()
@@ -314,16 +305,13 @@ class DAGSolvePass(Pass):
     def run(self, ctx: CompileContext) -> PassOutcome:
         state = ctx.hierarchy
         manager = ctx.manager
+        cache = ctx.cache
         cache_note: str | None = None
-        if manager.cache is not None:
+        if cache is not None:
             state.current.validate()
-            hits_before = manager.cache.stats.hits
-            vnorms = manager.cache.memo_vnorms(
-                state.current, ctx.output_targets
-            )
-            cache_note = (
-                "hit" if manager.cache.stats.hits > hits_before else "miss"
-            )
+            hits_before = cache.stats.hits
+            vnorms = cache.memo_vnorms(state.current, ctx.output_targets)
+            cache_note = "hit" if cache.stats.hits > hits_before else "miss"
             assignment = dispense(
                 state.current,
                 vnorms,
@@ -337,30 +325,17 @@ class DAGSolvePass(Pass):
                 ctx.output_targets,
                 objective=manager.objective,
             )
-        violations = assignment.violations()
-        state.attempts.append(
-            Attempt(
-                "dagsolve",
-                state.round,
-                not violations,
-                detail="; ".join(str(v) for v in violations[:3]),
-                violations=tuple(violations),
-                objective=manager.objective.name,
-            )
-        )
-        if not violations:
-            state.plan = VolumePlan(
-                state.current,
-                assignment,
-                "dagsolve",
-                state.attempts,
-                state.transforms,
-            )
-            return PassOutcome(cache=cache_note, detail="feasible")
-        state.best = VolumeManager._better(state.best, assignment)
         return PassOutcome(
-            cache=cache_note, detail=f"{len(violations)} violation(s)"
+            cache=cache_note, detail=state.settle(self.name, assignment)
         )
+
+
+def _failed(
+    state: HierarchyState, stage: str, error: Exception
+) -> PassOutcome:
+    """Record a stage that raised instead of producing a result."""
+    state.record(stage, False, str(error))
+    return PassOutcome(status="failed", detail=str(error))
 
 
 class LPFallback(Pass):
@@ -375,21 +350,18 @@ class LPFallback(Pass):
 
     name = "lp"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.manager.use_lp
-
-    def skip_reason(self, ctx: CompileContext) -> str:
-        return "LP disabled (use_lp off)"
+    def skip(self, ctx: CompileContext) -> str | None:
+        if not ctx.manager.use_lp:
+            return "LP disabled (use_lp off)"
+        if ctx.hierarchy.transformed:
+            # only reachable in the objective-reordered round (LP last):
+            # let the rewritten DAG go through DAGSolve first
+            return "transform already rewrote this round"
+        return None
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         state = ctx.hierarchy
         manager = ctx.manager
-        if state.transformed:
-            # only reachable in the objective-reordered round (LP last):
-            # let the rewritten DAG go through DAGSolve first
-            return PassOutcome(
-                status="skipped", detail="transform already rewrote this round"
-            )
         if state.lp_builder is None:
             state.lp_builder = IncrementalLPBuilder(
                 manager.limits,
@@ -400,16 +372,7 @@ class LPFallback(Pass):
             model = state.lp_builder.build(state.current)
             assignment = solve_model(model, warm_start=state.lp_warm)
         except (InfeasibleError, SolverError) as error:
-            state.attempts.append(
-                Attempt(
-                    "lp",
-                    state.round,
-                    False,
-                    detail=str(error),
-                    objective=manager.objective.name,
-                )
-            )
-            return PassOutcome(status="failed", detail=str(error))
+            return _failed(state, self.name, error)
         stats = state.lp_builder.last_stats
         reuse_note = (
             f"lp-model {stats['reused']}/{stats['nodes']} row bundle(s) "
@@ -418,124 +381,67 @@ class LPFallback(Pass):
         state.lp_warm = [
             float(assignment.edge_volume[key]) for key in model.var_index
         ]
-        violations = assignment.violations()
-        state.attempts.append(
-            Attempt(
-                "lp",
-                state.round,
-                not violations,
-                detail=reuse_note,
-                violations=tuple(violations),
-                objective=manager.objective.name,
-            )
-        )
-        if not violations:
-            state.plan = VolumePlan(
-                state.current,
-                assignment,
-                "lp",
-                state.attempts,
-                state.transforms,
-            )
-            return PassOutcome(detail=f"feasible; {reuse_note}")
-        state.best = VolumeManager._better(state.best, assignment)
-        return PassOutcome(
-            detail=f"{len(violations)} violation(s); {reuse_note}"
-        )
+        verdict = state.settle(self.name, assignment, reuse_note)
+        return PassOutcome(detail=f"{verdict}; {reuse_note}")
 
 
-class CascadeTransform(Pass):
+class _TransformStage(Pass):
+    """A Figure 6 DAG rewrite: the rewritten graph re-enters the loop."""
+
+    def rewrite(
+        self, dag: AssayDAG, manager: VolumeManager
+    ) -> tuple[AssayDAG, list]:
+        raise NotImplementedError
+
+    def run(self, ctx: CompileContext) -> PassOutcome:
+        state = ctx.hierarchy
+        try:
+            state.current, reports = self.rewrite(state.current, ctx.manager)
+        except (VolumeError, ResourceExhaustedError) as error:
+            return _failed(state, self.name, error)
+        state.transforms.extend(reports)
+        state.record(self.name, True, "; ".join(str(r) for r in reports))
+        state.transformed = bool(reports)
+        return PassOutcome(detail=f"{len(reports)} rewrite(s)")
+
+
+class CascadeTransform(_TransformStage):
     """Cascade extreme mix ratios into staged dilutions (Section 3.4.1)."""
 
     name = "cascade"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.manager.allow_cascading
-
-    def skip_reason(self, ctx: CompileContext) -> str:
+    def skip(self, ctx: CompileContext) -> str | None:
+        if ctx.manager.allow_cascading:
+            return None
         return "cascading disabled (allow_cascading off)"
 
     def run(self, ctx: CompileContext) -> PassOutcome:
-        state = ctx.hierarchy
-        manager = ctx.manager
-        if not find_extreme_mixes(state.current, manager.limits):
+        if not find_extreme_mixes(ctx.hierarchy.current, ctx.manager.limits):
             return PassOutcome(status="skipped", detail="no extreme mixes")
-        try:
-            state.current, reports = cascade_extreme_mixes(
-                state.current, manager.limits, objective=manager.objective
-            )
-        except (VolumeError, ResourceExhaustedError) as error:
-            state.attempts.append(
-                Attempt(
-                    "cascade",
-                    state.round,
-                    False,
-                    detail=str(error),
-                    objective=manager.objective.name,
-                )
-            )
-            return PassOutcome(status="failed", detail=str(error))
-        state.transforms.extend(reports)
-        state.attempts.append(
-            Attempt(
-                "cascade",
-                state.round,
-                True,
-                detail="; ".join(str(r) for r in reports),
-                objective=manager.objective.name,
-            )
+        return super().run(ctx)
+
+    def rewrite(self, dag, manager):
+        return cascade_extreme_mixes(
+            dag, manager.limits, objective=manager.objective
         )
-        state.transformed = bool(reports)
-        return PassOutcome(detail=f"{len(reports)} rewrite(s)")
 
 
-class ReplicateTransform(Pass):
+class ReplicateTransform(_TransformStage):
     """Statically replicate over-used fluids (Section 3.4.2)."""
 
     name = "replicate"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.manager.allow_replication
+    def skip(self, ctx: CompileContext) -> str | None:
+        if not ctx.manager.allow_replication:
+            return "replication disabled (allow_replication off)"
+        if ctx.hierarchy.transformed:
+            return "cascade already rewrote this round"
+        return None
 
-    def skip_reason(self, ctx: CompileContext) -> str:
-        return "replication disabled (allow_replication off)"
-
-    def run(self, ctx: CompileContext) -> PassOutcome:
-        state = ctx.hierarchy
-        manager = ctx.manager
-        if state.transformed:
-            return PassOutcome(
-                status="skipped", detail="cascade already rewrote this round"
-            )
-        try:
-            state.current, reports = iterative_replication(
-                state.current,
-                manager.limits,
-                max_total_nodes=manager.max_total_nodes,
-            )
-        except (VolumeError, ResourceExhaustedError) as error:
-            state.attempts.append(
-                Attempt(
-                    "replicate",
-                    state.round,
-                    False,
-                    detail=str(error),
-                    objective=manager.objective.name,
-                )
-            )
-            return PassOutcome(status="failed", detail=str(error))
-        state.transforms.extend(reports)
-        state.attempts.append(
-            Attempt(
-                "replicate",
-                state.round,
-                True,
-                detail="; ".join(str(r) for r in reports),
-                objective=manager.objective.name,
-            )
+    def rewrite(self, dag, manager):
+        return iterative_replication(
+            dag, manager.limits, max_total_nodes=manager.max_total_nodes
         )
-        state.transformed = bool(reports)
-        return PassOutcome(detail=f"{len(reports)} rewrite(s)")
 
 
 class HierarchyLoop(Pass):
@@ -567,13 +473,10 @@ class HierarchyLoop(Pass):
             return (self.dagsolve, self.cascade, self.replicate, self.lp)
         return self.children()
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.is_static and not ctx.plan_restored
-
-    def skip_reason(self, ctx: CompileContext) -> str:
+    def skip(self, ctx: CompileContext) -> str | None:
         if not ctx.is_static:
-            return "runtime-deferred assay"
-        return "plan served from cache"
+            return RUNTIME_DEFERRED
+        return "plan served from cache" if ctx.plan_restored else None
 
     def fingerprint_in(self, ctx: CompileContext) -> str | None:
         return _dag_fingerprint(ctx.dag)
@@ -582,10 +485,10 @@ class HierarchyLoop(Pass):
         return _dag_fingerprint(ctx.plan.dag if ctx.plan else None)
 
     def run(self, ctx: CompileContext) -> PassOutcome:
-        from .manager import run_instrumented
-
         manager = ctx.manager
-        state = HierarchyState(current=ctx.dag)
+        state = HierarchyState(
+            current=ctx.dag, objective=manager.objective.name
+        )
         ctx.hierarchy = state
         for round_number in range(1, manager.max_rounds + 1):
             state.round = round_number
@@ -600,13 +503,7 @@ class HierarchyLoop(Pass):
                 break  # nothing left to try; fall through to regeneration
         if state.plan is None:
             status = "regeneration" if state.best is not None else "failed"
-            state.plan = VolumePlan(
-                state.current,
-                state.best,
-                status,
-                state.attempts,
-                state.transforms,
-            )
+            state.plan = state.volume_plan(state.best, status)
         ctx.plan = state.plan
         return PassOutcome(detail=ctx.plan.status)
 
@@ -616,13 +513,12 @@ class Round(Pass):
 
     name = "round"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.is_static and not ctx.plan_restored
-
-    def skip_reason(self, ctx: CompileContext) -> str:
+    def skip(self, ctx: CompileContext) -> str | None:
         if not ctx.is_static:
-            return "runtime-deferred assay"
-        return "rounded assignment restored with the cached plan"
+            return RUNTIME_DEFERRED
+        if ctx.plan_restored:
+            return "rounded assignment restored with the cached plan"
+        return None
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         plan = ctx.plan
@@ -647,11 +543,8 @@ class PlanDiagnostics(Pass):
 
     name = "plan-report"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.is_static
-
-    def skip_reason(self, ctx: CompileContext) -> str:
-        return "runtime-deferred assay"
+    def skip(self, ctx: CompileContext) -> str | None:
+        return None if ctx.is_static else RUNTIME_DEFERRED
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         plan = ctx.plan
@@ -716,11 +609,8 @@ class LintPass(Pass):
 
     name = "lint"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.lint
-
-    def skip_reason(self, ctx: CompileContext) -> str:
-        return "lint not requested"
+    def skip(self, ctx: CompileContext) -> str | None:
+        return None if ctx.lint else "lint not requested"
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         # local import: repro.analysis imports the compiler's products
@@ -758,11 +648,8 @@ class CertifyPass(Pass):
 
     name = "certify"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.certify
-
-    def skip_reason(self, ctx: CompileContext) -> str:
-        return "certify not requested"
+    def skip(self, ctx: CompileContext) -> str | None:
+        return None if ctx.certify else "certify not requested"
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         # local import: repro.analysis imports the compiler's products
@@ -783,11 +670,8 @@ class RaceCheckPass(Pass):
 
     name = "race-check"
 
-    def applicable(self, ctx: CompileContext) -> bool:
-        return ctx.race_check
-
-    def skip_reason(self, ctx: CompileContext) -> str:
-        return "race check not requested"
+    def skip(self, ctx: CompileContext) -> str | None:
+        return None if ctx.race_check else "race check not requested"
 
     def run(self, ctx: CompileContext) -> PassOutcome:
         # local import: repro.analysis imports the compiler's products
@@ -830,17 +714,10 @@ def default_passes() -> list[Pass]:
 
 
 def front_end(
-    *,
-    source: str | None = None,
-    dag: AssayDAG | None = None,
-    spec: MachineSpec = AQUACORE_SPEC,
-    manager: VolumeManager | None = None,
-    bus: PassEventBus | None = None,
+    *, source: str, spec: MachineSpec = AQUACORE_SPEC
 ) -> CompileContext:
     """Run only the front end; returns the context (flat + validated DAG)."""
-    ctx = CompileContext(source=source, dag=dag, spec=spec, manager=manager)
-    if bus is not None:
-        ctx.events = bus
+    ctx = CompileContext(source=source, spec=spec)
     ctx.pass_manager = PassManager(frontend_passes())
     ctx.pass_manager.run(ctx)
     return ctx
@@ -867,7 +744,6 @@ def run_compile(
     name: str | None = None,
     aux_fluids: Sequence[str] = (),
     manager: VolumeManager | None = None,
-    flat=None,
     cache=None,
     lint: bool = False,
     certify: bool = False,
@@ -875,7 +751,6 @@ def run_compile(
     race_check: bool = False,
     profile: bool = False,
     bus: PassEventBus | None = None,
-    passes: Sequence[Pass] | None = None,
 ) -> CompileContext:
     """Compile through the one instrumented pass manager.
 
@@ -897,15 +772,10 @@ def run_compile(
         source_lint=source_lint,
         race_check=race_check,
         profile=profile,
-        flat=flat,
     )
     if bus is not None:
         ctx.events = bus
-    if cache is not None and ctx.manager.cache is None:
-        ctx.manager.cache = cache
-    ctx.pass_manager = PassManager(
-        list(passes) if passes is not None else default_passes()
-    )
+    ctx.pass_manager = PassManager(default_passes())
     ctx.pass_manager.run(ctx)
     return ctx
 
@@ -914,17 +784,14 @@ def run_hierarchy(
     dag: AssayDAG,
     manager: VolumeManager,
     output_targets=None,
-    bus: PassEventBus | None = None,
 ) -> VolumePlan:
     """Run just the Figure 6 hierarchy loop over a DAG.
 
     This is the engine behind :meth:`repro.core.hierarchy.VolumeManager.plan`
     — the hierarchy has exactly one implementation, expressed as passes.
     """
-    ctx = CompileContext(dag=dag, manager=manager)
-    ctx.output_targets = output_targets
-    if bus is not None:
-        ctx.events = bus
-    loop = HierarchyLoop()
-    PassManager([loop]).run_pass(loop, ctx)
+    ctx = CompileContext(
+        dag=dag, manager=manager, output_targets=output_targets
+    )
+    run_instrumented(HierarchyLoop(), ctx)
     return ctx.plan

@@ -117,12 +117,10 @@ class VolumeManager:
             (:mod:`repro.core.objectives`) — ``"default"`` reproduces the
             paper's maximise-delivered-output plans, ``"waste"`` minimises
             loaded-minus-delivered volume at every stage of the hierarchy.
-        cache: optional Vnorm memo — any object with a
-            ``memo_vnorms(dag, output_targets=None) -> VnormResult`` method
-            (in practice :class:`repro.compiler.cache.PlanCache`).  When
-            set, the DAGSolve backward pass is served from the memo for
-            structurally-identical DAGs, so partitioned sub-DAGs and
-            transformed slices hit independently of the enclosing assay.
+
+    The plan cache is not a planning knob: a compile hands its cache to
+    :func:`repro.compiler.passes.run_compile`, whose DAGSolve stage
+    serves the backward pass from the cache's Vnorm memo.
     """
 
     def __init__(
@@ -135,7 +133,6 @@ class VolumeManager:
         output_tolerance: float | None = 0.1,
         max_rounds: int = 4,
         max_total_nodes: int | None = None,
-        cache=None,
         objective="default",
     ) -> None:
         self.limits = limits
@@ -145,7 +142,6 @@ class VolumeManager:
         self.output_tolerance = output_tolerance
         self.max_rounds = max_rounds
         self.max_total_nodes = max_total_nodes
-        self.cache = cache
         self.objective = resolve_objective(objective)
 
     def options_dict(self) -> dict:

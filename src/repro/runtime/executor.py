@@ -221,9 +221,7 @@ class AssayExecutor:
         compiled: CompiledAssay,
         machine: Machine | None = None,
         *,
-        measurement_log: MeasurementLog | None = None,
         allow_regeneration: bool = True,
-        max_regenerations: int = 10_000,
         policy: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
         capture_failures: bool = False,
@@ -232,10 +230,9 @@ class AssayExecutor:
         self.machine = machine or Machine(compiled.spec)
         if injector is not None:
             self.machine.install_injector(injector)
-        self.measurements = measurement_log or MeasurementLog()
+        self.measurements = MeasurementLog()
         self.allow_regeneration = allow_regeneration
-        self.policy = policy or RetryPolicy(max_regenerations=max_regenerations)
-        self.max_regenerations = self.policy.max_regenerations
+        self.policy = policy or RetryPolicy()
         self.capture_failures = capture_failures
         self.regenerations = 0
         self.skipped_guarded = 0

@@ -86,6 +86,18 @@ class TestEventContract:
             == self.event(cold_bus, "codegen").fingerprint_out
         )
 
+    def test_compile_leaves_the_callers_manager_alone(self):
+        # one manager, two compiles: the cache of the first must not
+        # leak into the second, which was given none
+        manager = VolumeManager(AQUACORE_SPEC.limits)
+        cache = PlanCache()
+        run_compile(source=glucose.SOURCE, manager=manager, cache=cache)
+        vnorms = list(cache.stats.by_namespace["vnorms"])
+        bus = PassEventBus()
+        run_compile(source=glucose.SOURCE, manager=manager, bus=bus)
+        assert self.event(bus, "dagsolve").cache is None
+        assert cache.stats.by_namespace["vnorms"] == vnorms
+
     def test_failed_pass_emits_failed_event_and_reraises(self):
         bus = PassEventBus(fingerprints=False)
         with pytest.raises(Exception):
