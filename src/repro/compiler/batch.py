@@ -236,6 +236,7 @@ def compile_one(
             certify=certify,
             cache=cache,
             bus=bus,
+            fingerprint=fingerprint,
         ).compiled
     except (FrontendError, VolumeError) as error:
         return None, {

@@ -17,7 +17,11 @@ Three key namespaces share one store:
   slices hit here independently of the enclosing assay.
 * ``src-<sha256>`` — raw source text (plus spec/options) mapped to its
   compile fingerprint, letting the batch driver skip the whole frontend
-  on warm re-runs.
+  on warm re-runs.  ``repro serve`` stores the job's answer there too
+  (listing, plan status, diagnostic counts, program name): a repeated
+  request is then one lookup.  The listing is keyed by the source, not
+  the plan, because two assays differing only in their name share a
+  compile fingerprint but not a listing.
 
 Entries are JSON dicts end to end, so the memory and disk layers hold the
 same canonical bytes; a cache-served plan re-serializes byte-identically
@@ -86,6 +90,18 @@ __all__ = [
 
 #: tenants are path-safe slugs: they become key prefixes and filenames.
 _TENANT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
+
+#: what a ``src-`` entry holds to answer a served compile outright.
+#: Listings persist under a cache directory, so a change to the listing
+#: format must bump ``SERDE_VERSION``.
+SERVED_FIELDS = {
+    "fingerprint": str,
+    "listing": str,
+    "plan_status": str,
+    "errors": int,
+    "warnings": int,
+    "program": str,
+}
 
 
 @dataclass
@@ -444,12 +460,42 @@ class PlanCache:
         return fingerprint if isinstance(fingerprint, str) else None
 
     def put_source_fingerprint(
-        self, src_fingerprint: str, compile_fp: str
+        self, src_fingerprint: str, compile_fp: str, **served: Any
     ) -> None:
+        """Map a source to its compile fingerprint; ``served`` adds the
+        answer :meth:`get_served` returns (the :data:`SERVED_FIELDS`)."""
         self.put(
             source_key(src_fingerprint),
-            {"version": SERDE_VERSION, "fingerprint": compile_fp},
+            {"version": SERDE_VERSION, "fingerprint": compile_fp, **served},
         )
+
+    def get_served(self, src_fingerprint: str) -> dict[str, Any] | None:
+        """The stored answer to a source, while its plan is still held.
+
+        A ``contains`` probe of the ``plan-`` entry keeps TTL expiry and
+        LRU eviction meaning what they mean for plans, and a served
+        answer counts as a use of its plan in the LRU order.  An entry
+        without the :data:`SERVED_FIELDS` (one ``compile_many`` wrote, or a
+        malformed one) is a miss.
+        """
+        entry = self.get(source_key(src_fingerprint))
+        if (
+            entry is None
+            or entry.get("version") != SERDE_VERSION
+            or not all(
+                isinstance(entry.get(key), kind)
+                for key, kind in SERVED_FIELDS.items()
+            )
+        ):
+            return None
+        key = plan_key(entry["fingerprint"])
+        with self._lock:
+            if not self.contains(key):
+                return None
+            qkey = self._qualify(key)
+            if qkey in self._memory:
+                self._memory.move_to_end(qkey)
+        return entry
 
 
 # ---------------------------------------------------------------------------

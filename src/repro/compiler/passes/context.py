@@ -161,7 +161,8 @@ class CompileContext:
     symbols: object | None = None    # semantic symbol table
     flat: "FlatAssay" | None = None
     hierarchy: HierarchyState | None = None
-    #: compile fingerprint, computed once a cache pass needs it.
+    #: compile fingerprint: the caller's, or computed once a cache pass
+    #: needs it.
     fingerprint: str | None = None
     #: the plan stage was satisfied by a cache entry (prefix skip).
     plan_restored: bool = False

@@ -751,6 +751,7 @@ def run_compile(
     race_check: bool = False,
     profile: bool = False,
     bus: PassEventBus | None = None,
+    fingerprint: str | None = None,
 ) -> CompileContext:
     """Compile through the one instrumented pass manager.
 
@@ -758,6 +759,8 @@ def run_compile(
     the service and every CLI command call it.  Returns the full
     :class:`CompileContext`; the caller-facing result is
     ``ctx.compiled`` (a :class:`~repro.compiler.passes.context.CompiledAssay`).
+    A caller that already knows the compile ``fingerprint`` passes it,
+    so the cache passes do not compute it again.
     """
     ctx = CompileContext(
         source=source,
@@ -772,6 +775,7 @@ def run_compile(
         source_lint=source_lint,
         race_check=race_check,
         profile=profile,
+        fingerprint=fingerprint,
     )
     if bus is not None:
         ctx.events = bus

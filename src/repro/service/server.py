@@ -3,9 +3,13 @@
 One asyncio event loop accepts HTTP/JSON jobs and runs them through the
 same pass manager as the CLI:
 
-* **warm compiles** run :func:`repro.compiler.batch.compile_one` in a
-  worker thread, served from the shared
-  :class:`~repro.compiler.cache.PlanCache` (per-tenant namespaces); the
+* **repeated compiles** are one lookup in a worker thread: the request
+  digest (source bytes, machine, options) maps, in the tenant's ``src-``
+  namespace of the shared :class:`~repro.compiler.cache.PlanCache`, to
+  the listing the first compile rendered, valid while the tenant still
+  holds the plan it came from;
+* **warm compiles** (a new source whose plan the tenant holds) run
+  :func:`repro.compiler.batch.compile_one` in a worker thread; the
   job's PassEvents prove the hierarchy prefix was skipped;
 * **cold compiles** run the batch driver's pool task
   :func:`~repro.compiler.batch.compile_task` on the persistent worker
@@ -45,12 +49,13 @@ from typing import Any
 from ..commands import JOBS, ParamError
 from ..compiler import batch as batch_module
 from ..compiler import pool as pool_module
-from ..compiler.cache import PlanCache, TenantCache, _TENANT_RE
+from ..compiler.cache import SERVED_FIELDS, PlanCache, TenantCache, _TENANT_RE
 from ..compiler.cache import entry_from_plan  # noqa: F401  (traced by name)
-from ..compiler.passes import PassEventBus
+from ..compiler.passes import PassEvent, PassEventBus, events_payload
 from ..compiler.passes.stages import front_end_dag
+from ..core.dag import AssayDAG
 from ..core.errors import VolumeError
-from ..core.fingerprint import compile_fingerprint, plan_key
+from ..core.fingerprint import compile_fingerprint, plan_key, source_fingerprint
 from ..core.hierarchy import VolumeManager
 from ..core.serde import dag_to_dict
 from ..ir.parse import AISParseError
@@ -62,7 +67,6 @@ from .metrics import MetricsRegistry
 from .schema import (
     DEFAULT_MAX_SOURCE_BYTES,
     WIRE_SCHEMA_VERSION,
-    JobRequest,
     SchemaError,
     parse_job_request,
 )
@@ -121,16 +125,119 @@ def _error_payload(code: str, message: str) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # job execution (thread / pool side)
 # ---------------------------------------------------------------------------
-def _prepare_compile(
-    request: JobRequest, spec: MachineSpec, options: dict[str, Any]
-):
-    """Frontend + fingerprint; raises JobFailure on bad programs."""
-    try:
-        dag, aux_fluids = front_end_dag(request.source, None, ())
-    except (FrontendError, VolumeError) as error:
-        raise JobFailure("frontend-error", str(error)) from error
-    fingerprint = compile_fingerprint(dag, spec.limits, spec, options)
-    return dag, aux_fluids, fingerprint
+@dataclass
+class _CompileWork:
+    """One compile job as its job thread resolves it.
+
+    :meth:`prepare` computes the request digest (source bytes, machine,
+    normalized options) and answers from the tenant's ``src-`` entry
+    when it can; otherwise it runs the front end for the DAG and the
+    compile fingerprint.  Every method runs on a job thread.
+    """
+
+    source: str
+    spec: MachineSpec
+    options: dict[str, Any]
+    tcache: TenantCache
+    digest: str = ""
+    fingerprint: str | None = None
+    dag: AssayDAG | None = None
+    aux_fluids: tuple[str, ...] = ()
+
+    def prepare(self) -> dict[str, Any] | None:
+        """A warm job's summary, or None when its plan is cold.
+
+        Raises JobFailure on a program the front end rejects.
+        """
+        wall, cpu = time.perf_counter(), time.process_time()
+        self.digest = source_fingerprint(self.source, self.spec, self.options)
+        served = self.tcache.get_served(self.digest)
+        if served is not None:
+            self.fingerprint = served["fingerprint"]
+            bus = PassEventBus()
+            bus.emit(
+                PassEvent(
+                    name="restore-plan",
+                    status="cached",
+                    wall_s=time.perf_counter() - wall,
+                    cpu_s=time.process_time() - cpu,
+                    cache="hit",
+                    detail="listing served by request digest",
+                )
+            )
+            return {
+                "ok": True,
+                **{key: served[key] for key in SERVED_FIELDS},
+                "events": events_payload(
+                    bus,
+                    program=served["program"],
+                    machine=self.spec.name,
+                    fingerprint=self.fingerprint,
+                ),
+            }
+        try:
+            self.dag, self.aux_fluids = front_end_dag(self.source, None, ())
+        except (FrontendError, VolumeError) as error:
+            raise JobFailure("frontend-error", str(error)) from error
+        self.fingerprint = compile_fingerprint(
+            self.dag, self.spec.limits, self.spec, self.options
+        )
+        if not self.tcache.contains(plan_key(self.fingerprint)):
+            return None
+        return self.render()
+
+    def render(self) -> dict[str, Any]:
+        """Render the plan the tenant holds with ``compile_one``."""
+        _, summary = batch_module.compile_one(
+            self.dag, self.aux_fluids, self.spec, self.options,
+            self.fingerprint, self.tcache, bus=PassEventBus(),
+        )
+        self.remember(summary)
+        return summary
+
+    def lead(self, workers: int, cache_dir: str | None) -> dict[str, Any]:
+        """Compile a cold plan with ``compile_task`` on the pool."""
+        payload = {
+            "dag": dag_to_dict(self.dag),
+            "aux_fluids": list(self.aux_fluids),
+            "spec": self.spec,
+            "options": self.options,
+            "fingerprint": self.fingerprint,
+        }
+        [summary] = pool_module.pool_map(
+            batch_module.compile_task,
+            [payload],
+            max_workers=workers,
+            cache_dir=cache_dir,
+        )
+        return self.follow(summary)
+
+    def follow(self, leader: dict[str, Any]) -> dict[str, Any]:
+        """Deposit a cold compile's plan entry in this tenant.
+
+        The compile fingerprint leaves out the assay's name and the
+        listing does not, so a coalesced job named differently from its
+        leader renders its own listing from the deposited plan.
+        """
+        if leader["ok"] and leader["entry"] is not None:
+            self.tcache.put(plan_key(self.fingerprint), leader["entry"])
+        if leader["ok"] and leader["events"]["program"] != self.dag.name:
+            return self.render()
+        self.remember(leader)
+        return leader
+
+    def remember(self, summary: dict[str, Any]) -> None:
+        """Store a compiled answer under the request digest."""
+        if summary["ok"] and summary["cacheable"]:
+            self.tcache.put_source_fingerprint(
+                self.digest,
+                self.fingerprint,
+                listing=summary["listing"],
+                plan_status=summary["plan_status"],
+                errors=summary["errors"],
+                warnings=summary["warnings"],
+                program=summary["events"]["program"],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -468,30 +575,19 @@ class ReproService:
         }
 
     async def _execute_compile(self, job, spec, options, loop) -> None:
-        dag, aux_fluids, fingerprint = await loop.run_in_executor(
-            self._threads, _prepare_compile, job.request, spec, options
+        work = _CompileWork(
+            job.request.source, spec, options, self.tenant_cache(job.tenant)
         )
-        job.fingerprint = fingerprint
-        tcache = self.tenant_cache(job.tenant)
-        if tcache.contains(plan_key(fingerprint)):
+        summary = await loop.run_in_executor(self._threads, work.prepare)
+        job.fingerprint = work.fingerprint
+        shared = False
+        if summary is not None:
             job.cache = "hit"
-            _, summary = await loop.run_in_executor(
-                self._threads,
-                functools.partial(
-                    batch_module.compile_one,
-                    dag, aux_fluids, spec, options, fingerprint, tcache,
-                    bus=PassEventBus(),
-                ),
-            )
         else:
-            summary = await self._cold_compile(
-                job, dag, aux_fluids, spec, options, fingerprint, loop
-            )
-            if summary["ok"] and summary["entry"] is not None:
-                tcache.put(plan_key(fingerprint), summary["entry"])
+            summary, shared = await self._cold_compile(job, work, loop)
         if not summary["ok"]:
             raise JobFailure(summary["code"], summary["detail"])
-        if not job.coalesced:
+        if not shared:
             # a coalesced follower shares the leader's events; folding
             # them in twice would double-count the pass histograms
             self.metrics.observe_pass_events(summary["events"]["passes"])
@@ -502,7 +598,7 @@ class ReproService:
             "kind": "compile",
             "name": job.request.name,
             "machine": spec.name,
-            "fingerprint": fingerprint,
+            "fingerprint": work.fingerprint,
             "cache": job.cache,
             "coalesced": job.coalesced,
             "listing": summary["listing"],
@@ -516,10 +612,13 @@ class ReproService:
         }
 
     async def _cold_compile(
-        self, job, dag, aux_fluids, spec, options, fingerprint, loop
-    ) -> dict[str, Any]:
-        """Lead one cold compile, or await the identical one in flight."""
-        future = self._inflight.get(fingerprint)
+        self, job, work: _CompileWork, loop
+    ) -> tuple[dict[str, Any], bool]:
+        """Lead one cold compile, or await the identical one in flight.
+
+        Returns the summary and whether it is the leader's, shared.
+        """
+        future = self._inflight.get(work.fingerprint)
         if future is not None:
             job.cache = "coalesced"
             job.coalesced = True
@@ -527,39 +626,27 @@ class ReproService:
             status, value = await future
             if status == "error":
                 raise value
-            return value
+            summary = await loop.run_in_executor(
+                self._threads, work.follow, value
+            )
+            return summary, summary is value
         job.cache = "miss"
-        payload = {
-            "dag": dag_to_dict(dag),
-            "aux_fluids": list(aux_fluids),
-            "spec": spec,
-            "options": options,
-            "fingerprint": fingerprint,
-        }
-        future = self._inflight[fingerprint] = loop.create_future()
+        future = self._inflight[work.fingerprint] = loop.create_future()
         try:
-            [summary] = await loop.run_in_executor(
+            summary = await loop.run_in_executor(
                 self._threads,
-                functools.partial(
-                    pool_module.pool_map,
-                    batch_module.compile_task,
-                    [payload],
-                    max_workers=(
-                        self.config.workers
-                        if self.config.use_process_pool
-                        else 1
-                    ),
-                    cache_dir=self.cache.directory,
-                ),
+                work.lead,
+                self.config.workers if self.config.use_process_pool else 1,
+                self.cache.directory,
             )
         except BaseException as error:
             outcome = ("error", error)
             raise
         else:
             outcome = ("ok", summary)
-            return summary
+            return summary, False
         finally:
-            self._inflight.pop(fingerprint, None)
+            self._inflight.pop(work.fingerprint, None)
             # a cancelled follower cancels the future it awaits
             if not future.done():
                 future.set_result(outcome)

@@ -102,6 +102,25 @@ class TestWarm:
         warm_single = run_compile(source=paper_example.SOURCE, cache=cache).compiled
         assert warm_single.listing() == fresh.listing()
 
+    def test_materialized_hits_reuse_the_known_fingerprint(self, monkeypatch):
+        """compile_one hands its fingerprint to the compile: the cache
+        passes never compute it a second time."""
+        import repro.core.fingerprint as fingerprint_module
+
+        cache = PlanCache()
+        compile_many(source_jobs(), cache=cache)
+        calls = []
+        real = fingerprint_module.compile_fingerprint
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fingerprint_module, "compile_fingerprint", counted)
+        warm = compile_many(source_jobs(), cache=cache, lint=True)
+        assert warm.hits == 2
+        assert calls == []
+
     def test_materialized_hits_match_cold_on_certify_findings(self):
         """EnzymeN 5 on aquacore double-books: the warm re-materialized
         hit reports the same findings as the cold compile."""
