@@ -119,7 +119,7 @@ def test_race_detector_costs():
         findings = 0
         for pattern in patterns:
             findings += len(
-                certify_schedule(interleave(a, b, pattern), spec)[0]
+                certify_schedule(interleave(a, b, pattern), spec)
             )
         return findings
 

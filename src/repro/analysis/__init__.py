@@ -11,8 +11,10 @@ instruction stream:
 * :mod:`repro.analysis.state` — the abstract domain: per-location
   ``EMPTY / HOLDS(fluids, volume-interval) / CONSUMED / UNKNOWN``;
 * :mod:`repro.analysis.dataflow` — one forward abstract-interpretation
-  pass recording pre-states, location accesses, and the value-flow
-  (def-use) graph from producers to output/sense sinks;
+  pass recording location accesses and the value-flow (def-use) graph
+  from producers to output/sense sinks: the one occupancy walk that the
+  lint checks, the race detector and the certifier's schedule checks
+  all read;
 * :mod:`repro.analysis.checks` — the check registry (use-after-consume,
   double-fill, dead-fluid, static overflow/underflow, storage-less
   operand misuse, dry/wet register clash, operand sanity);

@@ -32,7 +32,7 @@ from .codes import ALL_CODES, PLAN_CODES, SCHED_CODES
 from .constraints import ReferenceModel, reference_model
 from .plan import certify_plan
 from .report import certify, certify_program
-from .schedule import OccupancyRecord, certify_schedule
+from .schedule import certify_schedule
 
 __all__ = [
     "ALL_CODES",
@@ -42,7 +42,6 @@ __all__ = [
     "reference_model",
     "certify_plan",
     "certify_schedule",
-    "OccupancyRecord",
     "certify",
     "certify_program",
 ]

@@ -128,7 +128,7 @@ def certify(
         findings = [Diagnostic(deferred.severity, deferred.code, deferred.title)]
         metrics = {}
 
-    schedule_findings, __ = certify_schedule(
+    schedule_findings = certify_schedule(
         compiled.program,
         machine_spec,
         topology=topology or bus_topology(machine_spec),
@@ -157,7 +157,7 @@ def certify_program(
     Without a volume plan there is nothing for the plan half to validate;
     hand-written listings get the full occupancy/routing analysis.
     """
-    findings, __ = certify_schedule(
+    findings = certify_schedule(
         program,
         spec,
         topology=topology or bus_topology(spec),

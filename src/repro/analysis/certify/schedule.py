@@ -1,453 +1,278 @@
-"""Schedule interference: occupancy analysis of the emitted program.
+"""Schedule interference: hardware hazards of the emitted program.
 
-Walks the instruction stream in schedule order, maintaining which fluid
-occupies every location (reservoirs, functional units, separator
-sub-wells, sensors), and flags hardware interference:
+What each location holds before each instruction comes from the one
+occupancy walk, :class:`~repro.analysis.dataflow.ForwardAnalysis` — the
+walk the lint checks and the race detector read, whose rules are
+tabulated in ``docs/ANALYSIS.md``.  This module only decides which of
+its facts are hardware interference:
 
-* a transfer that deposits into a component already holding another live
-  fluid (``SCHED-DOUBLE-BOOK``);
-* a transfer or unit operation reading an empty component
-  (``SCHED-DRY-PUMP`` — the dry-transport hazard);
+* a transfer depositing into a location that definitely holds fluid
+  (``SCHED-DOUBLE-BOOK``): any ``input``; a ``move`` of definite fluid
+  into a reservoir, or into a unit holding a *product* (a move into a
+  unit still accumulating ingredients is how mixes fill and how a sensor
+  takes the next sample); a ``separate`` whose ``out1`` still holds the
+  last run's effluent (``out2`` holds waste, which the run flushes);
+* a move, unit operation, separation or sense reading a location that
+  is definitely empty (``SCHED-DRY-PUMP`` — the dry-transport hazard;
+  moves straight from an input port are loads, not dry pumps);
 * one input port sourcing two different fluids (``SCHED-PORT-CLASH``);
 * a transfer with no channel route on the given topology
-  (``SCHED-UNROUTABLE``), or whose route passes through an occupied
-  component (``SCHED-ROUTE-THROUGH`` — the wet-transport hazard);
+  (``SCHED-UNROUTABLE``), or whose route passes through a location that
+  definitely holds fluid (``SCHED-ROUTE-THROUGH`` — the wet-transport
+  hazard; ``output`` from an empty location moves nothing and is not
+  routed);
 * with an explicit slot schedule, concurrent transfers whose routes
   contend for a shared segment, pump, or junction
   (``SCHED-ROUTE-OVERLAP`` via
   :meth:`~repro.machine.topology.ChannelTopology.conflicts`).
 
-The model mirrors the code generator's conventions without trusting it:
-a **bare** move drains its source while a **metered** move leaves a
-remainder; ``output`` from an empty location is a hardware no-op (the
-generator flushes units defensively); moving into a *filling* unit merges
-(that is how mixes accumulate ingredients, and how a sensor accepts the
-next sample over the last one); ``mix``/``incubate``/``concentrate``/
-``separate`` promote the unit's content to a *product*, which no transfer
-may then clobber.  Instructions guarded by a dynamic condition are
-applied weakly: their effects are tracked as *unknown* and never flagged,
-since whether they execute is decided at run time.
+Accesses under a dynamic guard never raise findings: whether they run
+is decided at run time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Mapping, Sequence
+from functools import cached_property
 
 from ...compiler.diagnostics import Diagnostic, Severity
-from ...ir.instructions import Instruction, Opcode, Operand, fluid_label
+from ...ir.instructions import Opcode, fluid_label
 from ...ir.program import AISProgram
 from ...machine.errors import ComponentError
 from ...machine.spec import MachineSpec
 from ...machine.topology import ChannelTopology
+from ..dataflow import AccessKind, ForwardAnalysis
+from ..state import AbsContent, AbstractState, ContentKind, VolumeInterval
 
-__all__ = ["OccupancyRecord", "certify_schedule"]
+__all__ = ["certify_schedule"]
 
-
-@dataclass
-class _Hold:
-    """One location's current content."""
-
-    fluids: set[str] = field(default_factory=set)
-    #: "filling" while ingredients accumulate (or a sample awaits
-    #: sensing); "product" once an operation completed in place or a
-    #: fluid was parked in a reservoir.
-    state: str = "filling"
-    #: set when the hold was created or mutated under a dynamic guard —
-    #: its presence is not statically known, so it never raises findings.
-    unknown: bool = False
-    #: instruction index that created the hold (for diagnostics).
-    start: int = 0
+_EMPTY = (ContentKind.EMPTY, ContentKind.CONSUMED)
+_TRANSFERS = (Opcode.INPUT, Opcode.OUTPUT, Opcode.MOVE, Opcode.MOVE_ABS)
+#: the order of one instruction's findings in the report.
+_RANK = {
+    "SCHED-DRY-PUMP": 0,
+    "SCHED-UNROUTABLE": 1,
+    "SCHED-ROUTE-THROUGH": 1,
+    "SCHED-PORT-CLASH": 2,
+    "SCHED-DOUBLE-BOOK": 3,
+}
 
 
-@dataclass(frozen=True)
-class OccupancyRecord:
-    """One completed occupancy interval, for reporting and benchmarks."""
+class _FluidNames:
+    """Fluid names for a location's def sites, as messages print them:
+    an ``input`` names its fluid (:func:`~repro.ir.instructions.
+    fluid_label`), an ``initial`` seed its label, a ``mix`` what was fed
+    into it, and a ``separate`` its feed plus its own product."""
 
-    location: str
-    fluids: tuple[str, ...]
-    start: int  # instruction index that filled the location
-    end: int    # instruction index that released it
+    def __init__(self, walk: ForwardAnalysis, seeds: Mapping[int, str]) -> None:
+        self.walk = walk
+        self.seeds = seeds
+
+    @cached_property
+    def _by_site(self) -> dict[int, set[str]]:
+        """Names per def site, built on the first message that needs one
+        (most schedules have no finding to word)."""
+        program = self.walk.program
+        by_site = {site: {fluid} for site, fluid in self.seeds.items()}
+        for index, instruction in enumerate(program):
+            if instruction.opcode is Opcode.INPUT:
+                by_site[index] = {fluid_label(instruction)}
+        for access in self.walk.accesses:
+            instruction = program[access.index]
+            if access.kind is AccessKind.READ_FEED and instruction.opcode in (
+                Opcode.MIX,
+                Opcode.SEPARATE,
+            ):
+                fed = _names(by_site, access.before)
+                if instruction.opcode is Opcode.SEPARATE:
+                    fed.add(fluid_label(instruction))
+                by_site[access.index] = fed
+        return by_site
+
+    def text(self, content: AbsContent) -> str:
+        return ", ".join(sorted(_names(self._by_site, content)))
 
 
-class _ScheduleChecker:
+def _names(by_site: Mapping[int, set[str]], content: AbsContent) -> set[str]:
+    return {name for site in content.defs for name in by_site.get(site, ())}
+
+
+class _Routes:
+    """Route checks, made on the walk's live pre-state of each transfer."""
+
     def __init__(
         self,
         program: AISProgram,
         spec: MachineSpec,
-        topology: ChannelTopology | None,
-        *,
-        initial: dict[str, str] | None = None,
-        slots: Sequence[int] | None = None,
+        topology: ChannelTopology,
     ) -> None:
         self.program = program
         self.spec = spec
         self.topology = topology
-        self.slots = slots
-        self.holds: dict[str, _Hold] = {}
-        self.port_fluid: dict[str, str] = {}
-        self.findings: list[Diagnostic] = []
-        self.records: list[OccupancyRecord] = []
-        for location, fluid in (initial or {}).items():
-            self.holds[location] = _Hold({fluid}, state="product", start=-1)
+        self.unroutable: list[Diagnostic] = []
+        #: (index, src, dst, base, content) per occupied location passed.
+        self.through: list[tuple[int, str, str, str, AbsContent]] = []
 
-    # ------------------------------------------------------------------
-    def emit(
-        self,
-        severity: Severity,
-        code: str,
-        message: str,
-        *,
-        index: int,
-        operand: str | None = None,
-    ) -> None:
-        self.findings.append(
-            Diagnostic(
-                severity, code, message, instruction=index, operand=operand
-            )
-        )
-
-    # ------------------------------------------------------------------
-    def run(self) -> tuple[list[Diagnostic], list[OccupancyRecord]]:
-        for index, instruction in enumerate(self.program.instructions):
-            if not instruction.is_wet:
-                continue
-            guarded = instruction.meta.get("guard") is not None
-            op = instruction.opcode
-            if op is Opcode.INPUT:
-                self._do_input(index, instruction, guarded)
-            elif op is Opcode.OUTPUT:
-                self._do_output(index, instruction, guarded)
-            elif op in (Opcode.MOVE, Opcode.MOVE_ABS):
-                self._do_move(index, instruction, guarded)
-            elif op in (Opcode.MIX, Opcode.INCUBATE, Opcode.CONCENTRATE):
-                self._do_unit_op(index, instruction, guarded)
-            elif op is Opcode.SEPARATE:
-                self._do_separate(index, instruction, guarded)
-            elif op is Opcode.SENSE:
-                self._do_sense(index, instruction, guarded)
-        self._check_slot_overlaps()
-        for location, hold in sorted(self.holds.items()):
-            self.records.append(
-                OccupancyRecord(
-                    location,
-                    tuple(sorted(hold.fluids)),
-                    hold.start,
-                    len(self.program.instructions),
-                )
-            )
-        return self.findings, self.records
-
-    # ------------------------------------------------------------------
-    # primitive state transitions
-    # ------------------------------------------------------------------
-    def _release(self, location: str, index: int) -> None:
-        hold = self.holds.pop(location, None)
-        if hold is not None:
-            self.records.append(
-                OccupancyRecord(
-                    location, tuple(sorted(hold.fluids)), hold.start, index
-                )
-            )
-
-    def _deposit(
-        self,
-        location: str,
-        fluid: str,
-        index: int,
-        *,
-        state: str,
-        guarded: bool,
-    ) -> None:
-        hold = self.holds.get(location)
-        if hold is None:
-            self.holds[location] = _Hold(
-                {fluid}, state=state, unknown=guarded, start=index
-            )
-        else:
-            hold.fluids.add(fluid)
-            hold.unknown = hold.unknown or guarded
-            if state == "product":
-                hold.state = "product"
-
-    def _check_route(
-        self, index: int, src: str, dst: str, guarded: bool
-    ) -> None:
-        if self.topology is None:
+    def observe(self, index: int, state: AbstractState) -> None:
+        instruction = self.program.instructions[index]
+        if instruction.opcode not in _TRANSFERS:
+            return
+        src, dst = str(instruction.src), str(instruction.dst)
+        if instruction.opcode is Opcode.OUTPUT and state.get(src).kind in _EMPTY:
             return
         try:
             path = self.topology.route(src, dst)
         except ComponentError:
-            self.emit(
-                Severity.ERROR,
-                "SCHED-UNROUTABLE",
-                f"no channel route from {src!r} to {dst!r} on topology "
-                f"{self.topology.name!r}",
-                index=index,
-                operand=dst,
-            )
-            return
-        if guarded:
-            return
-        through = set(path[1:-1])
-        for location, hold in self.holds.items():
-            if hold.unknown:
-                continue
-            base = location.split(".")[0]
-            if base in through:
-                self.emit(
-                    Severity.WARNING,
-                    "SCHED-ROUTE-THROUGH",
-                    f"transfer {src!r} -> {dst!r} routes through "
-                    f"{base!r}, which holds "
-                    f"{', '.join(sorted(hold.fluids))}",
-                    index=index,
-                    operand=base,
-                )
-
-    # ------------------------------------------------------------------
-    # opcode handlers
-    # ------------------------------------------------------------------
-    def _do_input(
-        self, index: int, instruction: Instruction, guarded: bool
-    ) -> None:
-        port = str(instruction.src)
-        dst = str(instruction.dst)
-        fluid = fluid_label(instruction)
-        self._check_route(index, port, dst, guarded)
-        seen = self.port_fluid.get(port)
-        if seen is not None and seen != fluid and not guarded:
-            self.emit(
-                Severity.ERROR,
-                "SCHED-PORT-CLASH",
-                f"input port {port!r} sources {fluid!r} after already "
-                f"sourcing {seen!r}",
-                index=index,
-                operand=port,
-            )
-        self.port_fluid.setdefault(port, fluid)
-        hold = self.holds.get(dst)
-        if hold is not None and not hold.unknown and not guarded:
-            self.emit(
-                Severity.ERROR,
-                "SCHED-DOUBLE-BOOK",
-                f"input into {dst!r} while it still holds "
-                f"{', '.join(sorted(hold.fluids))}",
-                index=index,
-                operand=dst,
-            )
-        self._deposit(dst, fluid, index, state="product", guarded=guarded)
-
-    def _do_output(
-        self, index: int, instruction: Instruction, guarded: bool
-    ) -> None:
-        src = str(instruction.src)
-        # Draining an empty location is a hardware no-op; the generator
-        # flushes units defensively, so this is never a finding.
-        if src not in self.holds:
-            return
-        self._check_route(index, src, str(instruction.dst), guarded)
-        if guarded:
-            self.holds[src].unknown = True
-        else:
-            self._release(src, index)
-
-    def _do_move(
-        self, index: int, instruction: Instruction, guarded: bool
-    ) -> None:
-        src = str(instruction.src)
-        dst = str(instruction.dst)
-        # a move is metered when it carries an explicit volume or an
-        # ``edge`` annotation (the executor resolves those against the
-        # volume plan at run time); only a truly bare move drains.
-        metered = (
-            instruction.rel_volume is not None
-            or instruction.abs_volume is not None
-            or instruction.edge is not None
-        )
-        source = self.holds.get(src)
-        if source is None:
-            if not guarded and not self._port_source(instruction.src):
-                self.emit(
+            self.unroutable.append(
+                Diagnostic(
                     Severity.ERROR,
-                    "SCHED-DRY-PUMP",
-                    f"move from {src!r}, which holds nothing",
-                    index=index,
-                    operand=src,
-                )
-            fluids = {fluid_label(instruction)}
-            unknown_src = True
-        else:
-            fluids = set(source.fluids)
-            unknown_src = source.unknown
-        self._check_route(index, src, dst, guarded)
-
-        target = self.holds.get(dst)
-        if (
-            target is not None
-            and not target.unknown
-            and not guarded
-            and not unknown_src
-        ):
-            collision = (
-                target.state == "product"
-                or self.spec.component_kind(dst.split(".")[0]) == "reservoir"
-            )
-            if collision:
-                self.emit(
-                    Severity.ERROR,
-                    "SCHED-DOUBLE-BOOK",
-                    f"move into {dst!r} while it still holds "
-                    f"{', '.join(sorted(target.fluids))}",
-                    index=index,
+                    "SCHED-UNROUTABLE",
+                    f"no channel route from {src!r} to {dst!r} on topology "
+                    f"{self.topology.name!r}",
+                    instruction=index,
                     operand=dst,
                 )
-        # source bookkeeping: a bare move drains, a metered one meters.
-        if source is not None:
-            if guarded:
-                source.unknown = True
-            elif not metered:
-                self._release(src, index)
-        # destination: reservoirs hold finished fluids; units accumulate.
-        dst_state = (
-            "product"
-            if self.spec.component_kind(dst.split(".")[0]) == "reservoir"
-            else "filling"
-        )
-        for fluid in fluids:
-            self._deposit(
-                dst,
-                fluid,
-                index,
-                state=dst_state,
-                guarded=guarded or unknown_src,
-            )
-
-    def _port_source(self, operand: Operand | None) -> bool:
-        if operand is None:
-            return False
-        return self.spec.component_kind(operand.base) == "input-port"
-
-    def _do_unit_op(
-        self, index: int, instruction: Instruction, guarded: bool
-    ) -> None:
-        unit = str(instruction.dst)
-        hold = self.holds.get(unit)
-        if hold is None:
-            if not guarded:
-                self.emit(
-                    Severity.ERROR,
-                    "SCHED-DRY-PUMP",
-                    f"{instruction.opcode.value} on empty unit {unit!r}",
-                    index=index,
-                    operand=unit,
-                )
-            self.holds[unit] = _Hold(
-                {fluid_label(instruction)},
-                state="product",
-                unknown=True,
-                start=index,
             )
             return
-        hold.state = "product"
-        hold.unknown = hold.unknown or guarded
+        if instruction.meta.get("guard") is not None:
+            return
+        # the components passed on the way (a bus junction holds nothing)
+        through = {node for node in path[1:-1] if self.spec.component_kind(node)}
+        if not through:
+            return
+        for location, content in state.items():
+            base = location.partition(".")[0]
+            if base in through and content.kind is ContentKind.HOLDS:
+                self.through.append((index, src, dst, base, content))
 
-    def _do_separate(
-        self, index: int, instruction: Instruction, guarded: bool
-    ) -> None:
-        unit = str(instruction.dst)
-        feed = self.holds.get(unit)
-        if feed is None and not guarded:
-            self.emit(
-                Severity.ERROR,
-                "SCHED-DRY-PUMP",
-                f"separate on empty unit {unit!r}",
-                index=index,
-                operand=unit,
+    def findings(self, names: _FluidNames) -> list[Diagnostic]:
+        through = [
+            Diagnostic(
+                Severity.WARNING,
+                "SCHED-ROUTE-THROUGH",
+                f"transfer {src!r} -> {dst!r} routes through {base!r}, "
+                f"which holds {names.text(content)}",
+                instruction=index,
+                operand=base,
             )
-        outlet = f"{unit}.out1"
-        pending = self.holds.get(outlet)
-        if pending is not None and not pending.unknown and not guarded:
-            self.emit(
-                Severity.ERROR,
-                "SCHED-DOUBLE-BOOK",
-                f"separation deposits into {outlet!r} while it still "
-                f"holds {', '.join(sorted(pending.fluids))}",
-                index=index,
-                operand=outlet,
+            for index, src, dst, base, content in self.through
+        ]
+        return self.unroutable + through
+
+
+def _occupancy_findings(
+    walk: ForwardAnalysis, names: _FluidNames
+) -> list[Diagnostic]:
+    """DRY-PUMP, PORT-CLASH and DOUBLE-BOOK over the walk's accesses."""
+    program = walk.program.instructions
+    findings: list[Diagnostic] = []
+
+    def emit(code: str, message: str, index: int, operand: str) -> None:
+        findings.append(
+            Diagnostic(
+                Severity.ERROR, code, message, instruction=index, operand=operand
             )
-        fluids = set(feed.fluids) if feed is not None else set()
-        fluids.add(fluid_label(instruction))
-        unknown = guarded or (feed.unknown if feed is not None else True)
-        # the separation consumes the feed and both auxiliary wells
-        for well in (unit, f"{unit}.matrix", f"{unit}.pusher", outlet):
-            if well in self.holds:
-                self._release(well, index)
-        self.holds[outlet] = _Hold(
-            fluids, state="product", unknown=unknown, start=index
         )
 
-    def _do_sense(
-        self, index: int, instruction: Instruction, guarded: bool
-    ) -> None:
-        unit = str(instruction.dst)
-        hold = self.holds.get(unit)
-        if hold is None and not guarded:
-            self.emit(
-                Severity.ERROR,
-                "SCHED-DRY-PUMP",
-                f"sense on empty unit {unit!r}",
-                index=index,
-                operand=unit,
-            )
-        # non-destructive read: the sample stays where it is
-
-    # ------------------------------------------------------------------
-    def _check_slot_overlaps(self) -> None:
-        if self.slots is None or self.topology is None:
-            return
-        transfers: dict[int, list[tuple[int, str, str]]] = {}
-        for index, instruction in enumerate(self.program.instructions):
-            if instruction.opcode not in (
-                Opcode.INPUT,
-                Opcode.OUTPUT,
-                Opcode.MOVE,
-                Opcode.MOVE_ABS,
+    port_fluid: dict[str, str] = {}
+    source = AbsContent.empty()
+    for access in walk.accesses:
+        instruction = program[access.index]
+        op = instruction.opcode
+        place, before = access.place, access.before
+        if access.is_read:
+            source = before  # a move's deposit follows the read of its source
+            if op is Opcode.INPUT:
+                fluid = fluid_label(instruction)
+                seen = port_fluid.setdefault(place.text, fluid)
+                if seen != fluid and not access.guarded:
+                    emit(
+                        "SCHED-PORT-CLASH",
+                        f"input port {place.text!r} sources {fluid!r} after "
+                        f"already sourcing {seen!r}",
+                        access.index,
+                        place.text,
+                    )
+            elif (
+                op is not Opcode.OUTPUT
+                and not access.guarded
+                and before.kind in _EMPTY
+                and place.kind != "input-port"
             ):
+                emit(
+                    "SCHED-DRY-PUMP",
+                    f"move from {place.text!r}, which holds nothing"
+                    if op in (Opcode.MOVE, Opcode.MOVE_ABS)
+                    else f"{op.value} on empty unit {place.text!r}",
+                    access.index,
+                    place.text,
+                )
+            continue
+        if access.guarded or before.kind is not ContentKind.HOLDS:
+            continue
+        if op is Opcode.INPUT:
+            what = "input into"
+        elif op is Opcode.SEPARATE:
+            if place.sub != "out1":
                 continue
-            if index >= len(self.slots):
-                break
-            src, dst = str(instruction.src), str(instruction.dst)
-            transfers.setdefault(self.slots[index], []).append(
-                (index, src, dst)
-            )
-        for slot, group in sorted(transfers.items()):
-            for position, (index_a, src_a, dst_a) in enumerate(group):
-                for index_b, src_b, dst_b in group[position + 1:]:
-                    # a chained pair (one's destination is the other's
-                    # source) is a deliberate hand-off: sharing that
-                    # endpoint is the point, so only deeper contention
-                    # counts against it.
-                    chained = dst_a == src_b or dst_b == src_a
-                    try:
-                        conflict = self.topology.conflicts(
-                            (src_a, dst_a),
-                            (src_b, dst_b),
-                            allow_shared_endpoint=chained,
-                        )
-                    except ComponentError:
-                        continue  # unroutable: already reported above
-                    if conflict:
-                        self.emit(
+            what = "separation deposits into"
+        elif source.kind is ContentKind.HOLDS and (
+            before.product or place.kind == "reservoir"
+        ):
+            what = "move into"
+        else:
+            continue
+        emit(
+            "SCHED-DOUBLE-BOOK",
+            f"{what} {place.text!r} while it still holds {names.text(before)}",
+            access.index,
+            place.text,
+        )
+    return findings
+
+
+def _slot_overlaps(
+    program: AISProgram, topology: ChannelTopology, slots: Sequence[int]
+) -> list[Diagnostic]:
+    findings: list[Diagnostic] = []
+    transfers: dict[int, list[tuple[int, str, str]]] = {}
+    for index, instruction in enumerate(program.instructions):
+        if instruction.opcode not in _TRANSFERS:
+            continue
+        if index >= len(slots):
+            break
+        src, dst = str(instruction.src), str(instruction.dst)
+        transfers.setdefault(slots[index], []).append((index, src, dst))
+    for slot, group in sorted(transfers.items()):
+        for position, (index_a, src_a, dst_a) in enumerate(group):
+            for index_b, src_b, dst_b in group[position + 1:]:
+                # a chained pair (one's destination is the other's
+                # source) is a deliberate hand-off: sharing that
+                # endpoint is the point, so only deeper contention
+                # counts against it.
+                chained = dst_a == src_b or dst_b == src_a
+                try:
+                    conflict = topology.conflicts(
+                        (src_a, dst_a),
+                        (src_b, dst_b),
+                        allow_shared_endpoint=chained,
+                    )
+                except ComponentError:
+                    continue  # unroutable: already reported
+                if conflict:
+                    findings.append(
+                        Diagnostic(
                             Severity.ERROR,
                             "SCHED-ROUTE-OVERLAP",
                             f"slot {slot}: transfers {src_a!r}->{dst_a!r} "
                             f"(instr {index_a}) and {src_b!r}->{dst_b!r} "
                             f"(instr {index_b}) contend for a shared "
                             "channel",
-                            index=index_b,
+                            instruction=index_b,
                             operand=dst_b,
                         )
+                    )
+    return findings
 
 
 def certify_schedule(
@@ -455,9 +280,9 @@ def certify_schedule(
     spec: MachineSpec,
     *,
     topology: ChannelTopology | None = None,
-    initial: dict[str, str] | None = None,
+    initial: Mapping[str, str] | None = None,
     slots: Sequence[int] | None = None,
-) -> tuple[list[Diagnostic], list[OccupancyRecord]]:
+) -> list[Diagnostic]:
     """Check an instruction schedule for hardware interference.
 
     Args:
@@ -473,10 +298,30 @@ def certify_schedule(
             checked pairwise for contention.
 
     Returns:
-        ``(findings, occupancy)`` — diagnostics plus the completed
-        occupancy intervals (useful for reports and benchmarks).
+        The findings in program order, then any slot contention.
     """
-    checker = _ScheduleChecker(
-        program, spec, topology, initial=initial, slots=slots
+    initial = initial or {}
+    # seed k's def site is -1 - k: seeds precede every instruction.
+    sites = {location: -1 - k for k, location in enumerate(initial)}
+    routes = _Routes(program, spec, topology) if topology is not None else None
+    walk = ForwardAnalysis(
+        program,
+        spec,
+        initial={
+            location: AbsContent.holding(
+                VolumeInterval(), frozenset({site}), product=True
+            )
+            for location, site in sites.items()
+        },
+        observe=routes.observe if routes is not None else None,
     )
-    return checker.run()
+    names = _FluidNames(
+        walk, {sites[location]: fluid for location, fluid in initial.items()}
+    )
+    findings = _occupancy_findings(walk, names)
+    if routes is not None:
+        findings += routes.findings(names)
+    findings.sort(key=lambda d: (d.instruction, _RANK[d.code]))
+    if slots is not None and topology is not None:
+        findings += _slot_overlaps(program, topology, slots)
+    return findings

@@ -1,7 +1,7 @@
 """The check registry: linear-resource safety rules over AIS programs.
 
 Each check consumes the facts a single :class:`ForwardAnalysis` pass
-computed (pre-states, accesses, value flow) and yields structured
+computed (accesses, value flow) and yields structured
 :class:`Diagnostic`\\ s with **stable codes** (catalogued with minimal
 failing examples in ``docs/ANALYSIS.md``):
 

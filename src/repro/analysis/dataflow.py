@@ -1,10 +1,8 @@
-"""Forward dataflow over straight-line AIS programs.
+"""Forward dataflow over straight-line AIS programs: the one occupancy walk.
 
 :class:`ForwardAnalysis` interprets a program once over the abstract
 domain of :mod:`repro.analysis.state`, recording
 
-* a **pre-state snapshot** per instruction (what every location held just
-  before it executed);
 * a flat list of :class:`Access` events — every read/write of a fluid
   location, tagged with the abstract content *at access time* and the
   moved volume interval;
@@ -14,26 +12,49 @@ domain of :mod:`repro.analysis.state`, recording
   / ``sense`` instructions are sinks (outputs are split into *product*
   and *waste* sinks — codegen's ``discard …`` outputs are waste).
 
-Checks in :mod:`repro.analysis.checks` consume these facts; they never
-re-implement transfer semantics.
+Every client reads these facts and none re-implements transfer
+semantics: the lint checks (:mod:`repro.analysis.checks`), the race
+detector (:mod:`repro.analysis.races`) and the certifier's schedule
+checks (:mod:`repro.analysis.certify.schedule`).  The occupancy rules
+they share are tabulated in ``docs/ANALYSIS.md``:
 
-Guarded instructions (dynamic-IF branches included conservatively,
-Section 3.5) are interpreted weakly: a guarded drain leaves its source
-``UNKNOWN`` rather than ``CONSUMED``, and reads under a guard are marked
-so checks do not report definite violations for code the executor may
-skip.
+* a **bare** ``move`` (no volume, no DAG ``edge``) drains its source; a
+  metered one — explicit volume, or an ``edge`` the executor resolves
+  against the volume plan — leaves the remainder in place;
+* ``output`` drains what a location holds, and is a no-op on an empty
+  one;
+* ``separate`` spends the feed, matrix and pusher and fills both outlet
+  wells (``out1`` effluent, ``out2`` waste);
+* a deposit into a sensor replaces the previous sample (flow cell);
+* ``input``, ``mix``/``incubate``/``concentrate`` and ``separate`` leave
+  a finished *product*; a move into a unit only accumulates ingredients;
+* guarded instructions (dynamic-IF branches, Section 3.5) are weak:
+  every location they touch ends in the join of its old and new
+  contents, and their accesses are marked so checks do not report
+  definite violations for code the executor may skip;
+* ``initial`` seeds contents the program starts with (constrained inputs
+  a previous partition parked in reservoirs).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..ir.instructions import Instruction, Opcode, Operand
 from ..ir.program import AISProgram
-from ..machine.spec import FU_KINDS, MachineSpec
-from .state import AbsContent, AbstractState, ContentKind, VolumeInterval
+from ..machine.spec import MachineSpec
+from .state import (
+    AbsContent,
+    AbstractState,
+    ContentKind,
+    Volume,
+    VolumeInterval,
+    as_volume,
+)
 
 __all__ = [
     "Place",
@@ -47,15 +68,14 @@ __all__ = [
 SEPARATOR_SUBPORTS = ("matrix", "pusher", "out1", "out2")
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A classified operand: where it points on the machine."""
 
     text: str                 # canonical operand text, e.g. "separator1.out1"
     base: str
     sub: str | None
     kind: str | None       # spec.component_kind(base); None = unknown name
-    capacity: Fraction | None
+    capacity: Volume | None
 
     @property
     def is_subport(self) -> bool:
@@ -88,8 +108,10 @@ class AccessKind(Enum):
     WRITE_PRODUCE = "write-produce"  # separate filling its outlet wells
 
 
-@dataclass(frozen=True)
-class Access:
+_READS = tuple(kind for kind in AccessKind if kind.value.startswith("read-"))
+
+
+class Access(NamedTuple):
     """One touch of a fluid location by one instruction."""
 
     index: int
@@ -101,7 +123,7 @@ class Access:
 
     @property
     def is_read(self) -> bool:
-        return self.kind.value.startswith("read-")
+        return self.kind in _READS
 
 
 @dataclass
@@ -145,66 +167,74 @@ def is_waste_output(instruction: Instruction) -> bool:
 
 
 class ForwardAnalysis:
-    """One abstract-interpretation pass; all facts are computed eagerly."""
+    """One abstract-interpretation pass; all facts are computed eagerly.
 
-    def __init__(self, program: AISProgram, spec: MachineSpec) -> None:
+    ``initial`` seeds locations with contents the program starts with.
+    ``observe``, when given, is called as ``observe(index, state)`` just
+    before each instruction steps, with the live :class:`AbstractState`
+    (its pre-state) — for clients that need every location at one
+    program point without a copy per instruction.
+    """
+
+    def __init__(
+        self,
+        program: AISProgram,
+        spec: MachineSpec,
+        *,
+        initial: Mapping[str, AbsContent] | None = None,
+        observe: Callable[[int, AbstractState], None] | None = None,
+    ) -> None:
         self.program = program
         self.spec = spec
-        self.least_count = spec.limits.least_count
+        self.least_count = as_volume(spec.limits.least_count)
         self.accesses: list[Access] = []
-        self.pre_states: list[dict[str, AbsContent]] = []
         self.flow = ValueFlow({}, {}, set(), set())
-        self.state = AbstractState()
-        self._place_cache: dict[str, Place] = {}
-        self._run()
+        self.state = AbstractState(initial)
+        self._place_cache: dict[tuple[str, str | None], Place] = {}
+        self._run(observe)
 
     # ------------------------------------------------------------------
     def place(self, operand: Operand) -> Place:
-        text = str(operand)
-        cached = self._place_cache.get(text)
+        key = (operand.base, operand.sub)
+        cached = self._place_cache.get(key)
         if cached is None:
+            capacity = self.spec.location_capacity(operand.base)
             cached = Place(
-                text=text,
+                text=str(operand),
                 base=operand.base,
                 sub=operand.sub,
                 kind=self.spec.component_kind(operand.base),
-                capacity=self.spec.location_capacity(operand.base),
+                capacity=None if capacity is None else as_volume(capacity),
             )
-            self._place_cache[text] = cached
+            self._place_cache[key] = cached
         return cached
 
-    def pre_state(self, index: int) -> dict[str, AbsContent]:
-        return self.pre_states[index]
-
-    @property
-    def final_state(self) -> AbstractState:
-        return self.state
-
     # ------------------------------------------------------------------
-    def _run(self) -> None:
+    def _run(
+        self, observe: Callable[[int, AbstractState], None] | None
+    ) -> None:
+        steps = {
+            Opcode.INPUT: self._step_input,
+            Opcode.OUTPUT: self._step_output,
+            Opcode.MOVE: self._step_move,
+            Opcode.MOVE_ABS: self._step_move,
+            Opcode.MIX: self._step_operate,
+            Opcode.INCUBATE: self._step_operate,
+            Opcode.CONCENTRATE: self._step_operate,
+            Opcode.SEPARATE: self._step_separate,
+            Opcode.SENSE: self._step_sense,
+        }
+        state = self.state
         for index, instruction in enumerate(self.program):
-            self.pre_states.append(self.state.snapshot())
-            handler = {
-                Opcode.INPUT: self._step_input,
-                Opcode.OUTPUT: self._step_output,
-                Opcode.MOVE: self._step_move,
-                Opcode.MOVE_ABS: self._step_move,
-                Opcode.MIX: self._step_operate,
-                Opcode.INCUBATE: self._step_operate,
-                Opcode.CONCENTRATE: self._step_operate,
-                Opcode.SEPARATE: self._step_separate,
-                Opcode.SENSE: self._step_sense,
-                Opcode.DRY_MOV: self._step_dry,
-                Opcode.DRY_ADD: self._step_dry,
-                Opcode.DRY_SUB: self._step_dry,
-                Opcode.DRY_MUL: self._step_dry,
-            }[instruction.opcode]
-            handler(index, instruction)
+            if observe is not None:
+                observe(index, state)
+            step = steps.get(instruction.opcode)
+            if step is not None:  # dry instructions hold no fluid
+                state.weak = instruction.meta.get("guard") is not None
+                step(index, instruction, state.weak)
+        state.weak = False
 
     # ------------------------------------------------------------------
-    def _guarded(self, instruction: Instruction) -> bool:
-        return instruction.meta.get("guard") is not None
-
     def _access(
         self,
         index: int,
@@ -232,39 +262,42 @@ class ForwardAnalysis:
         self, source: AbsContent, abs_volume: Fraction | None
     ) -> VolumeInterval:
         if abs_volume is not None:
-            return VolumeInterval.exact(abs_volume)
+            return VolumeInterval.exact(as_volume(abs_volume))
         hi = source.volume.hi if source.kind is ContentKind.HOLDS else None
         return VolumeInterval(self.least_count, hi)
 
     # -- wet steps ------------------------------------------------------
-    def _step_input(self, index: int, instruction: Instruction) -> None:
-        guarded = self._guarded(instruction)
+    def _step_input(
+        self, index: int, instruction: Instruction, guarded: bool
+    ) -> None:
         dst = self.place(instruction.dst)
         src = self.place(instruction.src)
         before = self.state.get(dst.text)
         if instruction.abs_volume is not None:
-            moved = VolumeInterval.exact(instruction.abs_volume)
+            moved = VolumeInterval.exact(as_volume(instruction.abs_volume))
         else:
             moved = VolumeInterval.at_most(
                 dst.capacity if dst.capacity is not None
-                else self.spec.limits.max_capacity
+                else as_volume(self.spec.limits.max_capacity)
             )
         # src is a port, stateless; record the access for operand checks.
         self._access(index, src, AccessKind.READ_METERED, AbsContent.unknown(),
                      moved=moved, guarded=guarded)
         self._access(index, dst, AccessKind.WRITE_FILL, before,
                      moved=moved, guarded=guarded)
-        if guarded:
-            moved = VolumeInterval(Fraction(0), moved.hi)
         if dst.holds_fluid or dst.kind is None:
             self.state.set(
                 dst.text,
-                before.deposit(moved, frozenset({index}), capacity=dst.capacity),
+                before.deposit(
+                    moved, frozenset({index}), capacity=dst.capacity,
+                    product=True,
+                ),
             )
         self._label(index, instruction, f"input {dst.text}")
 
-    def _step_output(self, index: int, instruction: Instruction) -> None:
-        guarded = self._guarded(instruction)
+    def _step_output(
+        self, index: int, instruction: Instruction, guarded: bool
+    ) -> None:
         src = self.place(instruction.src)
         before = self.state.get(src.text)
         self._access(index, src, AccessKind.READ_OUTPUT, before, guarded=guarded)
@@ -273,22 +306,26 @@ class ForwardAnalysis:
             self.flow.waste_sinks.add(index)
         else:
             self.flow.product_sinks.add(index)
-        if src.holds_fluid or src.kind is None:
-            if guarded or self._read_violated(before):
-                self.state.set(src.text, AbsContent.unknown())
-            else:
-                self.state.set(src.text, AbsContent.consumed(before.defs))
+        # draining an empty (or untracked) location changes nothing
+        if before.kind is ContentKind.HOLDS and (
+            src.holds_fluid or src.kind is None
+        ):
+            self.state.set(src.text, AbsContent.consumed(before.defs))
 
-    def _step_move(self, index: int, instruction: Instruction) -> None:
-        guarded = self._guarded(instruction)
+    def _step_move(
+        self, index: int, instruction: Instruction, guarded: bool
+    ) -> None:
         src = self.place(instruction.src)
         dst = self.place(instruction.dst)
         src_before = self.state.get(src.text)
         dst_before = self.state.get(dst.text)
+        # an ``edge`` move is metered: the executor resolves it against
+        # the volume plan, so only a truly bare move drains its source.
         is_drain = (
             instruction.opcode is Opcode.MOVE
             and instruction.rel_volume is None
             and instruction.abs_volume is None
+            and instruction.edge is None
         )
         if is_drain:
             moved = src_before.volume if (
@@ -308,30 +345,27 @@ class ForwardAnalysis:
             if self._read_violated(src_before):
                 self.state.set(src.text, AbsContent.unknown())
             elif is_drain:
-                self.state.set(
-                    src.text,
-                    AbsContent.unknown() if guarded
-                    else AbsContent.consumed(src_before.defs),
-                )
+                self.state.set(src.text, AbsContent.consumed(src_before.defs))
             else:
                 self.state.set(src.text, src_before.after_metered_draw(moved))
         # destination post-state
         if dst.holds_fluid or dst.kind is None:
-            if guarded:
-                moved = VolumeInterval(Fraction(0), moved.hi)
-            self.state.set(
-                dst.text,
-                dst_before.deposit(
-                    moved,
-                    src_before.defs,
-                    capacity=dst.capacity,
-                    replace_contents=dst.kind == "sensor",
-                ),
+            after = dst_before.deposit(
+                moved,
+                src_before.defs,
+                capacity=dst.capacity,
+                replace_contents=dst.kind == "sensor",
             )
+            if self._read_violated(src_before):
+                # nothing definite arrives from an empty source
+                after = dst_before.join(after)
+            self.state.set(dst.text, after)
 
-    def _step_operate(self, index: int, instruction: Instruction) -> None:
-        """mix / incubate / concentrate: in-place operation on a unit."""
-        guarded = self._guarded(instruction)
+    def _step_operate(
+        self, index: int, instruction: Instruction, guarded: bool
+    ) -> None:
+        """mix / incubate / concentrate: in-place operation on a unit,
+        whose contents become a product."""
         unit = self.place(instruction.dst)
         before = self.state.get(unit.text)
         self._access(index, unit, AccessKind.READ_FEED, before, guarded=guarded)
@@ -344,25 +378,29 @@ class ForwardAnalysis:
             )
             self.state.set(
                 unit.text,
-                AbsContent.holding(content.volume, frozenset({index})),
+                AbsContent.holding(content.volume, frozenset({index}), True),
             )
+        elif before.kind is not ContentKind.HOLDS:
+            return
         elif instruction.opcode is Opcode.CONCENTRATE:
             keep = instruction.meta.get("keep_fraction")
-            if before.kind is ContentKind.HOLDS:
-                volume = (
-                    before.volume.scaled(Fraction(keep))
-                    if keep is not None
-                    else VolumeInterval.at_most(
-                        before.volume.hi
-                    ) if before.volume.hi is not None else VolumeInterval()
-                )
-                self.state.set(
-                    unit.text, AbsContent.holding(volume, before.defs)
-                )
-        # incubate: volume conserving, nothing changes abstractly
+            volume = (
+                before.volume.scaled(Fraction(keep))
+                if keep is not None
+                else VolumeInterval.at_most(
+                    before.volume.hi
+                ) if before.volume.hi is not None else VolumeInterval()
+            )
+            self.state.set(
+                unit.text, AbsContent.holding(volume, before.defs, True)
+            )
+        else:
+            # incubate: volume conserving
+            self.state.set(unit.text, before._replace(product=True))
 
-    def _step_separate(self, index: int, instruction: Instruction) -> None:
-        guarded = self._guarded(instruction)
+    def _step_separate(
+        self, index: int, instruction: Instruction, guarded: bool
+    ) -> None:
         unit = self.place(instruction.dst)
         before = self.state.get(unit.text)
         self._access(index, unit, AccessKind.READ_FEED, before, guarded=guarded)
@@ -374,17 +412,13 @@ class ForwardAnalysis:
             well_before = self.state.get(well_text)
             contributing |= well_before.defs
             if unit.kind == "separator":
-                self.state.set(
-                    well_text,
-                    AbsContent.unknown() if guarded
-                    else AbsContent.consumed(well_before.defs),
-                )
+                self.state.set(well_text, AbsContent.consumed(well_before.defs))
         self._add_flow(frozenset(contributing), index)
         self._label(index, instruction, f"separate.{instruction.mode} {unit.text}")
         if unit.holds_fluid or unit.kind is None:
             self.state.set(
                 unit.text,
-                AbsContent.unknown() if guarded or self._read_violated(before)
+                AbsContent.unknown() if self._read_violated(before)
                 else AbsContent.consumed(before.defs),
             )
         # outlets are flushed at run start, then filled by this run
@@ -402,30 +436,15 @@ class ForwardAnalysis:
             )
             self.state.set(
                 outlet_text,
-                AbsContent.holding(outlet_volume, frozenset({index})),
+                AbsContent.holding(outlet_volume, frozenset({index}), True),
             )
 
-    def _step_sense(self, index: int, instruction: Instruction) -> None:
-        guarded = self._guarded(instruction)
+    def _step_sense(
+        self, index: int, instruction: Instruction, guarded: bool
+    ) -> None:
         unit = self.place(instruction.dst)
         before = self.state.get(unit.text)
         self._access(index, unit, AccessKind.READ_SENSE, before, guarded=guarded)
         self._add_flow(before.defs, index)
         self.flow.product_sinks.add(index)
-        if instruction.result:
-            self.state.define_dry(instruction.result, index)
         # non-destructive: the sample stays in the cell
-
-    # -- dry step -------------------------------------------------------
-    def _step_dry(self, index: int, instruction: Instruction) -> None:
-        if instruction.reg:
-            self.state.define_dry(instruction.reg, index)
-
-
-def analyze_forward(program: AISProgram, spec: MachineSpec) -> ForwardAnalysis:
-    """Convenience constructor mirroring the module docstring's naming."""
-    return ForwardAnalysis(program, spec)
-
-
-# re-exported convenience: which unit kinds exist (used by checks)
-UNIT_KINDS: tuple[str, ...] = FU_KINDS

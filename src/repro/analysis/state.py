@@ -4,8 +4,11 @@ Fluids are **linear resources**: every location (reservoir, functional
 unit, separator well) is abstracted to one of four content states —
 
 * ``EMPTY``     — never held fluid (the machine's initial state);
-* ``HOLDS``     — holds fluid, with a volume *interval* and the set of
-  defining instructions that contributed to the contents;
+* ``HOLDS``     — holds fluid, with a volume *interval*, the set of
+  defining instructions that contributed to the contents, and whether
+  the contents are a finished *product* (loaded by ``input``, or an
+  operation completed in place) rather than ingredients still
+  accumulating for one;
 * ``CONSUMED``  — held fluid that has since been fully moved out or
   drained off-chip (the post-state of a whole-content ``move``/``output``
   or a ``separate`` feed).  Reading a CONSUMED location is the
@@ -15,40 +18,57 @@ unit, separator well) is abstracted to one of four content states —
   one root cause does not cascade into a wall of findings).
 
 Volumes are tracked as closed intervals ``[lo, hi]`` over exact
-:class:`~fractions.Fraction` nanoliters, with ``hi=None`` meaning
-unbounded; only statically-known quantities (``move-abs`` volumes,
-absolute input loads) tighten the bounds, so interval findings are
+nanoliters (a :data:`Volume`), with ``hi=None`` meaning unbounded; only
+statically-known quantities (``move-abs`` volumes, absolute input
+loads) tighten the bounds, so interval findings are
 *definite* — a ``static-overflow`` fires only when the lower bound alone
 already exceeds capacity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator, Mapping
 from enum import Enum, unique
 from fractions import Fraction
+from typing import NamedTuple, TypeAlias
 
-__all__ = ["VolumeInterval", "ContentKind", "AbsContent", "AbstractState"]
+__all__ = [
+    "Volume",
+    "as_volume",
+    "VolumeInterval",
+    "ContentKind",
+    "AbsContent",
+    "AbstractState",
+]
+
+#: An exact volume in nanoliters: an ``int`` when whole — the common
+#: case, which keeps the walk's interval arithmetic on cheap Python ints —
+#: otherwise a :class:`~fractions.Fraction`.
+Volume: TypeAlias = int | Fraction
 
 
-@dataclass(frozen=True)
-class VolumeInterval:
+def as_volume(value: Fraction) -> Volume:
+    """``value`` as a :data:`Volume` (an ``int`` when whole)."""
+    return value.numerator if value.denominator == 1 else value
+
+
+class VolumeInterval(NamedTuple):
     """A closed interval of possible volumes; ``hi=None`` is unbounded."""
 
-    lo: Fraction = Fraction(0)
-    hi: Fraction | None = None
+    lo: Volume = 0
+    hi: Volume | None = None
 
     @classmethod
-    def exact(cls, volume: Fraction) -> "VolumeInterval":
+    def exact(cls, volume: Volume) -> "VolumeInterval":
         return cls(volume, volume)
 
     @classmethod
-    def at_most(cls, volume: Fraction) -> "VolumeInterval":
-        return cls(Fraction(0), volume)
+    def at_most(cls, volume: Volume) -> "VolumeInterval":
+        return cls(0, volume)
 
     @classmethod
     def zero(cls) -> "VolumeInterval":
-        return cls(Fraction(0), Fraction(0))
+        return _ZERO
 
     @property
     def is_exact(self) -> bool:
@@ -61,12 +81,12 @@ class VolumeInterval:
     def subtract(self, other: "VolumeInterval") -> "VolumeInterval":
         """Interval difference for a draw of ``other`` out of ``self``,
         clamped at zero (a pump cannot leave negative residue)."""
-        lo = Fraction(0)
-        if self.hi is not None and other.hi is not None:
-            lo = max(Fraction(0), self.lo - other.hi)
-        hi = None
+        lo: Volume = 0
+        hi: Volume | None = None
         if self.hi is not None:
-            hi = max(Fraction(0), self.hi - other.lo)
+            hi = self.hi - other.lo if self.hi > other.lo else 0
+            if self.lo and other.hi is not None and self.lo > other.hi:
+                lo = self.lo - other.hi
         return VolumeInterval(lo, hi)
 
     def scaled(self, factor: Fraction) -> "VolumeInterval":
@@ -74,10 +94,10 @@ class VolumeInterval:
             self.lo * factor, None if self.hi is None else self.hi * factor
         )
 
-    def clamped(self, capacity: Fraction | None) -> "VolumeInterval":
+    def clamped(self, capacity: Volume | None) -> "VolumeInterval":
         """Cap the upper bound at a physical capacity (a container can
         never actually hold more; overflow is reported separately)."""
-        if capacity is None:
+        if capacity is None or (self.hi is not None and self.hi <= capacity):
             return self
         hi = capacity if self.hi is None else min(self.hi, capacity)
         return VolumeInterval(min(self.lo, capacity), hi)
@@ -96,7 +116,7 @@ class VolumeInterval:
         any bound still moving jumps to its extreme (0 below — volumes are
         nonnegative — and unbounded above), guaranteeing the ascending
         chain stabilises."""
-        lo = self.lo if other.lo >= self.lo else Fraction(0)
+        lo = self.lo if other.lo >= self.lo else 0
         hi = self.hi
         if hi is not None and (other.hi is None or other.hi > hi):
             hi = None
@@ -105,13 +125,16 @@ class VolumeInterval:
     def narrow(self, other: "VolumeInterval") -> "VolumeInterval":
         """One narrowing step: recover bounds that widening threw away
         (only bounds at their extreme are refined from ``other``)."""
-        lo = other.lo if self.lo == Fraction(0) else self.lo
+        lo = other.lo if self.lo == 0 else self.lo
         hi = other.hi if self.hi is None else self.hi
         return VolumeInterval(lo, hi)
 
     def __str__(self) -> str:
         hi = "inf" if self.hi is None else f"{float(self.hi):g}"
         return f"[{float(self.lo):g}, {hi}]"
+
+
+_ZERO = VolumeInterval(0, 0)
 
 
 @unique
@@ -122,23 +145,28 @@ class ContentKind(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class AbsContent:
+_MAY_HOLD = (ContentKind.HOLDS, ContentKind.UNKNOWN)
+
+
+class AbsContent(NamedTuple):
     """Abstract contents of one location."""
 
     kind: ContentKind
-    volume: VolumeInterval = field(default_factory=VolumeInterval.zero)
+    volume: VolumeInterval = _ZERO
     #: indices of the instructions whose fluid contributed to the contents
     #: (the def sites of the value-flow graph).
     defs: frozenset[int] = frozenset()
+    #: the contents are a finished product, not ingredients still
+    #: accumulating (see the module docstring).
+    product: bool = False
 
     @classmethod
     def empty(cls) -> "AbsContent":
-        return cls(ContentKind.EMPTY, VolumeInterval.zero())
+        return _EMPTY
 
     @classmethod
     def consumed(cls, defs: frozenset[int] = frozenset()) -> "AbsContent":
-        return cls(ContentKind.CONSUMED, VolumeInterval.zero(), defs)
+        return cls(ContentKind.CONSUMED, _ZERO, defs)
 
     @classmethod
     def unknown(cls) -> "AbsContent":
@@ -146,31 +174,39 @@ class AbsContent:
 
     @classmethod
     def holding(
-        cls, volume: VolumeInterval, defs: frozenset[int] = frozenset()
+        cls,
+        volume: VolumeInterval,
+        defs: frozenset[int] = frozenset(),
+        product: bool = False,
     ) -> "AbsContent":
-        return cls(ContentKind.HOLDS, volume, defs)
+        return cls(ContentKind.HOLDS, volume, defs, product)
 
     @property
     def may_hold_fluid(self) -> bool:
-        return self.kind in (ContentKind.HOLDS, ContentKind.UNKNOWN)
+        return self.kind in _MAY_HOLD
 
     def deposit(
         self,
         moved: VolumeInterval,
         defs: frozenset[int],
         *,
-        capacity: Fraction | None = None,
+        capacity: Volume | None = None,
         replace_contents: bool = False,
+        product: bool = False,
     ) -> "AbsContent":
         """The post-state of depositing ``moved`` into this location.
 
         ``replace_contents`` models flow cells (sensors flush the previous
-        sample when a new one arrives).
+        sample when a new one arrives); ``product`` marks a deposit that
+        is a finished fluid (an ``input`` load).  Merging into held
+        contents keeps their product mark.
         """
         if replace_contents or not self.may_hold_fluid:
-            return AbsContent.holding(moved.clamped(capacity), defs)
+            return AbsContent.holding(moved.clamped(capacity), defs, product)
         return AbsContent.holding(
-            self.volume.add(moved).clamped(capacity), self.defs | defs
+            self.volume.add(moved).clamped(capacity),
+            self.defs | defs,
+            product or self.product,
         )
 
     def after_metered_draw(self, moved: VolumeInterval) -> "AbsContent":
@@ -178,7 +214,7 @@ class AbsContent:
         sub-least-count residue behind), volume reduced, defs retained."""
         if self.kind is not ContentKind.HOLDS:
             return self
-        return replace(self, volume=self.volume.subtract(moved))
+        return self._replace(volume=self.volume.subtract(moved))
 
     # ------------------------------------------------------------------
     # lattice operators.  ``UNKNOWN`` doubles as ⊤ (two disagreeing
@@ -187,10 +223,14 @@ class AbsContent:
     # ------------------------------------------------------------------
     def join(self, other: "AbsContent") -> "AbsContent":
         """Least upper bound.  Def sites are provenance metadata and
-        accumulate monotonically even through ⊤."""
+        accumulate monotonically even through ⊤; the contents are a
+        product only when both sides are."""
         kind = self.kind if self.kind is other.kind else ContentKind.UNKNOWN
         return AbsContent(
-            kind, self.volume.join(other.volume), self.defs | other.defs
+            kind,
+            self.volume.join(other.volume),
+            self.defs | other.defs,
+            self.product and other.product,
         )
 
     def widen(self, other: "AbsContent") -> "AbsContent":
@@ -198,29 +238,41 @@ class AbsContent:
         lattice is finite so only the volume interval needs widening."""
         kind = self.kind if self.kind is other.kind else ContentKind.UNKNOWN
         return AbsContent(
-            kind, self.volume.widen(other.volume), self.defs | other.defs
+            kind,
+            self.volume.widen(other.volume),
+            self.defs | other.defs,
+            self.product and other.product,
         )
 
 
-class AbstractState:
-    """Per-location abstract contents plus the dry register file."""
+_EMPTY = AbsContent(ContentKind.EMPTY)
 
-    def __init__(self) -> None:
-        self._locations: dict[str, AbsContent] = {}
-        #: dry register / sense-result names defined so far.
-        self.dry_defined: dict[str, int] = {}
+
+class AbstractState:
+    """Per-location abstract contents; a location never set is EMPTY.
+
+    Locations are kept in the order their current occupancy began: one
+    that goes from empty (or consumed) to possibly holding fluid moves
+    to the end.
+    """
+
+    def __init__(self, initial: Mapping[str, AbsContent] | None = None) -> None:
+        self._locations: dict[str, AbsContent] = dict(initial or {})
+        #: while set, updates are weak: the old contents stay possible
+        #: (a guarded instruction may not execute at all).
+        self.weak = False
 
     def get(self, location: str) -> AbsContent:
-        return self._locations.get(location, AbsContent.empty())
+        return self._locations.get(location, _EMPTY)
 
     def set(self, location: str, content: AbsContent) -> None:
+        old = self._locations.get(location, _EMPTY)
+        if self.weak:
+            content = old.join(content)
+        if content.kind in _MAY_HOLD and old.kind not in _MAY_HOLD:
+            self._locations.pop(location, None)
         self._locations[location] = content
 
-    def locations(self) -> dict[str, AbsContent]:
-        return dict(self._locations)
-
-    def snapshot(self) -> dict[str, AbsContent]:
-        return dict(self._locations)
-
-    def define_dry(self, name: str, index: int) -> None:
-        self.dry_defined.setdefault(name, index)
+    def items(self) -> Iterator[tuple[str, AbsContent]]:
+        """``(location, contents)`` pairs, in occupancy order."""
+        return iter(self._locations.items())

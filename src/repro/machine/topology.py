@@ -118,19 +118,21 @@ class ChannelTopology:
         previous: dict[str, str] = {}
         queue = deque([a])
         seen = {a}
-        while queue:
+        # ``previous[b]`` is fixed when ``b`` is first seen, so the search
+        # can stop there: popping ``b`` later would give the same path.
+        while queue and b not in seen:
             current = queue.popleft()
-            if current == b:
-                path = [b]
-                while path[-1] != a:
-                    path.append(previous[path[-1]])
-                return tuple(reversed(path))
             for peer in sorted(self.adjacency[current]):
                 if peer not in seen:
                     seen.add(peer)
                     previous[peer] = current
                     queue.append(peer)
-        return None
+        if b not in seen:
+            return None
+        path = [b]
+        while path[-1] != a:
+            path.append(previous[path[-1]])
+        return tuple(reversed(path))
 
     # ------------------------------------------------------------------
     def segments_of(self, src: str, dst: str) -> list[Segment]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from repro.analysis.certify import certify_program, certify_schedule
 from repro.assays import glucose
 from repro.compiler.passes import run_compile
-from repro.ir.instructions import input_, mix, move, output, sense
+from repro.ir.instructions import input_, mix, move, output, sense, separate
 from repro.ir.program import AISProgram
 from repro.machine.spec import AQUACORE_SPEC
 from repro.machine.topology import ChannelTopology, bus_topology
@@ -41,16 +41,12 @@ class TestCleanSchedules:
             mix("mixer1", 3),
             output("op1", "mixer1"),
         )
-        diagnostics, occupancy = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert not diagnostics, [str(d) for d in diagnostics]
-        # mixer1 was filled at instr 2 and released at the output
-        intervals = [r for r in occupancy if r.location == "mixer1"]
-        assert intervals and intervals[0].start == 2
-        assert intervals[0].end == 5
 
     def test_compiled_glucose_certifies(self):
         compiled = run_compile(source=glucose.SOURCE).compiled
-        diagnostics, _ = certify_schedule(
+        diagnostics = certify_schedule(
             compiled.program,
             compiled.spec,
             topology=bus_topology(compiled.spec),
@@ -60,7 +56,7 @@ class TestCleanSchedules:
     def test_flush_of_empty_unit_is_no_op(self):
         # the generator drains units defensively; not a finding
         program = _program(output("op1", "mixer1"))
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert not diagnostics
 
 
@@ -73,7 +69,7 @@ class TestDoubleBooking:
             # second op deposits into the mixer that still holds product
             input_("mixer1", "ip2", abs_volume=Fraction(10)),
         )
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert "SCHED-DOUBLE-BOOK" in _errors(diagnostics)
 
     def test_move_onto_parked_product(self):
@@ -83,8 +79,48 @@ class TestDoubleBooking:
             input_("mixer2", "ip2", abs_volume=Fraction(10)),
             move("s1", "mixer2"),  # s1 still holds the first product
         )
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert "SCHED-DOUBLE-BOOK" in _errors(diagnostics)
+
+    def test_move_onto_unit_product(self):
+        """A mixed product in a unit collides with the next transfer in."""
+        program = _program(
+            input_("s1", "ip1", abs_volume=Fraction(10)),
+            input_("s2", "ip2", abs_volume=Fraction(10)),
+            move("mixer1", "s1", rel_volume=Fraction(1)),
+            mix("mixer1", 3),
+            move("mixer1", "s2", rel_volume=Fraction(1)),
+        )
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
+        assert [(d.code, d.instruction) for d in diagnostics] == [
+            ("SCHED-DOUBLE-BOOK", 4)
+        ]
+
+    def test_pending_effluent_collides_but_waste_is_flushed(self):
+        """A separation flushes both outlets: losing the last run's
+        effluent (``out1``) is a double-book, its waste (``out2``) is not."""
+        program = _program(
+            input_("separator1", "ip1", abs_volume=Fraction(10)),
+            separate("separator1", "AF", 30),
+            input_("separator1", "ip2", abs_volume=Fraction(10)),
+            separate("separator1", "AF", 30),
+        )
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
+        assert [(d.code, d.operand) for d in diagnostics] == [
+            ("SCHED-DOUBLE-BOOK", "separator1.out1")
+        ]
+
+    def test_possibly_absent_fluid_does_not_double_book(self):
+        """Moving fluid a guard may never have loaded is no definite
+        collision, even into a reservoir that holds fluid."""
+        guarded = input_("s1", "ip1", abs_volume=Fraction(10))
+        guarded.meta["guard"] = ("c0", True)
+        program = _program(
+            guarded,
+            input_("s2", "ip2", abs_volume=Fraction(10)),
+            move("s2", "s1", rel_volume=Fraction(1)),
+        )
+        assert not certify_schedule(program, AQUACORE_SPEC)
 
     def test_filling_unit_accumulates_without_finding(self):
         program = _program(
@@ -94,24 +130,24 @@ class TestDoubleBooking:
             move("mixer1", "s2"),  # second ingredient: merging is the point
             mix("mixer1", 3),
         )
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert not _errors(diagnostics), [str(d) for d in diagnostics]
 
 
 class TestDryAndPortHazards:
     def test_move_from_empty_reservoir(self):
         program = _program(move("mixer1", "s1"))
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert "SCHED-DRY-PUMP" in _errors(diagnostics)
 
     def test_mix_on_empty_unit(self):
         program = _program(mix("mixer1", 3))
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert "SCHED-DRY-PUMP" in _errors(diagnostics)
 
     def test_sense_on_empty_unit(self):
         program = _program(sense("sensor1", "OD", "r1"))
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert "SCHED-DRY-PUMP" in _errors(diagnostics)
 
     def test_port_sources_two_fluids(self):
@@ -120,14 +156,14 @@ class TestDryAndPortHazards:
         second = input_("s2", "ip1", abs_volume=Fraction(10))
         second.meta["node"] = "Reagent"
         program = _program(first, second)
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert "SCHED-PORT-CLASH" in _errors(diagnostics)
 
     def test_initial_occupancy_feeds_first_move(self):
         """A constrained input parked by a previous partition is a valid
         source with no ``input`` instruction."""
         program = _program(move("mixer1", "s3"))
-        diagnostics, _ = certify_schedule(
+        diagnostics = certify_schedule(
             program, AQUACORE_SPEC, initial={"s3": "Sample"}
         )
         assert not _errors(diagnostics)
@@ -138,7 +174,7 @@ class TestGuards:
         guarded = move("mixer1", "s1")
         guarded.meta["guard"] = "c0"
         program = _program(guarded)
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         assert not diagnostics
 
     def test_guarded_effects_stay_unknown(self):
@@ -148,7 +184,7 @@ class TestGuards:
             guarded,
             input_("s1", "ip2", abs_volume=Fraction(10)),
         )
-        diagnostics, _ = certify_schedule(program, AQUACORE_SPEC)
+        diagnostics = certify_schedule(program, AQUACORE_SPEC)
         # whether s1 is occupied depends on the run-time guard: no finding
         assert "SCHED-DOUBLE-BOOK" not in _codes(diagnostics)
 
@@ -166,7 +202,7 @@ class TestRouting:
             input_("s1", "ip1", abs_volume=Fraction(10)),
             move("heater1", "s1"),  # island: no channel reaches it
         )
-        diagnostics, _ = certify_schedule(
+        diagnostics = certify_schedule(
             program, AQUACORE_SPEC, topology=self._sparse()
         )
         assert "SCHED-UNROUTABLE" in _errors(diagnostics)
@@ -176,7 +212,7 @@ class TestRouting:
             input_("s1", "ip1", abs_volume=Fraction(10)),
             move("mixer1", "ip1", rel_volume=Fraction(1)),
         )
-        diagnostics, _ = certify_schedule(
+        diagnostics = certify_schedule(
             program, AQUACORE_SPEC, topology=self._sparse()
         )
         # ip1 -> mixer1 routes through s1, which holds the first draw
@@ -190,7 +226,7 @@ class TestSlotOverlap:
             input_("s1", "ip1", abs_volume=Fraction(10)),
             input_("s2", "ip2", abs_volume=Fraction(10)),
         )
-        diagnostics, _ = certify_schedule(
+        diagnostics = certify_schedule(
             program,
             AQUACORE_SPEC,
             topology=bus_topology(AQUACORE_SPEC),
@@ -203,7 +239,7 @@ class TestSlotOverlap:
             input_("s1", "ip1", abs_volume=Fraction(10)),
             input_("s2", "ip2", abs_volume=Fraction(10)),
         )
-        diagnostics, _ = certify_schedule(
+        diagnostics = certify_schedule(
             program,
             AQUACORE_SPEC,
             topology=bus_topology(AQUACORE_SPEC),
@@ -219,7 +255,7 @@ class TestSlotOverlap:
             input_("s1", "ip1", abs_volume=Fraction(10)),
             move("mixer1", "s1"),
         )
-        diagnostics, _ = certify_schedule(
+        diagnostics = certify_schedule(
             program, AQUACORE_SPEC, topology=topology, slots=[0, 0]
         )
         # the two transfers share only the hand-off endpoint s1

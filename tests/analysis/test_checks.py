@@ -1,8 +1,14 @@
 """Unit tests for the fluid-safety checks on hand-written broken programs."""
 
+from fractions import Fraction
+
 from repro.analysis import analyze, check_codes, lint_text
+from repro.analysis.certify import certify_program, certify_schedule
 from repro.compiler.diagnostics import Severity
+from repro.ir.instructions import input_
 from repro.ir.parse import parse_ais
+from repro.ir.program import AISProgram
+from repro.machine.spec import AQUACORE_SPEC
 
 
 def codes_of(text: str):
@@ -213,3 +219,28 @@ def test_findings_sorted_by_instruction():
     ).findings
     indices = [d.instruction for d in findings]
     assert indices == sorted(indices)
+
+
+def test_guarded_fill_is_weak():
+    """A guarded load may not run (Section 3.5), so a later load into the
+    same location is not a definite double-fill; lint and certify agree."""
+    guarded = input_("s1", "ip1", abs_volume=Fraction(10))
+    guarded.meta["guard"] = ("c0", True)
+    program = AISProgram(name="hand", machine=AQUACORE_SPEC.name)
+    program.extend([guarded, input_("s1", "ip2", abs_volume=Fraction(10))])
+    assert "double-fill" not in [d.code for d in analyze(program, AQUACORE_SPEC)]
+    assert not certify_schedule(program, AQUACORE_SPEC)
+
+
+def test_residue_refill_is_flagged_by_lint_and_certify():
+    """A metered draw leaves residue behind: loading the reservoir again
+    is a double-fill to lint and a double-book to the certifier."""
+    program = parse_ais(
+        "p{\n"
+        "  input s1, ip1, 40 ;Sample\n"
+        "  move mixer1, s1, 1\n"
+        "  input s1, ip2, 40 ;Buffer\n"
+        "}"
+    )
+    assert "double-fill" in [d.code for d in analyze(program)]
+    assert "SCHED-DOUBLE-BOOK" in certify_program(program).codes()

@@ -191,7 +191,7 @@ class TestMergedDetection:
         (``repro.ir.instructions.fluid_label``)."""
         a = input_("s1", "ip1", abs_volume=Fraction(10), **first)
         b = input_("s2", "ip1", abs_volume=Fraction(10), **second)
-        serial, __ = certify_schedule(_program(a, b), AQUACORE_SPEC)
+        serial = certify_schedule(_program(a, b), AQUACORE_SPEC)
         merged = analyze_races([_program(a, name="a"), _program(b, name="b")])
         assert ("SCHED-PORT-CLASH" in {d.code for d in serial}) is clash
         assert ("RACE-PORT" in merged.codes()) is clash

@@ -142,9 +142,9 @@ def test_static_races_subsume_dynamic_schedule_errors(case):
         len(a.instructions) + len(b.instructions)
     )
 
-    solo = _error_keys(certify_schedule(a, AQUACORE_SPEC)[0])
-    solo |= _error_keys(certify_schedule(b, AQUACORE_SPEC)[0])
-    dynamic = _error_keys(certify_schedule(merged, AQUACORE_SPEC)[0])
+    solo = _error_keys(certify_schedule(a, AQUACORE_SPEC))
+    solo |= _error_keys(certify_schedule(b, AQUACORE_SPEC))
+    dynamic = _error_keys(certify_schedule(merged, AQUACORE_SPEC))
     escaped = dynamic - solo
 
     report = analyze_races([a, b], AQUACORE_SPEC, share_storage=True)
@@ -178,7 +178,7 @@ def test_race_free_pair_replays_clean_under_every_interleaving(case):
         d for d in report.findings if d.severity.value == "error"
     ], report.render_text()
     merged = _interleave(a, b, picks)
-    dynamic = _error_keys(certify_schedule(merged, AQUACORE_SPEC)[0])
+    dynamic = _error_keys(certify_schedule(merged, AQUACORE_SPEC))
     assert dynamic == set(), dynamic
 
 
@@ -193,4 +193,4 @@ def test_serialized_concatenation_matches_full_barrier():
     )
     assert report.findings == [], report.render_text()
     merged = _interleave(a, b, [0] * len(a.instructions) + [1] * 16)
-    assert _error_keys(certify_schedule(merged, AQUACORE_SPEC)[0]) == set()
+    assert _error_keys(certify_schedule(merged, AQUACORE_SPEC)) == set()

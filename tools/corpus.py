@@ -342,8 +342,8 @@ def check_races(entries, report, verbose) -> int:
     print("\n-- differential gate (static subsumes dynamic replay) --")
     for left, right in MERGE_PAIRS:
         a, b = programs[left], programs[right]
-        solo = error_bases(certify_schedule(a, spec)[0])
-        solo |= error_bases(certify_schedule(b, spec)[0])
+        solo = error_bases(certify_schedule(a, spec))
+        solo |= error_bases(certify_schedule(b, spec))
         static = analyze_races([a, b], spec, share_storage=True)
         static_bases = {
             (f.operand or "").split(".")[0] for f in static.findings
@@ -351,7 +351,7 @@ def check_races(entries, report, verbose) -> int:
         escapes = []
         for pattern in PATTERNS:
             merged = interleave(a, b, pattern)
-            dynamic = error_bases(certify_schedule(merged, spec)[0])
+            dynamic = error_bases(certify_schedule(merged, spec))
             for code, base in sorted(dynamic - solo):
                 if base not in static_bases:
                     escapes.append((pattern, code, base))
