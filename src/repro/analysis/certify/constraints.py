@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ...core.dag import AssayDAG, NodeKind
 from ...core.limits import HardwareLimits
@@ -73,9 +74,27 @@ def reference_model(dag: AssayDAG, limits: HardwareLimits) -> ReferenceModel:
         when the DAG is structurally broken — callers turn that into a
         certification failure rather than a crash.
     """
-    production: dict[str, Fraction] = {}
-    load: dict[str, Fraction] = {}
-    edge_demand: dict[EdgeKey, Fraction] = {}
+    # Every normalised quantity is an integer over one common denominator
+    # ``den``, grown (and every stored integer rescaled) when a division
+    # does not come out even.
+    den = 1
+    production: dict[str, int] = {}
+    load: dict[str, int] = {}
+    edge_demand: dict[EdgeKey, int] = {}
+
+    def times(value: int, num: int, div: int) -> int:
+        """``value * num / div`` over ``den``, growing ``den`` if needed;
+        the caller re-reads any stored integer it still holds."""
+        nonlocal den
+        product = value * num
+        if product % div:
+            grow = abs(div) // gcd(product, div)
+            for table in (production, load, edge_demand):
+                for key in table:
+                    table[key] *= grow
+            den *= grow
+            product *= grow
+        return product // div
 
     sink_ids = {
         node.id
@@ -87,78 +106,94 @@ def reference_model(dag: AssayDAG, limits: HardwareLimits) -> ReferenceModel:
         node = dag.node(node_id)
         if node.kind is NodeKind.EXCESS:
             continue  # derived from its producer below
-        drawn = Fraction(0)
-        for edge in dag.out_edges(node_id):
-            if not edge.is_excess:
-                drawn += edge_demand[edge.key]
         if node_id in sink_ids:
-            produced = Fraction(1)
+            production[node_id] = den
         else:
             # Flow conservation modulo the statically-known discard: the
             # node makes what its consumers draw, plus the excess share.
-            produced = drawn / (1 - node.excess_fraction)
-        production[node_id] = produced
-        if node.excess_fraction > 0:
-            surplus = produced * node.excess_fraction
+            drawn = sum(
+                edge_demand[edge.key]
+                for edge in dag.out_edges(node_id)
+                if not edge.is_excess
+            )
+            kept = 1 - node.excess_fraction
+            production[node_id] = times(
+                drawn, kept.denominator, kept.numerator
+            )
+        excess = node.excess_fraction
+        if excess.numerator > 0:
+            surplus = times(
+                production[node_id], excess.numerator, excess.denominator
+            )
             for edge in dag.out_edges(node_id):
                 if edge.is_excess:
                     edge_demand[edge.key] = surplus
                     production[edge.dst] = surplus
                     load[edge.dst] = surplus
         if node.kind in SOURCE_KINDS:
-            load[node_id] = produced
+            load[node_id] = production[node_id]
             continue
         if node.unknown_volume:
             # A run-time-measured sink: the plan dispenses its *input*.
             fraction_out = Fraction(1)
         else:
             fraction_out = node.output_fraction or Fraction(1)
-        entering = produced / fraction_out
-        load[node_id] = entering
+        load[node_id] = times(
+            production[node_id],
+            fraction_out.denominator,
+            fraction_out.numerator,
+        )
         for edge in dag.in_edges(node_id):
             if not edge.is_excess:
-                edge_demand[edge.key] = edge.fraction * entering
+                share = edge.fraction
+                edge_demand[edge.key] = times(
+                    load[node_id], share.numerator, share.denominator
+                )
 
     # -- the scale the hardware permits ---------------------------------
-    scale: Fraction | None = None
+    # a bound ``limit / (held / den)`` is kept as the pair
+    # ``(limit_num * den, limit_den * held)`` and compared crosswise.
+    scale: tuple[int, int] | None = None
     binding: str | None = None
+
+    def tighter(limit: Fraction, held: int) -> bool:
+        nonlocal scale
+        bound = (limit.numerator * den, limit.denominator * held)
+        if scale is None or bound[0] * scale[1] < scale[0] * bound[1]:
+            scale = bound
+            return True
+        return False
+
     for node in dag.nodes():
-        held = max(
-            production.get(node.id, Fraction(0)),
-            load.get(node.id, Fraction(0)),
-        )
+        held = max(production.get(node.id, 0), load.get(node.id, 0))
         if held == 0:
             continue
-        capacity = node.capacity or limits.max_capacity
-        bound = capacity / held
-        if scale is None or bound < scale:
-            scale, binding = bound, node.id
+        if tighter(node.capacity or limits.max_capacity, held):
+            binding = node.id
     for node in dag.nodes():
         if node.kind is not NodeKind.CONSTRAINED_INPUT:
             continue
         if node.available_volume is None:
             continue
-        needed = production.get(node.id, Fraction(0))
+        needed = production.get(node.id, 0)
         if needed == 0:
             continue
-        bound = node.available_volume / needed
-        if scale is None or bound < scale:
-            scale, binding = bound, node.id
-    if scale is None:
-        scale = Fraction(0)
+        if tighter(node.available_volume, needed):
+            binding = node.id
+    scale_num, scale_den = scale or (0, 1)
 
-    outputs: list[str] = [
-        node.id for node in dag.nodes()
+    delivered = sum(
+        production[node.id]
+        for node in dag.nodes()
         if node.id in sink_ids and node.kind not in SOURCE_KINDS
-    ]
-    output_bound = sum(
-        (production[node_id] * scale for node_id in outputs), Fraction(0)
     )
     return ReferenceModel(
-        production=production,
-        load=load,
-        edge_demand=edge_demand,
-        scale=scale,
-        output_bound=output_bound,
+        production={key: Fraction(v, den) for key, v in production.items()},
+        load={key: Fraction(v, den) for key, v in load.items()},
+        edge_demand={
+            key: Fraction(v, den) for key, v in edge_demand.items()
+        },
+        scale=Fraction(scale_num, scale_den),
+        output_bound=Fraction(scale_num * delivered, scale_den * den),
         binding_node=binding,
     )

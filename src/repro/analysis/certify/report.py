@@ -69,6 +69,23 @@ def _certificate(
     )
 
 
+#: id(spec) -> (spec, its bus topology); holding the spec keeps its id
+#: from being reused while the entry lives.
+_BUS_TOPOLOGIES: dict[int, tuple[MachineSpec, ChannelTopology]] = {}
+_BUS_TOPOLOGIES_KEPT = 8
+
+
+def _bus_topology(spec: MachineSpec) -> ChannelTopology:
+    """The machine's bus topology, built once per spec object: it keeps
+    its route cache across certifications of one machine."""
+    entry = _BUS_TOPOLOGIES.get(id(spec))
+    if entry is None or entry[0] is not spec:
+        if len(_BUS_TOPOLOGIES) >= _BUS_TOPOLOGIES_KEPT:
+            _BUS_TOPOLOGIES.clear()
+        entry = _BUS_TOPOLOGIES[id(spec)] = (spec, bus_topology(spec))
+    return entry[1]
+
+
 def _initial_occupancy(compiled: object) -> dict[str, str]:
     """Constrained inputs start the program already parked in reservoirs
     (a previous partition left them; no ``input`` instruction loads
@@ -131,7 +148,7 @@ def certify(
     schedule_findings = certify_schedule(
         compiled.program,
         machine_spec,
-        topology=topology or bus_topology(machine_spec),
+        topology=topology or _bus_topology(machine_spec),
         initial=_initial_occupancy(compiled),
         slots=slots,
     )
@@ -160,7 +177,7 @@ def certify_program(
     findings = certify_schedule(
         program,
         spec,
-        topology=topology or bus_topology(spec),
+        topology=topology or _bus_topology(spec),
         initial=initial,
         slots=slots,
     )

@@ -112,6 +112,24 @@ class _Routes:
         self.unroutable: list[Diagnostic] = []
         #: (index, src, dst, base, content) per occupied location passed.
         self.through: list[tuple[int, str, str, str, AbsContent]] = []
+        #: per (src, dst): the components its route passes, None when
+        #: there is no route.
+        self._passed: dict[tuple[str, str], frozenset[str] | None] = {}
+
+    def _components_passed(self, src: str, dst: str) -> frozenset[str] | None:
+        key = (src, dst)
+        if key not in self._passed:
+            try:
+                path = self.topology.route(src, dst)
+            except ComponentError:
+                self._passed[key] = None
+            else:
+                # the components passed on the way (a bus junction holds
+                # nothing)
+                self._passed[key] = frozenset(
+                    node for node in path[1:-1] if self.spec.component_kind(node)
+                )
+        return self._passed[key]
 
     def observe(self, index: int, state: AbstractState) -> None:
         instruction = self.program.instructions[index]
@@ -120,9 +138,8 @@ class _Routes:
         src, dst = str(instruction.src), str(instruction.dst)
         if instruction.opcode is Opcode.OUTPUT and state.get(src).kind in _EMPTY:
             return
-        try:
-            path = self.topology.route(src, dst)
-        except ComponentError:
+        through = self._components_passed(src, dst)
+        if through is None:
             self.unroutable.append(
                 Diagnostic(
                     Severity.ERROR,
@@ -134,11 +151,7 @@ class _Routes:
                 )
             )
             return
-        if instruction.meta.get("guard") is not None:
-            return
-        # the components passed on the way (a bus junction holds nothing)
-        through = {node for node in path[1:-1] if self.spec.component_kind(node)}
-        if not through:
+        if not through or instruction.meta.get("guard") is not None:
             return
         for location, content in state.items():
             base = location.partition(".")[0]

@@ -255,7 +255,8 @@ class StaticVolumeCheck(Check):
     )
 
     def run(self, ctx: AnalysisContext) -> Iterator[Diagnostic]:
-        least = ctx.spec.limits.least_count
+        # the walk counts volumes in least counts; messages print nl
+        nl = ctx.forward.nl
         for access in ctx.forward.accesses:
             place = access.place
             moved = access.moved
@@ -267,12 +268,12 @@ class StaticVolumeCheck(Check):
                 and place.holds_fluid
                 and moved.is_exact
             ):
-                if moved.lo < least:
+                if moved.lo < 1:
                     yield self.diagnostic(
                         Severity.ERROR,
                         "static-underflow",
-                        f"`{what}` meters {float(moved.lo):g} nl, below the "
-                        f"least count of {float(least):g} nl",
+                        f"`{what}` meters {float(nl(moved.lo)):g} nl, below "
+                        f"the least count of {float(nl(1)):g} nl",
                         instruction=access.index,
                         operand=place.text,
                     )
@@ -283,9 +284,9 @@ class StaticVolumeCheck(Check):
                     yield self.diagnostic(
                         Severity.ERROR,
                         "insufficient-volume",
-                        f"`{what}` draws {float(moved.lo):g} nl but "
+                        f"`{what}` draws {float(nl(moved.lo)):g} nl but "
                         f"{place.text} can hold at most "
-                        f"{float(access.before.volume.hi):g} nl here",
+                        f"{float(nl(access.before.volume.hi)):g} nl here",
                         instruction=access.index,
                         operand=place.text,
                     )
@@ -313,8 +314,8 @@ class StaticVolumeCheck(Check):
                         severity,
                         "static-overflow",
                         f"`{what}` brings {place.text} to at least "
-                        f"{float(resulting):g} nl, over its capacity of "
-                        f"{float(place.capacity):g} nl{clamp}",
+                        f"{float(nl(resulting)):g} nl, over its capacity of "
+                        f"{float(nl(place.capacity)):g} nl{clamp}",
                         instruction=access.index,
                         operand=place.text,
                     )

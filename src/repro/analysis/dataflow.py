@@ -34,6 +34,13 @@ they share are tabulated in ``docs/ANALYSIS.md``:
   definite violations for code the executor may skip;
 * ``initial`` seeds contents the program starts with (constrained inputs
   a previous partition parked in reservoirs).
+
+Volumes — moved intervals, held contents, location capacities — are
+counted in **least counts**, the machine's metering quantum (IVol,
+paper §3.2): a metered draw moves at least ``1``, and a 100 nl reservoir
+on a 0.1 nl machine holds ``1000``.  They stay Python ints unless a
+listing names a volume finer than the least count.
+:meth:`ForwardAnalysis.nl` converts back for messages.
 """
 
 from __future__ import annotations
@@ -53,7 +60,6 @@ from .state import (
     ContentKind,
     Volume,
     VolumeInterval,
-    as_volume,
 )
 
 __all__ = [
@@ -75,7 +81,7 @@ class Place(NamedTuple):
     base: str
     sub: str | None
     kind: str | None       # spec.component_kind(base); None = unknown name
-    capacity: Volume | None
+    capacity: Volume | None  # in least counts
 
     @property
     def is_subport(self) -> bool:
@@ -169,11 +175,12 @@ def is_waste_output(instruction: Instruction) -> bool:
 class ForwardAnalysis:
     """One abstract-interpretation pass; all facts are computed eagerly.
 
-    ``initial`` seeds locations with contents the program starts with.
-    ``observe``, when given, is called as ``observe(index, state)`` just
-    before each instruction steps, with the live :class:`AbstractState`
-    (its pre-state) — for clients that need every location at one
-    program point without a copy per instruction.
+    ``initial`` seeds locations with contents the program starts with
+    (volumes in least counts).  ``observe``, when given, is called as
+    ``observe(index, state)`` just before each instruction steps, with
+    the live :class:`AbstractState` (its pre-state) — for clients that
+    need every location at one program point without a copy per
+    instruction.
     """
 
     def __init__(
@@ -186,12 +193,24 @@ class ForwardAnalysis:
     ) -> None:
         self.program = program
         self.spec = spec
-        self.least_count = as_volume(spec.limits.least_count)
+        self.least_count = spec.limits.least_count
         self.accesses: list[Access] = []
         self.flow = ValueFlow({}, {}, set(), set())
         self.state = AbstractState(initial)
         self._place_cache: dict[tuple[str, str | None], Place] = {}
         self._run(observe)
+
+    # ------------------------------------------------------------------
+    def units(self, volume: Fraction) -> Volume:
+        """``volume`` nl counted in least counts."""
+        least = self.least_count
+        num = volume.numerator * least.denominator
+        den = volume.denominator * least.numerator
+        return num // den if num % den == 0 else Fraction(num, den)
+
+    def nl(self, volume: Volume) -> Fraction:
+        """A walk volume (in least counts) back in nl."""
+        return volume * self.least_count
 
     # ------------------------------------------------------------------
     def place(self, operand: Operand) -> Place:
@@ -204,7 +223,7 @@ class ForwardAnalysis:
                 base=operand.base,
                 sub=operand.sub,
                 kind=self.spec.component_kind(operand.base),
-                capacity=None if capacity is None else as_volume(capacity),
+                capacity=None if capacity is None else self.units(capacity),
             )
             self._place_cache[key] = cached
         return cached
@@ -262,9 +281,9 @@ class ForwardAnalysis:
         self, source: AbsContent, abs_volume: Fraction | None
     ) -> VolumeInterval:
         if abs_volume is not None:
-            return VolumeInterval.exact(as_volume(abs_volume))
+            return VolumeInterval.exact(self.units(abs_volume))
         hi = source.volume.hi if source.kind is ContentKind.HOLDS else None
-        return VolumeInterval(self.least_count, hi)
+        return VolumeInterval(1, hi)  # a metered draw moves a least count
 
     # -- wet steps ------------------------------------------------------
     def _step_input(
@@ -274,11 +293,11 @@ class ForwardAnalysis:
         src = self.place(instruction.src)
         before = self.state.get(dst.text)
         if instruction.abs_volume is not None:
-            moved = VolumeInterval.exact(as_volume(instruction.abs_volume))
+            moved = VolumeInterval.exact(self.units(instruction.abs_volume))
         else:
             moved = VolumeInterval.at_most(
                 dst.capacity if dst.capacity is not None
-                else as_volume(self.spec.limits.max_capacity)
+                else self.units(self.spec.limits.max_capacity)
             )
         # src is a port, stateless; record the access for operand checks.
         self._access(index, src, AccessKind.READ_METERED, AbsContent.unknown(),

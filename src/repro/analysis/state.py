@@ -17,8 +17,11 @@ unit, separator well) is abstracted to one of four content states —
   use-after-consume it deliberately degrades the location to UNKNOWN so
   one root cause does not cascade into a wall of findings).
 
-Volumes are tracked as closed intervals ``[lo, hi]`` over exact
-nanoliters (a :data:`Volume`), with ``hi=None`` meaning unbounded; only
+Volumes are tracked as closed intervals ``[lo, hi]`` of exact
+:data:`Volume` values, with ``hi=None`` meaning unbounded — counted in
+least counts by the occupancy walk
+(:class:`~repro.analysis.dataflow.ForwardAnalysis`), in nanoliters by
+the source-level engine (:mod:`repro.analysis.sourceflow`); only
 statically-known quantities (``move-abs`` volumes, absolute input
 loads) tighten the bounds, so interval findings are
 *definite* — a ``static-overflow`` fires only when the lower bound alone
@@ -34,22 +37,16 @@ from typing import NamedTuple, TypeAlias
 
 __all__ = [
     "Volume",
-    "as_volume",
     "VolumeInterval",
     "ContentKind",
     "AbsContent",
     "AbstractState",
 ]
 
-#: An exact volume in nanoliters: an ``int`` when whole — the common
-#: case, which keeps the walk's interval arithmetic on cheap Python ints —
-#: otherwise a :class:`~fractions.Fraction`.
+#: An exact volume: an ``int`` when whole — the common case, which keeps
+#: the interval arithmetic on cheap Python ints — otherwise a
+#: :class:`~fractions.Fraction`.
 Volume: TypeAlias = int | Fraction
-
-
-def as_volume(value: Fraction) -> Volume:
-    """``value`` as a :data:`Volume` (an ``int`` when whole)."""
-    return value.numerator if value.denominator == 1 else value
 
 
 class VolumeInterval(NamedTuple):

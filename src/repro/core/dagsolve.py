@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Iterator, Mapping
-from math import gcd
+from math import gcd, lcm
 
 from .dag import AssayDAG, NodeKind
 from .errors import (
@@ -424,6 +424,81 @@ class VolumeAssignment:
                 for (src, dst), v in self.edge_volume.items()
             },
         }
+
+
+def _assignment_from_counts(
+    dag: AssayDAG,
+    limits: HardwareLimits,
+    counts: Mapping[EdgeKey, int],
+    unit: Fraction,
+    *,
+    method: str,
+    meta: dict[str, object] | None = None,
+    tolerance: Fraction = Fraction(0),
+) -> VolumeAssignment:
+    """Package edge volumes given as integer multiples of ``unit`` nl.
+
+    Node production for a source is its total draw; for an internal node
+    it is ``output_fraction`` times the inbound total.  Excess edges, if
+    the DAG has them, receive the node's production surplus (LP treats
+    discarding as slack, DAGSolve as an explicit edge — this keeps the two
+    representations interchangeable).  Every volume is an integer in one
+    basis, ``unit`` refined by the output fractions' denominators, and
+    becomes a canonical Fraction once, in plain, writable dicts; the edge
+    table keeps the key order of ``counts``.
+    """
+    nodes = [node for node in dag.nodes() if node.kind is not NodeKind.EXCESS]
+    refine = lcm(
+        *{(node.output_fraction or Fraction(1)).denominator for node in nodes}
+    )
+    num, den = unit.numerator, unit.denominator * refine
+    cache: dict[int, Fraction] = {}
+
+    def volume(count: int) -> Fraction:
+        value = cache.get(count)
+        if value is None:
+            value = cache[count] = _fraction(count * num, den)
+        return value
+
+    units = {key: count * refine for key, count in counts.items()}
+    node_volume: dict[str, Fraction] = {}
+    node_input_volume: dict[str, Fraction] = {}
+    edge_volume = {key: volume(count) for key, count in units.items()}
+    for node in nodes:
+        out_total = 0
+        excess = []
+        for edge in dag.out_edges(node.id):
+            if edge.is_excess:
+                excess.append(edge)
+            else:
+                out_total += units[edge.key]
+        if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
+            production = entering = out_total
+        else:
+            entering = sum(
+                units[e.key] for e in dag.in_edges(node.id) if not e.is_excess
+            )
+            fraction_out = node.output_fraction or Fraction(1)
+            production = (
+                fraction_out.numerator * entering // fraction_out.denominator
+            )
+        node_volume[node.id] = volume(production)
+        node_input_volume[node.id] = volume(entering)
+        for edge in excess:
+            surplus = volume(max(0, production - out_total))
+            edge_volume[edge.key] = surplus
+            node_volume[edge.dst] = surplus
+            node_input_volume[edge.dst] = surplus
+    return VolumeAssignment(
+        dag=dag,
+        limits=limits,
+        node_volume=node_volume,
+        node_input_volume=node_input_volume,
+        edge_volume=edge_volume,
+        method=method,
+        tolerance=tolerance,
+        meta=meta or {},
+    )
 
 
 def _check_solvable(dag: AssayDAG) -> None:

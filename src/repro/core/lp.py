@@ -13,14 +13,15 @@ hierarchy can fall back from one to the other transparently.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .dag import AssayDAG, NodeKind
-from .dagsolve import VolumeAssignment
+from .dag import AssayDAG
+from .dagsolve import VolumeAssignment, _assignment_from_counts
 from .errors import InfeasibleError, SolverError
-from .limits import HardwareLimits
+from .limits import HardwareLimits, as_fraction
 from .lpmodel import LPModel, build_lp_model
 
 __all__ = ["lp_solve", "solve_model", "assignment_from_edge_volumes"]
@@ -43,42 +44,23 @@ def assignment_from_edge_volumes(
     is ``output_fraction`` times the inbound total.  Excess edges, if the DAG
     has them, receive the node's production surplus (LP treats discarding as
     slack, DAGSolve as an explicit edge — this keeps the two representations
-    interchangeable).
+    interchangeable).  The volumes are put over the least common multiple
+    of their denominators and derived on integers.
     """
-    node_volume: dict[str, Fraction] = {}
-    node_input_volume: dict[str, Fraction] = {}
-    volumes = dict(edge_volume)
-    for node in dag.nodes():
-        if node.kind is NodeKind.EXCESS:
-            continue
-        inbound = [e for e in dag.in_edges(node.id) if not e.is_excess]
-        outbound = [e for e in dag.out_edges(node.id) if not e.is_excess]
-        in_total = sum((volumes[e.key] for e in inbound), Fraction(0))
-        out_total = sum((volumes[e.key] for e in outbound), Fraction(0))
-        if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
-            production = out_total
-            node_input_volume[node.id] = production
-        else:
-            fraction_out = node.output_fraction or Fraction(1)
-            production = fraction_out * in_total
-            node_input_volume[node.id] = in_total
-        node_volume[node.id] = production
-        for excess_edge in dag.out_edges(node.id):
-            if excess_edge.is_excess:
-                surplus = max(Fraction(0), production - out_total)
-                volumes[excess_edge.key] = surplus
-                node_volume[excess_edge.dst] = surplus
-                node_input_volume[excess_edge.dst] = surplus
-    return VolumeAssignment(
-        dag=dag,
-        limits=limits,
-        node_volume=node_volume,
-        node_input_volume=node_input_volume,
-        edge_volume=volumes,
-        scale=None,
+    volumes = {key: as_fraction(value) for key, value in edge_volume.items()}
+    common = lcm(*{volume.denominator for volume in volumes.values()})
+    counts = {
+        key: volume.numerator * (common // volume.denominator)
+        for key, volume in volumes.items()
+    }
+    return _assignment_from_counts(
+        dag,
+        limits,
+        counts,
+        Fraction(1, common),
         method=method,
+        meta=meta,
         tolerance=tolerance,
-        meta=meta or {},
     )
 
 

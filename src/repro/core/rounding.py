@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .dag import AssayDAG, NodeKind
-from .dagsolve import VolumeAssignment
-from .limits import HardwareLimits
-from .lp import assignment_from_edge_volumes
+from .dagsolve import VolumeAssignment, _assignment_from_counts, _ExactTable
+from .limits import HardwareLimits, as_fraction
 
 __all__ = [
     "RatioError",
@@ -76,31 +76,77 @@ def round_assignment(assignment: VolumeAssignment) -> VolumeAssignment:
     :meth:`VolumeAssignment.violations` because rounding down can in
     principle re-introduce underflow (the paper did not observe this and
     neither do our benchmarks, but the check is how one would find out).
+
+    The work is done in integer least-count steps: an edge's exact volume
+    is ``N / D`` steps over one common ``D``, so rounding half up is
+    ``(2N + D) // 2D``.  The result's tables are plain, writable dicts of
+    :class:`~fractions.Fraction` volumes.
     """
-    limits = assignment.limits
     dag = assignment.dag
-    rounded: dict[EdgeKey, Fraction] = {}
-    for edge in dag.edges():
-        if edge.is_excess:
-            continue
-        rounded[edge.key] = limits.quantize(assignment.edge_volume[edge.key])
-    _repair_deficits(dag, rounded, limits, dict(assignment.edge_volume))
-    result = assignment_from_edge_volumes(
-        assignment.dag,
+    keys = [edge.key for edge in dag.edges() if not edge.is_excess]
+    exact, denominator = _exact_steps(assignment, keys)
+    twice = 2 * denominator
+    steps = {key: (2 * exact[key] + denominator) // twice for key in keys}
+    return _rounded(assignment, steps, exact, denominator, "+rounded")
+
+
+def _exact_steps(
+    assignment: VolumeAssignment, keys: list[EdgeKey]
+) -> tuple[dict[EdgeKey, int], int]:
+    """Exact edge volumes in least-count steps, as integers ``N`` over one
+    positive denominator ``D`` (an edge carries ``N / D`` steps).
+
+    DAGSolve's edge table is a view over integers already (``value = i *
+    num / den``), which are read directly; any other table is brought onto
+    the least common multiple of its denominators.
+    """
+    least = assignment.limits.least_count
+    table = assignment.edge_volume
+    if type(table) is _ExactTable:
+        num, den = table._basis
+        ints = table._ints
+        factor = num * least.denominator
+        exact = {key: ints[key] * factor for key in keys}
+        return exact, den * least.numerator
+    volumes = {key: as_fraction(table[key]) for key in keys}
+    common = lcm(*{volume.denominator for volume in volumes.values()})
+    factor = least.denominator
+    exact = {
+        key: volume.numerator * (common // volume.denominator) * factor
+        for key, volume in volumes.items()
+    }
+    return exact, common * least.numerator
+
+
+def _rounded(
+    assignment: VolumeAssignment,
+    steps: dict[EdgeKey, int],
+    exact: dict[EdgeKey, int],
+    denominator: int,
+    suffix: str,
+) -> VolumeAssignment:
+    """Repair ``steps`` and package them as the rounded assignment."""
+    dag = assignment.dag
+    limits = assignment.limits
+    _repair_deficits(dag, steps, limits, exact, denominator)
+    meta = dict(assignment.meta)
+    meta["rounded_from"] = assignment.method
+    return _assignment_from_counts(
+        dag,
         limits,
-        rounded,
-        method=f"{assignment.method}+rounded",
-        meta=dict(assignment.meta),
+        steps,
+        limits.least_count,
+        method=f"{assignment.method}{suffix}",
+        meta=meta,
     )
-    result.meta["rounded_from"] = assignment.method
-    return result
 
 
 def _repair_deficits(
     dag: AssayDAG,
-    rounded: dict[EdgeKey, Fraction],
+    steps: dict[EdgeKey, int],
     limits: HardwareLimits,
-    exact: dict[EdgeKey, Fraction],
+    exact: dict[EdgeKey, int],
+    denominator: int,
 ) -> None:
     """Shave outbound edges until every node's uses fit its production.
 
@@ -110,43 +156,47 @@ def _repair_deficits(
     every node is executable, preferring the edge whose rounded volume
     currently sits highest *above* its exact value (a free correction) and
     breaking ties toward the largest edge (smallest relative harm).
+
+    ``steps`` are rounded least-count steps, repaired in place; an edge's
+    exact volume is ``exact[key] / denominator`` steps.  A budget of
+    ``limit_num / limit_den`` steps is compared by cross-multiplication.
     """
     least = limits.least_count
 
-    def shave(edges, budget: Fraction) -> None:
+    def shave(keys: list[EdgeKey], limit_num: int, limit_den: int) -> None:
+        total = sum(steps[key] for key in keys)
         guard = 0
-        while sum((rounded[e.key] for e in edges), Fraction(0)) > budget:
+        while total * limit_den > limit_num:
             victim = max(
-                edges,
-                key=lambda e: (
-                    rounded[e.key] - exact.get(e.key, Fraction(0)),
-                    rounded[e.key],
-                ),
+                keys,
+                key=lambda k: (steps[k] * denominator - exact[k], steps[k]),
             )
-            if rounded[victim.key] <= 0 or guard > 4 * len(edges) + 16:
+            if steps[victim] <= 0 or guard > 4 * len(keys) + 16:
                 break  # cannot repair further; violations() will report it
-            rounded[victim.key] -= least
+            steps[victim] -= 1
+            total -= 1
             guard += 1
 
     for node_id in dag.topological_order():
         node = dag.node(node_id)
-        inbound = [e for e in dag.in_edges(node_id) if not e.is_excess]
-        outbound = [e for e in dag.out_edges(node_id) if not e.is_excess]
+        inbound = [e.key for e in dag.in_edges(node_id) if not e.is_excess]
+        outbound = [e.key for e in dag.out_edges(node_id) if not e.is_excess]
         capacity = node.capacity or limits.max_capacity
+        # a capacity of c nl is c / least = (c_num * q) / (c_den * p) steps
+        capacity_num = capacity.numerator * least.denominator
+        capacity_den = capacity.denominator * least.numerator
         if inbound:
             # a consumer cannot hold more than its unit's capacity
-            shave(inbound, capacity)
+            shave(inbound, capacity_num, capacity_den)
         if not outbound:
             continue
         if not inbound:
             # a source cannot dispense more than one reservoir holds
-            shave(outbound, capacity)
+            shave(outbound, capacity_num, capacity_den)
             continue
         fraction_out = node.output_fraction or Fraction(1)
-        production = fraction_out * sum(
-            (rounded[e.key] for e in inbound), Fraction(0)
-        )
-        shave(outbound, production)
+        production = fraction_out.numerator * sum(steps[k] for k in inbound)
+        shave(outbound, production, fraction_out.denominator)
 
 
 def round_assignment_ratio_preserving(
@@ -170,21 +220,27 @@ def round_assignment_ratio_preserving(
       fidelity — e.g. the enzyme assay's 1:99 shares round to 2:195 steps
       (1.5% off) rather than simple rounding's 2:194 (2.04% off).
     """
-    limits = assignment.limits
     dag = assignment.dag
-    least = limits.least_count
-    rounded: dict[EdgeKey, Fraction] = {}
+    keys = [
+        edge.key
+        for node in dag.nodes()
+        for edge in dag.in_edges(node.id)
+        if not edge.is_excess
+    ]
+    exact, denominator = _exact_steps(assignment, keys)
+    rounded: dict[EdgeKey, int] = {}
     for node in dag.nodes():
         inbound = [e for e in dag.in_edges(node.id) if not e.is_excess]
         if not inbound:
             continue
-        exact = {e.key: assignment.edge_volume[e.key] for e in inbound}
         fractions = {e.key: e.fraction for e in inbound}
-        exact_total_steps = sum(exact.values(), Fraction(0)) / least
+        exact_total_steps = Fraction(
+            sum(exact[key] for key in fractions), denominator
+        )
         floors: dict[EdgeKey, int] = {}
         benefits: list[tuple[Fraction, EdgeKey]] = []
-        for key, volume in exact.items():
-            steps = volume / least
+        for key in fractions:
+            steps = Fraction(exact[key], denominator)
             whole = steps.numerator // steps.denominator
             floors[key] = whole
             remainder = steps - whole
@@ -217,18 +273,8 @@ def round_assignment_ratio_preserving(
             if best_score is None or score < best_score:
                 best_score = score
                 best_choice = candidate
-        for key, steps in best_choice.items():
-            rounded[key] = steps * least
-    _repair_deficits(dag, rounded, limits, dict(assignment.edge_volume))
-    result = assignment_from_edge_volumes(
-        assignment.dag,
-        limits,
-        rounded,
-        method=f"{assignment.method}+rounded-lr",
-        meta=dict(assignment.meta),
-    )
-    result.meta["rounded_from"] = assignment.method
-    return result
+        rounded.update(best_choice)
+    return _rounded(assignment, rounded, exact, denominator, "+rounded-lr")
 
 
 def ratio_errors(assignment: VolumeAssignment) -> list[RatioError]:
@@ -264,11 +310,38 @@ def ratio_errors(assignment: VolumeAssignment) -> list[RatioError]:
 
 
 def max_ratio_error(assignment: VolumeAssignment) -> Fraction:
-    """Largest relative ratio deviation (0 when the ratios are exact)."""
-    errors = ratio_errors(assignment)
-    if not errors:
-        return Fraction(0)
-    return max(error.relative_error for error in errors)
+    """Largest relative ratio deviation (0 when the ratios are exact).
+
+    Per mix, the inbound volumes are brought onto one denominator, so an
+    edge of ``v`` against a total of ``t`` and a declared share ``a / b``
+    deviates by ``|v b - a t| / (a |t|)``.  Deviations are compared by
+    cross-multiplication; only the largest becomes a Fraction.
+    """
+    dag = assignment.dag
+    table = assignment.edge_volume
+    worst_num, worst_den = 0, 1
+    for node in dag.nodes():
+        if node.kind is NodeKind.EXCESS:
+            continue
+        inbound = [e for e in dag.in_edges(node.id) if not e.is_excess]
+        if len(inbound) < 2:
+            continue
+        volumes = [as_fraction(table[e.key]) for e in inbound]
+        common = lcm(*{volume.denominator for volume in volumes})
+        scaled = [
+            volume.numerator * (common // volume.denominator)
+            for volume in volumes
+        ]
+        total = sum(scaled)
+        if total == 0:
+            continue
+        for edge, volume in zip(inbound, scaled):
+            share = edge.fraction
+            num = abs(volume * share.denominator - share.numerator * total)
+            den = share.numerator * abs(total)
+            if num * worst_den > worst_num * den:
+                worst_num, worst_den = num, den
+    return Fraction(worst_num, worst_den)
 
 
 def mean_ratio_error(assignment: VolumeAssignment) -> Fraction:

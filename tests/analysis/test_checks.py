@@ -5,7 +5,7 @@ from fractions import Fraction
 from repro.analysis import analyze, check_codes, lint_text
 from repro.analysis.certify import certify_program, certify_schedule
 from repro.compiler.diagnostics import Severity
-from repro.ir.instructions import input_
+from repro.ir.instructions import input_, move_abs
 from repro.ir.parse import parse_ais
 from repro.ir.program import AISProgram
 from repro.machine.spec import AQUACORE_SPEC
@@ -244,3 +244,103 @@ def test_residue_refill_is_flagged_by_lint_and_certify():
     )
     assert "double-fill" in [d.code for d in analyze(program)]
     assert "SCHED-DOUBLE-BOOK" in certify_program(program).codes()
+
+
+# -- static-volume boundaries: the walk counts in least counts ------------
+def _volume_findings(text: str):
+    return [
+        (d.code, d.severity.value, d.message)
+        for d in lint_text(text).findings
+        if d.code in ("static-underflow", "static-overflow", "insufficient-volume")
+    ]
+
+
+def test_walk_counts_volumes_in_least_counts():
+    """On the 0.1 nl machine a 0.1 nl draw is one least count (an int),
+    a 100 nl reservoir holds 1000, and a sub-least-count draw is the only
+    place a Fraction appears."""
+    from repro.analysis.dataflow import AccessKind, ForwardAnalysis
+
+    walk = ForwardAnalysis(
+        parse_ais(
+            "p{\n  input s1, ip1, 10 ;A\n  move-abs mixer1, s1, 0.1\n"
+            "  move-abs mixer2, s1, 0.05\n}"
+        ),
+        AQUACORE_SPEC,
+    )
+    draws = [a for a in walk.accesses if a.kind is AccessKind.READ_METERED]
+    assert [a.moved for a in draws] == [(100, 100), (1, 1), (Fraction(1, 2),) * 2]
+    assert type(draws[1].moved.lo) is int
+    assert draws[1].place.capacity == 1000
+    assert walk.nl(draws[2].moved.lo) == Fraction(1, 20)
+
+
+def test_static_underflow_boundary_is_one_least_count():
+    assert _volume_findings(
+        "p{\n  input s1, ip1, 10 ;A\n  move-abs mixer1, s1, 0.1\n}"
+    ) == []
+    assert _volume_findings(
+        "p{\n  input s1, ip1, 10 ;A\n  move-abs mixer1, s1, 0.05\n}"
+    ) == [
+        (
+            "static-underflow",
+            "error",
+            "`move-abs mixer1, s1, 0.05` meters 0.05 nl, below the least "
+            "count of 0.1 nl",
+        )
+    ]
+
+
+def test_static_underflow_on_a_non_decimal_volume():
+    """1/30 nl is a third of a least count; 1/3 nl clears it."""
+    for volume, flagged in ((Fraction(1, 30), True), (Fraction(1, 3), False)):
+        program = AISProgram(name="hand", machine=AQUACORE_SPEC.name)
+        program.extend(
+            [
+                input_("s1", "ip1", abs_volume=Fraction(10)),
+                move_abs("mixer1", "s1", volume),
+            ]
+        )
+        codes = [d.code for d in analyze(program, AQUACORE_SPEC)]
+        assert ("static-underflow" in codes) is flagged, volume
+
+
+def test_static_overflow_boundary_is_the_capacity():
+    assert _volume_findings("p{\n  input s1, ip1, 100 ;A\n}") == []
+    assert _volume_findings("p{\n  input s1, ip1, 100.1 ;A\n}") == [
+        (
+            "static-overflow",
+            "warning",
+            "`input s1, ip1 ;A` brings s1 to at least 100.1 nl, over its "
+            "capacity of 100 nl; the input port clamps to free space",
+        )
+    ]
+    fill = (
+        "p{\n  input s1, ip1, 100 ;A\n  input s2, ip2, 100 ;B\n"
+        "  move-abs mixer1, s1, 60\n  move-abs mixer1, s2, %s\n}"
+    )
+    assert _volume_findings(fill % "40") == []
+    assert _volume_findings(fill % "40.1") == [
+        (
+            "static-overflow",
+            "error",
+            "`move-abs mixer1, s2, 40.1` brings mixer1 to at least 100.1 nl, "
+            "over its capacity of 100 nl",
+        )
+    ]
+
+
+def test_insufficient_volume_fires_only_above_the_bound():
+    assert _volume_findings(
+        "p{\n  input s1, ip1, 10 ;A\n  move-abs mixer1, s1, 10\n}"
+    ) == []
+    assert _volume_findings(
+        "p{\n  input s1, ip1, 10 ;A\n  move-abs mixer1, s1, 10.1\n}"
+    ) == [
+        (
+            "insufficient-volume",
+            "error",
+            "`move-abs mixer1, s1, 10.1` draws 10.1 nl but s1 can hold at "
+            "most 10 nl here",
+        )
+    ]
