@@ -425,6 +425,12 @@ class _Generator:
         mode = node.meta.get("mode", "AF")
         unit_spec = self.spec.separator_for_mode(mode)
         unit = unit_spec.name
+        (edge,) = [e for e in self.dag.in_edges(node.id) if not e.is_excess]
+        # A feed that is this unit's own unparked effluent moves into the
+        # chamber before the outlet is cleared, which would flush it.
+        feed_first = self.occupant.get(f"{unit}.out1") == edge.src
+        if feed_first:
+            self._load_feed(unit, edge, node)
         self._clear_outlet(unit)
         matrix = node.meta.get("matrix")
         pusher = node.meta.get("pusher")
@@ -455,14 +461,8 @@ class _Generator:
                 )
             )
             self._aux_loaded[aux] = False  # consumed; next use must refill
-        (edge,) = [e for e in self.dag.in_edges(node.id) if not e.is_excess]
-        src_location = self.location.get(edge.src)
-        if src_location is None:
-            raise CodegenError(f"source {edge.src!r} has no location")
-        self.program.append(
-            ais.move(unit, src_location, edge=edge.key, meta={"dst_node": node.id})
-        )
-        self._consume_from(edge.src, unit)
+        if not feed_first:
+            self._load_feed(unit, edge, node)
         duration = node.meta.get("duration", 30)
         separate_meta = {"node": node.id}
         if not node.unknown_volume and node.output_fraction is not None:
@@ -489,6 +489,16 @@ class _Generator:
         else:
             self.location[node.id] = outlet
             self.occupant[outlet] = node.id
+
+    def _load_feed(self, unit: str, edge: Edge, node: Node) -> None:
+        """Move a separation's source into the separator chamber."""
+        src_location = self.location.get(edge.src)
+        if src_location is None:
+            raise CodegenError(f"source {edge.src!r} has no location")
+        self.program.append(
+            ais.move(unit, src_location, edge=edge.key, meta={"dst_node": node.id})
+        )
+        self._consume_from(edge.src, unit)
 
     # ------------------------------------------------------------------
     def post_production(self, node: Node) -> None:

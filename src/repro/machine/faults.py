@@ -19,8 +19,11 @@ Determinism contract
 --------------------
 
 Every decision is derived from ``hash(seed | kind | index | occurrence)``
-via a freshly seeded :class:`random.Random` — no global RNG, no wall
-clock, no iteration-order dependence.  The same :class:`FaultPlan` against
+via a :class:`random.Random` seeded afresh with that string for the roll —
+no global RNG, no wall clock, no iteration-order dependence.  Each
+:class:`FaultInjector` owns the generator it reseeds, so concurrent
+executions (``repro serve`` runs stress jobs on worker threads) share
+none.  The same :class:`FaultPlan` against
 the same program therefore produces the *identical* fault sequence, trace,
 and readings on every run; and a plan with ``rate=0`` and no schedule is
 a strict no-op (execution is byte-identical to running with no injector
@@ -163,15 +166,18 @@ class FaultPlan:
         return cls(seed=0, rate=0.0, schedule=())
 
     # ------------------------------------------------------------------
-    def _rng(self, kind: FaultKind, index: int, occurrence: int) -> random.Random:
-        # str seeding hashes the bytes (sha512), so decisions are stable
-        # across processes and PYTHONHASHSEED values.
-        return random.Random(f"{self.seed}|{kind.value}|{index}|{occurrence}")
-
     def roll(
-        self, kind: FaultKind, index: int, occurrence: int
+        self,
+        kind: FaultKind,
+        index: int,
+        occurrence: int,
+        rng: random.Random | None = None,
     ) -> ScheduledFault | None:
-        """Decide whether ``kind`` fires at (``index``, ``occurrence``)."""
+        """Decide whether ``kind`` fires at (``index``, ``occurrence``).
+
+        ``rng`` is reseeded for the roll, exactly as a fresh generator
+        would be; without one the roll builds its own.
+        """
         for entry in self.schedule:
             if (
                 entry.index == index
@@ -181,7 +187,13 @@ class FaultPlan:
                 return entry
         if kind not in self.kinds or self.rate <= 0.0:
             return None
-        rng = self._rng(kind, index, occurrence)
+        # str seeding hashes the bytes (sha512), so decisions are stable
+        # across processes and PYTHONHASHSEED values.
+        key = f"{self.seed}|{kind.value}|{index}|{occurrence}"
+        if rng is None:
+            rng = random.Random(key)
+        else:
+            rng.seed(key)
         if rng.random() >= self.rate:
             return None
         return ScheduledFault(
@@ -224,6 +236,8 @@ class FaultInjector:
         self._index: int = -1
         self._occurrence: int = 0
         self._location: str = ""
+        #: reseeded on every roll; never shared between injectors.
+        self._rng = random.Random()
 
     # ------------------------------------------------------------------
     def install(self, trace: ExecutionTrace, least_count: Fraction) -> None:
@@ -240,7 +254,7 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def _fire(self, kind: FaultKind) -> ScheduledFault | None:
-        return self.plan.roll(kind, self._index, self._occurrence)
+        return self.plan.roll(kind, self._index, self._occurrence, self._rng)
 
     def _record(
         self,

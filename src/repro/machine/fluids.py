@@ -18,12 +18,14 @@ from ..core.limits import Number, as_fraction
 
 __all__ = ["Mixture"]
 
+_ZERO = Fraction(0)
+
 
 @dataclass
 class Mixture:
     """A volume of (possibly mixed) fluid.
 
-    Invariants: all component volumes are >= 0 and their sum is
+    Invariants: all component volumes are > 0 and their sum is
     :attr:`volume`.  The empty mixture has no components.  The total is
     kept exactly rather than re-summed on every read, so ``components``
     is only ever replaced by the methods here.
@@ -45,17 +47,38 @@ class Mixture:
             if value > 0:
                 clean[species] = value
         self.components = clean
-        self._volume = sum(clean.values(), Fraction(0))
+        self._volume = sum(clean.values(), _ZERO)
+
+    @classmethod
+    def _exact(
+        cls, components: dict[str, Fraction], volume: Fraction
+    ) -> "Mixture":
+        """A mixture over ``components``, taken as they are.
+
+        Trusted: every component is a strictly positive Fraction, they
+        sum to ``volume`` exactly, and the caller hands the dict over.
+        The methods below know all three, so they skip the public
+        constructor's validation and re-summing.
+        """
+        mixture = cls.__new__(cls)
+        mixture.components = components
+        mixture._volume = volume
+        return mixture
 
     # ------------------------------------------------------------------
     @classmethod
     def pure(cls, species: str, volume: Number) -> "Mixture":
         """A single-species mixture."""
-        return cls({species: as_fraction(volume)})
+        value = as_fraction(volume)
+        if value < 0:
+            raise ValueError(f"negative volume {value} for species {species!r}")
+        if value == 0:
+            return cls._exact({}, _ZERO)
+        return cls._exact({species: value}, value)
 
     @classmethod
     def empty(cls) -> "Mixture":
-        return cls({})
+        return cls._exact({}, _ZERO)
 
     # ------------------------------------------------------------------
     @property
@@ -82,10 +105,15 @@ class Mixture:
     # ------------------------------------------------------------------
     def merge(self, other: "Mixture") -> "Mixture":
         """The mixture obtained by combining self and other (new object)."""
+        if not other.components:
+            return Mixture._exact(dict(self.components), self._volume)
+        if not self.components:
+            return Mixture._exact(dict(other.components), other._volume)
         merged = dict(self.components)
         for species, volume in other.components.items():
-            merged[species] = merged.get(species, Fraction(0)) + volume
-        return Mixture(merged)
+            have = merged.get(species)
+            merged[species] = volume if have is None else have + volume
+        return Mixture._exact(merged, self._volume + other._volume)
 
     def take(self, volume: Number) -> "Mixture":
         """Remove ``volume`` proportionally from every component.
@@ -98,7 +126,7 @@ class Mixture:
         requested = as_fraction(volume)
         if requested < 0:
             raise ValueError(f"cannot take a negative volume ({volume})")
-        total = self.volume
+        total = self._volume
         if requested > total:
             raise ValueError(
                 f"cannot take {float(requested)} nl from {float(total)} nl"
@@ -106,10 +134,9 @@ class Mixture:
         if requested == 0:
             return Mixture.empty()
         if requested == total:
-            taken = Mixture(dict(self.components))
-            self.components = {}
-            self._volume = Fraction(0)
-            return taken
+            return self.take_all()
+        # 0 < share < 1: every part and every remainder of a positive
+        # component is positive, and the parts sum to ``requested``
         share = requested / total
         taken: dict[str, Fraction] = {}
         remaining: dict[str, Fraction] = {}
@@ -117,13 +144,16 @@ class Mixture:
             part = amount * share
             taken[species] = part
             remaining[species] = amount - part
-        self.components = {k: v for k, v in remaining.items() if v > 0}
-        # exact: the remaining components sum to total - requested
+        self.components = remaining
         self._volume = total - requested
-        return Mixture(taken)
+        return Mixture._exact(taken, requested)
 
     def take_all(self) -> "Mixture":
-        return self.take(self.volume)
+        """Remove everything; returns it as a new mixture."""
+        taken = Mixture._exact(self.components, self._volume)
+        self.components = {}
+        self._volume = _ZERO
+        return taken
 
     def split(self, volumes: Iterable[Number]) -> tuple["Mixture", ...]:
         """Split off several portions in sequence (mutates self)."""

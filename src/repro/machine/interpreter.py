@@ -52,6 +52,10 @@ __all__ = ["Machine", "PortBinding", "VolumeResolver"]
 #: maps an instruction to its planned absolute volume (None = drain all).
 VolumeResolver = Callable[[Instruction], Fraction | None]
 
+_ZERO = Fraction(0)
+#: wet transfers: their simulated time is per channel hop.
+_TRANSFERS = (Opcode.INPUT, Opcode.OUTPUT, Opcode.MOVE, Opcode.MOVE_ABS)
+
 
 @dataclass
 class PortBinding:
@@ -232,23 +236,7 @@ class Machine:
         """Execute one instruction; returns its measurement, if any."""
         if self.injector is not None:
             self.injector.begin(index)
-        op = instruction.opcode
-        handler = {
-            Opcode.INPUT: self._exec_input,
-            Opcode.OUTPUT: self._exec_output,
-            Opcode.MOVE: self._exec_move,
-            Opcode.MOVE_ABS: self._exec_move,
-            Opcode.MIX: self._exec_mix,
-            Opcode.INCUBATE: self._exec_heat,
-            Opcode.CONCENTRATE: self._exec_heat,
-            Opcode.SEPARATE: self._exec_separate,
-            Opcode.SENSE: self._exec_sense,
-            Opcode.DRY_MOV: self._exec_dry,
-            Opcode.DRY_ADD: self._exec_dry,
-            Opcode.DRY_SUB: self._exec_dry,
-            Opcode.DRY_MUL: self._exec_dry,
-        }[op]
-        return handler(instruction, resolver, index)
+        return _HANDLERS[instruction.opcode](self, instruction, resolver, index)
 
     # ------------------------------------------------------------------
     def _resolve_volume(
@@ -276,19 +264,17 @@ class Machine:
     def _wet_seconds(self, instruction: Instruction) -> Fraction:
         """Simulated fluid-path time for one instruction."""
         op = instruction.opcode
-        if not op.is_wet:
-            return Fraction(0)
-        if op in (Opcode.INPUT, Opcode.OUTPUT, Opcode.MOVE, Opcode.MOVE_ABS):
-            hops = 1
-            if self.topology is not None:
-                hops = self.topology.hops(
-                    str(instruction.src), str(instruction.dst)
-                )
+        if op in _TRANSFERS:
+            if self.topology is None:
+                return self.spec.transfer_seconds
+            hops = self.topology.hops(str(instruction.src), str(instruction.dst))
             return self.spec.transfer_seconds * hops
         if op is Opcode.SENSE:
             return self.spec.sense_seconds
+        if not op.is_wet:
+            return _ZERO
         # mix / incubate / concentrate / separate carry their own duration
-        return instruction.duration or Fraction(0)
+        return instruction.duration or _ZERO
 
     def _record(
         self,
@@ -299,6 +285,7 @@ class Machine:
         measurement: Fraction | None = None,
         note: str = "",
     ) -> None:
+        seconds = self._wet_seconds(instruction)
         self.trace.record(
             TraceEvent(
                 index=index,
@@ -307,7 +294,8 @@ class Machine:
                 volume=volume,
                 measurement=measurement,
                 note=note,
-                seconds=self._wet_seconds(instruction),
+                seconds=seconds,
+                clock=self.trace.total_seconds + seconds,
             ),
             wet=instruction.is_wet,
         )
@@ -558,3 +546,26 @@ class Machine:
             self.registers[register] = current * operand
         self._record(instruction, index)
         return None
+
+
+#: opcode -> handler, as plain functions called with the machine first.
+#: Bound methods kept on a machine would form a machine -> table ->
+#: method -> machine cycle that only the cyclic collector frees.
+_HANDLERS: dict[
+    Opcode,
+    Callable[[Machine, Instruction, VolumeResolver | None, int], Fraction | None],
+] = {
+    Opcode.INPUT: Machine._exec_input,
+    Opcode.OUTPUT: Machine._exec_output,
+    Opcode.MOVE: Machine._exec_move,
+    Opcode.MOVE_ABS: Machine._exec_move,
+    Opcode.MIX: Machine._exec_mix,
+    Opcode.INCUBATE: Machine._exec_heat,
+    Opcode.CONCENTRATE: Machine._exec_heat,
+    Opcode.SEPARATE: Machine._exec_separate,
+    Opcode.SENSE: Machine._exec_sense,
+    Opcode.DRY_MOV: Machine._exec_dry,
+    Opcode.DRY_ADD: Machine._exec_dry,
+    Opcode.DRY_SUB: Machine._exec_dry,
+    Opcode.DRY_MUL: Machine._exec_dry,
+}

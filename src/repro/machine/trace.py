@@ -209,8 +209,15 @@ class ExecutionTrace:
     total_seconds: Fraction = Fraction(0)
 
     def record(self, event: TraceEvent, *, wet: bool) -> None:
+        """Keep ``event``, stamped with the clock at its completion.
+
+        The machine builds each event with its final clock already; an
+        event carrying another clock is copied with the right one.
+        """
         self.total_seconds += event.seconds
-        self.events.append(replace(event, clock=self.total_seconds))
+        if event.clock != self.total_seconds:
+            event = replace(event, clock=self.total_seconds)
+        self.events.append(event)
         if wet:
             self.wet_instruction_count += 1
             if event.volume is not None:

@@ -167,6 +167,49 @@ class TestSeparatorCodegen:
         assert "separator2.out1" in listing
 
 
+class TestSeparationOfOwnEffluent:
+    """A separation fed by its own unit's unparked effluent (``n2_0``
+    separates ``n1_1``, which ``separator1`` just produced) moves the feed
+    into the chamber before the outlet is cleared; clearing first would
+    flush the feed, so codegen used to refuse the DAG."""
+
+    @staticmethod
+    def dag(seed):
+        from repro.assays import generators
+
+        return generators.layered_random_dag(
+            5, 3, 2, seed=seed, max_ratio=99, separator_probability=0.4
+        )
+
+    def test_compiles_certifies_and_runs(self):
+        from repro.compiler.passes import run_compile
+        from repro.runtime.executor import AssayExecutor
+
+        ctx = run_compile(dag=self.dag(28), certify=True)
+        codes = [d.code for d in ctx.diagnostics]
+        assert not [c for c in codes if c.startswith("SCHED-")], codes
+        listing = ctx.compiled.program.render()
+        feed = "  move separator1, separator1.out1\n"
+        assert feed in listing
+        assert listing.index(feed) < listing.index(
+            "output op4, separator1.out1 ;discard residue of n1_1"
+        )
+        result = AssayExecutor(ctx.compiled).run()
+        assert result.succeeded
+        assert result.trace.measurements()  # both separations reported
+
+    def test_separator_sweep_ends_in_listings(self):
+        from repro.compiler.passes import run_compile
+
+        for seed in range(40):
+            ctx = run_compile(dag=self.dag(seed), certify=True)
+            assert ctx.compiled.program.instructions, seed
+            errors = [
+                d for d in ctx.diagnostics if d.severity.value == "error"
+            ]
+            assert all(d.code for d in errors), (seed, errors)
+
+
 class TestErrors:
     def test_missing_source_location(self):
         dag = AssayDAG("broken")

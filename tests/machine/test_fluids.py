@@ -29,6 +29,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Mixture({"a": Fraction(-1)})
 
+    def test_negative_pure_rejected(self):
+        with pytest.raises(ValueError, match="negative volume -1/2"):
+            Mixture.pure("a", Fraction(-1, 2))
+        with pytest.raises(ValueError):
+            Mixture.pure("a", -1)
+
+    def test_zero_pure_is_empty(self):
+        mixture = Mixture.pure("a", 0)
+        assert mixture.is_empty and mixture.components == {}
+
 
 class TestMerge:
     def test_merge_adds_components(self):
@@ -69,6 +79,12 @@ class TestTake:
     def test_take_negative_rejected(self):
         with pytest.raises(ValueError):
             Mixture.pure("a", 5).take(-1)
+
+    def test_take_everything_keeps_no_zero_remainder(self):
+        mixture = Mixture({"a": Fraction(1, 3), "b": Fraction(2, 7)})
+        taken = mixture.take(Fraction(1, 3) + Fraction(2, 7))
+        assert mixture.components == {} and mixture.volume == 0
+        assert taken.components == {"a": Fraction(1, 3), "b": Fraction(2, 7)}
 
     def test_take_zero(self):
         mixture = Mixture.pure("a", 5)
@@ -145,10 +161,15 @@ steps = st.one_of(
 
 class TestKeptVolume:
     """The total kept on a mixture stays the exact sum of its components
-    through every operation, and takes no part in ``==`` or ``repr``."""
+    through every operation, every component stays strictly positive, and
+    the total takes no part in ``==`` or ``repr``."""
 
     @staticmethod
     def check(mixture: Mixture) -> None:
+        assert all(
+            isinstance(v, Fraction) and v > 0
+            for v in mixture.components.values()
+        )
         assert mixture.volume == sum(mixture.components.values(), Fraction(0))
         assert Mixture(dict(mixture.components)) == mixture
         assert repr(mixture) == summed_repr(mixture)

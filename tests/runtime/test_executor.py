@@ -1,11 +1,14 @@
 """Executor tests: plan resolution, runtime partitions, regeneration."""
 
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from repro.compiler.passes import run_compile
+from repro.machine.faults import FaultInjector, FaultPlan
 from repro.machine.interpreter import Machine
 from repro.machine.separation import FractionalYield
 from repro.machine.spec import AQUACORE_SPEC
@@ -172,3 +175,35 @@ END
         rendered = result.trace.render()
         assert "move mixer1, s2, 3" in rendered
         assert "move mixer1, s2, 2" not in rendered
+
+
+class TestNoReferenceCycle:
+    """A finished run is freed by reference counting alone.
+
+    A machine that kept bound methods of itself (say, an opcode table)
+    would sit in a reference cycle with its trace until the cyclic
+    collector ran, and a stress run's peak memory would grow with it.
+    """
+
+    @pytest.mark.parametrize(
+        "source", [glucose.SOURCE, glycomics.SOURCE], ids=["static", "runtime"]
+    )
+    def test_machine_and_executor_die_on_del(self, source):
+        compiled = run_compile(source=source).compiled
+        gc.collect()
+        gc.disable()
+        try:
+            executor = AssayExecutor(
+                compiled,
+                injector=FaultInjector(FaultPlan.seeded(1, 0.05)),
+                capture_failures=True,
+            )
+            result = executor.run()
+            assert result.trace.events
+            machine = weakref.ref(executor.machine)
+            alive = weakref.ref(executor)
+            del executor, result
+            assert alive() is None
+            assert machine() is None
+        finally:
+            gc.enable()

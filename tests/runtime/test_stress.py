@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from repro.assays import glucose, paper_example
+from repro.assays import enzyme, glucose, paper_example
 from repro.cli import main
 from repro.compiler.passes import run_compile
 from repro.machine.faults import FaultKind
@@ -71,6 +73,38 @@ class TestStressCompiled:
         assert payload["version"] == 1
         assert payload["assay"] == "figure2"
         assert payload["baseline"]["wet_instructions"] > 0
+
+
+class TestConcurrentStress:
+    """``repro serve`` runs stress jobs on worker threads: stress runs of
+    one compiled assay at once must each report what a serial run does
+    (every fault roll reseeds a generator its own injector owns)."""
+
+    def test_concurrent_runs_match_the_serial_run(self):
+        compiled = run_compile(source=enzyme.SOURCE).compiled
+        serial = stress_compiled(compiled, seeds=2).render_json()
+        assert json.loads(serial)["faults_by_kind"], "no fault fired"
+        workers = 3  # more threads than a 2-vCPU host has cores
+        start = threading.Barrier(workers, timeout=60)
+        rendered: list[str] = []
+
+        def job() -> None:
+            start.wait()
+            rendered.append(stress_compiled(compiled, seeds=2).render_json())
+
+        # switch threads often, so the runs' rolls interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=job) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert rendered == [serial] * workers
 
 
 class TestStressCli:

@@ -111,14 +111,29 @@ class TestLifecycle:
         assert final["error"]["code"] == "compile-error"
         assert "out of input ports" in final["error"]["message"]
 
-    def test_result_before_finished_is_409(self, client):
+    def test_result_before_finished_is_409(self, client, monkeypatch):
+        """Deterministic: the job cannot finish until the gate opens, and
+        the gate opens only after the result request."""
+        from repro.service import server as server_module
+
+        gate = threading.Event()
+        real_stress = server_module.JOBS["stress"]
+
+        def gated_stress(*args, **kwargs):
+            assert gate.wait(timeout=120), "gate never released"
+            return real_stress(*args, **kwargs)
+
+        monkeypatch.setitem(server_module.JOBS, "stress", gated_stress)
         job = client.submit(
             "stress", glucose.SOURCE, params={"seeds": 50}
         )
-        with pytest.raises(ServiceError) as info:
-            client.result(job["id"])
-        assert info.value.status == 409
-        client.wait(job["id"])
+        try:
+            with pytest.raises(ServiceError) as info:
+                client.result(job["id"])
+            assert info.value.status == 409
+        finally:
+            gate.set()
+        assert client.wait(job["id"])["state"] == "done"
 
     def test_job_listing_scoped_and_ordered(self, client):
         first = client.submit("compile", glucose.SOURCE)
