@@ -73,7 +73,7 @@ class Mixture:
         if value < 0:
             raise ValueError(f"negative volume {value} for species {species!r}")
         if value == 0:
-            return cls._exact({}, _ZERO)
+            return cls.empty()
         return cls._exact({species: value}, value)
 
     @classmethod
