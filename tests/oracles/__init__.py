@@ -18,5 +18,7 @@ code against an independent derivation:
 * :mod:`oracles.rounding` — RVol -> IVol rounding, its deficit repair and
   the ratio-error maximum in Fraction arithmetic (paper Section 4.2);
 * :mod:`oracles.certify_plan` — the certifier's plan checker and demand
-  model comparing Fraction volumes directly.
+  model comparing Fraction volumes directly;
+* :mod:`oracles.lp_linprog` — the LP solve through
+  ``scipy.optimize.linprog``'s input handling (paper Section 3.2).
 """
