@@ -33,35 +33,25 @@ SOURCE_KINDS = (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
 
 @dataclass
 class ReferenceModel:
-    """The re-derived demand model for one assay DAG.
+    """The re-derived capacity bound for one assay DAG.
 
-    All quantities are *normalised*: they assume every final output
-    produces exactly one volume unit (the paper's first artificial
-    constraint).  ``production[n]`` is how much node ``n`` must produce,
-    ``load[n]`` how much enters it (they differ only for separators),
-    ``edge_demand[(s, d)]`` how much flows along each edge.  ``scale`` is
-    the largest multiplier the hardware permits — the minimum over all
-    nodes of ``capacity / held`` and over measured constrained inputs of
-    ``available / production`` — and ``output_bound`` the total output
-    volume an ideal unrounded equal-proportion plan would deliver at that
-    scale.
+    The derivation normalises every final output to exactly one volume
+    unit (the paper's first artificial constraint) and works out how much
+    each node must produce and hold.  ``scale`` is the largest multiplier
+    the hardware permits — the minimum over all nodes of ``capacity /
+    held`` and over measured constrained inputs of ``available /
+    production`` — and ``output_bound`` the total output volume an ideal
+    unrounded equal-proportion plan would deliver at that scale.
     """
 
-    production: dict[str, Fraction]
-    load: dict[str, Fraction]
-    edge_demand: dict[EdgeKey, Fraction]
     scale: Fraction
     output_bound: Fraction
     #: the node whose capacity (or availability) pins ``scale``.
     binding_node: str | None = None
 
-    def held(self, node_id: str) -> Fraction:
-        """Peak normalised volume the node's location must hold."""
-        return max(self.production[node_id], self.load[node_id])
-
 
 def reference_model(dag: AssayDAG, limits: HardwareLimits) -> ReferenceModel:
-    """Re-derive normalised demands and the capacity-bound scale.
+    """Re-derive the capacity-bound scale from normalised demands.
 
     Walks the DAG once in reverse topological order: a final output needs
     one unit; an intermediate must produce what its consumers draw plus
@@ -188,11 +178,6 @@ def reference_model(dag: AssayDAG, limits: HardwareLimits) -> ReferenceModel:
         if node.id in sink_ids and node.kind not in SOURCE_KINDS
     )
     return ReferenceModel(
-        production={key: Fraction(v, den) for key, v in production.items()},
-        load={key: Fraction(v, den) for key, v in load.items()},
-        edge_demand={
-            key: Fraction(v, den) for key, v in edge_demand.items()
-        },
         scale=Fraction(scale_num, scale_den),
         output_bound=Fraction(scale_num * delivered, scale_den * den),
         binding_node=binding,

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 
 from ...compiler.diagnostics import Diagnostic, Severity
-from ...core.dag import AssayDAG, Node, NodeKind
+from ...core.dag import AssayDAG, Node, NodeKind, check_structure
 from ...core.limits import HardwareLimits, as_fraction
 from .codes import PLAN_CODES
 from .constraints import SOURCE_KINDS, reference_model
@@ -171,7 +171,8 @@ class _PlanChecker:
     # ------------------------------------------------------------------
     def _check_structure(self) -> bool:
         try:
-            self.dag.validate()
+            # uncached: the certifier does not trust the DAG's memo
+            check_structure(self.dag)
         except Exception as error:  # DagError / RatioError / CycleError
             self.emit(
                 "PLAN-COVERAGE",

@@ -72,7 +72,8 @@ def _warm_worker(cache_dir: str | None) -> None:
 
     Runs once per worker process.  The imports cover everything
     :func:`repro.compiler.batch.compile_task` touches (parser, pass
-    pipeline, scipy's linprog), so the first real task starts hot.
+    pipeline, the LP solve's scipy ``milp``/HiGHS), so the first real task
+    starts hot.
     """
     import repro.compiler.batch  # noqa: F401  (pulls pipeline + passes)
     import repro.core.lp  # noqa: F401  (pulls scipy.optimize)

@@ -270,9 +270,10 @@ def _cascade_in_place(
     """The cascading rewrite itself, applied to ``dag`` in place.
 
     Only ever called on a DAG the caller owns (a private working copy):
-    on an error the DAG may be left half rewritten.  The attribute edits
-    (``ratio``, a shared stage's ``excess_fraction``) are always followed
-    by the final stage's ``add_edge``, which drops ``dag._derived``.
+    on an error the DAG may be left half rewritten.  A shared stage's
+    ``excess_fraction`` changes through ``AssayDAG.set_excess_fraction``,
+    which drops ``dag._derived``; the ``ratio`` edit is read by no
+    derived cache.
     """
     node = dag.node(node_id)
     if node.no_excess:
@@ -323,7 +324,7 @@ def _cascade_in_place(
                 stage_node.meta["cascade_consumers"] = (
                     stage_node.meta.get("cascade_consumers", 1) + 1
                 )
-                stage_node.excess_fraction = max(Fraction(0), 1 - draw)
+                dag.set_excess_fraction(existing, max(Fraction(0), 1 - draw))
                 if stage_node.excess_fraction == 0:
                     for out in list(dag.out_edges(existing)):
                         if out.is_excess:

@@ -35,10 +35,11 @@ Conventions used throughout the code base:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, unique
 from fractions import Fraction
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from math import lcm
 
 from .errors import CycleError, DagError, RatioError
 from .limits import Number, as_fraction
@@ -48,8 +49,12 @@ __all__ = [
     "Node",
     "Edge",
     "AssayDAG",
+    "check_structure",
     "fractions_from_ratio",
 ]
+
+#: ``AssayDAG._derived`` key of the structural-check memo.
+_VALIDATED = "validated"
 
 
 @unique
@@ -145,7 +150,16 @@ class Node:
         return self.label or self.id
 
     def copy(self) -> "Node":
-        return replace(self, meta=dict(self.meta))
+        """A trusted copy: the same field values and its own ``meta``.
+
+        The values were normalized when this node was constructed, so the
+        copy skips ``__post_init__``; an in-place edit that broke a range
+        is the structural check's to catch (:func:`check_structure`).
+        """
+        clone = object.__new__(Node)
+        clone.__dict__.update(self.__dict__)
+        clone.meta = dict(self.meta)
+        return clone
 
 
 @dataclass
@@ -176,7 +190,11 @@ class Edge:
         return (self.src, self.dst)
 
     def copy(self) -> "Edge":
-        return replace(self)
+        """A trusted copy that skips ``__post_init__`` (see
+        :meth:`Node.copy`)."""
+        clone = object.__new__(Edge)
+        clone.__dict__.update(self.__dict__)
+        return clone
 
 
 class AssayDAG:
@@ -184,7 +202,8 @@ class AssayDAG:
 
     The class enforces referential integrity eagerly (edges may only connect
     existing nodes; parallel edges are rejected) and structural invariants
-    (acyclicity, fractions summing to one) on demand via :meth:`validate`.
+    (acyclicity, fractions summing to one) on demand via :meth:`validate`,
+    which checks each structural version of the DAG once.
     """
 
     def __init__(self, name: str = "assay") -> None:
@@ -198,10 +217,15 @@ class AssayDAG:
         #: frozen DAG repeatedly, so the Kahn pass would otherwise rerun
         #: on every pass.
         self._topo_cache: list[str] | None = None
-        #: structure-derived caches (e.g. DAGSolve's flat backward-pass
-        #: context), cleared together with the topological order on any
-        #: structural mutation.  Entries must not bake in mutable node
-        #: attributes such as ``capacity``, ``min_volume`` or
+        #: structure-derived caches (the structural-check memo, DAGSolve's
+        #: flat backward-pass context, ...), cleared together with the
+        #: topological order on any structural mutation and by
+        #: :meth:`set_excess_fraction`.  Entries may depend on the fields
+        #: the structural check reads (node kind, ``output_fraction``,
+        #: ``unknown_volume``, ``excess_fraction``; edge ``fraction`` and
+        #: ``is_excess``): those change only through this class's
+        #: methods.  Entries must not bake in the other mutable node
+        #: attributes, such as ``capacity``, ``min_volume`` or
         #: ``available_volume``.
         self._derived: dict[str, object] = {}
 
@@ -303,6 +327,15 @@ class AssayDAG:
         self._out[src].remove(key)
         self._in[dst].remove(key)
         return edge
+
+    def set_excess_fraction(self, node_id: str, value: Number) -> None:
+        """Set a node's discarded share in place (cascade stage sharing).
+
+        ``excess_fraction`` is read by the structural check and baked into
+        structure-derived caches, so the edit drops them.
+        """
+        self.node(node_id).excess_fraction = as_fraction(value)
+        self._derived.clear()
 
     def remove_node(self, node_id: str) -> Node:
         """Remove a node and all its incident edges."""
@@ -461,73 +494,28 @@ class AssayDAG:
         return list(seen)
 
     def validate(self) -> None:
-        """Check structural invariants; raises on the first violation.
+        """Run :func:`check_structure` once per structural version.
 
-        * graph is acyclic;
-        * every non-source node's non-excess inbound fractions sum to 1;
-        * excess edges originate from nodes with a matching
-          ``excess_fraction`` and terminate in EXCESS nodes;
-        * EXCESS nodes have exactly one inbound edge and no outbound edges;
-        * unknown-volume nodes carry no static ``output_fraction``.
+        A passing check is memoized in ``_derived``; any add or remove
+        and :meth:`set_excess_fraction` drop the memo.  A failing check
+        is not memoized, so it raises again on every call.
         """
-        self.topological_order()
-        for node in self._nodes.values():
-            inbound = [e for e in self.in_edges(node.id) if not e.is_excess]
-            if inbound:
-                total = sum(edge.fraction for edge in inbound)
-                if total != 1:
-                    raise RatioError(
-                        f"node {node.id!r}: inbound fractions sum to {total}, "
-                        "expected 1"
-                    )
-            if node.kind is NodeKind.EXCESS:
-                if self.out_degree(node.id) != 0:
-                    raise DagError(f"excess node {node.id!r} must be a sink")
-                if self.in_degree(node.id) != 1:
-                    raise DagError(
-                        f"excess node {node.id!r} must have exactly one "
-                        "inbound edge"
-                    )
-                (edge,) = self.in_edges(node.id)
-                if not edge.is_excess:
-                    raise DagError(
-                        f"edge into excess node {node.id!r} must be flagged "
-                        "is_excess"
-                    )
-            if node.unknown_volume and node.output_fraction is not None:
-                raise DagError(
-                    f"node {node.id!r}: unknown_volume nodes must not have a "
-                    "static output_fraction"
-                )
-            if not node.unknown_volume and node.output_fraction is None:
-                raise DagError(
-                    f"node {node.id!r}: known-volume node lacks an "
-                    "output_fraction"
-                )
-        for edge in self._edges.values():
-            if edge.is_excess:
-                src = self._nodes[edge.src]
-                dst = self._nodes[edge.dst]
-                if dst.kind is not NodeKind.EXCESS:
-                    raise DagError(
-                        f"excess edge {edge.src!r}->{edge.dst!r} must end in "
-                        "an EXCESS node"
-                    )
-                if src.excess_fraction == 0:
-                    raise DagError(
-                        f"excess edge from {edge.src!r} but the node's "
-                        "excess_fraction is 0"
-                    )
+        derived = self._derived
+        if _VALIDATED not in derived:
+            check_structure(self)
+            derived[_VALIDATED] = True
 
     # ------------------------------------------------------------------
     # copying / rendering
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "AssayDAG":
+        """A copy with its own nodes, edges and adjacency, in the same
+        insertion order (trusted copies, no per-item ``add_*``)."""
         clone = AssayDAG(name or self.name)
-        for node in self._nodes.values():
-            clone.add_node(node.copy())
-        for edge in self._edges.values():
-            clone.add_edge(edge.copy())
+        clone._nodes = {key: node.copy() for key, node in self._nodes.items()}
+        clone._edges = {key: edge.copy() for key, edge in self._edges.items()}
+        clone._out = {key: list(keys) for key, keys in self._out.items()}
+        clone._in = {key: list(keys) for key, keys in self._in.items()}
         return clone
 
     def subgraph(self, node_ids: Iterable[str], name: str | None = None) -> "AssayDAG":
@@ -570,3 +558,90 @@ class AssayDAG:
             f"AssayDAG({self.name!r}, nodes={self.node_count}, "
             f"edges={self.edge_count})"
         )
+
+
+def check_structure(dag: AssayDAG) -> None:
+    """Check a DAG's structural invariants; raises on the first violation.
+
+    * graph is acyclic;
+    * every node's ``excess_fraction`` lies in ``[0, 1)`` and every edge
+      fraction is positive (the constructors check both; an in-place edit
+      can break them);
+    * every non-source node's non-excess inbound fractions sum to 1;
+    * excess edges originate from nodes with a matching
+      ``excess_fraction`` and terminate in EXCESS nodes;
+    * EXCESS nodes have exactly one inbound edge and no outbound edges;
+    * unknown-volume nodes carry no static ``output_fraction``.
+
+    Uncached: :meth:`AssayDAG.validate` memoizes it per structural
+    version, and the certifier calls it directly to stay independent of
+    that memo.
+    """
+    dag.topological_order()
+    nodes = dag._nodes
+    # Fractions are compared through their integer parts (a Fraction's
+    # denominator is positive): this check runs once per DAG version,
+    # and Fraction comparisons and sums would dominate it.
+    for node in nodes.values():
+        excess = node.excess_fraction
+        if not 0 <= excess.numerator < excess.denominator:
+            raise RatioError(
+                f"node {node.id!r}: excess_fraction must be in [0, 1), "
+                f"got {excess}"
+            )
+        in_edges = dag.in_edges(node.id)
+        for edge in in_edges:
+            if edge.fraction.numerator <= 0:
+                raise RatioError(
+                    f"edge {edge.src!r}->{edge.dst!r}: fraction must be "
+                    "positive"
+                )
+        inbound = [e.fraction for e in in_edges if not e.is_excess]
+        if inbound:
+            common = lcm(*(share.denominator for share in inbound))
+            if common != sum(
+                share.numerator * (common // share.denominator)
+                for share in inbound
+            ):
+                raise RatioError(
+                    f"node {node.id!r}: inbound fractions sum to "
+                    f"{sum(inbound)}, expected 1"
+                )
+        if node.kind is NodeKind.EXCESS:
+            if dag.out_degree(node.id) != 0:
+                raise DagError(f"excess node {node.id!r} must be a sink")
+            if len(in_edges) != 1:
+                raise DagError(
+                    f"excess node {node.id!r} must have exactly one "
+                    "inbound edge"
+                )
+            (edge,) = in_edges
+            if not edge.is_excess:
+                raise DagError(
+                    f"edge into excess node {node.id!r} must be flagged "
+                    "is_excess"
+                )
+        if node.unknown_volume and node.output_fraction is not None:
+            raise DagError(
+                f"node {node.id!r}: unknown_volume nodes must not have a "
+                "static output_fraction"
+            )
+        if not node.unknown_volume and node.output_fraction is None:
+            raise DagError(
+                f"node {node.id!r}: known-volume node lacks an "
+                "output_fraction"
+            )
+    for edge in dag._edges.values():
+        if edge.is_excess:
+            src = nodes[edge.src]
+            dst = nodes[edge.dst]
+            if dst.kind is not NodeKind.EXCESS:
+                raise DagError(
+                    f"excess edge {edge.src!r}->{edge.dst!r} must end in "
+                    "an EXCESS node"
+                )
+            if src.excess_fraction == 0:
+                raise DagError(
+                    f"excess edge from {edge.src!r} but the node's "
+                    "excess_fraction is 0"
+                )

@@ -555,7 +555,7 @@ class _SolveContext:
                 else:
                     out_keys.append(edge.key)
             edges_visited += len(out_keys) + len(excess_out)
-            keep = 1 - node.excess_fraction
+            excess = node.excess_fraction
             is_input = node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
             in_edges: tuple = ()
             fo_num = fo_den = 1
@@ -582,13 +582,14 @@ class _SolveContext:
                 (
                     node_id,
                     node_id in self.output_ids,
-                    keep.numerator,
-                    keep.denominator,
+                    # keep = 1 - excess, already in lowest terms
+                    excess.denominator - excess.numerator,
+                    excess.denominator,
                     in_edges,
                     tuple(out_keys),
                     tuple(excess_out),
-                    node.excess_fraction.numerator,
-                    node.excess_fraction.denominator,
+                    excess.numerator,
+                    excess.denominator,
                     is_input,
                     fo_num,
                     fo_den,

@@ -16,14 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
-from scipy.sparse import vstack
+from scipy.optimize import Bounds, milp
 
 from .dag import AssayDAG
 from .dagsolve import VolumeAssignment
 from .errors import InfeasibleError, SolverError
 from .limits import HardwareLimits
-from .lp import assignment_from_edge_volumes
+from .lp import assignment_from_edge_volumes, highs_problem
 from .lpmodel import LPModel, build_lp_model
 
 __all__ = ["ilp_solve", "solve_model_ilp"]
@@ -42,40 +41,17 @@ def solve_model_ilp(
             :class:`SolverError` (the reproduction of "ran for hours").
     """
     least = float(model.limits.least_count)
-    n = model.n_variables
-    # x = least * k  =>  constraint rows A x {<=,==} b become (A*least) k.
-    constraints = []
-    if model.a_ub.shape[0]:
-        constraints.append(
-            LinearConstraint(
-                model.a_ub * least, -np.inf, model.b_ub
-            )
-        )
-    if model.a_eq.shape[0]:
-        constraints.append(
-            LinearConstraint(model.a_eq * least, model.b_eq, model.b_eq)
-        )
-    import math
-
-    lower = np.array(
-        [math.ceil(lo / least - 1e-9) for lo, __ in model.bounds]
-    )
-    upper = np.array(
-        [
-            np.floor(hi / least) if hi is not None else np.inf
-            for __, hi in model.bounds
-        ]
-    )
-    from scipy.optimize import Bounds
-
+    # x = least * k: the rows scale by the least count, and the bounds,
+    # counted in least counts, narrow to the integers inside them.
+    constraints, bounds = highs_problem(model, least)
     options = {}
     if time_limit is not None:
         options["time_limit"] = time_limit
     result = milp(
         c=model.objective * least,
         constraints=constraints,
-        integrality=np.ones(n),
-        bounds=Bounds(lower, upper),
+        integrality=np.ones(model.n_variables),
+        bounds=Bounds(np.ceil(bounds.lb - 1e-9), np.floor(bounds.ub)),
         options=options,
     )
     if result.status == 2:

@@ -1,8 +1,11 @@
-"""LP solution of RVol via scipy's HiGHS ``linprog`` (paper Section 3.2).
+"""LP solution of RVol via HiGHS (paper Section 3.2).
 
 The paper used Matlab's ``linprog`` (LIPSOL, an interior-point solver); we
-substitute scipy's HiGHS backend — the same algorithmic class with the same
-asymptotic behaviour, which is what the Table 2 runtime comparison is about.
+substitute HiGHS through scipy's ``milp`` with no integrality constraint —
+the same algorithmic class with the same asymptotic behaviour, which is
+what the Table 2 runtime comparison is about.  ``milp`` hands the model's
+rows and bounds to HiGHS as they are; ``linprog`` would first re-clean
+and re-parse them on every solve.
 
 The entry point :func:`lp_solve` accepts the same ``(dag, limits)`` pair as
 :func:`repro.core.dagsolve.dagsolve` and returns the same
@@ -16,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .dag import AssayDAG
 from .dagsolve import VolumeAssignment, _assignment_from_counts
@@ -24,7 +27,12 @@ from .errors import InfeasibleError, SolverError
 from .limits import HardwareLimits, as_fraction
 from .lpmodel import LPModel, build_lp_model
 
-__all__ = ["lp_solve", "solve_model", "assignment_from_edge_volumes"]
+__all__ = [
+    "lp_solve",
+    "solve_model",
+    "assignment_from_edge_volumes",
+    "highs_problem",
+]
 
 EdgeKey = tuple[str, str]
 
@@ -64,29 +72,51 @@ def assignment_from_edge_volumes(
     )
 
 
+def highs_problem(
+    model: LPModel, unit: float = 1.0
+) -> tuple[list[LinearConstraint], Bounds]:
+    """The model's rows and variable bounds as ``milp`` arguments.
+
+    The variables are measured in ``unit``: a solver variable ``k`` stands
+    for the edge volume ``unit * k``, so every row coefficient is scaled
+    by ``unit`` and every bound divided by it (the IVol ILP counts least
+    counts this way).  Inequality rows come first, then equality rows; an
+    empty system contributes no constraint.
+    """
+    constraints = []
+    if model.a_ub.shape[0]:
+        constraints.append(
+            LinearConstraint(model.a_ub * unit, -np.inf, model.b_ub)
+        )
+    if model.a_eq.shape[0]:
+        constraints.append(
+            LinearConstraint(model.a_eq * unit, model.b_eq, model.b_eq)
+        )
+    lower = np.array([lo for lo, __ in model.bounds], dtype=float)
+    upper = np.array(
+        [np.inf if hi is None else hi for __, hi in model.bounds], dtype=float
+    )
+    return constraints, Bounds(lower / unit, upper / unit)
+
+
 def solve_model(
     model: LPModel,
     *,
-    method: str = "highs",
     warm_start: "list[float] | None" = None,
 ) -> VolumeAssignment:
     """Solve a built :class:`LPModel` and package the result.
 
     ``warm_start`` is the previous attempt's solution in ``var_index``
     order (what the hierarchy retry loop has on hand).  scipy's HiGHS
-    backends do not accept an ``x0`` guess, so today the vector is only
-    recorded — honestly, as ``meta["warm_start"]["applied"] = False`` —
-    but the plumbing means a basis-reusing backend (e.g. ``highspy``)
-    can be dropped in without touching the callers.
+    interface does not accept an ``x0`` guess, so today the vector is
+    only recorded — honestly, as ``meta["warm_start"]["applied"] =
+    False`` — but the plumbing means a basis-reusing backend (e.g.
+    ``highspy``) can be dropped in without touching the callers.
 
     Raises:
         InfeasibleError: HiGHS proved the constraint system infeasible.
         SolverError: any other solver failure (unbounded, numerical, ...).
     """
-    a_ub = model.a_ub if model.a_ub.shape[0] else None
-    b_ub = model.b_ub if model.b_ub.size else None
-    a_eq = model.a_eq if model.a_eq.shape[0] else None
-    b_eq = model.b_eq if model.b_eq.size else None
     warm_meta: dict[str, object] | None = None
     if warm_start is not None:
         if len(warm_start) != len(model.var_index):
@@ -104,15 +134,8 @@ def solve_model(
                 "applied": False,
                 "reason": "scipy's HiGHS interface ignores x0 guesses",
             }
-    result = linprog(
-        model.objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=model.bounds,
-        method=method,
-    )
+    constraints, bounds = highs_problem(model)
+    result = milp(model.objective, constraints=constraints, bounds=bounds)
     if result.status == 2:
         raise InfeasibleError(
             f"LP infeasible for DAG {model.dag.name!r}: {result.message}"
@@ -130,7 +153,6 @@ def solve_model(
         "objective": -float(result.fun),
         "n_constraints": model.n_constraints,
         "constraint_classes": model.counts_by_class(),
-        "iterations": int(getattr(result, "nit", 0)),
         "dagsolve_constraints": model.meta.get("dagsolve_constraints", False),
     }
     planning_objective = model.meta.get("planning_objective")

@@ -33,9 +33,9 @@ constraints to the LP formulation"), the builder can also emit
 which over-constrain the LP exactly the way DAGSolve does.
 
 The builder is solver-independent: it produces sparse matrices plus labelled
-rows, so the same model feeds :mod:`repro.core.lp` (scipy ``linprog``/HiGHS),
-:mod:`repro.core.ilp` (scipy ``milp``), and the Table 2 constraint-count
-benchmark.
+rows, so the same model feeds :mod:`repro.core.lp` (HiGHS through scipy's
+``milp``, no integrality), :mod:`repro.core.ilp` (the same, with every
+variable integral), and the Table 2 constraint-count benchmark.
 
 There is one builder, :class:`IncrementalLPBuilder`.  The Figure 6 retry
 loop keeps one instance across rounds, so a transform that rewrites a few
@@ -242,8 +242,9 @@ class IncrementalLPBuilder:
     class-6 band are cached the same way, keyed by a signature of the
     output set.  A cold build is a build with nothing cached yet.
 
-    Per-DAG structure (variable order, adjacency, validation) is memoized
-    in ``AssayDAG._derived`` and dropped by any structural mutation;
+    Per-DAG structure (variable order, adjacency) is memoized in
+    ``AssayDAG._derived``, next to the DAG's own validation memo, and
+    dropped by any structural mutation;
     anything that reads a mutable node attribute is rebuilt or checked
     against the live node on every build.
 
@@ -467,17 +468,15 @@ class IncrementalLPBuilder:
     # ------------------------------------------------------------------
     def build(self, dag: AssayDAG) -> LPModel:
         """Assemble the model, reusing cached bundles where possible."""
+        dag.validate()
+        for node in dag.nodes():
+            if node.unknown_volume and dag.out_degree(node.id) > 0:
+                raise DagError(
+                    f"node {node.id!r} has unknown output volume and "
+                    "downstream uses; partition the DAG before building "
+                    "the LP"
+                )
         derived = dag._derived
-        if "lp-valid" not in derived:
-            dag.validate()
-            for node in dag.nodes():
-                if node.unknown_volume and dag.out_degree(node.id) > 0:
-                    raise DagError(
-                        f"node {node.id!r} has unknown output volume and "
-                        "downstream uses; partition the DAG before building "
-                        "the LP"
-                    )
-            derived["lp-valid"] = True
 
         # Excess machinery is DAGSolve-specific: LP's non-deficit
         # constraints already allow discarding surplus production, so
@@ -561,7 +560,7 @@ class IncrementalLPBuilder:
         )
         cost = np.zeros(n_vars)
         for key, value in objective_pairs:
-            cost[var_index[key]] -= value  # linprog minimises
+            cost[var_index[key]] -= value  # HiGHS minimises
         ub.extend(tail_ub)
         eq.extend(tail_eq)
 

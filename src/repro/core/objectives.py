@@ -78,7 +78,7 @@ class PlanningObjective:
         """(edge key, weight) pairs defining the LP cost vector.
 
         Weights are *maximisation* coefficients: the model builders apply
-        them as ``cost[var] -= weight`` because ``linprog`` minimises.
+        them as ``cost[var] -= weight`` because HiGHS minimises.
         """
         raise NotImplementedError
 

@@ -161,7 +161,6 @@ def _replicate_in_place(
         replica = node.copy()
         replica.id = replica_id
         replica.label = f"{node.display_name} (replica)"
-        replica.meta = dict(node.meta)
         replica.meta["replica_of"] = node_id
         dag.add_node(replica)
         for edge in inbound:

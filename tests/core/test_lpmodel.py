@@ -56,7 +56,7 @@ class TestFigure3Structure:
 
     def test_objective_maximises_outputs(self, fig2_dag, limits):
         model = build_lp_model(fig2_dag, limits)
-        # linprog minimises, so output-edge coefficients are -1.
+        # HiGHS minimises, so output-edge coefficients are -1.
         output_edges = {("K", "M"), ("L", "M"), ("L", "N"), ("C", "N")}
         for key, column in model.var_index.items():
             expected = -1.0 if key in output_edges else 0.0

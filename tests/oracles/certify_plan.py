@@ -12,10 +12,11 @@ exactly these metrics.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.analysis.certify.codes import PLAN_CODES
-from repro.analysis.certify.constraints import SOURCE_KINDS, ReferenceModel
+from repro.analysis.certify.constraints import SOURCE_KINDS
 from repro.compiler.diagnostics import Diagnostic, Severity
 from repro.core.dag import AssayDAG, Node, NodeKind
 from repro.core.limits import HardwareLimits, as_fraction
@@ -23,6 +24,22 @@ from repro.core.limits import HardwareLimits, as_fraction
 __all__ = ["certify_plan"]
 
 EdgeKey = tuple[str, str]
+
+
+@dataclass
+class ReferenceModel:
+    """The demand model with its normalised tables: ``production[n]`` is
+    how much node ``n`` must produce, ``load[n]`` how much enters it,
+    ``edge_demand[(s, d)]`` how much flows along each edge, for one unit
+    of every final output."""
+
+    production: dict[str, Fraction]
+    load: dict[str, Fraction]
+    edge_demand: dict[EdgeKey, Fraction]
+    scale: Fraction
+    output_bound: Fraction
+    binding_node: str | None = None
+
 
 def reference_model(dag: AssayDAG, limits: HardwareLimits) -> ReferenceModel:
     """Re-derive normalised demands and the capacity-bound scale.
