@@ -19,11 +19,14 @@ from repro.core.dag import (
     check_structure,
     fractions_from_ratio,
 )
-from repro.core.dagsolve import dagsolve
+from repro.core.dagsolve import _SolveContext, dagsolve
 from repro.core.errors import CycleError, DagError, RatioError
 from repro.core.limits import PAPER_LIMITS
+from repro.core.lpmodel import IncrementalLPBuilder
 from repro.core.replication import _replicate_in_place
 from repro.assays import generators, paper_example
+
+from oracles import structure as structure_oracle
 
 
 class TestFractionsFromRatio:
@@ -469,6 +472,112 @@ class TestMemoAcrossRewrites:
         assert dag.node(stage).excess_fraction != before
         dag.validate()
         assert checks == ["validate"]
+
+
+def _result(compute) -> tuple:
+    try:
+        return ("ok", compute())
+    except (DagError, RatioError) as error:
+        return (type(error), str(error))
+
+
+def _context_view(context) -> tuple:
+    return (
+        context.rows,
+        context.output_ids,
+        context.nodes_visited,
+        context.edges_visited,
+    )
+
+
+def _assert_matches_the_walks(dag: AssayDAG) -> None:
+    """The validation verdict, DAGSolve's rows and the LP structure table
+    equal the whole-DAG walks of ``oracles.structure``."""
+    assert _outcome(dag.validate) == _outcome(
+        lambda: structure_oracle.check_structure(dag)
+    )
+    assert _result(lambda: _context_view(_SolveContext(dag))) == _result(
+        lambda: _context_view(structure_oracle.SolveContext(dag))
+    )
+    assert IncrementalLPBuilder._structure(
+        dag
+    ) == structure_oracle.lp_structure(dag)
+
+
+#: rewrites that may leave a DAG half rewritten or structurally broken;
+#: the walks are compared on whatever they leave.
+_STEP_ERRORS = (DagError, RatioError, ValueError)
+
+_random_dags = st.builds(
+    lambda seed, shape: generators.layered_random_dag(
+        *shape, seed=seed, max_ratio=9, separator_probability=0.3
+    ),
+    st.integers(0, 10_000),
+    st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+class TestRecordsAcrossRewrites:
+    @given(
+        dag=st.one_of(
+            _random_dags, st.builds(generators.enzyme_n, st.integers(3, 7))
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_every_version_matches_the_whole_dag_walks(self, dag, data):
+        """In-place cascades, replications, node removals and excess
+        edits, with one copy taken partway: after every step each
+        consumer's view equals a fresh walk, on the copy and on the DAG
+        it was copied from."""
+        registry: dict[tuple, str] = {}
+        original = None
+        _assert_matches_the_walks(dag)
+        for __ in range(data.draw(st.integers(1, 6), label="steps")):
+            steps = ["remove_node", "set_excess_fraction"]
+            mixes = _two_input_mixes(dag)
+            replicable = _replicable(dag)
+            steps += ["cascade"] if mixes else []
+            steps += ["replicate"] if replicable else []
+            steps += ["copy"] if original is None else []
+            step = data.draw(st.sampled_from(steps), label="step")
+            try:
+                if step == "cascade":
+                    node_id = data.draw(st.sampled_from(mixes))
+                    minor = min(
+                        e.fraction
+                        for e in dag.in_edges(node_id)
+                        if not e.is_excess
+                    )
+                    factors = stage_factors(
+                        1 / minor, data.draw(st.integers(2, 3))
+                    )
+                    _cascade_in_place(
+                        dag, node_id, factors, share_registry=registry
+                    )
+                elif step == "replicate":
+                    node_id = data.draw(st.sampled_from(replicable))
+                    uses = dag.out_degree(node_id)
+                    copies = data.draw(st.integers(2, min(3, uses)))
+                    _replicate_in_place(dag, node_id, copies, weights=None)
+                elif step == "remove_node":
+                    dag.remove_node(
+                        data.draw(st.sampled_from(dag.node_ids()))
+                    )
+                elif step == "set_excess_fraction":
+                    dag.set_excess_fraction(
+                        data.draw(st.sampled_from(dag.node_ids())),
+                        data.draw(st.sampled_from(("0", "1/3", "1/2", "9/10"))),
+                    )
+                else:
+                    original, dag = dag, dag.copy()
+            except _STEP_ERRORS:
+                pass
+            _assert_matches_the_walks(dag)
+            if not dag.node_count:
+                break
+        if original is not None:
+            _assert_matches_the_walks(original)
 
 
 # ---------------------------------------------------------------------------

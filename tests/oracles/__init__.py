@@ -20,5 +20,8 @@ code against an independent derivation:
 * :mod:`oracles.certify_plan` — the certifier's plan checker and demand
   model comparing Fraction volumes directly;
 * :mod:`oracles.lp_linprog` — the LP solve through
-  ``scipy.optimize.linprog``'s input handling (paper Section 3.2).
+  ``scipy.optimize.linprog``'s input handling (paper Section 3.2);
+* :mod:`oracles.structure` — the structural check, DAGSolve's
+  backward-pass rows and the LP structure table, each walked over the
+  whole DAG on every call.
 """
