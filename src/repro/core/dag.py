@@ -40,6 +40,7 @@ from enum import Enum, unique
 from fractions import Fraction
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from math import lcm
+from typing import NamedTuple
 
 from .errors import CycleError, DagError, RatioError
 from .limits import Number, as_fraction
@@ -49,12 +50,12 @@ __all__ = [
     "Node",
     "Edge",
     "AssayDAG",
+    "NodeRecord",
     "check_structure",
     "fractions_from_ratio",
 ]
 
-#: ``AssayDAG._derived`` key of the structural-check memo.
-_VALIDATED = "validated"
+EdgeKey = tuple[str, str]
 
 
 @unique
@@ -197,13 +198,36 @@ class Edge:
         return clone
 
 
+class NodeRecord(NamedTuple):
+    """What the structure consumers read of one node and its edges.
+
+    DAGSolve's backward-pass rows and the LP builder's structure table are
+    built from these (:meth:`AssayDAG.record`).  Every field changes only
+    through :class:`AssayDAG`'s methods, which mark the nodes they touch
+    stale.
+    """
+
+    kind: NodeKind
+    output_fraction: Fraction | None
+    unknown_volume: bool
+    excess_fraction: Fraction
+    #: every inbound edge, in the node's inbound order.
+    in_keys: tuple[EdgeKey, ...]
+    in_fractions: tuple[Fraction, ...]
+    #: non-excess outbound edges, in the node's outbound order.
+    out_keys: tuple[EdgeKey, ...]
+    #: excess outbound edges, in the node's outbound order.
+    excess_out: tuple[EdgeKey, ...]
+
+
 class AssayDAG:
     """Mutable assay DAG with exact-rational edge annotations.
 
     The class enforces referential integrity eagerly (edges may only connect
     existing nodes; parallel edges are rejected) and structural invariants
     (acyclicity, fractions summing to one) on demand via :meth:`validate`,
-    which checks each structural version of the DAG once.
+    which after the first passing check re-checks only the nodes touched
+    since.
     """
 
     def __init__(self, name: str = "assay") -> None:
@@ -217,22 +241,41 @@ class AssayDAG:
         #: frozen DAG repeatedly, so the Kahn pass would otherwise rerun
         #: on every pass.
         self._topo_cache: list[str] | None = None
-        #: structure-derived caches (the structural-check memo, DAGSolve's
-        #: flat backward-pass context, ...), cleared together with the
-        #: topological order on any structural mutation and by
-        #: :meth:`set_excess_fraction`.  Entries may depend on the fields
-        #: the structural check reads (node kind, ``output_fraction``,
-        #: ``unknown_volume``, ``excess_fraction``; edge ``fraction`` and
-        #: ``is_excess``): those change only through this class's
-        #: methods.  Entries must not bake in the other mutable node
-        #: attributes, such as ``capacity``, ``min_volume`` or
-        #: ``available_volume``.
+        #: per-version caches built from the node records (DAGSolve's
+        #: backward-pass context, the LP builder's tables), cleared by
+        #: every mutation below.
         self._derived: dict[str, object] = {}
+        #: The record store: one :class:`NodeRecord` per node, derived on
+        #: first use and kept across mutations.  A mutation marks only
+        #: the nodes it touches stale: add/remove of an edge its two
+        #: ends, :meth:`add_node` and :meth:`remove_node` the node itself
+        #: (and, through its edges, its neighbours),
+        #: :meth:`set_excess_fraction` the node.  A stale node loses its
+        #: record and joins ``_unchecked``, the nodes :meth:`validate`
+        #: re-checks.  ``_unchecked`` is None until a check passes.
+        #: :meth:`copy` hands both to the copy (records are immutable).
+        #: Records hold only fields that change through this class's
+        #: methods (node kind, ``output_fraction``, ``unknown_volume``,
+        #: ``excess_fraction``; edge keys, ``fraction`` and
+        #: ``is_excess``), never ``capacity``, ``min_volume`` or
+        #: ``available_volume``.  :func:`check_structure` reads no
+        #: record.
+        self._records: dict[str, NodeRecord] = {}
+        self._unchecked: set[str] | None = None
 
-    def _invalidate_structure(self) -> None:
-        self._topo_cache = None
+    def _touch(self, node_ids: Iterable[str]) -> None:
+        """Mark ``node_ids`` stale and drop the per-version caches."""
         if self._derived:
             self._derived.clear()
+        records = self._records
+        for node_id in node_ids:
+            records.pop(node_id, None)
+        if self._unchecked is not None:
+            self._unchecked.update(node_ids)
+
+    def _invalidate_structure(self, *node_ids: str) -> None:
+        self._topo_cache = None
+        self._touch(node_ids)
 
     # ------------------------------------------------------------------
     # construction
@@ -240,7 +283,7 @@ class AssayDAG:
     def add_node(self, node: Node) -> Node:
         if node.id in self._nodes:
             raise DagError(f"duplicate node id {node.id!r}")
-        self._invalidate_structure()
+        self._invalidate_structure(node.id)
         self._nodes[node.id] = node
         self._out[node.id] = []
         self._in[node.id] = []
@@ -255,7 +298,7 @@ class AssayDAG:
             raise DagError(f"self-loop on {edge.src!r}")
         if edge.key in self._edges:
             raise DagError(f"parallel edge {edge.src!r}->{edge.dst!r}")
-        self._invalidate_structure()
+        self._invalidate_structure(edge.src, edge.dst)
         self._edges[edge.key] = edge
         self._out[edge.src].append(edge.key)
         self._in[edge.dst].append(edge.key)
@@ -322,7 +365,7 @@ class AssayDAG:
         key = (src, dst)
         if key not in self._edges:
             raise DagError(f"no edge {src!r}->{dst!r}")
-        self._invalidate_structure()
+        self._invalidate_structure(src, dst)
         edge = self._edges.pop(key)
         self._out[src].remove(key)
         self._in[dst].remove(key)
@@ -331,11 +374,11 @@ class AssayDAG:
     def set_excess_fraction(self, node_id: str, value: Number) -> None:
         """Set a node's discarded share in place (cascade stage sharing).
 
-        ``excess_fraction`` is read by the structural check and baked into
-        structure-derived caches, so the edit drops them.
+        ``excess_fraction`` is read by the structural check and by the
+        node's record, so the edit marks the node stale.
         """
         self.node(node_id).excess_fraction = as_fraction(value)
-        self._derived.clear()
+        self._touch((node_id,))
 
     def remove_node(self, node_id: str) -> Node:
         """Remove a node and all its incident edges."""
@@ -346,6 +389,9 @@ class AssayDAG:
         for key in list(self._out[node_id]):
             self.remove_edge(*key)
         self._invalidate_structure()
+        self._records.pop(node_id, None)
+        if self._unchecked is not None:
+            self._unchecked.discard(node_id)
         del self._in[node_id]
         del self._out[node_id]
         return self._nodes.pop(node_id)
@@ -494,28 +540,85 @@ class AssayDAG:
         return list(seen)
 
     def validate(self) -> None:
-        """Run :func:`check_structure` once per structural version.
+        """Check the structural invariants of :func:`check_structure`.
 
-        A passing check is memoized in ``_derived``; any add or remove
-        and :meth:`set_excess_fraction` drop the memo.  A failing check
-        is not memoized, so it raises again on every call.
+        The first call runs :func:`check_structure`.  Once a check has
+        passed, a call re-runs the per-node rules only on the nodes
+        touched since (``_unchecked``) and the excess edges at them, and
+        takes acyclicity from the memoized topological order.  A fault
+        raises what :func:`check_structure` raises for the whole DAG (its
+        first violation), and is not memoized: the touched nodes stay
+        unchecked until a call passes.
         """
-        derived = self._derived
-        if _VALIDATED not in derived:
+        unchecked = self._unchecked
+        if unchecked is None:
             check_structure(self)
-            derived[_VALIDATED] = True
+            self._unchecked = set()
+            return
+        if not unchecked:
+            return
+        self.topological_order()
+        nodes = self._nodes
+        edges = self._edges
+        try:
+            for node_id in unchecked:
+                _check_node(self, nodes[node_id])
+                for key in self._in[node_id] + self._out[node_id]:
+                    edge = edges[key]
+                    if edge.is_excess:
+                        _check_excess_edge(nodes, edge)
+        except (DagError, RatioError):
+            check_structure(self)
+            raise
+        unchecked.clear()
+
+    def record(self, node_id: str) -> NodeRecord:
+        """The node's :class:`NodeRecord`, derived if it is stale."""
+        record = self._records.get(node_id)
+        if record is None:
+            record = self._records[node_id] = self._derive_record(node_id)
+        return record
+
+    def _derive_record(self, node_id: str) -> NodeRecord:
+        node = self.node(node_id)
+        edges = self._edges
+        in_keys = tuple(self._in[node_id])
+        out_keys = []
+        excess_out = []
+        for key in self._out[node_id]:
+            if edges[key].is_excess:
+                excess_out.append(key)
+            else:
+                out_keys.append(key)
+        return NodeRecord(
+            node.kind,
+            node.output_fraction,
+            node.unknown_volume,
+            node.excess_fraction,
+            in_keys,
+            tuple([edges[key].fraction for key in in_keys]),
+            tuple(out_keys),
+            tuple(excess_out),
+        )
 
     # ------------------------------------------------------------------
     # copying / rendering
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "AssayDAG":
         """A copy with its own nodes, edges and adjacency, in the same
-        insertion order (trusted copies, no per-item ``add_*``)."""
+        insertion order (trusted copies, no per-item ``add_*``).
+
+        The copy starts with this DAG's records and unchecked nodes: it
+        has the same structure, and records are immutable.
+        """
         clone = AssayDAG(name or self.name)
         clone._nodes = {key: node.copy() for key, node in self._nodes.items()}
         clone._edges = {key: edge.copy() for key, edge in self._edges.items()}
         clone._out = {key: list(keys) for key, keys in self._out.items()}
         clone._in = {key: list(keys) for key, keys in self._in.items()}
+        clone._records = dict(self._records)
+        if self._unchecked is not None:
+            clone._unchecked = set(self._unchecked)
         return clone
 
     def subgraph(self, node_ids: Iterable[str], name: str | None = None) -> "AssayDAG":
@@ -573,75 +676,84 @@ def check_structure(dag: AssayDAG) -> None:
     * EXCESS nodes have exactly one inbound edge and no outbound edges;
     * unknown-volume nodes carry no static ``output_fraction``.
 
-    Uncached: :meth:`AssayDAG.validate` memoizes it per structural
-    version, and the certifier calls it directly to stay independent of
-    that memo.
+    Whole-DAG and uncached: it reads the live nodes and edges, never a
+    node record.  :meth:`AssayDAG.validate` runs it first and then the
+    same per-node rules on touched nodes only; the certifier calls it
+    directly to stay independent of that bookkeeping.
     """
     dag.topological_order()
     nodes = dag._nodes
-    # Fractions are compared through their integer parts (a Fraction's
-    # denominator is positive): this check runs once per DAG version,
-    # and Fraction comparisons and sums would dominate it.
     for node in nodes.values():
-        excess = node.excess_fraction
-        if not 0 <= excess.numerator < excess.denominator:
-            raise RatioError(
-                f"node {node.id!r}: excess_fraction must be in [0, 1), "
-                f"got {excess}"
-            )
-        in_edges = dag.in_edges(node.id)
-        for edge in in_edges:
-            if edge.fraction.numerator <= 0:
-                raise RatioError(
-                    f"edge {edge.src!r}->{edge.dst!r}: fraction must be "
-                    "positive"
-                )
-        inbound = [e.fraction for e in in_edges if not e.is_excess]
-        if inbound:
-            common = lcm(*(share.denominator for share in inbound))
-            if common != sum(
-                share.numerator * (common // share.denominator)
-                for share in inbound
-            ):
-                raise RatioError(
-                    f"node {node.id!r}: inbound fractions sum to "
-                    f"{sum(inbound)}, expected 1"
-                )
-        if node.kind is NodeKind.EXCESS:
-            if dag.out_degree(node.id) != 0:
-                raise DagError(f"excess node {node.id!r} must be a sink")
-            if len(in_edges) != 1:
-                raise DagError(
-                    f"excess node {node.id!r} must have exactly one "
-                    "inbound edge"
-                )
-            (edge,) = in_edges
-            if not edge.is_excess:
-                raise DagError(
-                    f"edge into excess node {node.id!r} must be flagged "
-                    "is_excess"
-                )
-        if node.unknown_volume and node.output_fraction is not None:
-            raise DagError(
-                f"node {node.id!r}: unknown_volume nodes must not have a "
-                "static output_fraction"
-            )
-        if not node.unknown_volume and node.output_fraction is None:
-            raise DagError(
-                f"node {node.id!r}: known-volume node lacks an "
-                "output_fraction"
-            )
+        _check_node(dag, node)
     for edge in dag._edges.values():
         if edge.is_excess:
-            src = nodes[edge.src]
-            dst = nodes[edge.dst]
-            if dst.kind is not NodeKind.EXCESS:
-                raise DagError(
-                    f"excess edge {edge.src!r}->{edge.dst!r} must end in "
-                    "an EXCESS node"
-                )
-            if src.excess_fraction == 0:
-                raise DagError(
-                    f"excess edge from {edge.src!r} but the node's "
-                    "excess_fraction is 0"
-                )
+            _check_excess_edge(nodes, edge)
+
+
+def _check_node(dag: AssayDAG, node: Node) -> None:
+    """The per-node rules of :func:`check_structure`."""
+    # Fractions are compared through their integer parts (a Fraction's
+    # denominator is positive): Fraction comparisons and sums would
+    # dominate the check.
+    excess = node.excess_fraction
+    if not 0 <= excess.numerator < excess.denominator:
+        raise RatioError(
+            f"node {node.id!r}: excess_fraction must be in [0, 1), "
+            f"got {excess}"
+        )
+    in_edges = dag.in_edges(node.id)
+    for edge in in_edges:
+        if edge.fraction.numerator <= 0:
+            raise RatioError(
+                f"edge {edge.src!r}->{edge.dst!r}: fraction must be "
+                "positive"
+            )
+    inbound = [e.fraction for e in in_edges if not e.is_excess]
+    if inbound:
+        common = lcm(*(share.denominator for share in inbound))
+        if common != sum(
+            share.numerator * (common // share.denominator)
+            for share in inbound
+        ):
+            raise RatioError(
+                f"node {node.id!r}: inbound fractions sum to "
+                f"{sum(inbound)}, expected 1"
+            )
+    if node.kind is NodeKind.EXCESS:
+        if dag.out_degree(node.id) != 0:
+            raise DagError(f"excess node {node.id!r} must be a sink")
+        if len(in_edges) != 1:
+            raise DagError(
+                f"excess node {node.id!r} must have exactly one "
+                "inbound edge"
+            )
+        (edge,) = in_edges
+        if not edge.is_excess:
+            raise DagError(
+                f"edge into excess node {node.id!r} must be flagged "
+                "is_excess"
+            )
+    if node.unknown_volume and node.output_fraction is not None:
+        raise DagError(
+            f"node {node.id!r}: unknown_volume nodes must not have a "
+            "static output_fraction"
+        )
+    if not node.unknown_volume and node.output_fraction is None:
+        raise DagError(
+            f"node {node.id!r}: known-volume node lacks an "
+            "output_fraction"
+        )
+
+
+def _check_excess_edge(nodes: Mapping[str, Node], edge: Edge) -> None:
+    """The excess-edge rules of :func:`check_structure`."""
+    if nodes[edge.dst].kind is not NodeKind.EXCESS:
+        raise DagError(
+            f"excess edge {edge.src!r}->{edge.dst!r} must end in "
+            "an EXCESS node"
+        )
+    if nodes[edge.src].excess_fraction == 0:
+        raise DagError(
+            f"excess edge from {edge.src!r} but the node's "
+            "excess_fraction is 0"
+        )

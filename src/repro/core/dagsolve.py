@@ -42,7 +42,9 @@ would otherwise *be* the solve):
 The backward pass reads a flat per-DAG context (reverse-topological row
 tuples with pre-resolved edge keys and ratio numerators/denominators),
 cached in ``AssayDAG._derived`` and dropped on any structural mutation.
-Hierarchy attempts, the Vnorm memo and the runtime planner reuse it.
+Hierarchy attempts, the Vnorm memo and the runtime planner reuse it.  Its
+rows come from the DAG's node records (:meth:`AssayDAG.record`), so a
+rewritten version re-derives only the nodes the rewrite touched.
 """
 
 from __future__ import annotations
@@ -233,7 +235,9 @@ class VolumeAssignment:
     verdicts (:meth:`violations`, :meth:`min_edge`,
     :meth:`min_edge_volume`) compare those integers.  To fabricate a
     different assignment, pass new dicts (``dataclasses.replace(a,
-    node_volume={...})``); every other table takes the Fraction path.
+    node_volume={...})``).  :meth:`violations` puts such plain tables
+    over one common denominator; :meth:`min_edge` compares their
+    Fractions.
     """
 
     dag: AssayDAG
@@ -292,71 +296,77 @@ class VolumeAssignment:
         Excess edges are exempt from the least-count check: the discarded
         share never needs to be metered separately — it simply stays behind
         in the functional unit.
+
+        Decided on integers.  DAGSolve's views lend theirs; a plain table
+        (LP, rounded, restored) is put over one common denominator ``L``
+        of its volumes and the slack, as the certifier's plan checker
+        does.  A violation reports the table's own entry, so only a
+        DAGSolve violator's volume becomes a Fraction.
         """
         basis = self._integer_basis()
         if basis is not None:
-            return self._integer_violations(basis)
-        found: list[Violation] = []
-        slack = self.tolerance
-        least_count = self.limits.least_count
-        floor = least_count - slack
-        for edge in self.dag.edges():
-            volume = self.edge_volume[edge.key]
-            if not edge.is_excess and volume < floor:
-                found.append(
-                    Violation(
-                        "underflow",
-                        f"{edge.src}->{edge.dst}",
-                        volume,
-                        least_count,
-                    )
-                )
-        max_capacity = self.limits.max_capacity
-        default_ceiling = max_capacity + slack
-        for node in self.dag.nodes():
-            capacity = node.capacity or max_capacity
-            ceiling = capacity + slack if node.capacity else default_ceiling
-            load = max(
-                self.node_volume[node.id], self.node_input_volume[node.id]
+            num, den = basis
+            return self._integer_violations(
+                self.node_volume._ints,
+                self.node_input_volume._ints,
+                self.edge_volume._ints,
+                num,
+                den,
+                0,
             )
-            if load > ceiling:
-                found.append(Violation("overflow", node.id, load, capacity))
-            if node.min_volume is not None:
-                held = self.node_input_volume[node.id]
-                if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
-                    held = self.node_volume[node.id]
-                minimum = node.min_volume
-                if held < (minimum - slack if slack else minimum):
-                    found.append(
-                        Violation("min-volume", node.id, held, minimum)
-                    )
-        return found
+        tables = (self.node_volume, self.node_input_volume, self.edge_volume)
+        slack = self.tolerance
+        scale = lcm(
+            slack.denominator,
+            *{value.denominator for table in tables for value in table.values()},
+        )
+        node_ints, held_ints, edge_ints = (
+            {
+                key: value.numerator * (scale // value.denominator)
+                for key, value in table.items()
+            }
+            for table in tables
+        )
+        return self._integer_violations(
+            node_ints,
+            held_ints,
+            edge_ints,
+            1,
+            scale,
+            slack.numerator * (scale // slack.denominator),
+        )
 
-    def _integer_violations(self, basis: tuple[int, int]) -> list[Violation]:
-        """:meth:`violations` over the views' integers.
+    def _integer_violations(
+        self,
+        node_ints: Mapping[str, int],
+        held_ints: Mapping[str, int],
+        edge_ints: Mapping[EdgeKey, int],
+        num: int,
+        den: int,
+        slack: int,
+    ) -> list[Violation]:
+        """:meth:`violations` over integer tables.
 
-        A volume is ``v * num / den``, so ``volume < p / q`` is
-        ``v * num * q < p * den``; only a violator's volume is read as a
-        Fraction.
+        A volume is ``v * num / den`` and the slack ``slack / den``, so
+        ``volume < p / q - slack`` is ``(v * num + slack) * q < p * den``
+        and ``volume > p / q + slack`` is ``(v * num - slack) * q > p *
+        den``.
         """
-        num, den = basis
         node_table = self.node_volume
         held_table = self.node_input_volume
         edge_table = self.edge_volume
-        node_ints = node_table._ints
-        held_ints = held_table._ints
-        edge_ints = edge_table._ints
         found: list[Violation] = []
         least_count = self.limits.least_count
         factor = num * least_count.denominator
-        bound = least_count.numerator * den
+        bound = least_count.numerator * den - slack * least_count.denominator
         for edge in self.dag.edges():
-            if not edge.is_excess and edge_ints[edge.key] * factor < bound:
+            key = edge.key
+            if not edge.is_excess and edge_ints[key] * factor < bound:
                 found.append(
                     Violation(
                         "underflow",
                         f"{edge.src}->{edge.dst}",
-                        edge_table[edge.key],
+                        edge_table[key],
                         least_count,
                     )
                 )
@@ -367,9 +377,8 @@ class VolumeAssignment:
             entering = held_ints[node_id]
             capacity = node.capacity or max_capacity
             if (
-                max(produced, entering) * num * capacity.denominator
-                > capacity.numerator * den
-            ):
+                max(produced, entering) * num - slack
+            ) * capacity.denominator > capacity.numerator * den:
                 load = (
                     node_table[node_id]
                     if produced >= entering
@@ -382,9 +391,8 @@ class VolumeAssignment:
                 if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
                     held, table = produced, node_table
                 if (
-                    held * num * minimum.denominator
-                    < minimum.numerator * den
-                ):
+                    held * num + slack
+                ) * minimum.denominator < minimum.numerator * den:
                     found.append(
                         Violation(
                             "min-volume", node_id, table[node_id], minimum
@@ -534,60 +542,69 @@ class _SolveContext:
 
     def __init__(self, dag: AssayDAG) -> None:
         dag.validate()
-        _check_solvable(dag)
-        self.output_ids = frozenset(node.id for node in dag.outputs())
+        record_of = dag.record
+        excess_kind = NodeKind.EXCESS
+        input_kind = NodeKind.INPUT
+        constrained_kind = NodeKind.CONSTRAINED_INPUT
         rows = []
+        output_ids = []
         nodes_visited = 0
         edges_visited = 0
+        unsolvable = False
         for node_id in dag.reverse_topological_order():
-            node = dag.node(node_id)
-            if node.kind is NodeKind.EXCESS:
+            record = record_of(node_id)
+            kind = record.kind
+            if kind is excess_kind:
                 # Computed when the producing node is visited (paper 3.4.1:
                 # "the Vnorms of the excess edge and excess node are
                 # computed after their source node's Vnorm is known").
                 continue
             nodes_visited += 1
-            out_keys = []
-            excess_out = []
-            for edge in dag.out_edges(node_id):
-                if edge.is_excess:
-                    excess_out.append((edge.key, edge.dst))
-                else:
-                    out_keys.append(edge.key)
+            out_keys = record.out_keys
+            excess_out = record.excess_out
             edges_visited += len(out_keys) + len(excess_out)
-            excess = node.excess_fraction
-            is_input = node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
+            is_output = not out_keys and not excess_out
+            if is_output:
+                output_ids.append(node_id)
+            elif record.unknown_volume:
+                unsolvable = True
+            excess = record.excess_fraction
+            is_input = kind is input_kind or kind is constrained_kind
             in_edges: tuple = ()
             fo_num = fo_den = 1
             if not is_input:
-                if node.unknown_volume:
-                    # A partition sink whose output is measured at run
-                    # time: the partition dispenses its *input*, so
-                    # normalise that side.
-                    fraction_out = Fraction(1)
-                else:
-                    fraction_out = node.output_fraction
+                if not record.unknown_volume:
+                    # (an unknown-volume partition sink dispenses its
+                    # *input*, so that side is normalised: fraction 1)
+                    fraction_out = record.output_fraction
                     if fraction_out is None or fraction_out <= 0:
+                        _check_solvable(dag)
                         raise DagError(
                             f"node {node_id!r} lacks a positive output_fraction"
                         )
-                fo_num = fraction_out.numerator
-                fo_den = fraction_out.denominator
+                    fo_num = fraction_out.numerator
+                    fo_den = fraction_out.denominator
                 in_edges = tuple(
-                    (e.key, e.fraction.numerator, e.fraction.denominator)
-                    for e in dag.in_edges(node_id)
+                    [
+                        (key, share.numerator, share.denominator)
+                        for key, share in zip(
+                            record.in_keys, record.in_fractions
+                        )
+                    ]
                 )
                 edges_visited += len(in_edges)
             rows.append(
                 (
                     node_id,
-                    node_id in self.output_ids,
+                    is_output,
                     # keep = 1 - excess, already in lowest terms
                     excess.denominator - excess.numerator,
                     excess.denominator,
                     in_edges,
-                    tuple(out_keys),
-                    tuple(excess_out),
+                    out_keys,
+                    tuple([(key, key[1]) for key in excess_out])
+                    if excess_out
+                    else (),
                     excess.numerator,
                     excess.denominator,
                     is_input,
@@ -595,6 +612,9 @@ class _SolveContext:
                     fo_den,
                 )
             )
+        if unsolvable:
+            _check_solvable(dag)
+        self.output_ids = frozenset(output_ids)
         self.rows = tuple(rows)
         self.nodes_visited = nodes_visited
         self.edges_visited = edges_visited

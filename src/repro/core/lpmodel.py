@@ -243,8 +243,9 @@ class IncrementalLPBuilder:
     output set.  A cold build is a build with nothing cached yet.
 
     Per-DAG structure (variable order, adjacency) is memoized in
-    ``AssayDAG._derived``, next to the DAG's own validation memo, and
-    dropped by any structural mutation;
+    ``AssayDAG._derived`` and dropped by any structural mutation; the
+    adjacency is read from the DAG's node records, which a mutation
+    re-derives only where it touched;
     anything that reads a mutable node attribute is rebuilt or checked
     against the live node on every build.
 
@@ -280,27 +281,25 @@ class IncrementalLPBuilder:
     # ------------------------------------------------------------------
     @staticmethod
     def _structure(dag: AssayDAG) -> dict[str, tuple]:
-        """Per-node adjacency snapshot, memoized per DAG object.
+        """Per-node adjacency snapshot, memoized per DAG version.
 
         For each non-EXCESS node id: ``(inbound keys, inbound fractions,
         outbound keys)`` with excess edges left out (a validated DAG routes
         excess edges only into EXCESS nodes, so the inbound side is the
-        node's whole in-degree).
+        node's whole in-degree).  Read from the DAG's node records.
         """
         table = dag._derived.get("lp-structure")
         if table is None:
             table = {}
-            for node in dag.nodes():
-                if node.kind is NodeKind.EXCESS:
-                    continue
-                inbound = dag.in_edges(node.id)
-                table[node.id] = (
-                    tuple(e.key for e in inbound),
-                    tuple(e.fraction for e in inbound),
-                    tuple(
-                        e.key for e in dag.out_edges(node.id) if not e.is_excess
-                    ),
-                )
+            record_of = dag.record
+            for node_id in dag.node_ids():
+                record = record_of(node_id)
+                if record.kind is not NodeKind.EXCESS:
+                    table[node_id] = (
+                        record.in_keys,
+                        record.in_fractions,
+                        record.out_keys,
+                    )
             dag._derived["lp-structure"] = table
         return table
 

@@ -308,44 +308,136 @@ def checks(monkeypatch):
     return callers
 
 
+@pytest.fixture
+def node_checks(monkeypatch):
+    """Record the id of every node the per-node rules check."""
+    checked: list[str] = []
+    original = dag_module._check_node
+
+    def recording(dag, node):
+        checked.append(node.id)
+        return original(dag, node)
+
+    monkeypatch.setattr(dag_module, "_check_node", recording)
+    return checked
+
+
 def _with_loose_nodes() -> AssayDAG:
     """Figure 2 plus an input ``Z`` feeding a unary ``T`` and an unfed
-    unary ``U``."""
+    unary ``U``, validated."""
     dag = paper_example.build_dag()
     dag.add_input("Z")
     dag.add_unary("T", "Z")
     dag.add_node(Node("U", NodeKind.HEAT))
+    dag.validate()
     return dag
 
 
+#: per mutation kind: a clean mutation of ``_with_loose_nodes()`` and the
+#: nodes it touches.
 MUTATIONS = {
-    "add_node": lambda dag: dag.add_input("Y"),
-    "add_edge": lambda dag: dag.add_edge(Edge("Z", "U")),
-    "remove_edge": lambda dag: dag.remove_edge("Z", "T"),
-    "remove_node": lambda dag: dag.remove_node("N"),
-    "set_excess_fraction": lambda dag: dag.set_excess_fraction("K", 0),
+    "add_node": (lambda dag: dag.add_input("Y"), {"Y"}),
+    "add_edge": (lambda dag: dag.add_edge(Edge("Z", "U")), {"Z", "U"}),
+    "remove_edge": (lambda dag: dag.remove_edge("Z", "T"), {"Z", "T"}),
+    "remove_node": (lambda dag: dag.remove_node("N"), {"L", "C"}),
+    "set_excess_fraction": (
+        lambda dag: dag.set_excess_fraction("K", 0),
+        {"K"},
+    ),
+}
+
+#: per mutation kind: a mutation of ``_with_loose_nodes()`` that breaks a
+#: structural rule, and the message of the error it must raise.
+FAULTS = {
+    "add_node": (
+        lambda dag: dag.add_node(Node("V", NodeKind.HEAT, output_fraction=None)),
+        "node 'V': known-volume node lacks an output_fraction",
+    ),
+    "add_edge": (
+        lambda dag: dag.add_edge(Edge("Z", "K", Fraction(1, 2))),
+        "node 'K': inbound fractions sum to 3/2, expected 1",
+    ),
+    "remove_edge": (
+        lambda dag: dag.remove_edge("A", "K"),
+        "node 'K': inbound fractions sum to 4/5, expected 1",
+    ),
+    "remove_node": (
+        lambda dag: dag.remove_node("C"),
+        "node 'L': inbound fractions sum to 2/3, expected 1",
+    ),
+    "set_excess_fraction": (
+        lambda dag: dag.set_excess_fraction("K", 1),
+        "node 'K': excess_fraction must be in [0, 1), got 1",
+    ),
 }
 
 
 class TestValidationMemo:
-    def test_a_validated_version_is_not_checked_again(self, checks):
-        dag = _with_loose_nodes()
-        del checks[:]
+    def test_a_validated_version_is_not_checked_again(
+        self, checks, node_checks
+    ):
+        """The first check covers the whole DAG; the version it passed is
+        not checked again, wholly or node by node."""
+        dag = AssayDAG()
+        dag.add_input("A")
+        dag.add_input("B")
+        dag.add_mix("K", {"A": 1, "B": 4})
+        dag.validate()
+        assert checks == ["validate"]
+        assert sorted(node_checks) == sorted(dag.node_ids())
+        del checks[:], node_checks[:]
         dag.validate()
         dag.validate()
         dag.topological_order()
         dag.validate()
-        assert checks == ["validate"]
+        assert checks == []
+        assert node_checks == []
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-    def test_each_mutation_drops_the_memo(self, checks, mutation):
+    def test_each_mutation_drops_the_memo(self, checks, node_checks, mutation):
+        """A fault introduced through each kind of mutation is raised by
+        the next validate(), as the whole-DAG check words it, again on
+        every call; a clean mutation of the same kind re-checks exactly
+        the nodes it touched, once, and no whole-DAG check runs."""
+        faulty, message = FAULTS[mutation]
         dag = _with_loose_nodes()
+        faulty(dag)
+        for __ in range(2):
+            with pytest.raises((DagError, RatioError)) as raised:
+                dag.validate()
+            assert str(raised.value) == message
+        assert _outcome(dag.validate) == _outcome(
+            lambda: structure_oracle.check_structure(dag)
+        )
+
+        clean, touched = MUTATIONS[mutation]
+        dag = _with_loose_nodes()
+        del checks[:], node_checks[:]
+        clean(dag)
         dag.validate()
-        del checks[:]
-        MUTATIONS[mutation](dag)
         dag.validate()
-        dag.validate()
-        assert checks == ["validate"]
+        assert checks == []
+        assert sorted(node_checks) == sorted(touched)
+        assert _outcome(lambda: structure_oracle.check_structure(dag)) == (
+            "valid",
+        )
+
+    def test_a_zeroed_cascade_share_is_raised(self):
+        """Zeroing a stage's discarded share breaks a rule of its excess
+        edge, not of the node."""
+        dag = _cascaded_dag()
+        stage = next(edge.src for edge in dag.edges() if edge.is_excess)
+        dag.set_excess_fraction(stage, 0)
+        with pytest.raises(DagError, match="excess_fraction is 0"):
+            dag.validate()
+
+    def test_a_new_cycle_is_raised(self):
+        """Acyclicity comes from the topological order, which every edge
+        added after the last check recomputes."""
+        dag = _with_loose_nodes()
+        dag.add_edge(Edge("M", "A"))
+        with pytest.raises(CycleError):
+            dag.validate()
 
     def test_a_failing_check_is_not_memoized(self, checks):
         dag = AssayDAG()
@@ -452,7 +544,7 @@ class TestMemoAcrossRewrites:
                 _replicate_in_place(dag, node_id, copies, weights=None)
         assert _outcome(dag.validate) == _outcome(lambda: check_structure(dag))
 
-    def test_a_shared_cascade_stage_drops_the_memo(self, checks):
+    def test_a_shared_cascade_stage_drops_the_memo(self, checks, node_checks):
         """Two mixes with the same sources and skew share a stage under
         the waste objective's registry; the reuse edits the stage's
         ``excess_fraction`` in place."""
@@ -467,11 +559,17 @@ class TestMemoAcrossRewrites:
         (stage,) = registry.values()
         dag.validate()
         before = dag.node(stage).excess_fraction
+        stage_record = dag.record(stage)
         del checks[:]
         _cascade_in_place(dag, "M2", factors, share_registry=registry)
         assert dag.node(stage).excess_fraction != before
         dag.validate()
-        assert checks == ["validate"]
+        assert checks == []
+        assert stage in node_checks
+        assert dag.record(stage) != stage_record
+        assert dag.record(stage).excess_fraction == dag.node(
+            stage
+        ).excess_fraction
 
 
 def _result(compute) -> tuple:
@@ -565,8 +663,12 @@ class TestRecordsAcrossRewrites:
                         data.draw(st.sampled_from(dag.node_ids()))
                     )
                 elif step == "set_excess_fraction":
+                    # cascade stages (excess producers) weigh double
+                    producers = [
+                        edge.src for edge in dag.edges() if edge.is_excess
+                    ]
                     dag.set_excess_fraction(
-                        data.draw(st.sampled_from(dag.node_ids())),
+                        data.draw(st.sampled_from(dag.node_ids() + producers)),
                         data.draw(st.sampled_from(("0", "1/3", "1/2", "9/10"))),
                     )
                 else:

@@ -8,6 +8,7 @@ import pytest
 from repro.assays import generators
 from repro.compiler.passes import run_compile
 from repro.core.cascading import CascadeReport
+from repro.core import dag as dag_module
 from repro.core.dag import AssayDAG
 from repro.core.errors import VolumeError
 from repro.core.hierarchy import VolumeManager
@@ -143,6 +144,44 @@ class TestWorkingCopies:
         ]
         assert len(rewriting) == 2
         assert len(copies) <= len(rewriting)
+
+
+class TestStructureRecords:
+    """A rewritten DAG version re-derives only the nodes its rewrite
+    touched; the whole-DAG structural check runs once per input DAG and
+    once in certify."""
+
+    def test_tail_input_pays_two_whole_checks(self, monkeypatch):
+        """EnzymeN 6 on aquacore-xl builds 6 DAG versions.  Re-checking
+        each version whole, as a per-version memo does, runs the check 7
+        times; the record store derives 528 node records in all."""
+        whole: list[str] = []
+        derived: list[str] = []
+        check = dag_module.check_structure
+        derive = AssayDAG._derive_record
+
+        def checking(dag):
+            whole.append(dag.name)
+            return check(dag)
+
+        def deriving(self, node_id):
+            derived.append(node_id)
+            return derive(self, node_id)
+
+        monkeypatch.setattr(dag_module, "check_structure", checking)
+        monkeypatch.setattr(
+            importlib.import_module("repro.analysis.certify.plan"),
+            "check_structure",
+            checking,
+        )
+        monkeypatch.setattr(AssayDAG, "_derive_record", deriving)
+        ctx = run_compile(
+            dag=generators.enzyme_n(6), spec=AQUACORE_XL_SPEC, certify=True
+        )
+        assert ctx.compiled.listing()
+        assert ctx.plan.feasible
+        assert len(whole) == 2
+        assert len(derived) == 528
 
 
 class TestIntegerVerdicts:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from repro.core.dag import AssayDAG, NodeKind
 from repro.core.dagsolve import (
     EdgeKey,
+    Violation,
     VnormResult,
     VolumeAssignment,
     _check_solvable,
@@ -23,7 +24,7 @@ from repro.core.dagsolve import (
 from repro.core.errors import DagError, VolumeError
 from repro.core.limits import HardwareLimits, Number, as_fraction
 
-__all__ = ["compute_vnorms", "dispense", "dagsolve"]
+__all__ = ["compute_vnorms", "dispense", "dagsolve", "violations"]
 
 
 def compute_vnorms(
@@ -253,3 +254,45 @@ def dagsolve(
     """Both reference passes: :func:`compute_vnorms` then :func:`dispense`."""
     vnorms = compute_vnorms(dag, output_targets)
     return dispense(dag, vnorms, limits, objective=objective)
+
+
+def violations(assignment: VolumeAssignment) -> list[Violation]:
+    """:meth:`VolumeAssignment.violations` in Fraction comparisons.
+
+    Excess edges are exempt from the least-count check; the slack
+    (``tolerance``) widens every bound.
+    """
+    found: list[Violation] = []
+    slack = assignment.tolerance
+    least_count = assignment.limits.least_count
+    floor = least_count - slack
+    for edge in assignment.dag.edges():
+        volume = assignment.edge_volume[edge.key]
+        if not edge.is_excess and volume < floor:
+            found.append(
+                Violation(
+                    "underflow",
+                    f"{edge.src}->{edge.dst}",
+                    volume,
+                    least_count,
+                )
+            )
+    max_capacity = assignment.limits.max_capacity
+    default_ceiling = max_capacity + slack
+    for node in assignment.dag.nodes():
+        capacity = node.capacity or max_capacity
+        ceiling = capacity + slack if node.capacity else default_ceiling
+        load = max(
+            assignment.node_volume[node.id],
+            assignment.node_input_volume[node.id],
+        )
+        if load > ceiling:
+            found.append(Violation("overflow", node.id, load, capacity))
+        if node.min_volume is not None:
+            held = assignment.node_input_volume[node.id]
+            if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
+                held = assignment.node_volume[node.id]
+            minimum = node.min_volume
+            if held < (minimum - slack if slack else minimum):
+                found.append(Violation("min-volume", node.id, held, minimum))
+    return found

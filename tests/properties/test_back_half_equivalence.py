@@ -36,8 +36,10 @@ from repro.core.rounding import (
     round_assignment,
     round_assignment_ratio_preserving,
 )
+from repro.core.serde import assignment_from_dict, assignment_to_dict
 
 from oracles import certify_plan as plan_oracle
+from oracles import dagsolve as dagsolve_oracle
 from oracles import rounding as rounding_oracle
 
 LEAST = PAPER_LIMITS.least_count
@@ -236,6 +238,99 @@ class TestEdgeVolumePackaging:
             if not compiled.final_dag.edge(*key).is_excess
         }
         self.assert_packs_alike(compiled.final_dag, edges, method="lp")
+
+
+# ---------------------------------------------------------------------------
+# feasibility verdicts on plain tables
+# ---------------------------------------------------------------------------
+#: slacks a plain table may carry: none, the LP's kind, a least count.
+SLACKS = (Fraction(0), Fraction(1, 200), LEAST)
+
+
+def assert_same_violations(assignment):
+    """The same violations in the same order as the Fraction loop, with
+    every slack; the tables stay plain, writable dicts."""
+    for slack in SLACKS:
+        candidate = dataclasses.replace(assignment, tolerance=slack)
+        assert type(candidate.edge_volume) is dict
+        assert candidate.violations() == dagsolve_oracle.violations(candidate)
+
+
+class TestViolationsEquivalence:
+    @given(
+        seed=dag_seeds,
+        shape=shapes,
+        sep=separators,
+        half=halves,
+        max_ratio=st.sampled_from([5, 400]),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rounded_restored_lp_and_hand_built_tables(
+        self, seed, shape, sep, half, max_ratio, data
+    ):
+        dag = random_dag(seed, shape, sep, half, max_ratio)
+        exact = dagsolve(dag, PAPER_LIMITS)
+        rounded = round_assignment(exact)
+        restored = assignment_from_dict(assignment_to_dict(rounded), dag)
+        offset = st.sampled_from(OFFSETS)
+        tables = [
+            rounded,
+            restored,
+            hand_built(exact, lambda: data.draw(offset, label="offset")),
+        ]
+        try:
+            tables.append(lp_solve(dag, PAPER_LIMITS))
+        except VolumeError:
+            pass  # an infeasible LP has no tables
+        for assignment in tables:
+            assert_same_violations(assignment)
+
+    @given(seed=dag_seeds, shape=shapes, sep=separators, data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_node_limits_at_their_bounds(self, seed, shape, sep, data):
+        """Capacities and FU minimums exactly at what a node holds, and a
+        slack or a least count either side of it."""
+        dag = random_dag(seed, shape, sep)
+        assignment = round_assignment(dagsolve(dag, PAPER_LIMITS))
+        near = st.sampled_from(
+            [Fraction(0), Fraction(1, 200), Fraction(-1, 200), LEAST, -LEAST]
+        )
+        for node in dag.nodes():
+            produced = assignment.node_volume[node.id]
+            entering = assignment.node_input_volume[node.id]
+            limit = data.draw(
+                st.sampled_from(["none", "capacity", "minimum"]),
+                label=f"limit {node.id}",
+            )
+            if limit == "capacity":
+                node.capacity = max(produced, entering) + data.draw(near)
+            elif limit == "minimum":
+                held = (
+                    produced
+                    if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
+                    else entering
+                )
+                node.min_volume = held + data.draw(near)
+        assert_same_violations(assignment)
+
+    def test_an_underflow_overflow_and_minimum_at_once(self):
+        dag = AssayDAG("limits")
+        dag.add_input("A", min_volume=Fraction(50))
+        dag.add_input("B")
+        dag.add_mix("M", {"A": 1, "B": 1}, capacity=Fraction(20))
+        plain = SimpleNamespace(
+            node_volume={"A": Fraction(20), "B": LEAST / 2, "M": Fraction(81, 4)},
+            node_input_volume={"A": Fraction(20), "B": LEAST / 2,
+                               "M": Fraction(81, 4)},
+            edge_volume={("A", "M"): Fraction(20), ("B", "M"): LEAST / 2},
+        )
+        assignment = dataclasses.replace(
+            dagsolve(dag, PAPER_LIMITS), **vars(plain)
+        )
+        kinds = [v.kind for v in assignment.violations()]
+        assert kinds == ["underflow", "min-volume", "overflow"]
+        assert_same_violations(assignment)
 
 
 # ---------------------------------------------------------------------------
