@@ -218,6 +218,10 @@ class NodeRecord(NamedTuple):
     out_keys: tuple[EdgeKey, ...]
     #: excess outbound edges, in the node's outbound order.
     excess_out: tuple[EdgeKey, ...]
+    #: forms a consumer derives from the fields above (DAGSolve's
+    #: backward-pass row), memoized on first use; copies share them with
+    #: the record.
+    views: dict[str, object]
 
 
 class AssayDAG:
@@ -599,6 +603,7 @@ class AssayDAG:
             tuple([edges[key].fraction for key in in_keys]),
             tuple(out_keys),
             tuple(excess_out),
+            {},
         )
 
     # ------------------------------------------------------------------

@@ -43,8 +43,9 @@ The backward pass reads a flat per-DAG context (reverse-topological row
 tuples with pre-resolved edge keys and ratio numerators/denominators),
 cached in ``AssayDAG._derived`` and dropped on any structural mutation.
 Hierarchy attempts, the Vnorm memo and the runtime planner reuse it.  Its
-rows come from the DAG's node records (:meth:`AssayDAG.record`), so a
-rewritten version re-derives only the nodes the rewrite touched.
+rows come from the DAG's node records (:meth:`AssayDAG.record`), and each
+record memoizes its row, so a rewritten version re-derives only the rows
+of the nodes the rewrite touched.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from fractions import Fraction
 from collections.abc import Iterator, Mapping
 from math import gcd, lcm
 
-from .dag import AssayDAG, NodeKind
+from .dag import AssayDAG, NodeKind, NodeRecord
 from .errors import (
     DagError,
     OverflowError_,
@@ -78,6 +79,8 @@ EdgeKey = tuple[str, str]
 _Scaled = tuple[dict[str, int], dict[str, int], dict[EdgeKey, int], int]
 
 _CONTEXT_KEY = "dagsolve-context"
+#: ``NodeRecord.views`` key of the node's backward-pass row.
+_ROW = "dagsolve-row"
 
 
 def _fraction(num: int, den: int, _new=object.__new__, _gcd=gcd) -> Fraction:
@@ -544,8 +547,6 @@ class _SolveContext:
         dag.validate()
         record_of = dag.record
         excess_kind = NodeKind.EXCESS
-        input_kind = NodeKind.INPUT
-        constrained_kind = NodeKind.CONSTRAINED_INPUT
         rows = []
         output_ids = []
         nodes_visited = 0
@@ -553,71 +554,70 @@ class _SolveContext:
         unsolvable = False
         for node_id in dag.reverse_topological_order():
             record = record_of(node_id)
-            kind = record.kind
-            if kind is excess_kind:
+            if record.kind is excess_kind:
                 # Computed when the producing node is visited (paper 3.4.1:
                 # "the Vnorms of the excess edge and excess node are
                 # computed after their source node's Vnorm is known").
                 continue
+            row = record.views.get(_ROW)
+            if row is None:
+                row = record.views[_ROW] = _row(dag, node_id, record)
+            rows.append(row)
             nodes_visited += 1
-            out_keys = record.out_keys
-            excess_out = record.excess_out
-            edges_visited += len(out_keys) + len(excess_out)
-            is_output = not out_keys and not excess_out
-            if is_output:
+            edges_visited += len(row[4]) + len(row[5]) + len(row[6])
+            if row[1]:
                 output_ids.append(node_id)
             elif record.unknown_volume:
                 unsolvable = True
-            excess = record.excess_fraction
-            is_input = kind is input_kind or kind is constrained_kind
-            in_edges: tuple = ()
-            fo_num = fo_den = 1
-            if not is_input:
-                if not record.unknown_volume:
-                    # (an unknown-volume partition sink dispenses its
-                    # *input*, so that side is normalised: fraction 1)
-                    fraction_out = record.output_fraction
-                    if fraction_out is None or fraction_out <= 0:
-                        _check_solvable(dag)
-                        raise DagError(
-                            f"node {node_id!r} lacks a positive output_fraction"
-                        )
-                    fo_num = fraction_out.numerator
-                    fo_den = fraction_out.denominator
-                in_edges = tuple(
-                    [
-                        (key, share.numerator, share.denominator)
-                        for key, share in zip(
-                            record.in_keys, record.in_fractions
-                        )
-                    ]
-                )
-                edges_visited += len(in_edges)
-            rows.append(
-                (
-                    node_id,
-                    is_output,
-                    # keep = 1 - excess, already in lowest terms
-                    excess.denominator - excess.numerator,
-                    excess.denominator,
-                    in_edges,
-                    out_keys,
-                    tuple([(key, key[1]) for key in excess_out])
-                    if excess_out
-                    else (),
-                    excess.numerator,
-                    excess.denominator,
-                    is_input,
-                    fo_num,
-                    fo_den,
-                )
-            )
         if unsolvable:
             _check_solvable(dag)
         self.output_ids = frozenset(output_ids)
         self.rows = tuple(rows)
         self.nodes_visited = nodes_visited
         self.edges_visited = edges_visited
+
+
+def _row(dag: AssayDAG, node_id: str, record: NodeRecord) -> tuple:
+    """One :class:`_SolveContext` row, from the node's record."""
+    out_keys = record.out_keys
+    excess_out = record.excess_out
+    excess = record.excess_fraction
+    is_input = record.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
+    in_edges: tuple = ()
+    fo_num = fo_den = 1
+    if not is_input:
+        if not record.unknown_volume:
+            # (an unknown-volume partition sink dispenses its *input*, so
+            # that side is normalised: fraction 1)
+            fraction_out = record.output_fraction
+            if fraction_out is None or fraction_out <= 0:
+                _check_solvable(dag)
+                raise DagError(
+                    f"node {node_id!r} lacks a positive output_fraction"
+                )
+            fo_num = fraction_out.numerator
+            fo_den = fraction_out.denominator
+        in_edges = tuple(
+            [
+                (key, share.numerator, share.denominator)
+                for key, share in zip(record.in_keys, record.in_fractions)
+            ]
+        )
+    return (
+        node_id,
+        not out_keys and not excess_out,
+        # keep = 1 - excess, already in lowest terms
+        excess.denominator - excess.numerator,
+        excess.denominator,
+        in_edges,
+        out_keys,
+        tuple([(key, key[1]) for key in excess_out]),
+        excess.numerator,
+        excess.denominator,
+        is_input,
+        fo_num,
+        fo_den,
+    )
 
 
 def _context(dag: AssayDAG) -> _SolveContext:
