@@ -272,8 +272,8 @@ def _cascade_in_place(
     Only ever called on a DAG the caller owns (a private working copy):
     on an error the DAG may be left half rewritten.  A shared stage's
     ``excess_fraction`` changes through ``AssayDAG.set_excess_fraction``,
-    which drops ``dag._derived``; the ``ratio`` edit is read by no
-    derived cache.
+    which marks the stage stale; the ``ratio`` edit is read by no node
+    record or derived cache.
     """
     node = dag.node(node_id)
     if node.no_excess:

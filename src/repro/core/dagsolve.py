@@ -623,10 +623,9 @@ def _row(dag: AssayDAG, node_id: str, record: NodeRecord) -> tuple:
 def _context(dag: AssayDAG) -> _SolveContext:
     """The DAG's cached :class:`_SolveContext` (built on first use).
 
-    The cache lives in ``dag._derived`` and is dropped by the same
-    structural mutations that invalidate the memoized topological order,
-    so hierarchy attempts and runtime sessions over a frozen DAG pay the
-    adjacency walk exactly once.
+    The cache lives in ``dag._derived`` and is dropped by every
+    mutation, so hierarchy attempts and runtime sessions over a frozen
+    DAG assemble the rows exactly once.
     """
     context = dag._derived.get(_CONTEXT_KEY)
     if context is None:

@@ -319,14 +319,12 @@ class TestViolationsEquivalence:
         dag.add_input("A", min_volume=Fraction(50))
         dag.add_input("B")
         dag.add_mix("M", {"A": 1, "B": 1}, capacity=Fraction(20))
-        plain = SimpleNamespace(
-            node_volume={"A": Fraction(20), "B": LEAST / 2, "M": Fraction(81, 4)},
-            node_input_volume={"A": Fraction(20), "B": LEAST / 2,
-                               "M": Fraction(81, 4)},
-            edge_volume={("A", "M"): Fraction(20), ("B", "M"): LEAST / 2},
-        )
+        volumes = {"A": Fraction(20), "B": LEAST / 2, "M": Fraction(81, 4)}
         assignment = dataclasses.replace(
-            dagsolve(dag, PAPER_LIMITS), **vars(plain)
+            dagsolve(dag, PAPER_LIMITS),
+            node_volume=volumes,
+            node_input_volume=dict(volumes),
+            edge_volume={("A", "M"): Fraction(20), ("B", "M"): LEAST / 2},
         )
         kinds = [v.kind for v in assignment.violations()]
         assert kinds == ["underflow", "min-volume", "overflow"]
