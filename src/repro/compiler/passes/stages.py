@@ -342,10 +342,15 @@ class LPFallback(Pass):
     """LP fallback: strictly more general, used when DAGSolve fails.
 
     Retry rounds share one :class:`~repro.core.lpmodel.
-    IncrementalLPBuilder` (held on the hierarchy state), so a transform
-    that rewrites a few nodes only pays row construction for the
-    rewritten neighborhood; the previous round's solution is offered to
-    the solver as a warm start.
+    IncrementalLPBuilder` (held on the hierarchy state).  Before it
+    builds a model, the builder's least-volume bound
+    (:meth:`~repro.core.lpmodel.IncrementalLPBuilder.
+    least_volume_violation`) checks constraint classes 1-5.  When some
+    node cannot fit, the attempt is recorded as failed with the bound's
+    reason, and the pass reports ``skipped``: no model is built or
+    solved.  Otherwise the model is built, reusing the row bundles of
+    nodes no rewrite touched since this builder's previous build, and
+    solved with the previous round's solution offered as a warm start.
     """
 
     name = "lp"
@@ -368,6 +373,11 @@ class LPFallback(Pass):
                 output_tolerance=manager.output_tolerance,
                 objective=manager.objective,
             )
+        reason = state.lp_builder.least_volume_violation(state.current)
+        if reason is not None:
+            detail = f"LP infeasible for DAG {state.current.name!r}: {reason}"
+            state.record(self.name, False, detail)
+            return PassOutcome(status="skipped", detail=detail)
         try:
             model = state.lp_builder.build(state.current)
             assignment = solve_model(model, warm_start=state.lp_warm)

@@ -98,12 +98,13 @@ def _minor_share_limit(limits: HardwareLimits) -> Fraction:
 def _is_extreme(
     dag: AssayDAG, node_id: str, share_limit: Fraction, slack: Fraction
 ) -> bool:
-    node = dag.node(node_id)
-    inbound = [e for e in dag.in_edges(node_id) if not e.is_excess]
-    if node.kind is not NodeKind.MIX or len(inbound) < 2:
+    # a structurally valid DAG routes excess edges only into EXCESS
+    # nodes, so a mix's record lists exactly its non-excess inbound shares
+    record = dag.record(node_id)
+    shares = record.in_fractions
+    if record.kind is not NodeKind.MIX or len(shares) < 2:
         return False
-    minor = min(edge.fraction for edge in inbound)
-    return minor * slack <= share_limit
+    return min(shares) * slack <= share_limit
 
 
 def find_extreme_mixes(

@@ -40,7 +40,9 @@ variable integral), and the Table 2 constraint-count benchmark.
 There is one builder, :class:`IncrementalLPBuilder`.  The Figure 6 retry
 loop keeps one instance across rounds, so a transform that rewrites a few
 nodes only pays row construction for the rewritten neighborhood;
-:func:`build_lp_model` is a single cold build.
+:func:`build_lp_model` is a single cold build.  Before a build, the loop
+asks the builder's :meth:`~IncrementalLPBuilder.least_volume_violation`
+whether classes 1-5 can hold at all.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import numpy as np
 from scipy import sparse
 
 from .dag import AssayDAG, NodeKind
+from .dagsolve import _context as _solve_context
 from .errors import DagError
 from .limits import HardwareLimits
 from .objectives import resolve_objective
@@ -254,7 +257,11 @@ class IncrementalLPBuilder:
     called with any DAG — typically the loop's current graph, which
     differs from the previous round's only where a transform rewrote it.
     Reuse counts of the last build are in :attr:`last_stats` and on the
-    model's ``meta["incremental"]``.
+    model's ``meta["incremental"]``.  Bundles are reused only when one
+    run builds twice.  The LP stage asks :meth:`least_volume_violation`
+    before each build and builds nothing for an LP it rules out, so a
+    run builds twice only when an LP the bound let through gave no
+    plan.
     """
 
     def __init__(
@@ -389,6 +396,79 @@ class IncrementalLPBuilder:
                     equality=True,
                 )
         return ub.block(), eq.block()
+
+    def least_volume_violation(self, dag: AssayDAG) -> str | None:
+        """Why no volumes satisfy constraint classes 1-5, or None.
+
+        One reverse-topological sweep derives the least volume every node
+        must take.  A node's total input is at least each inbound edge's
+        minimum over that edge's mix-ratio share, at least its FU minimum,
+        and at least the least volumes of the uses it supplies over its
+        ``output_fraction``; each inbound edge then carries at least its
+        share of that least.  A source's total draw is at least the sum
+        of its uses.  The sweep counts in whole least counts, rounded down
+        at every step, so it is a necessary condition only: a DAG it
+        passes may still be infeasible (HiGHS decides, class 6 included),
+        but one it rules out has no solution.
+
+        It walks DAGSolve's backward-pass rows (the node records' integer
+        ratios, in reverse topological order), which DAGSolve has already
+        built for the DAG version the Figure 6 loop hands the LP, and
+        reads capacities and minimums from the live nodes.  Returns a
+        reason naming the first node whose least volume exceeds the
+        capacity its class-2 row uses.
+        """
+        limits = self.limits
+        least_count = limits.least_count
+        max_capacity = limits.max_capacity
+        max_units = max_capacity // least_count
+        bounds_on = self.min_volume_bounds
+        edge_lower = 1 if bounds_on else 0
+        least_edge: dict[EdgeKey, int] = {}
+        node_of = dag.node
+        for row in _solve_context(dag).rows:
+            # the row layout is repro.core.dagsolve._SolveContext's
+            node_id, in_edges, out_keys = row[0], row[4], row[5]
+            is_input, fo_num, fo_den = row[9:]
+            node = node_of(node_id)
+            # an edge into a source carries only its class-1 bound
+            least = sum([least_edge.get(key, edge_lower) for key in out_keys])
+            capacity = node.capacity or max_capacity
+            if is_input:
+                if (
+                    node.kind is NodeKind.CONSTRAINED_INPUT
+                    and node.available_volume is not None
+                ):
+                    capacity = min(capacity, node.available_volume)
+            elif in_edges:
+                if least:  # classes 3+5: supply <= output_fraction * input
+                    least = least * fo_den // fo_num
+                minimum = node.min_volume
+                lower = edge_lower
+                if minimum is not None:
+                    if len(in_edges) > 1:  # the FU-minimum row
+                        least = max(least, minimum // least_count)
+                    elif bounds_on:  # the single edge's class-1 bound
+                        lower = max(lower, minimum // least_count)
+                for __, num, den in in_edges:  # class 4: edge = share * input
+                    if lower * den // num > least:
+                        least = lower * den // num
+                for key, num, den in in_edges:
+                    share = least * num // den
+                    least_edge[key] = share if share > lower else lower
+            else:
+                continue
+            if least > (
+                max_units
+                if capacity is max_capacity
+                else capacity // least_count
+            ):
+                return (
+                    f"node {node_id!r} needs at least "
+                    f"{float(least * least_count):.6g} nl, over its "
+                    f"capacity of {float(capacity):.6g} nl"
+                )
+        return None
 
     def _tail_rows(
         self, dag: AssayDAG, structure: dict[str, tuple], output_nodes: list

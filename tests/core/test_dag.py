@@ -10,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.certify import certify_plan
 from repro.compiler.passes import run_compile
 from repro.core import dag as dag_module
-from repro.core.cascading import _cascade_in_place, stage_factors
+from repro.core.cascading import (
+    _cascade_in_place,
+    find_extreme_mixes,
+    stage_factors,
+)
 from repro.core.dag import (
     AssayDAG,
     Edge,
@@ -21,7 +25,7 @@ from repro.core.dag import (
 )
 from repro.core.dagsolve import _SolveContext, dagsolve
 from repro.core.errors import CycleError, DagError, RatioError
-from repro.core.limits import PAPER_LIMITS
+from repro.core.limits import PAPER_LIMITS, HardwareLimits
 from repro.core.lpmodel import IncrementalLPBuilder
 from repro.core.replication import _replicate_in_place
 from repro.assays import generators, paper_example
@@ -589,8 +593,9 @@ def _context_view(context) -> tuple:
 
 
 def _assert_matches_the_walks(dag: AssayDAG) -> None:
-    """The validation verdict, DAGSolve's rows and the LP structure table
-    equal the whole-DAG walks of ``oracles.structure``."""
+    """The validation verdict, DAGSolve's rows, the LP structure table
+    and (on a valid DAG) the extreme-mix scan equal the whole-DAG walks
+    of ``oracles.structure``."""
     assert _outcome(dag.validate) == _outcome(
         lambda: structure_oracle.check_structure(dag)
     )
@@ -600,6 +605,20 @@ def _assert_matches_the_walks(dag: AssayDAG) -> None:
     assert IncrementalLPBuilder._structure(
         dag
     ) == structure_oracle.lp_structure(dag)
+    if _outcome(dag.validate) == ("valid",):
+        for limits, slack in _EXTREME_SCANS:
+            assert find_extreme_mixes(
+                dag, limits, slack=slack
+            ) == structure_oracle.extreme_mixes(dag, limits, slack=slack)
+
+
+#: (limits, slack) pairs the extreme-mix scan is compared under: the
+#: paper's 1:999 limit, and a 1:9 limit that most random mixes reach.
+_EXTREME_SCANS = (
+    (PAPER_LIMITS, Fraction(1)),
+    (PAPER_LIMITS, Fraction(3)),
+    (HardwareLimits(max_capacity=100, least_count=10), Fraction(1)),
+)
 
 
 #: rewrites that may leave a DAG half rewritten or structurally broken;

@@ -5,7 +5,10 @@ or raise the same error class, as :mod:`oracles.lp_linprog` on
 
 * every LP model the compile-cold benchmark corpus solves (read from
   ``perfbench/inputs.py``, captured through ``IncrementalLPBuilder.build``
-  while the corpus compiles);
+  while the corpus compiles), and the full model of every LP attempt the
+  least-volume bound rules out before building (captured through
+  ``IncrementalLPBuilder.least_volume_violation``), which both solvers
+  must prove infeasible;
 * random layered DAGs with separators, under both planning objectives;
 * infeasible models.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -67,18 +71,31 @@ def assert_same(model) -> tuple:
     return got
 
 
-@pytest.fixture(scope="module")
-def corpus_outcomes():
-    """(entry name, production outcome, reference outcome) per LP build."""
-    inputs = _load_inputs()
-    seen: list[tuple[str, tuple, tuple]] = []
-    build = IncrementalLPBuilder.build
-    current = [""]
+@dataclass
+class CorpusLP:
+    """What the LP stage did while the compile-cold corpus compiled."""
 
-    def capture(self, dag):
+    #: (entry name, production outcome, reference outcome) per built model.
+    built: list[tuple[str, tuple, tuple]] = field(default_factory=list)
+    #: (entry name, production outcome, reference outcome) per attempt
+    #: the least-volume bound ruled out; its full model is built after the
+    #: corpus compiled, from a copy taken when the bound spoke.
+    ruled_out: list[tuple[str, tuple, tuple]] = field(default_factory=list)
+
+
+@pytest.fixture(scope="module")
+def corpus_lp():
+    inputs = _load_inputs()
+    record = CorpusLP()
+    build = IncrementalLPBuilder.build
+    bound = IncrementalLPBuilder.least_volume_violation
+    current = [""]
+    pending: list[tuple[str, IncrementalLPBuilder, AssayDAG]] = []
+
+    def capture_build(self, dag):
         model = build(self, dag)
         # solved at once: a later rewrite may edit the DAG the model reads
-        seen.append(
+        record.built.append(
             (
                 current[0],
                 outcome(production, model),
@@ -87,7 +104,15 @@ def corpus_outcomes():
         )
         return model
 
-    IncrementalLPBuilder.build = capture
+    def capture_bound(self, dag):
+        reason = bound(self, dag)
+        if reason is not None:
+            # the working DAG is rewritten in place later: keep a copy
+            pending.append((current[0], self, dag.copy()))
+        return reason
+
+    IncrementalLPBuilder.build = capture_build
+    IncrementalLPBuilder.least_volume_violation = capture_bound
     try:
         for entry in inputs.compile_corpus(CORPUS_SEED):
             current[0] = entry.name
@@ -99,21 +124,51 @@ def corpus_outcomes():
             )
     finally:
         IncrementalLPBuilder.build = build
-    return seen
+        IncrementalLPBuilder.least_volume_violation = bound
+    for name, builder, dag in pending:
+        model = build_lp_model(
+            dag,
+            builder.limits,
+            output_tolerance=builder.output_tolerance,
+            min_volume_bounds=builder.min_volume_bounds,
+            objective=builder.objective,
+        )
+        record.ruled_out.append(
+            (
+                name,
+                outcome(production, model),
+                outcome(lp_linprog.solve_model, model),
+            )
+        )
+    return record
 
 
 class TestCompileCorpus:
-    def test_every_corpus_model_solves_alike(self, corpus_outcomes):
-        for name, got, want in corpus_outcomes:
+    def test_every_corpus_model_solves_alike(self, corpus_lp):
+        for name, got, want in corpus_lp.built:
             assert got == want, name
 
-    def test_corpus_exercises_the_lp(self, corpus_outcomes):
-        """18 models over 10 entries; 5 solve, the rest are infeasible."""
-        names = {name for name, __, ___ in corpus_outcomes}
-        solved = [got for __, got, ___ in corpus_outcomes if got[0] == "ok"]
-        assert len(corpus_outcomes) >= 15
-        assert len(names) >= 8
-        assert len(solved) >= 5
+    def test_every_ruled_out_model_is_infeasible(self, corpus_lp):
+        """The full model of each attempt the bound turned away is
+        infeasible for HiGHS and for ``linprog``."""
+        for name, got, want in corpus_lp.ruled_out:
+            assert got == want == ("error", InfeasibleError), name
+
+    def test_corpus_exercises_the_lp(self, corpus_lp):
+        """18 attempts over 10 entries: 5 built models, all solved, and
+        13 ruled out by the bound."""
+        attempts = [name for name, __, ___ in corpus_lp.built]
+        attempts += [name for name, __, ___ in corpus_lp.ruled_out]
+        assert len(attempts) == 18
+        assert len(set(attempts)) == 10
+        assert [got[0] for __, got, ___ in corpus_lp.built] == ["ok"] * 5
+        assert len(corpus_lp.ruled_out) == 13
+
+    def test_enzyme_n6_builds_no_lp_model(self, corpus_lp):
+        built = [name for name, __, ___ in corpus_lp.built]
+        ruled_out = [name for name, __, ___ in corpus_lp.ruled_out]
+        assert "enzyme-n6" not in built
+        assert ruled_out.count("enzyme-n6") == 2
 
 
 class TestRandomModels:

@@ -1,9 +1,10 @@
 """Compile-cold corpus output with the whole-DAG structure walks patched in.
 
-The structural check, DAGSolve's backward-pass context and the LP
-builder's structure table read per-node records that each rewrite
-patches.  :mod:`oracles.structure` keeps the walks they replaced.  Every
-input of the compile-cold benchmark corpus (read from
+The structural check, DAGSolve's backward-pass context, the LP
+builder's structure table and the cascade transform's extreme-mix scan
+read per-node records that each rewrite patches.
+:mod:`oracles.structure` keeps the walks they replaced.  Every input of
+the compile-cold benchmark corpus (read from
 ``perfbench/inputs.py``, not edited) is compiled twice in one process, as
 ``repro compile --certify`` does: once as shipped and once with the
 oracle walks patched in.  The listings, plan summaries and pass-event
@@ -33,6 +34,11 @@ CORPUS_SEED = 1
 
 # the module, not the ``repro.core.dagsolve`` function re-exported over it
 dagsolve_module = importlib.import_module("repro.core.dagsolve")
+#: the modules that import the extreme-mix scan by name.
+SCANNERS = (
+    importlib.import_module("repro.core.cascading"),
+    importlib.import_module("repro.compiler.passes.stages"),
+)
 
 
 def _load_inputs():
@@ -84,6 +90,10 @@ def both_runs():
             "_structure",
             staticmethod(structure_oracle.lp_structure),
         )
+        for module in SCANNERS:
+            patch.setattr(
+                module, "find_extreme_mixes", structure_oracle.extreme_mixes
+            )
         walked = corpus_records(corpus)
     return shipped, walked
 

@@ -12,7 +12,8 @@ check the record-backed versions against them.
 * :func:`validate` — :func:`check_structure` memoized per structural
   version in ``AssayDAG._derived``;
 * :class:`SolveContext` — DAGSolve's reverse-topological row tuples;
-* :func:`lp_structure` — the LP builder's per-node adjacency table.
+* :func:`lp_structure` — the LP builder's per-node adjacency table;
+* :func:`extreme_mixes` — the cascade transform's extreme-mix scan.
 """
 
 from __future__ import annotations
@@ -23,8 +24,15 @@ from math import lcm
 from repro.core.dag import AssayDAG, NodeKind
 from repro.core.dagsolve import _check_solvable
 from repro.core.errors import DagError, RatioError
+from repro.core.limits import HardwareLimits
 
-__all__ = ["check_structure", "validate", "SolveContext", "lp_structure"]
+__all__ = [
+    "check_structure",
+    "validate",
+    "SolveContext",
+    "lp_structure",
+    "extreme_mixes",
+]
 
 _VALIDATED = "validated"
 
@@ -199,3 +207,19 @@ def lp_structure(dag: AssayDAG) -> dict[str, tuple]:
             tuple(e.key for e in dag.out_edges(node.id) if not e.is_excess),
         )
     return table
+
+
+def extreme_mixes(
+    dag: AssayDAG, limits: HardwareLimits, *, slack: Fraction = Fraction(1)
+) -> list[str]:
+    """Mix nodes whose smallest non-excess inbound share, times ``slack``,
+    is at most ``least count / max capacity``, in topological order."""
+    share_limit = limits.least_count / limits.max_capacity
+    found = []
+    for node_id in dag.topological_order():
+        inbound = [e for e in dag.in_edges(node_id) if not e.is_excess]
+        if dag.node(node_id).kind is not NodeKind.MIX or len(inbound) < 2:
+            continue
+        if min(edge.fraction for edge in inbound) * slack <= share_limit:
+            found.append(node_id)
+    return found
