@@ -82,12 +82,9 @@ class HierarchyState:
     plan: VolumePlan | None = None
     #: set by a transform stage that rewrote the DAG this round.
     transformed: bool = False
-    #: incremental LP model builder, created by the first LP attempt and
-    #: reused across retry rounds so unchanged row bundles are not rebuilt.
+    #: LP model builder for the run's limits and options, created by the
+    #: first LP attempt; each build derives its model afresh.
     lp_builder: object | None = None
-    #: previous LP solution in the previous model's variable order, offered
-    #: to the solver as a warm start on the next attempt.
-    lp_warm: list[float] | None = None
 
     def record(
         self,
@@ -108,18 +105,16 @@ class HierarchyState:
             )
         )
 
-    def settle(
-        self, stage: str, assignment: VolumeAssignment, note: str = ""
-    ) -> str:
+    def settle(self, stage: str, assignment: VolumeAssignment) -> str:
         """Record a solver's assignment and keep it.
 
         A feasible assignment becomes the plan (which ends the loop); an
         infeasible one competes for ``best``, the regeneration fallback.
-        The attempt's detail is ``note``, or else the first violations.
-        Returns the verdict for the pass event.
+        The attempt's detail is its first violations.  Returns the
+        verdict for the pass event.
         """
         violations = assignment.violations()
-        detail = note or "; ".join(str(v) for v in violations[:3])
+        detail = "; ".join(str(v) for v in violations[:3])
         self.record(stage, not violations, detail, violations)
         if violations:
             self.best = VolumeManager._better(self.best, assignment)

@@ -348,9 +348,8 @@ class LPFallback(Pass):
     least_volume_violation`) checks constraint classes 1-5.  When some
     node cannot fit, the attempt is recorded as failed with the bound's
     reason, and the pass reports ``skipped``: no model is built or
-    solved.  Otherwise the model is built, reusing the row bundles of
-    nodes no rewrite touched since this builder's previous build, and
-    solved with the previous round's solution offered as a warm start.
+    solved.  Otherwise the model is built from scratch and solved, and
+    the pass reports the hierarchy's verdict on the assignment.
     """
 
     name = "lp"
@@ -380,19 +379,10 @@ class LPFallback(Pass):
             return PassOutcome(status="skipped", detail=detail)
         try:
             model = state.lp_builder.build(state.current)
-            assignment = solve_model(model, warm_start=state.lp_warm)
+            assignment = solve_model(model)
         except (InfeasibleError, SolverError) as error:
             return _failed(state, self.name, error)
-        stats = state.lp_builder.last_stats
-        reuse_note = (
-            f"lp-model {stats['reused']}/{stats['nodes']} row bundle(s) "
-            "reused"
-        )
-        state.lp_warm = [
-            float(assignment.edge_volume[key]) for key in model.var_index
-        ]
-        verdict = state.settle(self.name, assignment, reuse_note)
-        return PassOutcome(detail=f"{verdict}; {reuse_note}")
+        return PassOutcome(detail=state.settle(self.name, assignment))
 
 
 class _TransformStage(Pass):

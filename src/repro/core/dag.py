@@ -460,8 +460,11 @@ class AssayDAG:
         return len(self._out[node_id])
 
     def inputs(self) -> list[Node]:
-        """Source nodes: INPUT and CONSTRAINED_INPUT kinds plus any node
-        without inbound edges."""
+        """Source nodes: every node without inbound edges.
+
+        A validated DAG gives INPUT and CONSTRAINED_INPUT nodes no inbound
+        edges, so every input kind is a source.
+        """
         return [
             node
             for node in self._nodes.values()
@@ -675,6 +678,7 @@ def check_structure(dag: AssayDAG) -> None:
     * every node's ``excess_fraction`` lies in ``[0, 1)`` and every edge
       fraction is positive (the constructors check both; an in-place edit
       can break them);
+    * INPUT and CONSTRAINED_INPUT nodes have no inbound edges;
     * every non-source node's non-excess inbound fractions sum to 1;
     * excess edges originate from nodes with a matching
       ``excess_fraction`` and terminate in EXCESS nodes;
@@ -707,6 +711,8 @@ def _check_node(dag: AssayDAG, node: Node) -> None:
             f"got {excess}"
         )
     in_edges = dag.in_edges(node.id)
+    if in_edges and node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
+        raise DagError(f"input node {node.id!r} must have no inbound edges")
     for edge in in_edges:
         if edge.fraction.numerator <= 0:
             raise RatioError(

@@ -99,41 +99,13 @@ def highs_problem(
     return constraints, Bounds(lower / unit, upper / unit)
 
 
-def solve_model(
-    model: LPModel,
-    *,
-    warm_start: "list[float] | None" = None,
-) -> VolumeAssignment:
+def solve_model(model: LPModel) -> VolumeAssignment:
     """Solve a built :class:`LPModel` and package the result.
-
-    ``warm_start`` is the previous attempt's solution in ``var_index``
-    order (what the hierarchy retry loop has on hand).  scipy's HiGHS
-    interface does not accept an ``x0`` guess, so today the vector is
-    only recorded — honestly, as ``meta["warm_start"]["applied"] =
-    False`` — but the plumbing means a basis-reusing backend (e.g.
-    ``highspy``) can be dropped in without touching the callers.
 
     Raises:
         InfeasibleError: HiGHS proved the constraint system infeasible.
         SolverError: any other solver failure (unbounded, numerical, ...).
     """
-    warm_meta: dict[str, object] | None = None
-    if warm_start is not None:
-        if len(warm_start) != len(model.var_index):
-            warm_meta = {
-                "provided": True,
-                "applied": False,
-                "reason": (
-                    f"stale vector: {len(warm_start)} values for "
-                    f"{len(model.var_index)} variables"
-                ),
-            }
-        else:
-            warm_meta = {
-                "provided": True,
-                "applied": False,
-                "reason": "scipy's HiGHS interface ignores x0 guesses",
-            }
     constraints, bounds = highs_problem(model)
     result = milp(model.objective, constraints=constraints, bounds=bounds)
     if result.status == 2:
@@ -158,11 +130,6 @@ def solve_model(
     planning_objective = model.meta.get("planning_objective")
     if planning_objective not in (None, "default"):
         meta["planning_objective"] = planning_objective
-    if warm_meta is not None:
-        meta["warm_start"] = warm_meta
-    incremental = model.meta.get("incremental")
-    if incremental is not None:
-        meta["incremental"] = dict(incremental)
     return assignment_from_edge_volumes(
         model.dag,
         model.limits,

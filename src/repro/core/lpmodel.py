@@ -37,19 +37,17 @@ rows, so the same model feeds :mod:`repro.core.lp` (HiGHS through scipy's
 ``milp``, no integrality), :mod:`repro.core.ilp` (the same, with every
 variable integral), and the Table 2 constraint-count benchmark.
 
-There is one builder, :class:`IncrementalLPBuilder`.  The Figure 6 retry
-loop keeps one instance across rounds, so a transform that rewrites a few
-nodes only pays row construction for the rewritten neighborhood;
-:func:`build_lp_model` is a single cold build.  Before a build, the loop
-asks the builder's :meth:`~IncrementalLPBuilder.least_volume_violation`
-whether classes 1-5 can hold at all.
+There is one builder, :class:`IncrementalLPBuilder`; every build derives
+every row from the DAG it is given, and :func:`build_lp_model` is one
+build of a fresh builder.  Before a build, the Figure 6 loop asks the
+builder's :meth:`~IncrementalLPBuilder.least_volume_violation` whether
+classes 1-5 can hold at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
 
 import numpy as np
 from scipy import sparse
@@ -131,29 +129,10 @@ class LPModel:
             counts[row.cls] = counts.get(row.cls, 0) + 1
         return counts
 
-    def edge_for_variable(self, index: int) -> EdgeKey:
-        for key, i in self.var_index.items():
-            if i == index:
-                return key
-        raise IndexError(index)
-
-
-#: rows in flat form: concatenated edge keys and float coefficients, then
-#: per row its length, rhs and label.  A per-node bundle is one such
-#: block, so a build concatenates blocks instead of walking rows.
-_Block = tuple[
-    tuple[EdgeKey, ...],
-    tuple[float, ...],
-    tuple[int, ...],
-    tuple[float, ...],
-    tuple[ConstraintRow, ...],
-]
-_EMPTY: _Block = ((), (), (), (), ())
-
 
 class _Rows:
-    """Accumulates constraint rows in flat form: a node's bundle while it
-    is derived, or a whole model while it is assembled from blocks."""
+    """Accumulates constraint rows in flat form: concatenated edge keys
+    and float coefficients, then per row its length, rhs and label."""
 
     __slots__ = ("keys", "values", "lengths", "rhs", "labels")
 
@@ -200,25 +179,6 @@ class _Rows:
             tuple(keys), tuple(values), 0.0, cls, description, equality=equality
         )
 
-    def extend(self, block: _Block) -> None:
-        keys, values, lengths, rhs, labels = block
-        self.keys.extend(keys)
-        self.values.extend(values)
-        self.lengths.extend(lengths)
-        self.rhs.extend(rhs)
-        self.labels.extend(labels)
-
-    def block(self) -> _Block:
-        if not self.lengths:
-            return _EMPTY
-        return (
-            tuple(self.keys),
-            tuple(self.values),
-            tuple(self.lengths),
-            tuple(self.rhs),
-            tuple(self.labels),
-        )
-
     def matrices(
         self, var_index: dict[EdgeKey, int]
     ) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -232,36 +192,23 @@ class _Rows:
 
 
 class IncrementalLPBuilder:
-    """Build RVol LP models, caching row bundles across builds.
+    """Build RVol LP models for one set of limits and options.
 
-    The model is split into **per-node row bundles** (classes 2-5 plus
-    the class-1 FU-minimum row) keyed by a signature of everything the
-    rows read: the node's kind, capacity, minimum, available volume and
-    output fraction, and its exact in/out edge keys and ratios.  A build
-    walks the DAG once; a node whose signature is unchanged reuses its
-    bundle verbatim — coefficients already floated, keyed by edge rather
-    than column so they survive variable renumbering — and only
-    rewritten neighborhoods pay row construction.  The objective and the
-    class-6 band are cached the same way, keyed by a signature of the
-    output set.  A cold build is a build with nothing cached yet.
+    A build walks the DAG once and derives every row from scratch: each
+    node's classes 2-5 plus the class-1 FU-minimum row, then the
+    objective and the class-6 band.  No rows are kept from one build to
+    the next.
 
     Per-DAG structure (variable order, adjacency) is memoized in
     ``AssayDAG._derived`` and dropped by any structural mutation; the
     adjacency is read from the DAG's node records, which a mutation
-    re-derives only where it touched;
-    anything that reads a mutable node attribute is rebuilt or checked
-    against the live node on every build.
+    re-derives only where it touched.  Mutable node attributes are read
+    from the live nodes on every build.
 
-    One builder is threaded through one hierarchy run (it assumes the
-    same ``limits`` and options for every build); :meth:`build` may be
-    called with any DAG — typically the loop's current graph, which
-    differs from the previous round's only where a transform rewrote it.
-    Reuse counts of the last build are in :attr:`last_stats` and on the
-    model's ``meta["incremental"]``.  Bundles are reused only when one
-    run builds twice.  The LP stage asks :meth:`least_volume_violation`
-    before each build and builds nothing for an LP it rules out, so a
-    run builds twice only when an LP the bound let through gave no
-    plan.
+    One builder is threaded through one hierarchy run; the LP stage asks
+    :meth:`least_volume_violation` before each build and builds nothing
+    for an LP it rules out.  :attr:`last_stats` counts the nodes of the
+    last build; nothing is reused, so its ``reused`` is always 0.
     """
 
     def __init__(
@@ -278,11 +225,7 @@ class IncrementalLPBuilder:
         self.dagsolve_constraints = dagsolve_constraints
         self.min_volume_bounds = min_volume_bounds
         self.objective = resolve_objective(objective)
-        #: node id -> (signature, ub block, eq block)
-        self._bundles: dict[str, tuple[Any, _Block, _Block]] = {}
-        #: (tail signature, objective pairs, class-6 ub block, eq block)
-        self._tail: tuple[Any, list, _Block, _Block] | None = None
-        #: reuse counters of the most recent :meth:`build`.
+        #: node count of the most recent :meth:`build`.
         self.last_stats: dict[str, int] = {"nodes": 0, "reused": 0}
 
     # ------------------------------------------------------------------
@@ -310,12 +253,10 @@ class IncrementalLPBuilder:
             dag._derived["lp-structure"] = table
         return table
 
-    def _node_bundle(self, node, entry: tuple) -> tuple[_Block, _Block]:
-        """The node's ub/eq rows (constraint classes 1-5)."""
+    def _node_rows(self, node, entry: tuple, ub: _Rows, eq: _Rows) -> None:
+        """Add the node's ub/eq rows (constraint classes 1-5)."""
         in_keys, in_fractions, out_keys = entry
         is_source = node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
-        ub = _Rows()
-        eq = _Rows()
 
         # -- class 2: maximum capacity ---------------------------------
         capacity = node.capacity or self.limits.max_capacity
@@ -395,7 +336,6 @@ class IncrementalLPBuilder:
                     ),
                     equality=True,
                 )
-        return ub.block(), eq.block()
 
     def least_volume_violation(self, dag: AssayDAG) -> str | None:
         """Why no volumes satisfy constraint classes 1-5, or None.
@@ -431,8 +371,9 @@ class IncrementalLPBuilder:
             node_id, in_edges, out_keys = row[0], row[4], row[5]
             is_input, fo_num, fo_den = row[9:]
             node = node_of(node_id)
-            # an edge into a source carries only its class-1 bound
-            least = sum([least_edge.get(key, edge_lower) for key in out_keys])
+            # every use was swept first: a validated DAG has no edge into
+            # a source, so each out key ends at a node with inbound rows
+            least = sum([least_edge[key] for key in out_keys])
             capacity = node.capacity or max_capacity
             if is_input:
                 if (
@@ -470,29 +411,14 @@ class IncrementalLPBuilder:
                 )
         return None
 
-    def _tail_rows(
-        self, dag: AssayDAG, structure: dict[str, tuple], output_nodes: list
-    ) -> tuple[list, _Block, _Block]:
-        """Objective pairs plus the class-6 band, cached by output set."""
-        # keyed per-objective: bundles built for one cost vector must never
-        # serve another, and the objective may read structure (e.g. input
-        # draws) the output-set signature alone would not cover
-        signature = (
-            self.objective.name,
-            self.objective.lp_signature_extra(dag),
-            tuple(
-                (n.id, n.kind, n.output_fraction, structure[n.id])
-                for n in output_nodes
-            ),
-        )
-        cached = self._tail
-        if cached is not None and cached[0] == signature:
-            return cached[1], cached[2], cached[3]
-
-        objective_pairs = self.objective.lp_objective_pairs(
-            dag, output_nodes
-        )
-
+    def _output_rows(
+        self,
+        structure: dict[str, tuple],
+        output_nodes: list,
+        ub: _Rows,
+        eq: _Rows,
+    ) -> None:
+        """Add the class-6 band (and its DAGSolve equalities)."""
         # -- class 6: relative output-to-output ---------------------------
         # Each real output's volume is ``output_fraction`` times the sum
         # of its inbound edges: one coefficient shared by the whole group.
@@ -502,8 +428,6 @@ class IncrementalLPBuilder:
             if n.kind not in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT)
             and structure[n.id][0]
         ]
-        ub = _Rows()
-        eq = _Rows()
         if len(real_outputs) > 1:
             anchor, anchor_keys, anchor_fraction = real_outputs[0]
             if self.output_tolerance is not None:
@@ -541,12 +465,10 @@ class IncrementalLPBuilder:
                         f"V({anchor}) == V({other})",
                         equality=True,
                     )
-        self._tail = (signature, objective_pairs, ub.block(), eq.block())
-        return self._tail[1:]
 
     # ------------------------------------------------------------------
     def build(self, dag: AssayDAG) -> LPModel:
-        """Assemble the model, reusing cached bundles where possible."""
+        """Build the model for ``dag``, every row derived afresh."""
         dag.validate()
         for node in dag.nodes():
             if node.unknown_volume and dag.out_degree(node.id) > 0:
@@ -587,16 +509,10 @@ class IncrementalLPBuilder:
         output_nodes = dag.outputs()
         ub = _Rows()
         eq = _Rows()
-        nodes_seen = 0
-        reused = 0
-        bundles = self._bundles
-        live: set[str] = set()
         for node in dag.nodes():
             entry = structure.get(node.id)
             if entry is None:  # EXCESS
                 continue
-            nodes_seen += 1
-            live.add(node.id)
             minimum = node.min_volume
             if (
                 minimum is not None
@@ -607,41 +523,13 @@ class IncrementalLPBuilder:
                     float(max(least_count, minimum)),
                     max_capacity_f,
                 )
-            available = (
-                node.available_volume
-                if node.kind is NodeKind.CONSTRAINED_INPUT
-                else None
-            )
-            signature = (
-                node.kind,
-                node.capacity,
-                minimum,
-                available,
-                node.output_fraction,
-                entry,
-            )
-            cached = bundles.get(node.id)
-            if cached is not None and cached[0] == signature:
-                __, ub_block, eq_block = cached
-                reused += 1
-            else:
-                ub_block, eq_block = self._node_bundle(node, entry)
-                bundles[node.id] = (signature, ub_block, eq_block)
-            ub.extend(ub_block)
-            eq.extend(eq_block)
-        for stale in bundles.keys() - live:
-            del bundles[stale]
-        self.last_stats = {"nodes": nodes_seen, "reused": reused}
+            self._node_rows(node, entry, ub, eq)
+        self.last_stats = {"nodes": len(structure), "reused": 0}
+        self._output_rows(structure, output_nodes, ub, eq)
 
-        # -- objective + class 6: cached by a signature of the outputs ----
-        objective_pairs, tail_ub, tail_eq = self._tail_rows(
-            dag, structure, output_nodes
-        )
         cost = np.zeros(n_vars)
-        for key, value in objective_pairs:
+        for key, value in self.objective.lp_objective_pairs(dag, output_nodes):
             cost[var_index[key]] -= value  # HiGHS minimises
-        ub.extend(tail_ub)
-        eq.extend(tail_eq)
 
         a_ub, b_ub = ub.matrices(var_index)
         a_eq, b_eq = eq.matrices(var_index)
@@ -661,7 +549,6 @@ class IncrementalLPBuilder:
                 "output_tolerance": self.output_tolerance,
                 "dagsolve_constraints": self.dagsolve_constraints,
                 "planning_objective": self.objective.name,
-                "incremental": dict(self.last_stats),
             },
         )
 
@@ -675,7 +562,7 @@ def build_lp_model(
     min_volume_bounds: bool = True,
     objective=None,
 ) -> LPModel:
-    """Build the RVol linear model for ``dag`` (a cold builder build).
+    """Build the RVol linear model for ``dag`` (one fresh builder's build).
 
     Args:
         dag: validated assay DAG; unknown-volume nodes with downstream uses

@@ -17,10 +17,7 @@ each layer consults instead of hard-coding arithmetic:
   smallest feasible scale (every edge still clears the least count and
   every FU minimum holds) instead of the capacity anchor;
 * ``lpmodel`` — :meth:`~PlanningObjective.lp_objective_pairs`
-  builds the LP cost vector, and
-  :meth:`~PlanningObjective.lp_signature_extra` contributes to the
-  incremental builder's tail-cache key so cached bundles never
-  cross-contaminate between objectives;
+  builds the LP cost vector;
 * ``cascading`` — :attr:`~PlanningObjective.waste_aware_cascades` selects
   front-loaded stage splits and excess reuse at shared cascade stages;
 * ``hierarchy``/``fingerprint``/``service`` — the objective's
@@ -58,7 +55,7 @@ EdgeKey = tuple[str, str]
 class PlanningObjective:
     """Strategy interface consulted by every planning layer.
 
-    Subclasses override the class attributes and the LP hooks; instances
+    Subclasses override the class attributes and the LP hook; instances
     are stateless and shared (the registry holds one singleton per name).
     """
 
@@ -81,14 +78,6 @@ class PlanningObjective:
         them as ``cost[var] -= weight`` because HiGHS minimises.
         """
         raise NotImplementedError
-
-    def lp_signature_extra(self, dag: AssayDAG) -> tuple:
-        """Extra cache-signature material for the incremental LP builder.
-
-        Must cover everything :meth:`lp_objective_pairs` reads beyond the
-        output set (which the builder's tail signature already covers).
-        """
-        return ()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -161,9 +150,6 @@ class MinWasteObjective(PlanningObjective):
         pairs = _delivery_pairs(dag, output_nodes)
         pairs.extend((key, -1.0) for key in _input_draw_keys(dag))
         return pairs
-
-    def lp_signature_extra(self, dag: AssayDAG) -> tuple:
-        return tuple(_input_draw_keys(dag))
 
 
 DEFAULT_OBJECTIVE = MaxOutputObjective()

@@ -208,6 +208,36 @@ class TestValidate:
         with pytest.raises(DagError):
             dag.validate()
 
+    @staticmethod
+    def _edge_into_input(kind: NodeKind) -> AssayDAG:
+        dag = AssayDAG("into-input")
+        dag.add_input("A")
+        dag.add_node(Node("B", kind))
+        dag.add_mix("M", {"A": 1, "B": 1})
+        dag.add_edge(Edge("A", "B", 1))
+        return dag
+
+    @pytest.mark.parametrize(
+        "kind", [NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT]
+    )
+    def test_edge_into_an_input_is_rejected(self, kind):
+        """An input kind takes no inbound edge: the whole-DAG check, the
+        incremental one after a passing check, and a compile of the DAG
+        all end in the DagError instead of a crash in DAGSolve."""
+        dag = self._edge_into_input(kind)
+        message = "input node 'B' must have no inbound edges"
+        with pytest.raises(DagError, match=message):
+            dag.validate()
+        with pytest.raises(DagError, match=message):
+            structure_oracle.check_structure(dag)
+        dag.remove_edge("A", "B")
+        dag.validate()
+        dag.add_edge(Edge("A", "B", 1))
+        with pytest.raises(DagError, match=message):
+            dag.validate()
+        with pytest.raises(DagError, match=message):
+            run_compile(dag=self._edge_into_input(kind))
+
 
 class TestCopySubgraph:
     def test_copy_is_deep_for_structure(self, fig2_dag):

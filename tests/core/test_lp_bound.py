@@ -21,7 +21,7 @@ from hypothesis import event, given, settings, strategies as st
 from oracles import lp_linprog
 from repro.assays import enzyme, generators, gradients
 from repro.core.dag import AssayDAG, Edge, Node, NodeKind
-from repro.core.errors import InfeasibleError
+from repro.core.errors import DagError, InfeasibleError
 from repro.core.limits import PAPER_LIMITS, HardwareLimits
 from repro.core.lp import solve_model
 from repro.core.lpmodel import IncrementalLPBuilder, build_lp_model
@@ -242,18 +242,16 @@ class TestReadings:
         assert violation(dag).startswith("node 'diluent' needs at least")
         assert_no_lp_solution(dag, PAPER_LIMITS)
 
-    def test_an_edge_into_a_source_carries_its_class_1_bound(self):
-        """Validation lets a source have inbound edges; the LP does not
-        tie them to its draw."""
+    def test_an_edge_into_a_source_is_rejected(self):
+        """A source takes no inbound edge, so the sweep never reads an
+        edge whose consumer it has not swept: the DAG fails validation
+        before the bound or the model reads it."""
         dag = _two_input_mix(1)
         dag.add_edge(Edge("A", "B", Fraction(1)))
-        dag.node("A").capacity = Fraction(1, 10)
-        assert violation(dag) == (
-            "node 'A' needs at least 0.2 nl, over its capacity of 0.1 nl"
-        )
-        assert_no_lp_solution(dag, PAPER_LIMITS)
-        dag.node("A").capacity = Fraction(2, 10)
-        assert violation(dag) is None
+        with pytest.raises(DagError, match="input node 'B'"):
+            violation(dag)
+        with pytest.raises(DagError, match="input node 'B'"):
+            build_lp_model(dag, PAPER_LIMITS)
 
     def test_the_bound_is_only_a_necessary_condition(self):
         """Classes 1-5 fit; the class-6 output band makes the LP infeasible,

@@ -1,8 +1,9 @@
-"""The one LP model builder: identity with the oracle, reuse, warm starts.
+"""The one LP model builder: identity with the oracle.
 
-Every model :class:`IncrementalLPBuilder` assembles — cold, warm, or after
-a rewrite — must equal the from-scratch reference in
-:mod:`oracles.lpmodel`, down to the CSR arrays and row labels.
+Every model :class:`IncrementalLPBuilder` builds — a builder's first
+build, a repeated one, or one after a rewrite — must equal the reference
+in :mod:`oracles.lpmodel`, down to the CSR arrays and row labels, so a
+builder carries no state from one build to the next.
 """
 
 from fractions import Fraction
@@ -14,7 +15,6 @@ from repro.assays import enzyme, generators, glucose
 from repro.core.cascading import cascade_extreme_mixes
 from repro.core.errors import DagError
 from repro.core.limits import PAPER_LIMITS
-from repro.core.lp import solve_model
 from repro.core.lpmodel import IncrementalLPBuilder, build_lp_model
 
 from oracles.lpmodel import build_lp_model as reference_lp_model
@@ -24,6 +24,7 @@ OPTION_COMBOS = (
     {"output_tolerance": None},
     {"dagsolve_constraints": True},
     {"min_volume_bounds": False},
+    {"objective": "waste"},
 )
 
 
@@ -57,15 +58,15 @@ class TestModelIdentity:
         builder = IncrementalLPBuilder(PAPER_LIMITS, **options)
         for dag in corpus():
             reference = reference_lp_model(dag, PAPER_LIMITS, **options)
-            assert_models_equal(reference, builder.build(dag))  # cold
-            assert_models_equal(reference, builder.build(dag))  # warm
+            assert_models_equal(reference, builder.build(dag))  # first
+            assert_models_equal(reference, builder.build(dag))  # repeated
             assert_models_equal(
                 reference, build_lp_model(dag, PAPER_LIMITS, **options)
             )
 
     def test_alternating_dags_match_reference(self):
-        """The retry-loop shape: the builder flips between a DAG and its
-        cascaded rewrite without ever serving a stale bundle."""
+        """The retry-loop shape: one builder flips between a DAG and its
+        cascaded rewrite, and each model matches its own DAG."""
         base = enzyme.build_dag(6)
         cascaded, __ = cascade_extreme_mixes(base, PAPER_LIMITS)
         builder = IncrementalLPBuilder(PAPER_LIMITS)
@@ -91,10 +92,10 @@ class TestModelIdentity:
     def test_min_volume_change_reaches_bounds(self):
         """Class-1 bounds read the live FU minimum: setting ``min_volume``
         on a single-input node after a build must move its edge's lower
-        bound, in a fresh builder and in a warm one."""
+        bound, in a fresh builder and in one that built the DAG before."""
         dag = enzyme.build_dag(4)
-        warm = IncrementalLPBuilder(PAPER_LIMITS)
-        warm.build(dag)
+        used = IncrementalLPBuilder(PAPER_LIMITS)
+        used.build(dag)
         node = dag.node("combo111.inc")
         assert dag.in_degree(node.id) == 1
         node.min_volume = Fraction(5)
@@ -103,30 +104,10 @@ class TestModelIdentity:
         for model in (
             build_lp_model(dag, PAPER_LIMITS),
             IncrementalLPBuilder(PAPER_LIMITS).build(dag),
-            warm.build(dag),
+            used.build(dag),
         ):
             assert model.bounds[model.var_index[edge.key]] == (5.0, 100.0)
             assert_models_equal(reference, model)
-
-
-class TestReuseStats:
-    def test_warm_rebuild_reuses_every_bundle(self):
-        dag = enzyme.build_dag(4)
-        builder = IncrementalLPBuilder(PAPER_LIMITS)
-        builder.build(dag)
-        cold = builder.last_stats
-        assert cold["reused"] == 0 and cold["nodes"] > 0
-        builder.build(dag)
-        warm = builder.last_stats
-        assert warm["nodes"] == cold["nodes"]
-        assert warm["reused"] == warm["nodes"]
-
-    def test_stats_ride_on_model_meta(self):
-        dag = glucose.build_dag()
-        builder = IncrementalLPBuilder(PAPER_LIMITS)
-        builder.build(dag)
-        model = builder.build(dag)
-        assert model.meta["incremental"] == builder.last_stats
 
     def test_unknown_volume_rejected_like_reference(self):
         """Unknown-volume nodes with downstream uses (the partition error
@@ -142,37 +123,6 @@ class TestReuseStats:
         with pytest.raises(DagError) as reference:
             reference_lp_model(dag, PAPER_LIMITS)
         builder = IncrementalLPBuilder(PAPER_LIMITS)
-        with pytest.raises(DagError) as incremental:
+        with pytest.raises(DagError) as built:
             builder.build(dag)
-        assert str(incremental.value) == str(reference.value)
-
-
-class TestWarmStartMetadata:
-    def test_solution_records_honest_warm_start(self):
-        dag = glucose.build_dag()
-        builder = IncrementalLPBuilder(PAPER_LIMITS)
-        model = builder.build(dag)
-        cold = solve_model(model)
-        guess = [float(cold.edge_volume[key]) for key in model.var_index]
-        warm = solve_model(builder.build(dag), warm_start=guess)
-        note = warm.meta["warm_start"]
-        assert note["provided"] is True
-        assert note["applied"] is False  # scipy's HiGHS ignores x0
-        assert note["reason"]
-        assert warm.edge_volume == cold.edge_volume
-
-    def test_stale_warm_start_reports_length_mismatch(self):
-        dag = glucose.build_dag()
-        builder = IncrementalLPBuilder(PAPER_LIMITS)
-        model = builder.build(dag)
-        result = solve_model(model, warm_start=[1.0, 2.0])
-        note = result.meta["warm_start"]
-        assert note["applied"] is False
-        assert "stale vector" in note["reason"]
-
-    def test_incremental_meta_reaches_assignment(self):
-        dag = glucose.build_dag()
-        builder = IncrementalLPBuilder(PAPER_LIMITS)
-        builder.build(dag)
-        assignment = solve_model(builder.build(dag))
-        assert assignment.meta["incremental"]["reused"] > 0
+        assert str(built.value) == str(reference.value)

@@ -1,10 +1,11 @@
 """Reference LP model builder: every row derived from scratch.
 
 This builds the Section 3.2 constraint system in one pass over the DAG,
-with Fraction coefficients floated as each row is added.
-:class:`repro.core.lpmodel.IncrementalLPBuilder` caches per-node row
-bundles instead; the identity suite asserts both produce the same model
-(variable order, CSR arrays, bounds and row labels).
+with Fraction coefficients floated as each row is added, reading the
+live edges where :class:`repro.core.lpmodel.IncrementalLPBuilder` reads
+the DAG's node records.  The identity suite asserts both produce the
+same model (variable order, CSR arrays, bounds and row labels) under
+every option combination and objective.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ every call and trusts no cache, so the property and identity suites can
 check the record-backed versions against them.
 
 * :func:`check_structure` — every structural rule over every node and
-  edge (acyclicity, ranges, inbound sums, excess edges and nodes);
+  edge (acyclicity, ranges, sources, inbound sums, excess edges and
+  nodes);
 * :func:`validate` — :func:`check_structure` memoized per structural
   version in ``AssayDAG._derived``;
 * :class:`SolveContext` — DAGSolve's reverse-topological row tuples;
@@ -43,6 +44,7 @@ def check_structure(dag: AssayDAG) -> None:
     * graph is acyclic;
     * every node's ``excess_fraction`` lies in ``[0, 1)`` and every edge
       fraction is positive;
+    * INPUT and CONSTRAINED_INPUT nodes have no inbound edges;
     * every non-source node's non-excess inbound fractions sum to 1;
     * excess edges originate from nodes with a matching
       ``excess_fraction`` and terminate in EXCESS nodes;
@@ -59,6 +61,13 @@ def check_structure(dag: AssayDAG) -> None:
                 f"got {excess}"
             )
         in_edges = dag.in_edges(node.id)
+        if in_edges and node.kind in (
+            NodeKind.INPUT,
+            NodeKind.CONSTRAINED_INPUT,
+        ):
+            raise DagError(
+                f"input node {node.id!r} must have no inbound edges"
+            )
         for edge in in_edges:
             if edge.fraction.numerator <= 0:
                 raise RatioError(
