@@ -181,3 +181,104 @@ class TestSensor:
     def test_empty_read_rejected(self):
         with pytest.raises(ComponentError):
             Sensor("sensor2", Fraction(100)).read("OD")
+
+
+LEAST = Fraction(1, 10)
+
+
+def raised(error_type, call):
+    with pytest.raises(error_type) as info:
+        call()
+    return info.value
+
+
+class TestCapacityBoundaries:
+    """Capacity and availability at their exact edges, on and off the
+    least-count grid: the errors keep their messages and attributes, and a
+    refused deposit or draw changes nothing."""
+
+    def test_exactly_full_then_one_least_count_over(self):
+        reservoir = Container("r1", Fraction(100))
+        reservoir.deposit(Mixture.pure("a", Fraction(999, 10)))
+        reservoir.deposit(Mixture.pure("b", LEAST))
+        assert reservoir.volume == 100 and reservoir.free == 0
+        error = raised(
+            CapacityError, lambda: reservoir.deposit(Mixture.pure("a", LEAST))
+        )
+        assert str(error) == "r1: depositing 0.1 nl into 100/100 nl"
+        assert (error.component, error.requested, error.capacity) == (
+            "r1", LEAST, 100,
+        )
+        assert reservoir.volume == 100
+        error = raised(EmptyError, lambda: reservoir.draw(100 + LEAST))
+        assert str(error) == "r1: drawing 100.1 nl but only 100 nl available"
+        assert (error.component, error.requested, error.available) == (
+            "r1", 100 + LEAST, 100,
+        )
+        assert reservoir.draw(100).volume == 100 and reservoir.is_empty
+
+    def test_concentrate_leaves_an_off_grid_volume(self):
+        heater = Heater("heater1", Fraction(100))
+        heater.deposit(Mixture({"a": Fraction(7), "b": Fraction(3)}))
+        lost = heater.concentrate(60, 10, Fraction(1, 3))
+        assert lost == Fraction(20, 3) and heater.volume == Fraction(10, 3)
+        reservoir = Container("r1", Fraction(100))
+        reservoir.deposit(Mixture.pure("c", 100 - Fraction(10, 3)))
+        assert reservoir.free == Fraction(10, 3)
+        reservoir.deposit(heater.drain())  # exactly full, off the grid
+        assert reservoir.volume == 100 and reservoir.free == 0
+        assert reservoir.contents.components == {
+            "c": Fraction(290, 3), "a": Fraction(7, 3), "b": Fraction(1),
+        }
+        error = raised(
+            CapacityError, lambda: reservoir.deposit(Mixture.pure("a", LEAST))
+        )
+        assert str(error) == "r1: depositing 0.1 nl into 100/100 nl"
+        assert reservoir.draw(Fraction(10, 3)).volume == Fraction(10, 3)
+        assert reservoir.volume == Fraction(290, 3)
+        error = raised(
+            EmptyError, lambda: reservoir.draw(Fraction(290, 3) + LEAST)
+        )
+        assert str(error) == (
+            "r1: drawing 96.7667 nl but only 96.6667 nl available"
+        )
+        assert (error.requested, error.available) == (
+            Fraction(290, 3) + LEAST, Fraction(290, 3),
+        )
+        assert reservoir.volume == Fraction(290, 3)
+
+    def test_a_one_third_yield_fills_and_empties_exactly(self):
+        separator = Separator(
+            "separator1",
+            Fraction(100),
+            modes=("AF",),
+            model=FractionalYield(Fraction(1, 3)),
+        )
+        separator.deposit(Mixture({"a": Fraction(6), "b": Fraction(4)}))
+        effluent, waste = separator.separate("AF", 30)
+        assert (effluent, waste) == (Fraction(10, 3), Fraction(20, 3))
+        assert separator.out1.contents.components == {
+            "a": Fraction(2), "b": Fraction(4, 3),
+        }
+        error = raised(
+            EmptyError,
+            lambda: separator.out1.draw(Fraction(10, 3) + LEAST),
+        )
+        assert str(error) == (
+            "separator1.out1: drawing 3.43333 nl but only 3.33333 nl available"
+        )
+        assert (error.component, error.requested, error.available) == (
+            "separator1.out1", Fraction(10, 3) + LEAST, Fraction(10, 3),
+        )
+        well = Container("w1", Fraction(20, 3))
+        well.deposit(separator.out2.draw(Fraction(20, 3)))
+        assert well.free == 0 and separator.out2.is_empty
+        error = raised(
+            CapacityError, lambda: well.deposit(separator.out1.draw(LEAST))
+        )
+        assert str(error) == (
+            "w1: depositing 0.1 nl into 6.66667/6.66667 nl"
+        )
+        assert (error.requested, error.capacity) == (LEAST, Fraction(20, 3))
+        assert well.volume == Fraction(20, 3)
+        assert separator.out1.volume == Fraction(10, 3) - LEAST

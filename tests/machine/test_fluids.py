@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.machine.components import Container
 from repro.machine.errors import CapacityError
+from oracles.fluids import Mixture as OracleMixture
 from repro.machine.fluids import Mixture
 
 
@@ -212,3 +213,172 @@ class TestKeptVolume:
             for mixture in (current, container.contents, *portions):
                 self.check(mixture)
             assert container.volume <= container.capacity
+
+
+# ----------------------------------------------------------------------
+# the integer mixture against the Fraction oracle
+# ----------------------------------------------------------------------
+LEAST = Fraction(1, 10)
+SPECIES = ("a", "b", "c", "d", "e")
+
+sizes = st.one_of(
+    st.tuples(st.just("grid"), st.integers(1, 1200)),
+    st.tuples(
+        st.just("positive"),
+        st.fractions(min_value=Fraction(1, 1000), max_value=120,
+                     max_denominator=1000),
+    ),
+    st.tuples(st.just("total"), st.none()),
+    st.tuples(st.just("zero"), st.sampled_from([0, Fraction(0)])),
+    st.tuples(
+        st.just("over"),
+        st.fractions(min_value=Fraction(1, 97), max_value=5,
+                     max_denominator=97),
+    ),
+    st.tuples(
+        st.just("negative"),
+        st.one_of(st.integers(-5, -1), st.sampled_from([Fraction(-1, 3)])),
+    ),
+)
+oracle_amounts = st.one_of(
+    st.fractions(min_value=0, max_value=100, max_denominator=60),
+    st.integers(0, 100),
+    st.sampled_from([Fraction(-1, 7), -2]),
+)
+oracle_steps = st.one_of(
+    st.tuples(st.just("new"),
+              st.dictionaries(st.sampled_from(SPECIES), oracle_amounts,
+                              max_size=5)),
+    st.tuples(st.just("pure"), st.sampled_from(SPECIES), oracle_amounts),
+    st.tuples(st.just("merge"), st.integers(0, 7), st.integers(0, 7)),
+    st.tuples(st.just("take"), st.integers(0, 7), sizes),
+    st.tuples(st.just("take_all"), st.integers(0, 7)),
+    st.tuples(st.just("split"), st.integers(0, 7),
+              st.lists(sizes, max_size=3)),
+    st.tuples(
+        st.just("scaled"),
+        st.integers(0, 7),
+        st.one_of(st.fractions(0, 3, max_denominator=9),
+                  st.sampled_from([Fraction(-1, 2)])),
+    ),
+    st.tuples(st.just("relabelled"), st.integers(0, 7),
+              st.sampled_from(SPECIES)),
+)
+
+
+def size_of(size, total: Fraction):
+    kind, value = size
+    if kind == "grid":
+        return value * LEAST
+    if kind == "total":
+        return total
+    if kind == "over":
+        return total + value
+    return value
+
+
+def outcome(call):
+    """``call()``'s value, or its exception's type and message."""
+    try:
+        return "ok", call()
+    except Exception as error:  # compared, never swallowed silently
+        return "raised", (type(error), str(error))
+
+
+class TestAgainstOracle:
+    """Random operation sequences give the integer :class:`Mixture` the
+    oracle's components (same order), volume, amounts and concentrations,
+    and the same exception types and messages."""
+
+    @staticmethod
+    def same(real: Mixture, oracle: OracleMixture) -> None:
+        assert list(real.components.items()) == list(oracle.components.items())
+        assert all(type(v) is Fraction for v in real.components.values())
+        assert real.volume == oracle.volume
+        assert type(real.volume) is Fraction
+        assert real.is_empty == oracle.is_empty
+        assert real.species() == oracle.species()
+        for name in SPECIES:
+            assert real.amount(name) == oracle.amount(name)
+            assert real.concentration(name) == oracle.concentration(name)
+        assert repr(real) == repr(oracle)
+
+    @given(st.lists(oracle_steps, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_every_operation_matches(self, program):
+        pool = [(Mixture.pure("a", 10), OracleMixture.pure("a", 10))]
+        for step in program:
+            op, *args = step
+            made: list[tuple] = []
+            if op == "new":
+                real = outcome(lambda: Mixture(dict(args[0])))
+                expected = outcome(lambda: OracleMixture(dict(args[0])))
+                assert real[0] == expected[0]
+                if real[0] == "raised":
+                    assert real == expected
+                else:
+                    made.append((real[1], expected[1]))
+            elif op == "pure":
+                real = outcome(lambda: Mixture.pure(*args))
+                expected = outcome(lambda: OracleMixture.pure(*args))
+                assert real[0] == expected[0]
+                if real[0] == "raised":
+                    assert real == expected
+                else:
+                    made.append((real[1], expected[1]))
+            elif op in ("merge",):
+                left = pool[args[0] % len(pool)]
+                right = pool[args[1] % len(pool)]
+                made.append((left[0].merge(right[0]), left[1].merge(right[1])))
+            elif op in ("take", "split"):
+                real_mix, oracle_mix = pool[args[0] % len(pool)]
+                total = oracle_mix.volume
+                if op == "take":
+                    volume = size_of(args[1], total)
+                    real = outcome(lambda: (real_mix.take(volume),))
+                    expected = outcome(lambda: (oracle_mix.take(volume),))
+                else:
+                    volumes = [size_of(s, total) for s in args[1]]
+                    real = outcome(lambda: real_mix.split(volumes))
+                    expected = outcome(lambda: oracle_mix.split(volumes))
+                assert real[0] == expected[0]
+                if real[0] == "raised":
+                    assert real == expected
+                else:
+                    made.extend(zip(real[1], expected[1]))
+            elif op == "take_all":
+                real_mix, oracle_mix = pool[args[0] % len(pool)]
+                made.append((real_mix.take_all(), oracle_mix.take_all()))
+            elif op == "scaled":
+                real_mix, oracle_mix = pool[args[0] % len(pool)]
+                real = outcome(lambda: real_mix.scaled(args[1]))
+                expected = outcome(lambda: oracle_mix.scaled(args[1]))
+                assert real[0] == expected[0]
+                if real[0] == "raised":
+                    assert real == expected
+                else:
+                    made.append((real[1], expected[1]))
+            else:
+                real_mix, oracle_mix = pool[args[0] % len(pool)]
+                made.append(
+                    (real_mix.relabelled(args[1]), oracle_mix.relabelled(args[1]))
+                )
+            pool.extend(made)
+            del pool[:-8]
+            for real_mix, oracle_mix in pool:
+                self.same(real_mix, oracle_mix)
+            assert [r == s for r, _ in pool for s, _ in pool] == [
+                r == s for _, r in pool for _, s in pool
+            ]
+
+    def test_off_grid_and_huge_denominators(self):
+        real = Mixture({"a": Fraction(1, 3), "b": Fraction(2, 7), "c": 5})
+        oracle = OracleMixture({"a": Fraction(1, 3), "b": Fraction(2, 7), "c": 5})
+        for volume in (Fraction(1, 10), Fraction(1, 997), Fraction(3, 11)):
+            self.same(real.take(volume), oracle.take(volume))
+            self.same(real, oracle)
+        real = real.merge(Mixture.pure("d", Fraction(10**30 + 1, 10**29)))
+        oracle = oracle.merge(OracleMixture.pure("d", Fraction(10**30 + 1, 10**29)))
+        self.same(real, oracle)
+        self.same(real.take(real.volume / 7), oracle.take(oracle.volume / 7))
+        self.same(real, oracle)

@@ -23,5 +23,7 @@ code against an independent derivation:
   ``scipy.optimize.linprog``'s input handling (paper Section 3.2);
 * :mod:`oracles.structure` — the structural check, DAGSolve's
   backward-pass rows and the LP structure table, each walked over the
-  whole DAG on every call.
+  whole DAG on every call;
+* :mod:`oracles.fluids` — the machine's mixture model with every
+  component kept as its own Fraction.
 """
