@@ -62,6 +62,7 @@ from .errors import (
     UnderflowError,
     VolumeError,
 )
+from .exact import trusted_fraction as _fraction
 from .limits import HardwareLimits, Number, as_fraction
 
 __all__ = [
@@ -81,25 +82,6 @@ _Scaled = tuple[dict[str, int], dict[str, int], dict[EdgeKey, int], int]
 _CONTEXT_KEY = "dagsolve-context"
 #: ``NodeRecord.views`` key of the node's backward-pass row.
 _ROW = "dagsolve-row"
-
-
-def _fraction(num: int, den: int, _new=object.__new__, _gcd=gcd) -> Fraction:
-    """``Fraction(num, den)`` for a known-positive ``den``.
-
-    Result materialization dominates the solve once the integer passes are
-    this cheap, and ``Fraction.__new__``'s type dispatch is most of that
-    cost.  Both arguments are plain ints here and ``den`` (a scale product)
-    is always positive, so reduce by gcd and fill the slots directly — the
-    canonical form is identical to the public constructor's.
-    """
-    g = _gcd(num, den)
-    if g > 1:
-        num //= g
-        den //= g
-    f = _new(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
 
 
 class _ExactTable(Mapping):

@@ -1,10 +1,13 @@
 """Wet components: reservoirs and functional units as stateful containers.
 
 Every component that can hold fluid derives from :class:`Container`, which
-enforces its capacity on deposit and availability on draw.  Functional units
-add their operation (:meth:`Mixer.mix`, :meth:`Heater.incubate`,
-:meth:`Separator.separate`, :meth:`Sensor.read`) and the bookkeeping the
-trace records.
+enforces its capacity on deposit and availability on draw.  Both checks,
+and the free space, are decided on integers: the capacity is kept as a
+numerator over a denominator and compared with the mixture's integer
+amounts by cross-multiplication, so no step builds a Fraction unless an
+error reports one.  Functional units add their operation
+(:meth:`Mixer.mix`, :meth:`Heater.incubate`, :meth:`Separator.separate`,
+:meth:`Sensor.read`) and the bookkeeping the trace records.
 
 Separators are composite, matching the AIS operand space of the paper's
 compiled code (``separator1.matrix``, ``separator1.pusher``,
@@ -15,10 +18,10 @@ moves before ``separate.*`` fires, and the effluent/waste land in ``out1``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..core.limits import HardwareLimits, Number, as_fraction
+from ..core.exact import RunningSum, trusted_fraction
+from ..core.limits import Number, as_fraction
 from .errors import CapacityError, ComponentError, EmptyError
 from .fluids import Mixture
 from .separation import FractionalYield, SeparationModel
@@ -36,12 +39,26 @@ class Container:
 
     # ------------------------------------------------------------------
     @property
+    def capacity(self) -> Fraction:
+        return self._capacity
+
+    @capacity.setter
+    def capacity(self, value: Fraction) -> None:
+        self._capacity = value
+        self._cap_num = value.numerator
+        self._cap_den = value.denominator
+
+    @property
     def volume(self) -> Fraction:
         return self.contents.volume
 
     @property
     def free(self) -> Fraction:
-        return self.capacity - self.volume
+        contents, cap_den = self.contents, self._cap_den
+        return trusted_fraction(
+            self._cap_num * contents._den - contents._total * cap_den,
+            cap_den * contents._den,
+        )
 
     @property
     def is_empty(self) -> bool:
@@ -51,7 +68,12 @@ class Container:
         """Add fluid; raises :class:`CapacityError` on overflow."""
         if mixture.is_empty:
             return
-        if self.volume + mixture.volume > self.capacity:
+        held = self.contents
+        den, den2 = held._den, mixture._den
+        # held + added > capacity, all three over den * den2 * cap_den
+        if (held._total * den2 + mixture._total * den) * self._cap_den > (
+            self._cap_num * den * den2
+        ):
             raise CapacityError(
                 f"{self.name}: depositing {float(mixture.volume):.6g} nl "
                 f"into {float(self.volume):.6g}/{float(self.capacity):.6g} nl",
@@ -59,12 +81,13 @@ class Container:
                 requested=mixture.volume,
                 capacity=self.capacity,
             )
-        self.contents = self.contents.merge(mixture)
+        self.contents = held.merge(mixture)
 
     def draw(self, volume: Number) -> Mixture:
         """Remove ``volume``; raises :class:`EmptyError` if unavailable."""
         requested = as_fraction(volume)
-        if requested > self.volume:
+        held = self.contents
+        if requested.numerator * held._den > held._total * requested.denominator:
             raise EmptyError(
                 f"{self.name}: drawing {float(requested):.6g} nl but only "
                 f"{float(self.volume):.6g} nl available",
@@ -72,7 +95,7 @@ class Container:
                 requested=requested,
                 available=self.volume,
             )
-        return self.contents.take(requested)
+        return held.take(requested)
 
     def drain(self) -> Mixture:
         """Remove everything (used by storage-less operand forwarding)."""
@@ -99,7 +122,7 @@ class Mixer(Container):
     def __init__(self, name: str, capacity: Fraction) -> None:
         super().__init__(name, capacity)
         self.mix_count = 0
-        self.total_mix_time = Fraction(0)
+        self._mix_time = RunningSum()
 
     def mix(self, duration: Number) -> None:
         if self.is_empty:
@@ -108,7 +131,11 @@ class Mixer(Container):
         if time <= 0:
             raise ComponentError(f"{self.name}: mix duration must be positive")
         self.mix_count += 1
-        self.total_mix_time += time
+        self._mix_time.add(time)
+
+    @property
+    def total_mix_time(self) -> Fraction:
+        return self._mix_time.value
 
 
 class Heater(Container):

@@ -3,17 +3,24 @@
 A :class:`Mixture` maps *species* (the names of primary input fluids) to the
 volume each contributes.  Mixing merges vectors; drawing a portion splits
 every component proportionally (assays always mix before splitting, so
-homogeneity is a safe model).  Volumes are :class:`fractions.Fraction`
-nanoliters, like everywhere else in the code base, so conservation checks in
-tests are exact.
+homogeneity is a safe model).
+
+Every transfer is a whole number of least counts (paper Section 2.1), so
+a mixture keeps its species amounts as integers over one per-mixture
+denominator, as mixing-graph theory writes a concentration vector.
+Merging and splitting are integer arithmetic reduced once by one gcd;
+the amounts, volume and concentrations are the canonical
+:class:`fractions.Fraction` nanoliters the rest of the code base uses,
+built only when read, so conservation checks in tests stay exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Iterable, Mapping
+from math import gcd, lcm
 
+from ..core.exact import trusted_fraction
 from ..core.limits import Number, as_fraction
 
 __all__ = ["Mixture"]
@@ -21,49 +28,64 @@ __all__ = ["Mixture"]
 _ZERO = Fraction(0)
 
 
-@dataclass
 class Mixture:
     """A volume of (possibly mixed) fluid.
 
-    Invariants: all component volumes are > 0 and their sum is
-    :attr:`volume`.  The empty mixture has no components.  The total is
-    kept exactly rather than re-summed on every read, so ``components``
-    is only ever replaced by the methods here.
+    Representation: ``_amounts[s] / _den`` is the volume of species ``s``.
+    Invariants: every amount is a positive int, ``_den > 0``, the amounts
+    and ``_den`` share no common factor (so equal mixtures have equal
+    representations), and ``_total`` is the sum of the amounts.  The
+    empty mixture has no amounts and ``_den == 1``.
     """
 
-    components: dict[str, Fraction] = field(default_factory=dict)
-    _volume: Fraction = field(
-        default=Fraction(0), init=False, repr=False, compare=False
-    )
+    __slots__ = ("_amounts", "_den", "_total", "_volume")
+    __hash__ = None  # type: ignore[assignment]  # mutable: take() drains it
 
-    def __post_init__(self) -> None:
-        clean: dict[str, Fraction] = {}
-        for species, volume in self.components.items():
+    def __init__(self, components: Mapping[str, Number] | None = None) -> None:
+        values: dict[str, Fraction] = {}
+        for species, volume in (components or {}).items():
             value = as_fraction(volume)
             if value < 0:
                 raise ValueError(
                     f"negative volume {volume} for species {species!r}"
                 )
             if value > 0:
-                clean[species] = value
-        self.components = clean
-        self._volume = sum(clean.values(), _ZERO)
+                values[species] = value
+        den = lcm(*(value.denominator for value in values.values()))
+        # over the least common denominator the amounts are already
+        # coprime with it: no reduction needed
+        amounts = {
+            species: value.numerator * (den // value.denominator)
+            for species, value in values.items()
+        }
+        self._set(amounts, den, sum(amounts.values()))
+
+    def _set(self, amounts: dict[str, int], den: int, total: int) -> None:
+        self._amounts = amounts
+        self._den = den
+        self._total = total
+        self._volume: Fraction | None = None
 
     @classmethod
-    def _exact(
-        cls, components: dict[str, Fraction], volume: Fraction
-    ) -> "Mixture":
-        """A mixture over ``components``, taken as they are.
+    def _of(cls, amounts: dict[str, int], den: int, total: int) -> "Mixture":
+        """A mixture over ``amounts``, taken as they are.
 
-        Trusted: every component is a strictly positive Fraction, they
-        sum to ``volume`` exactly, and the caller hands the dict over.
-        The methods below know all three, so they skip the public
-        constructor's validation and re-summing.
+        Trusted: the caller hands over a dict that already meets the class
+        invariants, so the public constructor's validation is skipped.
         """
         mixture = cls.__new__(cls)
-        mixture.components = components
-        mixture._volume = volume
+        mixture._set(amounts, den, total)
         return mixture
+
+    @classmethod
+    def _reduced(cls, amounts: dict[str, int], den: int, total: int) -> "Mixture":
+        """A mixture over positive ``amounts``, reduced by one gcd."""
+        g = gcd(den, *amounts.values())
+        if g > 1:
+            amounts = {species: n // g for species, n in amounts.items()}
+            den //= g
+            total //= g
+        return cls._of(amounts, den, total)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -74,46 +96,77 @@ class Mixture:
             raise ValueError(f"negative volume {value} for species {species!r}")
         if value == 0:
             return cls.empty()
-        return cls._exact({species: value}, value)
+        num = value.numerator
+        return cls._of({species: num}, value.denominator, num)
 
     @classmethod
     def empty(cls) -> "Mixture":
-        return cls._exact({}, _ZERO)
+        return cls._of({}, 1, 0)
 
     # ------------------------------------------------------------------
     @property
+    def components(self) -> dict[str, Fraction]:
+        """Each species' volume: a new dict on every read."""
+        den = self._den
+        return {
+            species: trusted_fraction(n, den)
+            for species, n in self._amounts.items()
+        }
+
+    @property
     def volume(self) -> Fraction:
-        return self._volume
+        volume = self._volume
+        if volume is None:
+            volume = self._volume = trusted_fraction(self._total, self._den)
+        return volume
 
     @property
     def is_empty(self) -> bool:
-        return not self.components
+        return not self._amounts
 
     def species(self) -> tuple[str, ...]:
-        return tuple(sorted(self.components))
+        return tuple(sorted(self._amounts))
 
     def concentration(self, species: str) -> Fraction:
         """Volume fraction of ``species`` in the mixture (0 when absent)."""
-        total = self.volume
-        if total == 0:
+        n = self._amounts.get(species)
+        if n is None:
             return Fraction(0)
-        return self.components.get(species, Fraction(0)) / total
+        return trusted_fraction(n, self._total)
 
     def amount(self, species: str) -> Fraction:
-        return self.components.get(species, Fraction(0))
+        n = self._amounts.get(species)
+        if n is None:
+            return Fraction(0)
+        return trusted_fraction(n, self._den)
 
     # ------------------------------------------------------------------
     def merge(self, other: "Mixture") -> "Mixture":
         """The mixture obtained by combining self and other (new object)."""
-        if not other.components:
-            return Mixture._exact(dict(self.components), self._volume)
-        if not self.components:
-            return Mixture._exact(dict(other.components), other._volume)
-        merged = dict(self.components)
-        for species, volume in other.components.items():
-            have = merged.get(species)
-            merged[species] = volume if have is None else have + volume
-        return Mixture._exact(merged, self._volume + other._volume)
+        if not other._amounts:
+            return self._copy()
+        if not self._amounts:
+            return other._copy()
+        den, den2 = self._den, other._den
+        if den == den2:
+            merged = dict(self._amounts)
+            for species, n in other._amounts.items():
+                merged[species] = merged.get(species, 0) + n
+            total = self._total + other._total
+        else:
+            g = gcd(den, den2)
+            f1, f2 = den2 // g, den // g
+            merged = {species: n * f1 for species, n in self._amounts.items()}
+            for species, n in other._amounts.items():
+                merged[species] = merged.get(species, 0) + n * f2
+            den *= f1
+            total = self._total * f1 + other._total * f2
+        return Mixture._reduced(merged, den, total)
+
+    def _copy(self) -> "Mixture":
+        copy = Mixture._of(dict(self._amounts), self._den, self._total)
+        copy._volume = self._volume
+        return copy
 
     def take(self, volume: Number) -> "Mixture":
         """Remove ``volume`` proportionally from every component.
@@ -124,35 +177,44 @@ class Mixture:
             ValueError: if more than the available volume is requested.
         """
         requested = as_fraction(volume)
-        if requested < 0:
+        p, q = requested.numerator, requested.denominator
+        if p < 0:
             raise ValueError(f"cannot take a negative volume ({volume})")
-        total = self._volume
-        if requested > total:
+        total, den = self._total, self._den
+        # requested vs the volume total/den, both over den * q
+        wanted, have = p * den, total * q
+        if wanted > have:
             raise ValueError(
-                f"cannot take {float(requested)} nl from {float(total)} nl"
+                f"cannot take {float(requested)} nl from {float(self.volume)} nl"
             )
-        if requested == 0:
+        if p == 0:
             return Mixture.empty()
-        if requested == total:
+        if wanted == have:
             return self.take_all()
-        # 0 < share < 1: every part and every remainder of a positive
-        # component is positive, and the parts sum to ``requested``
-        share = requested / total
-        taken: dict[str, Fraction] = {}
-        remaining: dict[str, Fraction] = {}
-        for species, amount in self.components.items():
-            part = amount * share
-            taken[species] = part
-            remaining[species] = amount - part
-        self.components = remaining
-        self._volume = total - requested
-        return Mixture._exact(taken, requested)
+        # 0 < share < 1: the taken part of amount n is n * p / (q * total)
+        # and the rest n * (have - wanted) / (den * q * total); every part
+        # and every remainder of a positive amount is positive
+        amounts = self._amounts
+        left = have - wanted
+        taken = Mixture._reduced(
+            {species: n * p for species, n in amounts.items()},
+            q * total,
+            total * p,
+        )
+        taken._volume = requested
+        rest = Mixture._reduced(
+            {species: n * left for species, n in amounts.items()},
+            den * q * total,
+            total * left,
+        )
+        self._set(rest._amounts, rest._den, rest._total)
+        return taken
 
     def take_all(self) -> "Mixture":
         """Remove everything; returns it as a new mixture."""
-        taken = Mixture._exact(self.components, self._volume)
-        self.components = {}
-        self._volume = _ZERO
+        taken = Mixture._of(self._amounts, self._den, self._total)
+        taken._volume = self._volume
+        self._set({}, 1, 0)
         return taken
 
     def split(self, volumes: Iterable[Number]) -> tuple["Mixture", ...]:
@@ -164,8 +226,13 @@ class Mixture:
         scale = as_fraction(factor)
         if scale < 0:
             raise ValueError("scale factor must be >= 0")
-        return Mixture(
-            {species: amount * scale for species, amount in self.components.items()}
+        p, q = scale.numerator, scale.denominator
+        if p == 0 or not self._amounts:
+            return Mixture.empty()
+        return Mixture._reduced(
+            {species: n * p for species, n in self._amounts.items()},
+            self._den * q,
+            self._total * p,
         )
 
     def relabelled(self, species: str) -> "Mixture":
@@ -180,11 +247,16 @@ class Mixture:
     # ------------------------------------------------------------------
     def approx_equal(self, other: Mapping[str, Number], tolerance: Number = 0) -> bool:
         tol = as_fraction(tolerance)
-        keys = set(self.components) | set(other)
+        keys = set(self._amounts) | set(other)
         return all(
             abs(self.amount(k) - as_fraction(other.get(k, 0))) <= tol
             for k in keys
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mixture):
+            return NotImplemented
+        return self._den == other._den and self._amounts == other._amounts
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.is_empty:

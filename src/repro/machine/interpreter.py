@@ -42,7 +42,7 @@ from .fluids import Mixture
 from .metering import MeteringPump
 from .separation import SeparationModel
 from .spec import AQUACORE_SPEC, MachineSpec
-from .trace import ExecutionTrace, TraceEvent
+from .trace import EventHead, ExecutionTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .topology import ChannelTopology
@@ -114,6 +114,9 @@ class Machine:
         #: fluid discarded by flushes (sensor cells, separator outlets).
         self.waste_tally: Fraction = Fraction(0)
         self._components: dict[str, Container] = {}
+        #: id(instruction) -> (instruction, its trace EventHead), decoded
+        #: on first execution; holding the instruction keeps its id unique.
+        self._heads: dict[int, tuple[Instruction, EventHead]] = {}
         capacity = spec.limits.max_capacity
         for name in spec.reservoir_names():
             self._components[name] = Reservoir(name, capacity)
@@ -276,6 +279,20 @@ class Machine:
         # mix / incubate / concentrate / separate carry their own duration
         return instruction.duration or _ZERO
 
+    def _head(self, instruction: Instruction) -> EventHead:
+        """The opcode, text, wet seconds and wet flag of ``instruction``,
+        decoded on its first execution on this machine."""
+        entry = self._heads.get(id(instruction))
+        if entry is None:
+            head = EventHead(
+                instruction.opcode.value,
+                instruction.render(),
+                self._wet_seconds(instruction),
+                instruction.is_wet,
+            )
+            entry = self._heads[id(instruction)] = (instruction, head)
+        return entry[1]
+
     def _record(
         self,
         instruction: Instruction,
@@ -285,19 +302,8 @@ class Machine:
         measurement: Fraction | None = None,
         note: str = "",
     ) -> None:
-        seconds = self._wet_seconds(instruction)
-        self.trace.record(
-            TraceEvent(
-                index=index,
-                opcode=instruction.opcode.value,
-                text=instruction.render(),
-                volume=volume,
-                measurement=measurement,
-                note=note,
-                seconds=seconds,
-                clock=self.trace.total_seconds + seconds,
-            ),
-            wet=instruction.is_wet,
+        self.trace.record_instruction(
+            index, self._head(instruction), volume, measurement, note
         )
 
     # -- fault hooks ------------------------------------------------------

@@ -15,10 +15,11 @@ the rounding discussion of paper Section 4.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ..core.exact import RunningSum
 from ..core.limits import HardwareLimits, Number, as_fraction
 from .errors import MeteringError
 
@@ -35,7 +36,6 @@ class MeteringPump:
     Attributes:
         limits: the hardware least count (and capacity, unused here).
         strict: reject non-multiple volumes instead of quantising them.
-        total_pumped: lifetime volume moved (for trace statistics).
         transfer_count: number of transfers effected.
         injector: optional fault source applying ± least-count drift to
             every metered volume (see :mod:`repro.machine.faults`).
@@ -43,9 +43,16 @@ class MeteringPump:
 
     limits: HardwareLimits
     strict: bool = False
-    total_pumped: Fraction = Fraction(0)
     transfer_count: int = 0
     injector: "FaultInjector" | None = None
+    _pumped: RunningSum = field(
+        default_factory=RunningSum, init=False, repr=False, compare=False
+    )
+
+    @property
+    def total_pumped(self) -> Fraction:
+        """Lifetime volume moved (for trace statistics)."""
+        return self._pumped.value
 
     def meter(
         self, volume: Number, *, headroom: Fraction | None = None
@@ -63,15 +70,17 @@ class MeteringPump:
         """
         requested = as_fraction(volume)
         least = self.limits.least_count
-        if requested < least:
+        # requested / least as one ratio of integers
+        steps = requested.numerator * least.denominator
+        per_step = requested.denominator * least.numerator
+        if steps < per_step:
             raise MeteringError(
                 f"transfer of {float(requested):.6g} nl is below the least "
                 f"count of {float(least):.6g} nl",
                 requested=requested,
                 least_count=least,
             )
-        steps = requested / least
-        if steps.denominator != 1:
+        if steps % per_step:
             if self.strict:
                 raise MeteringError(
                     f"transfer of {float(requested):.6g} nl is not a "
@@ -87,5 +96,5 @@ class MeteringPump:
         return requested
 
     def record(self, volume: Fraction) -> None:
-        self.total_pumped += volume
+        self._pumped.add(volume)
         self.transfer_count += 1

@@ -19,15 +19,30 @@ moment they happened) and ``clock`` (the simulated wet-path time), so the
 full interleaving is reconstructible.  The whole trace round-trips through
 :meth:`ExecutionTrace.to_dict` / :meth:`ExecutionTrace.from_dict` with
 exact :class:`~fractions.Fraction` values.
+
+The machine records one event per executed instruction through
+:meth:`ExecutionTrace.record_instruction`: the parts every event of an
+instruction shares (its :class:`EventHead`) are decoded once per machine,
+the event is built without the frozen dataclass's per-field checks, and
+the clock and the moved-volume total run as integers over a common
+denominator, each turned into a Fraction once per change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
-__all__ = ["TraceEvent", "FaultEvent", "RecoveryEvent", "ExecutionTrace"]
+from ..core.exact import RunningSum
+
+__all__ = [
+    "TraceEvent",
+    "FaultEvent",
+    "RecoveryEvent",
+    "EventHead",
+    "ExecutionTrace",
+]
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -99,6 +114,43 @@ class TraceEvent:
             seconds=_unfrac(data.get("seconds", "0/1")),
             clock=_unfrac(data.get("clock", "0/1")),
         )
+
+
+def _event(
+    index: int,
+    head: "EventHead",
+    volume: Fraction | None,
+    measurement: Fraction | None,
+    note: str,
+    clock: Fraction,
+    _new=object.__new__,
+) -> TraceEvent:
+    """A :class:`TraceEvent` built from already-checked parts.
+
+    Trusted: equal to ``TraceEvent(...)`` with the same fields, without
+    the frozen dataclass's ``object.__setattr__`` per field.
+    """
+    event = _new(TraceEvent)
+    event.__dict__.update(
+        index=index,
+        opcode=head.opcode,
+        text=head.text,
+        volume=volume,
+        measurement=measurement,
+        note=note,
+        seconds=head.seconds,
+        clock=clock,
+    )
+    return event
+
+
+class EventHead(NamedTuple):
+    """What every trace event of one instruction shares."""
+
+    opcode: str             # the opcode's value, e.g. "move"
+    text: str               # the rendered instruction
+    seconds: Fraction       # simulated wet-path time of one execution
+    wet: bool
 
 
 @dataclass(frozen=True)
@@ -194,34 +246,76 @@ class RecoveryEvent:
         )
 
 
-@dataclass
 class ExecutionTrace:
-    """Accumulated events plus summary statistics."""
+    """Accumulated events plus summary statistics.
 
-    events: list[TraceEvent] = field(default_factory=list)
-    faults: list[FaultEvent] = field(default_factory=list)
-    recoveries: list[RecoveryEvent] = field(default_factory=list)
-    wet_instruction_count: int = 0
-    dry_instruction_count: int = 0
-    regeneration_count: int = 0
-    total_fluid_moved: Fraction = Fraction(0)
-    #: accumulated simulated fluid-path time.
-    total_seconds: Fraction = Fraction(0)
+    ``total_fluid_moved`` and ``total_seconds`` are exact running sums
+    read as Fractions; the counters and event lists are plain attributes.
+    """
+
+    def __init__(
+        self,
+        events: list[TraceEvent] | None = None,
+        faults: list[FaultEvent] | None = None,
+        recoveries: list[RecoveryEvent] | None = None,
+        wet_instruction_count: int = 0,
+        dry_instruction_count: int = 0,
+        regeneration_count: int = 0,
+        total_fluid_moved: Fraction = Fraction(0),
+        total_seconds: Fraction = Fraction(0),
+    ) -> None:
+        self.events = [] if events is None else events
+        self.faults = [] if faults is None else faults
+        self.recoveries = [] if recoveries is None else recoveries
+        self.wet_instruction_count = wet_instruction_count
+        self.dry_instruction_count = dry_instruction_count
+        self.regeneration_count = regeneration_count
+        self._moved = RunningSum(total_fluid_moved)
+        #: accumulated simulated fluid-path time.
+        self._clock = RunningSum(total_seconds)
+
+    @property
+    def total_fluid_moved(self) -> Fraction:
+        return self._moved.value
+
+    @property
+    def total_seconds(self) -> Fraction:
+        return self._clock.value
 
     def record(self, event: TraceEvent, *, wet: bool) -> None:
         """Keep ``event``, stamped with the clock at its completion.
 
-        The machine builds each event with its final clock already; an
-        event carrying another clock is copied with the right one.
+        An event carrying another clock is copied with the right one.
         """
-        self.total_seconds += event.seconds
-        if event.clock != self.total_seconds:
-            event = replace(event, clock=self.total_seconds)
+        self._clock.add(event.seconds)
+        clock = self._clock.value
+        if event.clock != clock:
+            event = replace(event, clock=clock)
+        self._keep(event, wet)
+
+    def record_instruction(
+        self,
+        index: int,
+        head: EventHead,
+        volume: Fraction | None = None,
+        measurement: Fraction | None = None,
+        note: str = "",
+    ) -> None:
+        """Keep the event of one executed instruction, built with its
+        final clock (the machine's path: the clock is added once)."""
+        clock = self._clock
+        clock.add(head.seconds)
+        self._keep(
+            _event(index, head, volume, measurement, note, clock.value),
+            head.wet,
+        )
+
+    def _keep(self, event: TraceEvent, wet: bool) -> None:
         self.events.append(event)
         if wet:
             self.wet_instruction_count += 1
             if event.volume is not None:
-                self.total_fluid_moved += event.volume
+                self._moved.add(event.volume)
         else:
             self.dry_instruction_count += 1
 
@@ -287,3 +381,22 @@ class ExecutionTrace:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def _fields(self) -> tuple:
+        return (
+            self.events,
+            self.faults,
+            self.recoveries,
+            self.wet_instruction_count,
+            self.dry_instruction_count,
+            self.regeneration_count,
+            self.total_fluid_moved,
+            self.total_seconds,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutionTrace):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable

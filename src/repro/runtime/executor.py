@@ -544,7 +544,7 @@ class AssayExecutor:
                 component = self.machine.component(name)
             except MachineError:
                 continue
-            snapshots[name] = Mixture(dict(component.contents.components))
+            snapshots[name] = component.contents
             component.contents = Mixture.empty()
         try:
             # Recursion terminates: a nested regeneration triggered at

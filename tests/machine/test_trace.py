@@ -3,8 +3,12 @@
 import json
 from fractions import Fraction
 
-from repro.assays import glucose
+import pytest
+
+from repro.assays import glucose, glycomics
 from repro.compiler.passes import run_compile
+from repro.ir.instructions import Opcode
+from repro.machine.faults import FaultInjector, FaultPlan
 from repro.machine.interpreter import Machine
 from repro.machine.trace import (
     ExecutionTrace,
@@ -134,3 +138,37 @@ class TestRoundTrip:
             wet=True,
         )
         assert trace.measurements() == {4: Fraction(7, 2)}
+
+
+class TestFaultedTotals:
+    """After a faulted run (retries, regenerations, drifted and short
+    volumes, a failure) the running totals are the sums of the events."""
+
+    @pytest.mark.parametrize(
+        "source, seed",
+        [(glucose.SOURCE, 2), (glycomics.SOURCE, 0), (glycomics.SOURCE, 1)],
+        ids=["glucose-2", "glycomics-0", "glycomics-1-fails"],
+    )
+    def test_totals_are_the_event_sums(self, source, seed):
+        compiled = run_compile(source=source).compiled
+        injector = FaultInjector(FaultPlan.seeded(seed, 0.1))
+        trace = AssayExecutor(
+            compiled, injector=injector, capture_failures=True
+        ).run().trace
+        assert trace.faults and trace.recoveries
+        clock = moved = Fraction(0)
+        for event in trace.events:
+            clock += event.seconds
+            assert event.clock == clock
+            if Opcode(event.opcode).is_wet and event.volume is not None:
+                moved += event.volume
+        assert trace.total_seconds == clock
+        assert trace.total_fluid_moved == moved
+        assert type(trace.total_seconds) is Fraction
+        assert type(trace.total_fluid_moved) is Fraction
+        payload = trace.to_dict()
+        restored = ExecutionTrace.from_dict(json.loads(json.dumps(payload)))
+        assert restored == trace
+        assert restored.to_dict() == payload
+        assert restored.total_seconds == clock
+        assert restored.total_fluid_moved == moved
