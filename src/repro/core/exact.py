@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Any
 
 __all__ = ["trusted_fraction", "RunningSum"]
 
 
 def trusted_fraction(
-    num: int, den: int, _new=object.__new__, _gcd=gcd
+    num: int, den: int, _new: Any = object.__new__, _gcd: Any = gcd
 ) -> Fraction:
     """``Fraction(num, den)`` for plain ints with a known-positive ``den``.
 

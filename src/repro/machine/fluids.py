@@ -25,7 +25,18 @@ from ..core.limits import Number, as_fraction
 
 __all__ = ["Mixture"]
 
-_ZERO = Fraction(0)
+
+def _reduced(
+    amounts: dict[str, int], den: int, total: int
+) -> tuple[dict[str, int], int, int]:
+    """Positive ``amounts`` over ``den`` (summing to ``total``), divided by
+    their one common factor with ``den``."""
+    g = gcd(den, *amounts.values())
+    if g > 1:
+        amounts = {species: n // g for species, n in amounts.items()}
+        den //= g
+        total //= g
+    return amounts, den, total
 
 
 class Mixture:
@@ -39,7 +50,6 @@ class Mixture:
     """
 
     __slots__ = ("_amounts", "_den", "_total", "_volume")
-    __hash__ = None  # type: ignore[assignment]  # mutable: take() drains it
 
     def __init__(self, components: Mapping[str, Number] | None = None) -> None:
         values: dict[str, Fraction] = {}
@@ -76,16 +86,6 @@ class Mixture:
         mixture = cls.__new__(cls)
         mixture._set(amounts, den, total)
         return mixture
-
-    @classmethod
-    def _reduced(cls, amounts: dict[str, int], den: int, total: int) -> "Mixture":
-        """A mixture over positive ``amounts``, reduced by one gcd."""
-        g = gcd(den, *amounts.values())
-        if g > 1:
-            amounts = {species: n // g for species, n in amounts.items()}
-            den //= g
-            total //= g
-        return cls._of(amounts, den, total)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -161,7 +161,7 @@ class Mixture:
                 merged[species] = merged.get(species, 0) + n * f2
             den *= f1
             total = self._total * f1 + other._total * f2
-        return Mixture._reduced(merged, den, total)
+        return Mixture._of(*_reduced(merged, den, total))
 
     def _copy(self) -> "Mixture":
         copy = Mixture._of(dict(self._amounts), self._den, self._total)
@@ -196,18 +196,21 @@ class Mixture:
         # and every remainder of a positive amount is positive
         amounts = self._amounts
         left = have - wanted
-        taken = Mixture._reduced(
-            {species: n * p for species, n in amounts.items()},
-            q * total,
-            total * p,
+        taken = Mixture._of(
+            *_reduced(
+                {species: n * p for species, n in amounts.items()},
+                q * total,
+                total * p,
+            )
         )
         taken._volume = requested
-        rest = Mixture._reduced(
-            {species: n * left for species, n in amounts.items()},
-            den * q * total,
-            total * left,
+        self._set(
+            *_reduced(
+                {species: n * left for species, n in amounts.items()},
+                den * q * total,
+                total * left,
+            )
         )
-        self._set(rest._amounts, rest._den, rest._total)
         return taken
 
     def take_all(self) -> "Mixture":
@@ -229,10 +232,12 @@ class Mixture:
         p, q = scale.numerator, scale.denominator
         if p == 0 or not self._amounts:
             return Mixture.empty()
-        return Mixture._reduced(
-            {species: n * p for species, n in self._amounts.items()},
-            self._den * q,
-            self._total * p,
+        return Mixture._of(
+            *_reduced(
+                {species: n * p for species, n in self._amounts.items()},
+                self._den * q,
+                self._total * p,
+            )
         )
 
     def relabelled(self, species: str) -> "Mixture":

@@ -23,14 +23,14 @@ exact :class:`~fractions.Fraction` values.
 The machine records one event per executed instruction through
 :meth:`ExecutionTrace.record_instruction`: the parts every event of an
 instruction shares (its :class:`EventHead`) are decoded once per machine,
-the event is built without the frozen dataclass's per-field checks, and
-the clock and the moved-volume total run as integers over a common
-denominator, each turned into a Fraction once per change.
+the event's slots are filled without the frozen dataclass's
+``__init__``, and the clock and the moved-volume total run as integers
+over a common denominator, each turned into a Fraction once per change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Any, NamedTuple
 
@@ -64,7 +64,7 @@ def _opt_unfrac(text: str | None) -> Fraction | None:
     return None if text is None else _unfrac(text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One executed instruction."""
 
@@ -116,6 +116,19 @@ class TraceEvent:
         )
 
 
+#: TraceEvent's slot setters, in field order.
+(
+    _set_index,
+    _set_opcode,
+    _set_text,
+    _set_volume,
+    _set_measurement,
+    _set_note,
+    _set_seconds,
+    _set_clock,
+) = (getattr(TraceEvent, f.name).__set__ for f in fields(TraceEvent))
+
+
 def _event(
     index: int,
     head: "EventHead",
@@ -123,24 +136,22 @@ def _event(
     measurement: Fraction | None,
     note: str,
     clock: Fraction,
-    _new=object.__new__,
 ) -> TraceEvent:
     """A :class:`TraceEvent` built from already-checked parts.
 
-    Trusted: equal to ``TraceEvent(...)`` with the same fields, without
-    the frozen dataclass's ``object.__setattr__`` per field.
+    Trusted: equal to ``TraceEvent(...)`` with the same fields; it fills
+    the slots directly instead of going through the frozen dataclass's
+    ``__init__``.
     """
-    event = _new(TraceEvent)
-    event.__dict__.update(
-        index=index,
-        opcode=head.opcode,
-        text=head.text,
-        volume=volume,
-        measurement=measurement,
-        note=note,
-        seconds=head.seconds,
-        clock=clock,
-    )
+    event = object.__new__(TraceEvent)
+    _set_index(event, index)
+    _set_opcode(event, head.opcode)
+    _set_text(event, head.text)
+    _set_volume(event, volume)
+    _set_measurement(event, measurement)
+    _set_note(event, note)
+    _set_seconds(event, head.seconds)
+    _set_clock(event, clock)
     return event
 
 
@@ -382,7 +393,7 @@ class ExecutionTrace:
     def __len__(self) -> int:
         return len(self.events)
 
-    def _fields(self) -> tuple:
+    def _fields(self) -> tuple[object, ...]:
         return (
             self.events,
             self.faults,
@@ -399,4 +410,3 @@ class ExecutionTrace:
             return NotImplemented
         return self._fields() == other._fields()
 
-    __hash__ = None  # type: ignore[assignment]  # mutable
