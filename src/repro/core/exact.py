@@ -51,10 +51,7 @@ class RunningSum:
         self._value: Fraction | None = start
 
     def add(self, value: Fraction) -> None:
-        self.add_ratio(value.numerator, value.denominator)
-
-    def add_ratio(self, num: int, den: int) -> None:
-        """Add ``num / den`` (``den > 0``)."""
+        num, den = value.numerator, value.denominator
         if not num:
             return
         have = self._den

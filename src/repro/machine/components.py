@@ -4,7 +4,7 @@ Every component that can hold fluid derives from :class:`Container`, which
 enforces its capacity on deposit and availability on draw.  Both checks,
 and the free space, are decided on integers: the capacity is kept as a
 numerator over a denominator and compared with the mixture's integer
-amounts by cross-multiplication, so no step builds a Fraction unless an
+amounts by cross-multiplication, so a check builds no Fraction unless its
 error reports one.  Functional units add their operation
 (:meth:`Mixer.mix`, :meth:`Heater.incubate`, :meth:`Separator.separate`,
 :meth:`Sensor.read`) and the bookkeeping the trace records.

@@ -409,4 +409,3 @@ class ExecutionTrace:
         if not isinstance(other, ExecutionTrace):
             return NotImplemented
         return self._fields() == other._fields()
-
