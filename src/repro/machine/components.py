@@ -2,10 +2,10 @@
 
 Every component that can hold fluid derives from :class:`Container`, which
 enforces its capacity on deposit and availability on draw.  Both checks,
-and the free space, are decided on integers: the capacity is kept as a
-numerator over a denominator and compared with the mixture's integer
-amounts by cross-multiplication, so a check builds no Fraction unless its
-error reports one.  Functional units add their operation
+and the free space, are decided on the mixture's integers
+(:meth:`Mixture.fits_with`, :meth:`Mixture.holds`,
+:meth:`Mixture.room_in`), so a check builds no Fraction unless its error
+reports one.  Functional units add their operation
 (:meth:`Mixer.mix`, :meth:`Heater.incubate`, :meth:`Separator.separate`,
 :meth:`Sensor.read`) and the bookkeeping the trace records.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..core.exact import RunningSum, trusted_fraction
+from ..core.exact import RunningSum
 from ..core.limits import Number, as_fraction
 from .errors import CapacityError, ComponentError, EmptyError
 from .fluids import Mixture
@@ -39,26 +39,12 @@ class Container:
 
     # ------------------------------------------------------------------
     @property
-    def capacity(self) -> Fraction:
-        return self._capacity
-
-    @capacity.setter
-    def capacity(self, value: Fraction) -> None:
-        self._capacity = value
-        self._cap_num = value.numerator
-        self._cap_den = value.denominator
-
-    @property
     def volume(self) -> Fraction:
         return self.contents.volume
 
     @property
     def free(self) -> Fraction:
-        contents, cap_den = self.contents, self._cap_den
-        return trusted_fraction(
-            self._cap_num * contents._den - contents._total * cap_den,
-            cap_den * contents._den,
-        )
+        return self.contents.room_in(self.capacity)
 
     @property
     def is_empty(self) -> bool:
@@ -68,12 +54,7 @@ class Container:
         """Add fluid; raises :class:`CapacityError` on overflow."""
         if mixture.is_empty:
             return
-        held = self.contents
-        den, den2 = held._den, mixture._den
-        # held + added > capacity, all three over den * den2 * cap_den
-        if (held._total * den2 + mixture._total * den) * self._cap_den > (
-            self._cap_num * den * den2
-        ):
+        if not self.contents.fits_with(mixture, self.capacity):
             raise CapacityError(
                 f"{self.name}: depositing {float(mixture.volume):.6g} nl "
                 f"into {float(self.volume):.6g}/{float(self.capacity):.6g} nl",
@@ -81,13 +62,12 @@ class Container:
                 requested=mixture.volume,
                 capacity=self.capacity,
             )
-        self.contents = held.merge(mixture)
+        self.contents = self.contents.merge(mixture)
 
     def draw(self, volume: Number) -> Mixture:
         """Remove ``volume``; raises :class:`EmptyError` if unavailable."""
         requested = as_fraction(volume)
-        held = self.contents
-        if requested.numerator * held._den > held._total * requested.denominator:
+        if not self.contents.holds(requested):
             raise EmptyError(
                 f"{self.name}: drawing {float(requested):.6g} nl but only "
                 f"{float(self.volume):.6g} nl available",
@@ -95,7 +75,7 @@ class Container:
                 requested=requested,
                 available=self.volume,
             )
-        return held.take(requested)
+        return self.contents.take(requested)
 
     def drain(self) -> Mixture:
         """Remove everything (used by storage-less operand forwarding)."""

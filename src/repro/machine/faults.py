@@ -178,9 +178,13 @@ class FaultPlan:
         ``rng`` is reseeded for the roll, exactly as a fresh generator
         would be; without one the roll builds its own.
         """
-        entry = self.scheduled(kind, index, occurrence)
-        if entry is not None:
-            return entry
+        for entry in self.schedule:
+            if (
+                entry.index == index
+                and entry.kind is kind
+                and entry.occurrence == occurrence
+            ):
+                return entry
         if kind not in self.kinds or self.rate <= 0.0:
             return None
         # str seeding hashes the bytes (sha512), so decisions are stable
@@ -190,25 +194,6 @@ class FaultPlan:
             rng = random.Random(key)
         else:
             rng.seed(key)
-        return self._outcome(kind, index, occurrence, rng)
-
-    def scheduled(
-        self, kind: FaultKind, index: int, occurrence: int
-    ) -> ScheduledFault | None:
-        """The explicitly scheduled fault at this roll, if any."""
-        for entry in self.schedule:
-            if (
-                entry.index == index
-                and entry.kind is kind
-                and entry.occurrence == occurrence
-            ):
-                return entry
-        return None
-
-    def _outcome(
-        self, kind: FaultKind, index: int, occurrence: int, rng: random.Random
-    ) -> ScheduledFault | None:
-        """The seeded decision: ``rng`` was just seeded with the roll's key."""
         if rng.random() >= self.rate:
             return None
         return ScheduledFault(
@@ -253,14 +238,6 @@ class FaultInjector:
         self._location: str = ""
         #: reseeded on every roll; never shared between injectors.
         self._rng = random.Random()
-        #: each randomly firing kind's roll key up to the index: the keys
-        #: :meth:`FaultPlan.roll` seeds with, built once per injector.
-        self._prefixes: dict[FaultKind, str] = (
-            {kind: f"{plan.seed}|{kind.value}|" for kind in plan.kinds}
-            if plan.rate > 0.0
-            else {}
-        )
-        self._suffix = ""
 
     # ------------------------------------------------------------------
     def install(self, trace: ExecutionTrace, least_count: Fraction) -> None:
@@ -270,26 +247,14 @@ class FaultInjector:
 
     def begin(self, index: int, location: str = "") -> None:
         """Mark the start of one execution attempt of instruction ``index``."""
-        occurrence = self._attempts[index] = self._attempts.get(index, 0) + 1
+        self._attempts[index] = self._attempts.get(index, 0) + 1
         self._index = index
-        self._occurrence = occurrence
+        self._occurrence = self._attempts[index]
         self._location = location
-        self._suffix = f"{index}|{occurrence}"
 
     # ------------------------------------------------------------------
     def _fire(self, kind: FaultKind) -> ScheduledFault | None:
-        """:meth:`FaultPlan.roll` at the current attempt, one reseed."""
-        plan = self.plan
-        if plan.schedule:
-            entry = plan.scheduled(kind, self._index, self._occurrence)
-            if entry is not None:
-                return entry
-        prefix = self._prefixes.get(kind)
-        if prefix is None:
-            return None
-        rng = self._rng
-        rng.seed(prefix + self._suffix)
-        return plan._outcome(kind, self._index, self._occurrence, rng)
+        return self.plan.roll(kind, self._index, self._occurrence, self._rng)
 
     def _record(
         self,

@@ -140,6 +140,26 @@ class Mixture:
             return Fraction(0)
         return trusted_fraction(n, self._den)
 
+    # -- comparisons with a bound, decided by integer cross-multiplication
+    def holds(self, volume: Fraction) -> bool:
+        """Whether ``volume`` is at most this mixture's volume."""
+        return volume.numerator * self._den <= self._total * volume.denominator
+
+    def fits_with(self, other: "Mixture", capacity: Fraction) -> bool:
+        """Whether this mixture and ``other`` together are at most
+        ``capacity``."""
+        den, den2 = self._den, other._den
+        return (
+            self._total * den2 + other._total * den
+        ) * capacity.denominator <= capacity.numerator * den * den2
+
+    def room_in(self, capacity: Fraction) -> Fraction:
+        """``capacity`` less this mixture's volume."""
+        den, cap_den = self._den, capacity.denominator
+        return trusted_fraction(
+            capacity.numerator * den - self._total * cap_den, cap_den * den
+        )
+
     # ------------------------------------------------------------------
     def merge(self, other: "Mixture") -> "Mixture":
         """The mixture obtained by combining self and other (new object)."""

@@ -23,14 +23,14 @@ exact :class:`~fractions.Fraction` values.
 The machine records one event per executed instruction through
 :meth:`ExecutionTrace.record_instruction`: the parts every event of an
 instruction shares (its :class:`EventHead`) are decoded once per machine,
-the event's slots are filled without the frozen dataclass's
-``__init__``, and the clock and the moved-volume total run as integers
-over a common denominator, each turned into a Fraction once per change.
+the clock is added once per event, and the clock and the moved-volume
+total run as integers over a common denominator, each turned into a
+Fraction once per change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, NamedTuple
 
@@ -114,45 +114,6 @@ class TraceEvent:
             seconds=_unfrac(data.get("seconds", "0/1")),
             clock=_unfrac(data.get("clock", "0/1")),
         )
-
-
-#: TraceEvent's slot setters, in field order.
-(
-    _set_index,
-    _set_opcode,
-    _set_text,
-    _set_volume,
-    _set_measurement,
-    _set_note,
-    _set_seconds,
-    _set_clock,
-) = (getattr(TraceEvent, f.name).__set__ for f in fields(TraceEvent))
-
-
-def _event(
-    index: int,
-    head: "EventHead",
-    volume: Fraction | None,
-    measurement: Fraction | None,
-    note: str,
-    clock: Fraction,
-) -> TraceEvent:
-    """A :class:`TraceEvent` built from already-checked parts.
-
-    Trusted: equal to ``TraceEvent(...)`` with the same fields; it fills
-    the slots directly instead of going through the frozen dataclass's
-    ``__init__``.
-    """
-    event = object.__new__(TraceEvent)
-    _set_index(event, index)
-    _set_opcode(event, head.opcode)
-    _set_text(event, head.text)
-    _set_volume(event, volume)
-    _set_measurement(event, measurement)
-    _set_note(event, note)
-    _set_seconds(event, head.seconds)
-    _set_clock(event, clock)
-    return event
 
 
 class EventHead(NamedTuple):
@@ -294,15 +255,15 @@ class ExecutionTrace:
         return self._clock.value
 
     def record(self, event: TraceEvent, *, wet: bool) -> None:
-        """Keep ``event``, stamped with the clock at its completion.
-
-        An event carrying another clock is copied with the right one.
-        """
-        self._clock.add(event.seconds)
-        clock = self._clock.value
-        if event.clock != clock:
-            event = replace(event, clock=clock)
-        self._keep(event, wet)
+        """Keep a copy of ``event`` stamped with the clock at its
+        completion (whatever clock ``event`` carries)."""
+        self.record_instruction(
+            event.index,
+            EventHead(event.opcode, event.text, event.seconds, wet),
+            event.volume,
+            event.measurement,
+            event.note,
+        )
 
     def record_instruction(
         self,
@@ -313,20 +274,24 @@ class ExecutionTrace:
         note: str = "",
     ) -> None:
         """Keep the event of one executed instruction, built with its
-        final clock (the machine's path: the clock is added once)."""
+        final clock (the clock is added once)."""
         clock = self._clock
         clock.add(head.seconds)
-        self._keep(
-            _event(index, head, volume, measurement, note, clock.value),
-            head.wet,
+        event = TraceEvent(
+            index,
+            head.opcode,
+            head.text,
+            volume,
+            measurement,
+            note,
+            head.seconds,
+            clock.value,
         )
-
-    def _keep(self, event: TraceEvent, wet: bool) -> None:
         self.events.append(event)
-        if wet:
+        if head.wet:
             self.wet_instruction_count += 1
-            if event.volume is not None:
-                self._moved.add(event.volume)
+            if volume is not None:
+                self._moved.add(volume)
         else:
             self.dry_instruction_count += 1
 

@@ -371,6 +371,26 @@ class TestAgainstOracle:
                 r == s for _, r in pool for _, s in pool
             ]
 
+    @given(
+        st.dictionaries(st.sampled_from(SPECIES), oracle_amounts.filter(
+            lambda v: v >= 0), max_size=5),
+        st.dictionaries(st.sampled_from(SPECIES), oracle_amounts.filter(
+            lambda v: v >= 0), max_size=5),
+        st.fractions(-10, 10, max_denominator=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bound_comparisons(self, first, second, offset):
+        """``holds``, ``fits_with`` and ``room_in`` against the oracle's
+        Fraction volumes, with the bound on, just over and just under the
+        volume it is compared with."""
+        real, other = Mixture(first), Mixture(second)
+        volume = OracleMixture(first).volume
+        both = volume + OracleMixture(second).volume
+        assert real.holds(volume + offset) == (volume + offset <= volume)
+        assert real.fits_with(other, both + offset) == (both <= both + offset)
+        room = real.room_in(volume + offset)
+        assert room == offset and type(room) is Fraction
+
     def test_off_grid_and_huge_denominators(self):
         real = Mixture({"a": Fraction(1, 3), "b": Fraction(2, 7), "c": 5})
         oracle = OracleMixture({"a": Fraction(1, 3), "b": Fraction(2, 7), "c": 5})
