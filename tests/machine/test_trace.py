@@ -113,6 +113,13 @@ class TestRoundTrip:
         trace.regeneration_count = 1
         return trace
 
+    def test_record_counts_and_stamps(self):
+        trace = self.build()
+        assert trace.wet_instruction_count == 1
+        assert trace.dry_instruction_count == 1
+        assert trace.total_fluid_moved == Fraction(99, 10)
+        assert [e.clock for e in trace.events] == [Fraction(3), Fraction(3)]
+
     def test_exact_round_trip(self):
         trace = self.build()
         restored = ExecutionTrace.from_dict(trace.to_dict())
