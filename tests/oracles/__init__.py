@@ -1,7 +1,8 @@
 """Reference implementations kept as test oracles.
 
 ``src/`` has exactly one DAGSolve, one LP model builder, one backward
-slicer, one replication loop, one rounding pass and one plan checker.
+slicer, one replication loop, one rounding pass, one plan checker and
+one occupancy walk.
 The modules here are the straightforward versions they replaced, kept
 verbatim so the property and identity suites can check the production
 code against an independent derivation:
@@ -25,5 +26,8 @@ code against an independent derivation:
   backward-pass rows and the LP structure table, each walked over the
   whole DAG on every call;
 * :mod:`oracles.fluids` — the machine's mixture model with every
-  component kept as its own Fraction.
+  component kept as its own Fraction;
+* :mod:`oracles.walk` — the abstract occupancy walk with one method per
+  step, each operand classified and each access recorded through a
+  helper (paper Sections 2.1 and 3.2).
 """
