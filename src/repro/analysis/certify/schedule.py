@@ -36,7 +36,7 @@ from collections.abc import Mapping, Sequence
 from functools import cached_property
 
 from ...compiler.diagnostics import Diagnostic, Severity
-from ...ir.instructions import Opcode, fluid_label
+from ...ir.instructions import Opcode, Operand, fluid_label
 from ...ir.program import AISProgram
 from ...machine.errors import ComponentError
 from ...machine.spec import MachineSpec
@@ -112,33 +112,41 @@ class _Routes:
         self.unroutable: list[Diagnostic] = []
         #: (index, src, dst, base, content) per occupied location passed.
         self.through: list[tuple[int, str, str, str, AbsContent]] = []
-        #: per (src, dst): the components its route passes, None when
-        #: there is no route.
-        self._passed: dict[tuple[str, str], frozenset[str] | None] = {}
+        #: per (src, dst) operand pair, keyed by the operands' identity
+        #: (codegen names each location with one Operand, and the program
+        #: keeps every operand alive while the walk runs): their texts and
+        #: the components the route passes, None when there is no route.
+        self._routes: dict[
+            tuple[int, int], tuple[str, str, frozenset[str] | None]
+        ] = {}
 
-    def _components_passed(self, src: str, dst: str) -> frozenset[str] | None:
-        key = (src, dst)
-        if key not in self._passed:
+    def _route(
+        self, src: Operand, dst: Operand
+    ) -> tuple[str, str, frozenset[str] | None]:
+        key = (id(src), id(dst))
+        route = self._routes.get(key)
+        if route is None:
+            src_text, dst_text = str(src), str(dst)
             try:
-                path = self.topology.route(src, dst)
+                path = self.topology.route(src_text, dst_text)
             except ComponentError:
-                self._passed[key] = None
+                passed = None
             else:
                 # the components passed on the way (a bus junction holds
                 # nothing)
-                self._passed[key] = frozenset(
+                passed = frozenset(
                     node for node in path[1:-1] if self.spec.component_kind(node)
                 )
-        return self._passed[key]
+            route = self._routes[key] = (src_text, dst_text, passed)
+        return route
 
     def observe(self, index: int, state: AbstractState) -> None:
         instruction = self.program.instructions[index]
         if instruction.opcode not in _TRANSFERS:
             return
-        src, dst = str(instruction.src), str(instruction.dst)
+        src, dst, through = self._route(instruction.src, instruction.dst)
         if instruction.opcode is Opcode.OUTPUT and state.get(src).kind in _EMPTY:
             return
-        through = self._components_passed(src, dst)
         if through is None:
             self.unroutable.append(
                 Diagnostic(

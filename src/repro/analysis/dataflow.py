@@ -115,6 +115,24 @@ class AccessKind(Enum):
 
 
 _READS = tuple(kind for kind in AccessKind if kind.value.startswith("read-"))
+_READ_METERED = AccessKind.READ_METERED
+_READ_DRAIN = AccessKind.READ_DRAIN
+_READ_OUTPUT = AccessKind.READ_OUTPUT
+_READ_FEED = AccessKind.READ_FEED
+_READ_SENSE = AccessKind.READ_SENSE
+_WRITE_FILL = AccessKind.WRITE_FILL
+_WRITE_DEPOSIT = AccessKind.WRITE_DEPOSIT
+_WRITE_PRODUCE = AccessKind.WRITE_PRODUCE
+
+_HOLDS = ContentKind.HOLDS
+_CONSUMED = ContentKind.CONSUMED
+#: contents a read finds nothing in.
+_DRY = (ContentKind.EMPTY, ContentKind.CONSUMED)
+_UNKNOWN = AbsContent.unknown()
+_UNBOUNDED = VolumeInterval()
+_ZERO = VolumeInterval.zero()
+#: contents that may hold fluid.
+_MAY_HOLD = (ContentKind.HOLDS, ContentKind.UNKNOWN)
 
 
 class Access(NamedTuple):
@@ -181,6 +199,12 @@ class ForwardAnalysis:
     the live :class:`AbstractState` (its pre-state) — for clients that
     need every location at one program point without a copy per
     instruction.
+
+    Each instruction is decoded once, where it steps: its operands are
+    classified through one table per walk (``(base, sub)`` to the
+    :class:`Place` and whether the location holds state), a move is a
+    drain or a metered draw, an absolute volume is counted in least
+    counts, and a guard makes the step's updates weak.
     """
 
     def __init__(
@@ -197,7 +221,8 @@ class ForwardAnalysis:
         self.accesses: list[Access] = []
         self.flow = ValueFlow({}, {}, set(), set())
         self.state = AbstractState(initial)
-        self._place_cache: dict[tuple[str, str | None], Place] = {}
+        #: (base, sub) -> (place, whether the walk tracks its contents).
+        self._located: dict[tuple[str, str | None], tuple[Place, bool]] = {}
         self._run(observe)
 
     # ------------------------------------------------------------------
@@ -214,19 +239,25 @@ class ForwardAnalysis:
 
     # ------------------------------------------------------------------
     def place(self, operand: Operand) -> Place:
+        return self._locate(operand)[0]
+
+    def _locate(self, operand: Operand) -> tuple[Place, bool]:
+        """The operand's place, and whether the walk keeps its contents
+        (locations with state, and unknown names)."""
         key = (operand.base, operand.sub)
-        cached = self._place_cache.get(key)
-        if cached is None:
+        located = self._located.get(key)
+        if located is None:
             capacity = self.spec.location_capacity(operand.base)
-            cached = Place(
+            place = Place(
                 text=str(operand),
                 base=operand.base,
                 sub=operand.sub,
                 kind=self.spec.component_kind(operand.base),
                 capacity=None if capacity is None else self.units(capacity),
             )
-            self._place_cache[key] = cached
-        return cached
+            located = (place, place.holds_fluid or place.kind is None)
+            self._located[key] = located
+        return located
 
     # ------------------------------------------------------------------
     def _run(
@@ -244,53 +275,30 @@ class ForwardAnalysis:
             Opcode.SENSE: self._step_sense,
         }
         state = self.state
-        for index, instruction in enumerate(self.program):
+        for index, instruction in enumerate(self.program.instructions):
             if observe is not None:
                 observe(index, state)
             step = steps.get(instruction.opcode)
             if step is not None:  # dry instructions hold no fluid
-                state.weak = instruction.meta.get("guard") is not None
-                step(index, instruction, state.weak)
-        state.weak = False
+                guarded = instruction.meta.get("guard") is not None
+                step(index, instruction, guarded)
 
     # ------------------------------------------------------------------
-    def _access(
-        self,
-        index: int,
-        place: Place,
-        kind: AccessKind,
-        before: AbsContent,
-        *,
-        moved: VolumeInterval | None = None,
-        guarded: bool = False,
-    ) -> None:
-        self.accesses.append(Access(index, place, kind, before, moved, guarded))
-
     def _add_flow(self, sources: frozenset[int], target: int) -> None:
+        edges = self.flow.edges
         for source in sources:
-            self.flow.edges.setdefault(source, set()).add(target)
+            edges.setdefault(source, set()).add(target)
 
     def _label(self, index: int, instruction: Instruction, what: str) -> None:
         tag = f" ({instruction.comment})" if instruction.comment else ""
         self.flow.producers[index] = f"{what}{tag}"
 
-    def _read_violated(self, content: AbsContent) -> bool:
-        return content.kind in (ContentKind.EMPTY, ContentKind.CONSUMED)
-
-    def _metered_interval(
-        self, source: AbsContent, abs_volume: Fraction | None
-    ) -> VolumeInterval:
-        if abs_volume is not None:
-            return VolumeInterval.exact(self.units(abs_volume))
-        hi = source.volume.hi if source.kind is ContentKind.HOLDS else None
-        return VolumeInterval(1, hi)  # a metered draw moves a least count
-
     # -- wet steps ------------------------------------------------------
     def _step_input(
         self, index: int, instruction: Instruction, guarded: bool
     ) -> None:
-        dst = self.place(instruction.dst)
-        src = self.place(instruction.src)
+        dst, tracked = self._locate(instruction.dst)
+        src = self._locate(instruction.src)[0]
         before = self.state.get(dst.text)
         if instruction.abs_volume is not None:
             moved = VolumeInterval.exact(self.units(instruction.abs_volume))
@@ -300,170 +308,195 @@ class ForwardAnalysis:
                 else self.units(self.spec.limits.max_capacity)
             )
         # src is a port, stateless; record the access for operand checks.
-        self._access(index, src, AccessKind.READ_METERED, AbsContent.unknown(),
-                     moved=moved, guarded=guarded)
-        self._access(index, dst, AccessKind.WRITE_FILL, before,
-                     moved=moved, guarded=guarded)
-        if dst.holds_fluid or dst.kind is None:
+        self.accesses.append(
+            Access(index, src, _READ_METERED, _UNKNOWN, moved, guarded)
+        )
+        self.accesses.append(
+            Access(index, dst, _WRITE_FILL, before, moved, guarded)
+        )
+        if tracked:
             self.state.set(
                 dst.text,
                 before.deposit(
-                    moved, frozenset({index}), capacity=dst.capacity,
+                    moved, frozenset((index,)), capacity=dst.capacity,
                     product=True,
                 ),
+                guarded,
             )
         self._label(index, instruction, f"input {dst.text}")
 
     def _step_output(
         self, index: int, instruction: Instruction, guarded: bool
     ) -> None:
-        src = self.place(instruction.src)
+        src, tracked = self._locate(instruction.src)
         before = self.state.get(src.text)
-        self._access(index, src, AccessKind.READ_OUTPUT, before, guarded=guarded)
+        self.accesses.append(
+            Access(index, src, _READ_OUTPUT, before, None, guarded)
+        )
         self._add_flow(before.defs, index)
         if is_waste_output(instruction):
             self.flow.waste_sinks.add(index)
         else:
             self.flow.product_sinks.add(index)
         # draining an empty (or untracked) location changes nothing
-        if before.kind is ContentKind.HOLDS and (
-            src.holds_fluid or src.kind is None
-        ):
-            self.state.set(src.text, AbsContent.consumed(before.defs))
+        if tracked and before.kind is _HOLDS:
+            self.state.set(
+                src.text, AbsContent(_CONSUMED, _ZERO, before.defs), guarded
+            )
 
     def _step_move(
         self, index: int, instruction: Instruction, guarded: bool
     ) -> None:
-        src = self.place(instruction.src)
-        dst = self.place(instruction.dst)
-        src_before = self.state.get(src.text)
-        dst_before = self.state.get(dst.text)
+        src, src_tracked = self._locate(instruction.src)
+        dst, dst_tracked = self._locate(instruction.dst)
+        state = self.state
+        src_before = state.get(src.text)
+        dst_before = state.get(dst.text)
+        defs = src_before.defs
+        held = src_before.kind is _HOLDS
+        # nothing definite leaves an empty source: it degrades to UNKNOWN
+        # and the destination joins its old contents with the deposit
+        dry = src_before.kind in _DRY
         # an ``edge`` move is metered: the executor resolves it against
         # the volume plan, so only a truly bare move drains its source.
-        is_drain = (
+        if (
             instruction.opcode is Opcode.MOVE
             and instruction.rel_volume is None
             and instruction.abs_volume is None
             and instruction.edge is None
-        )
-        if is_drain:
-            moved = src_before.volume if (
-                src_before.kind is ContentKind.HOLDS
-            ) else VolumeInterval()
-            self._access(index, src, AccessKind.READ_DRAIN, src_before,
-                         moved=moved, guarded=guarded)
+        ):
+            read = _READ_DRAIN
+            moved = src_before.volume if held else _UNBOUNDED
+            residue = AbsContent(_CONSUMED, _ZERO, defs)
         else:
-            moved = self._metered_interval(src_before, instruction.abs_volume)
-            self._access(index, src, AccessKind.READ_METERED, src_before,
-                         moved=moved, guarded=guarded)
-        self._access(index, dst, AccessKind.WRITE_DEPOSIT, dst_before,
-                     moved=moved, guarded=guarded)
-
-        # source post-state
-        if src.holds_fluid or src.kind is None:
-            if self._read_violated(src_before):
-                self.state.set(src.text, AbsContent.unknown())
-            elif is_drain:
-                self.state.set(src.text, AbsContent.consumed(src_before.defs))
+            read = _READ_METERED
+            if instruction.abs_volume is not None:
+                units = self.units(instruction.abs_volume)
+                moved = VolumeInterval(units, units)
+            else:  # a metered draw moves at least one least count
+                moved = VolumeInterval(
+                    1, src_before.volume.hi if held else None
+                )
+            residue = AbsContent(
+                _HOLDS,
+                src_before.volume.subtract(moved),
+                defs,
+                src_before.product,
+            ) if held else src_before
+        accesses = self.accesses
+        accesses.append(Access(index, src, read, src_before, moved, guarded))
+        accesses.append(
+            Access(index, dst, _WRITE_DEPOSIT, dst_before, moved, guarded)
+        )
+        if src_tracked:
+            state.set(src.text, _UNKNOWN if dry else residue, guarded)
+        if dst_tracked:
+            capacity = dst.capacity
+            if dst.kind == "sensor" or dst_before.kind not in _MAY_HOLD:
+                after = AbsContent(_HOLDS, moved.clamped(capacity), defs)
             else:
-                self.state.set(src.text, src_before.after_metered_draw(moved))
-        # destination post-state
-        if dst.holds_fluid or dst.kind is None:
-            after = dst_before.deposit(
-                moved,
-                src_before.defs,
-                capacity=dst.capacity,
-                replace_contents=dst.kind == "sensor",
-            )
-            if self._read_violated(src_before):
-                # nothing definite arrives from an empty source
+                after = AbsContent(
+                    _HOLDS,
+                    dst_before.volume.add(moved).clamped(capacity),
+                    dst_before.defs | defs,
+                    dst_before.product,
+                )
+            if dry:
                 after = dst_before.join(after)
-            self.state.set(dst.text, after)
+            state.set(dst.text, after, guarded)
 
     def _step_operate(
         self, index: int, instruction: Instruction, guarded: bool
     ) -> None:
         """mix / incubate / concentrate: in-place operation on a unit,
         whose contents become a product."""
-        unit = self.place(instruction.dst)
+        unit = self._locate(instruction.dst)[0]
         before = self.state.get(unit.text)
-        self._access(index, unit, AccessKind.READ_FEED, before, guarded=guarded)
-        if instruction.opcode is Opcode.MIX:
+        self.accesses.append(
+            Access(index, unit, _READ_FEED, before, None, guarded)
+        )
+        opcode = instruction.opcode
+        if opcode is Opcode.MIX:
             # the homogenised mixture is a fresh value
             self._add_flow(before.defs, index)
             self._label(index, instruction, f"mix in {unit.text}")
-            content = before if before.kind is ContentKind.HOLDS else (
-                AbsContent.unknown()
-            )
-            self.state.set(
-                unit.text,
-                AbsContent.holding(content.volume, frozenset({index}), True),
-            )
-        elif before.kind is not ContentKind.HOLDS:
+            volume = before.volume if before.kind is _HOLDS else _UNBOUNDED
+            defs = frozenset((index,))
+        elif before.kind is not _HOLDS:
             return
-        elif instruction.opcode is Opcode.CONCENTRATE:
+        elif opcode is Opcode.CONCENTRATE:
             keep = instruction.meta.get("keep_fraction")
-            volume = (
-                before.volume.scaled(Fraction(keep))
-                if keep is not None
-                else VolumeInterval.at_most(
-                    before.volume.hi
-                ) if before.volume.hi is not None else VolumeInterval()
-            )
-            self.state.set(
-                unit.text, AbsContent.holding(volume, before.defs, True)
-            )
-        else:
-            # incubate: volume conserving
-            self.state.set(unit.text, before._replace(product=True))
+            if keep is not None:
+                volume = before.volume.scaled(Fraction(keep))
+            elif before.volume.hi is not None:
+                volume = VolumeInterval.at_most(before.volume.hi)
+            else:
+                volume = _UNBOUNDED
+            defs = before.defs
+        else:  # incubate: volume conserving
+            volume, defs = before.volume, before.defs
+        self.state.set(
+            unit.text, AbsContent(_HOLDS, volume, defs, True), guarded
+        )
 
     def _step_separate(
         self, index: int, instruction: Instruction, guarded: bool
     ) -> None:
-        unit = self.place(instruction.dst)
-        before = self.state.get(unit.text)
-        self._access(index, unit, AccessKind.READ_FEED, before, guarded=guarded)
+        unit, tracked = self._locate(instruction.dst)
+        state = self.state
+        before = state.get(unit.text)
+        self.accesses.append(
+            Access(index, unit, _READ_FEED, before, None, guarded)
+        )
         contributing = set(before.defs)
-        feed_hi = before.volume.hi if before.kind is ContentKind.HOLDS else None
+        feed_hi = before.volume.hi if before.kind is _HOLDS else None
         # matrix and pusher are spent driving the run
         for well in ("matrix", "pusher"):
             well_text = f"{unit.base}.{well}"
-            well_before = self.state.get(well_text)
+            well_before = state.get(well_text)
             contributing |= well_before.defs
             if unit.kind == "separator":
-                self.state.set(well_text, AbsContent.consumed(well_before.defs))
+                state.set(
+                    well_text,
+                    AbsContent(_CONSUMED, _ZERO, well_before.defs),
+                    guarded,
+                )
         self._add_flow(frozenset(contributing), index)
         self._label(index, instruction, f"separate.{instruction.mode} {unit.text}")
-        if unit.holds_fluid or unit.kind is None:
-            self.state.set(
+        if tracked:
+            state.set(
                 unit.text,
-                AbsContent.unknown() if self._read_violated(before)
-                else AbsContent.consumed(before.defs),
+                _UNKNOWN if before.kind in _DRY
+                else AbsContent(_CONSUMED, _ZERO, before.defs),
+                guarded,
             )
         # outlets are flushed at run start, then filled by this run
         outlet_volume = (
             VolumeInterval.at_most(feed_hi) if feed_hi is not None
-            else VolumeInterval()
+            else _UNBOUNDED
         )
         for outlet in ("out1", "out2"):
-            outlet_text = f"{unit.base}.{outlet}"
-            outlet_place = self.place(Operand(unit.base, outlet))
-            self._access(
-                index, outlet_place, AccessKind.WRITE_PRODUCE,
-                self.state.get(outlet_text),
-                moved=outlet_volume, guarded=guarded,
+            place = self._locate(Operand(unit.base, outlet))[0]
+            self.accesses.append(
+                Access(
+                    index, place, _WRITE_PRODUCE, state.get(place.text),
+                    outlet_volume, guarded,
+                )
             )
-            self.state.set(
-                outlet_text,
-                AbsContent.holding(outlet_volume, frozenset({index}), True),
+            state.set(
+                place.text,
+                AbsContent(_HOLDS, outlet_volume, frozenset((index,)), True),
+                guarded,
             )
 
     def _step_sense(
         self, index: int, instruction: Instruction, guarded: bool
     ) -> None:
-        unit = self.place(instruction.dst)
+        unit = self._locate(instruction.dst)[0]
         before = self.state.get(unit.text)
-        self._access(index, unit, AccessKind.READ_SENSE, before, guarded=guarded)
+        self.accesses.append(
+            Access(index, unit, _READ_SENSE, before, None, guarded)
+        )
         self._add_flow(before.defs, index)
         self.flow.product_sinks.add(index)
         # non-destructive: the sample stays in the cell

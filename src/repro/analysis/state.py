@@ -206,13 +206,6 @@ class AbsContent(NamedTuple):
             product or self.product,
         )
 
-    def after_metered_draw(self, moved: VolumeInterval) -> "AbsContent":
-        """Residue after a partial draw: still HOLDS (rounded plans leave
-        sub-least-count residue behind), volume reduced, defs retained."""
-        if self.kind is not ContentKind.HOLDS:
-            return self
-        return self._replace(volume=self.volume.subtract(moved))
-
     # ------------------------------------------------------------------
     # lattice operators.  ``UNKNOWN`` doubles as ⊤ (two disagreeing
     # definite states join to it); ⊥ is represented by absence of state
@@ -255,16 +248,15 @@ class AbstractState:
 
     def __init__(self, initial: Mapping[str, AbsContent] | None = None) -> None:
         self._locations: dict[str, AbsContent] = dict(initial or {})
-        #: while set, updates are weak: the old contents stay possible
-        #: (a guarded instruction may not execute at all).
-        self.weak = False
 
     def get(self, location: str) -> AbsContent:
         return self._locations.get(location, _EMPTY)
 
-    def set(self, location: str, content: AbsContent) -> None:
+    def set(self, location: str, content: AbsContent, weak: bool = False) -> None:
+        """Store ``content``; a ``weak`` update keeps the old contents
+        possible (a guarded instruction may not execute at all)."""
         old = self._locations.get(location, _EMPTY)
-        if self.weak:
+        if weak:
             content = old.join(content)
         if content.kind in _MAY_HOLD and old.kind not in _MAY_HOLD:
             self._locations.pop(location, None)

@@ -4,14 +4,15 @@ This is :class:`repro.analysis.dataflow.ForwardAnalysis` as it was before
 the walk decoded each instruction once and wrote its steps inline: every
 step classifies its operands through :meth:`ForwardAnalysis.place`,
 records each access through ``_access``, and updates the location map
-through :meth:`AbstractState.set` (kept here too, with its ``weak``
-flag).  The walk shares the fact types (:class:`~repro.analysis.
-dataflow.Place`, ``Access``, ``AccessKind``, ``ValueFlow``) and the
-abstract domain's values (``AbsContent``, ``VolumeInterval``) with the
-production walk, so the two are compared fact for fact.
-``tests/properties/test_walk_equivalence.py`` requires the same
-accesses, value flow, final location order and pre-state at every
-instruction.
+through :meth:`AbstractState.set`.  That class is kept here with its
+``weak`` flag, and ``AbsContent.after_metered_draw`` as
+:func:`_after_metered_draw`.  The walk shares the fact types
+(:class:`~repro.analysis.dataflow.Place`, ``Access``, ``AccessKind``,
+``ValueFlow``) and the abstract domain's values (``AbsContent``,
+``VolumeInterval``) with the production walk, so the two are compared
+fact for fact.  ``tests/properties/test_walk_equivalence.py`` requires
+the same accesses, value flow, final location order and pre-state at
+every instruction.
 """
 
 from __future__ import annotations
@@ -35,6 +36,16 @@ __all__ = ["AbstractState", "ForwardAnalysis"]
 
 _EMPTY = AbsContent.empty()
 _MAY_HOLD = (ContentKind.HOLDS, ContentKind.UNKNOWN)
+
+
+def _after_metered_draw(
+    content: AbsContent, moved: VolumeInterval
+) -> AbsContent:
+    """Residue after a partial draw: still HOLDS (rounded plans leave
+    sub-least-count residue behind), volume reduced, defs retained."""
+    if content.kind is not ContentKind.HOLDS:
+        return content
+    return content._replace(volume=content.volume.subtract(moved))
 
 
 class AbstractState:
@@ -261,7 +272,7 @@ class ForwardAnalysis:
             elif is_drain:
                 self.state.set(src.text, AbsContent.consumed(src_before.defs))
             else:
-                self.state.set(src.text, src_before.after_metered_draw(moved))
+                self.state.set(src.text, _after_metered_draw(src_before, moved))
         # destination post-state
         if dst.holds_fluid or dst.kind is None:
             after = dst_before.deposit(
