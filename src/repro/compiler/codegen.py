@@ -114,6 +114,21 @@ class _Generator:
             raise CodegenError("machine needs at least one mixer and heater")
         self.waste_port = spec.output_port_names()[-1]
         self._aux_loaded: dict[str, bool] = {}
+        #: location name -> its one Operand in this program.
+        self._operands: dict[str, ais.Operand] = {}
+
+    # ------------------------------------------------------------------
+    def _at(self, location: str) -> ais.Operand:
+        """The operand naming ``location``, parsed once per generate call
+        (every instruction of the program that names it shares it)."""
+        operand = self._operands.get(location)
+        if operand is None:
+            operand = self._operands[location] = ais.Operand.parse(location)
+        return operand
+
+    def _emit(self, instruction: ais.Instruction) -> None:
+        """Append an instruction the ``ais`` factory already validated."""
+        self.program.instructions.append(instruction)
 
     # ------------------------------------------------------------------
     def run(self) -> AISProgram:
@@ -140,10 +155,10 @@ class _Generator:
         for node in sources:
             reservoir = self.allocation.reservoir_of[node.id]
             port = self.allocation.port_of[node.id]
-            self.program.append(
+            self._emit(
                 ais.input_(
-                    reservoir,
-                    port,
+                    self._at(reservoir),
+                    self._at(port),
                     comment=node.display_name,
                     meta={"node": node.id},
                 )
@@ -152,10 +167,10 @@ class _Generator:
             self.pending_uses[node.id] = self._use_count(node.id)
         for name in self.aux_fluids:
             reservoir, port = self.allocation.aux[name]
-            self.program.append(
+            self._emit(
                 ais.input_(
-                    reservoir,
-                    port,
+                    self._at(reservoir),
+                    self._at(port),
                     abs_volume=self.aux_volume,
                     comment=name,
                     meta={"aux": name},
@@ -222,10 +237,10 @@ class _Generator:
         for unit in candidates:
             occupant = self.occupant.get(unit)
             if occupant is not None and self.pending_uses.get(occupant, 0) == 0:
-                self.program.append(
+                self._emit(
                     ais.output(
-                        self.waste_port,
-                        unit,
+                        self._at(self.waste_port),
+                        self._at(unit),
                         comment=f"discard spent {occupant}",
                         meta={"discard": occupant},
                     )
@@ -265,8 +280,10 @@ class _Generator:
             port = self.waste_port
             comment = f"discard spent {occupant}"
             meta = {"discard": occupant}
-        self.program.append(
-            ais.output(port, outlet, comment=comment, meta=meta)
+        self._emit(
+            ais.output(
+                self._at(port), self._at(outlet), comment=comment, meta=meta
+            )
         )
         self._evict(outlet)
         if self.location.get(occupant) == outlet:
@@ -282,10 +299,10 @@ class _Generator:
         self.pending_uses[node.id] = self._use_count(node.id)
         reservoir = self.allocation.reservoir_of.get(node.id)
         if reservoir is not None:
-            self.program.append(
+            self._emit(
                 ais.move(
-                    reservoir,
-                    unit,
+                    self._at(reservoir),
+                    self._at(unit),
                     comment=f"park {node.display_name}",
                     meta={"park": node.id},
                 )
@@ -313,10 +330,10 @@ class _Generator:
             label = (
                 "excess" if src_node.excess_fraction > 0 else "residue"
             )
-            self.program.append(
+            self._emit(
                 ais.output(
-                    self.waste_port,
-                    source_location,
+                    self._at(self.waste_port),
+                    self._at(source_location),
                     comment=f"discard {label} of {src_id}",
                     meta={"excess" if label == "excess" else "residue": src_id},
                 )
@@ -371,10 +388,10 @@ class _Generator:
                     f"source {edge.src!r} occupies the chosen unit {unit!r}; "
                     "the unit picker must never select it"
                 )
-            self.program.append(
+            self._emit(
                 ais.move(
-                    unit,
-                    src_location,
+                    self._at(unit),
+                    self._at(src_location),
                     part,
                     edge=edge.key,
                     meta={"dst_node": node.id},
@@ -382,7 +399,7 @@ class _Generator:
             )
             self._consume_from(edge.src, unit)
         duration = node.meta.get("duration", 10)
-        self.program.append(ais.mix(unit, duration, meta={"node": node.id}))
+        self._emit(ais.mix(self._at(unit), duration, meta={"node": node.id}))
         self._settle(node, unit)
 
     def produce_heat(self, node: Node) -> None:
@@ -397,9 +414,12 @@ class _Generator:
             self.pending_uses[edge.src] -= 1
             self.location.pop(edge.src, None)
         else:
-            self.program.append(
+            self._emit(
                 ais.move(
-                    unit, src_location, edge=edge.key, meta={"dst_node": node.id}
+                    self._at(unit),
+                    self._at(src_location),
+                    edge=edge.key,
+                    meta={"dst_node": node.id},
                 )
             )
             self._consume_from(edge.src, unit)
@@ -407,17 +427,19 @@ class _Generator:
         duration = node.meta.get("duration", 30)
         if node.meta.get("op") == "concentrate":
             keep = node.output_fraction or Fraction(1, 2)
-            self.program.append(
+            self._emit(
                 ais.concentrate(
-                    unit,
+                    self._at(unit),
                     temperature,
                     duration,
                     meta={"node": node.id, "keep_fraction": keep},
                 )
             )
         else:
-            self.program.append(
-                ais.incubate(unit, temperature, duration, meta={"node": node.id})
+            self._emit(
+                ais.incubate(
+                    self._at(unit), temperature, duration, meta={"node": node.id}
+                )
             )
         self._settle(node, unit)
 
@@ -443,19 +465,19 @@ class _Generator:
                 )
             reservoir, port = self.allocation.aux[aux]
             if not self._aux_loaded.get(aux, False):
-                self.program.append(
+                self._emit(
                     ais.input_(
-                        reservoir,
-                        port,
+                        self._at(reservoir),
+                        self._at(port),
                         abs_volume=self.aux_volume,
                         comment=f"refill {aux}",
                         meta={"aux": aux},
                     )
                 )
-            self.program.append(
+            self._emit(
                 ais.move(
-                    f"{unit}.{well}",
-                    reservoir,
+                    self._at(f"{unit}.{well}"),
+                    self._at(reservoir),
                     comment=aux,
                     meta={"aux": aux, "well": well},
                 )
@@ -469,18 +491,18 @@ class _Generator:
             # carry the YIELD hint so a simulator without an explicit
             # separation model can honour it (the plan assumed it)
             separate_meta["yield_fraction"] = node.output_fraction
-        self.program.append(
-            ais.separate(unit, mode, duration, meta=separate_meta)
+        self._emit(
+            ais.separate(self._at(unit), mode, duration, meta=separate_meta)
         )
         # The effluent sits in out1; treat out1 as the product's unit.
         outlet = f"{unit}.out1"
         self.pending_uses[node.id] = self._use_count(node.id)
         reservoir = self.allocation.reservoir_of.get(node.id)
         if reservoir is not None:
-            self.program.append(
+            self._emit(
                 ais.move(
-                    reservoir,
-                    outlet,
+                    self._at(reservoir),
+                    self._at(outlet),
                     comment=f"park {node.display_name}",
                     meta={"park": node.id},
                 )
@@ -495,8 +517,13 @@ class _Generator:
         src_location = self.location.get(edge.src)
         if src_location is None:
             raise CodegenError(f"source {edge.src!r} has no location")
-        self.program.append(
-            ais.move(unit, src_location, edge=edge.key, meta={"dst_node": node.id})
+        self._emit(
+            ais.move(
+                self._at(unit),
+                self._at(src_location),
+                edge=edge.key,
+                meta={"dst_node": node.id},
+            )
         )
         self._consume_from(edge.src, unit)
 
@@ -516,10 +543,10 @@ class _Generator:
                 move_meta = {"sense_of": node.id}
                 if request.get("guard") is not None:
                     move_meta["guard"] = request["guard"]
-                self.program.append(
+                self._emit(
                     ais.move(
-                        sensor_spec.name,
-                        location,
+                        self._at(sensor_spec.name),
+                        self._at(location),
                         edge=None,
                         meta=move_meta,
                     )
@@ -528,9 +555,9 @@ class _Generator:
                     self._evict(location)
                 self.location[node.id] = sensor_spec.name
                 self.occupant[sensor_spec.name] = node.id
-            self.program.append(
+            self._emit(
                 ais.sense(
-                    sensor_spec.name,
+                    self._at(sensor_spec.name),
                     request["mode"],
                     request["result"],
                     meta={"node": node.id, "guard": request.get("guard")},
@@ -541,8 +568,8 @@ class _Generator:
             if location is None:
                 raise CodegenError(f"output fluid {node.id!r} has no location")
             port = self.spec.output_port_names()[0]
-            self.program.append(
-                ais.output(port, location, meta={"node": node.id})
+            self._emit(
+                ais.output(self._at(port), self._at(location), meta={"node": node.id})
             )
             if self.occupant.get(location) == node.id:
                 self._evict(location)

@@ -220,3 +220,29 @@ class TestErrors:
 
             dag.node("A").meta["senses"] = [{"mode": "XX", "result": "r"}]
             generate(dag, AQUACORE_SPEC)
+
+
+class TestOperandTable:
+    """One Operand per location per ``generate`` call, no more."""
+
+    def test_instructions_share_each_locations_operand(self):
+        program, __ = generate(glucose.build_dag(), AQUACORE_SPEC)
+        by_text: dict[str, set[int]] = {}
+        for instruction in program:
+            for operand in (instruction.dst, instruction.src):
+                if operand is not None:
+                    by_text.setdefault(str(operand), set()).add(id(operand))
+        assert by_text
+        assert all(len(ids) == 1 for ids in by_text.values()), by_text
+
+    def test_no_operand_outlives_one_call(self):
+        first, __ = generate(glucose.build_dag(), AQUACORE_SPEC)
+        second, __ = generate(glucose.build_dag(), AQUACORE_SPEC)
+        assert first.render() == second.render()
+        assert first[0].dst == second[0].dst
+        assert first[0].dst is not second[0].dst
+
+    def test_emitted_instructions_are_valid(self):
+        program, __ = generate(paper_example.build_dag(), AQUACORE_SPEC)
+        for instruction in program:
+            instruction.validate()
