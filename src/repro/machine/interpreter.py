@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, cast
 from collections.abc import Callable, Iterable, Sequence
 
+from ..core.exact import RunningSum
 from ..core.limits import HardwareLimits, Number, as_fraction
 from ..ir.instructions import Instruction, Opcode, Operand
 from ..ir.program import AISProgram
@@ -107,6 +108,7 @@ class Machine:
         self.results: dict[str, Fraction] = {}
         self.registers: dict[str, int] = {}
         self.ports: dict[str, PortBinding] = {}
+        self._input_drawn = RunningSum()
         self.output_tally: dict[str, Fraction] = {}
         #: what was actually shipped per output port (full mixtures, so
         #: tests can compare final product concentration vectors).
@@ -169,6 +171,12 @@ class Machine:
         self.ports[port] = PortBinding(
             species, None if supply is None else as_fraction(supply)
         )
+
+    @property
+    def input_drawn(self) -> Fraction:
+        """Fluid drawn from every input port so far (nl), kept as a
+        running total."""
+        return self._input_drawn.value
 
     def bind_ports(self, bindings: dict[str, str]) -> None:
         """Bind several ports at once (fluid-species by port id)."""
@@ -359,6 +367,7 @@ class Machine:
             return None
         metered = self.pump.meter(volume, headroom=dst.free)
         dst.deposit(binding.draw(metered, port))
+        self._input_drawn.add(metered)
         self.pump.record(metered)
         self._record(instruction, index, volume=metered)
         return None

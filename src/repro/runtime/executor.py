@@ -373,12 +373,6 @@ class AssayExecutor:
             faults_injected=dict(injector.injected) if injector else {},
         )
 
-    def _total_drawn(self) -> Fraction:
-        return sum(
-            (binding.drawn for binding in self.machine.ports.values()),
-            Fraction(0),
-        )
-
     def _attempt(self, index: int, instruction: Instruction):
         """One machine execution, with bounded transient-failure retries."""
         retries = 0
@@ -519,7 +513,7 @@ class AssayExecutor:
                 attempts=count,
                 reason="no-slice",
             ) from error
-        drawn_before = self._total_drawn()
+        drawn_before = self.machine.input_drawn
         volume_before = self.regeneration_volume
         self.regenerations += 1
         self.machine.trace.regeneration_count += 1
@@ -565,7 +559,7 @@ class AssayExecutor:
         # Extra input attributable to THIS regeneration: total new draws
         # minus what nested regenerations already booked.
         nested = self.regeneration_volume - volume_before
-        extra = (self._total_drawn() - drawn_before) - nested
+        extra = (self.machine.input_drawn - drawn_before) - nested
         self.regeneration_volume += extra
         self.machine.trace.record_recovery(
             RecoveryEvent(

@@ -54,6 +54,28 @@ class TestStaticExecution:
             == drawn - shipped - machine.waste_tally
         )
 
+    def test_input_drawn_is_the_ports_sum_through_regenerations(self):
+        """The machine's running total of input draws equals the sum of
+        every port's draws, after faulted runs that regenerate."""
+        from repro.assays import extra
+        from repro.machine.faults import FaultInjector, FaultPlan
+
+        compiled = run_compile(source=extra.PCR_PREP_SOURCE).compiled
+        regenerated = 0
+        for seed in range(4):
+            result = AssayExecutor(
+                compiled,
+                injector=FaultInjector(FaultPlan.seeded(seed, 0.05)),
+                capture_failures=True,
+            ).run()
+            machine = result.machine
+            regenerated += result.regenerations
+            assert machine.input_drawn == sum(
+                (binding.drawn for binding in machine.ports.values()),
+                Fraction(0),
+            )
+        assert regenerated > 0
+
     def test_plan_resolver_volumes(self):
         compiled = run_compile(source=glucose.SOURCE).compiled
         resolver = PlanResolver(compiled.assignment)
