@@ -108,3 +108,55 @@ def test_lint_and_certify_share_the_schema(capsys):
     stable_summary = {"clean", "errors", "warnings", "notes", "exit_code"}
     assert stable_summary <= set(lint_payload["summary"])
     assert stable_summary <= set(certify_payload["summary"])
+
+
+class TestWalkRuleFixtures:
+    """The two fixtures CI certifies and lints: the walk's weak-update
+    rule (a guarded park into a reservoir that still holds fluid) and
+    its separator rule (a second run flushes ``out1``'s effluent)."""
+
+    def test_guarded_park_is_no_double_book(self, capsys):
+        path = str(FIXTURES / "guarded_reuse.fluid")
+        assert main(["certify", "--assay", path]) == 0
+        assert "SCHED-DOUBLE-BOOK" not in capsys.readouterr().out
+        assert main(["lint", "--assay", path]) == 0
+
+    def test_guarded_park_lands_on_held_fluid(self):
+        """The fixture exercises the rule: the guarded park's reservoir
+        holds fluid in the walk, and the branch without its guard
+        double-books it."""
+        from repro.analysis.certify import certify
+        from repro.analysis.dataflow import AccessKind, ForwardAnalysis
+        from repro.analysis.state import ContentKind
+        from repro.compiler.passes import run_compile
+
+        source = (FIXTURES / "guarded_reuse.fluid").read_text()
+        compiled = run_compile(source=source).compiled
+        walk = ForwardAnalysis(compiled.program, compiled.spec)
+        parks = [
+            access
+            for access in walk.accesses
+            if access.kind is AccessKind.WRITE_DEPOSIT
+            and access.place.kind == "reservoir"
+            and access.guarded
+        ]
+        assert [(a.place.text, a.before.kind) for a in parks] == [
+            ("s3", ContentKind.HOLDS)
+        ]
+        for instruction in compiled.program:
+            instruction.meta.pop("guard", None)
+        findings = certify(compiled).findings
+        assert [(d.code, d.operand) for d in findings if d.code.startswith("SCHED")] == [
+            ("SCHED-DOUBLE-BOOK", "s3")
+        ]
+
+    def test_second_separation_flushes_effluent(self, capsys):
+        path = str(FIXTURES / "separator_effluent.ais")
+        assert main(["certify", path]) == 2
+        out = capsys.readouterr().out
+        assert (
+            "SCHED-DOUBLE-BOOK: separation deposits into 'separator1.out1'"
+            in out
+        )
+        assert main(["lint", path]) == 1
+        assert "dead-fluid" in capsys.readouterr().out
