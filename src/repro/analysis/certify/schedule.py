@@ -36,7 +36,7 @@ from collections.abc import Mapping, Sequence
 from functools import cached_property
 
 from ...compiler.diagnostics import Diagnostic, Severity
-from ...ir.instructions import Opcode, Operand, fluid_label
+from ...ir.instructions import Opcode, fluid_label
 from ...ir.program import AISProgram
 from ...machine.errors import ComponentError
 from ...machine.spec import MachineSpec
@@ -98,7 +98,12 @@ def _names(by_site: Mapping[int, set[str]], content: AbsContent) -> set[str]:
 
 
 class _Routes:
-    """Route checks, made on the walk's live pre-state of each transfer."""
+    """Route checks.  Each transfer's route is looked up before the walk;
+    the walk's live pre-state is read only at the transfers whose verdict
+    depends on it: one with no route (an ``output`` from an empty location
+    moves nothing and is not routed) and an unguarded one whose route
+    passes a component.  On a bus every route passes only the junction,
+    so the walk needs no observer."""
 
     def __init__(
         self,
@@ -106,46 +111,50 @@ class _Routes:
         spec: MachineSpec,
         topology: ChannelTopology,
     ) -> None:
-        self.program = program
-        self.spec = spec
         self.topology = topology
         self.unroutable: list[Diagnostic] = []
         #: (index, src, dst, base, content) per occupied location passed.
         self.through: list[tuple[int, str, str, str, AbsContent]] = []
+        #: index -> (opcode, src, dst, components passed or None when
+        #: there is no route), for the transfers checked on the pre-state.
+        self.watch: dict[
+            int, tuple[Opcode, str, str, frozenset[str] | None]
+        ] = {}
         #: per (src, dst) operand pair, keyed by the operands' identity
         #: (codegen names each location with one Operand, and the program
-        #: keeps every operand alive while the walk runs): their texts and
-        #: the components the route passes, None when there is no route.
-        self._routes: dict[
-            tuple[int, int], tuple[str, str, frozenset[str] | None]
-        ] = {}
+        #: holds every operand): their texts and the components passed.
+        routes: dict[tuple[int, int], tuple[str, str, frozenset[str] | None]] = {}
+        for index, instruction in enumerate(program.instructions):
+            if instruction.opcode not in _TRANSFERS:
+                continue
+            key = (id(instruction.src), id(instruction.dst))
+            route = routes.get(key)
+            if route is None:
+                src, dst = str(instruction.src), str(instruction.dst)
+                route = routes[key] = (src, dst, self._passed(spec, src, dst))
+            through = route[2]
+            if through is None or (
+                through and instruction.meta.get("guard") is None
+            ):
+                self.watch[index] = (instruction.opcode, *route)
 
-    def _route(
-        self, src: Operand, dst: Operand
-    ) -> tuple[str, str, frozenset[str] | None]:
-        key = (id(src), id(dst))
-        route = self._routes.get(key)
-        if route is None:
-            src_text, dst_text = str(src), str(dst)
-            try:
-                path = self.topology.route(src_text, dst_text)
-            except ComponentError:
-                passed = None
-            else:
-                # the components passed on the way (a bus junction holds
-                # nothing)
-                passed = frozenset(
-                    node for node in path[1:-1] if self.spec.component_kind(node)
-                )
-            route = self._routes[key] = (src_text, dst_text, passed)
-        return route
+    def _passed(
+        self, spec: MachineSpec, src: str, dst: str
+    ) -> frozenset[str] | None:
+        """The components a ``src -> dst`` route passes on the way (a bus
+        junction holds nothing); None when there is no route."""
+        try:
+            path = self.topology.route(src, dst)
+        except ComponentError:
+            return None
+        return frozenset(node for node in path[1:-1] if spec.component_kind(node))
 
     def observe(self, index: int, state: AbstractState) -> None:
-        instruction = self.program.instructions[index]
-        if instruction.opcode not in _TRANSFERS:
+        watched = self.watch.get(index)
+        if watched is None:
             return
-        src, dst, through = self._route(instruction.src, instruction.dst)
-        if instruction.opcode is Opcode.OUTPUT and state.get(src).kind in _EMPTY:
+        opcode, src, dst, through = watched
+        if opcode is Opcode.OUTPUT and state.get(src).kind in _EMPTY:
             return
         if through is None:
             self.unroutable.append(
@@ -158,8 +167,6 @@ class _Routes:
                     operand=dst,
                 )
             )
-            return
-        if not through or instruction.meta.get("guard") is not None:
             return
         for location, content in state.items():
             base = location.partition(".")[0]
@@ -334,7 +341,7 @@ def certify_schedule(
             )
             for location, site in sites.items()
         },
-        observe=routes.observe if routes is not None else None,
+        observe=routes.observe if routes is not None and routes.watch else None,
     )
     names = _FluidNames(
         walk, {sites[location]: fluid for location, fluid in initial.items()}

@@ -263,25 +263,14 @@ class ForwardAnalysis:
     def _run(
         self, observe: Callable[[int, AbstractState], None] | None
     ) -> None:
-        steps = {
-            Opcode.INPUT: self._step_input,
-            Opcode.OUTPUT: self._step_output,
-            Opcode.MOVE: self._step_move,
-            Opcode.MOVE_ABS: self._step_move,
-            Opcode.MIX: self._step_operate,
-            Opcode.INCUBATE: self._step_operate,
-            Opcode.CONCENTRATE: self._step_operate,
-            Opcode.SEPARATE: self._step_separate,
-            Opcode.SENSE: self._step_sense,
-        }
         state = self.state
         for index, instruction in enumerate(self.program.instructions):
             if observe is not None:
                 observe(index, state)
-            step = steps.get(instruction.opcode)
+            step = _STEPS.get(instruction.opcode)
             if step is not None:  # dry instructions hold no fluid
                 guarded = instruction.meta.get("guard") is not None
-                step(index, instruction, guarded)
+                step(self, index, instruction, guarded)
 
     # ------------------------------------------------------------------
     def _add_flow(self, sources: frozenset[int], target: int) -> None:
@@ -500,3 +489,18 @@ class ForwardAnalysis:
         self._add_flow(before.defs, index)
         self.flow.product_sinks.add(index)
         # non-destructive: the sample stays in the cell
+
+
+#: the one dispatch table: each wet opcode's step (dry instructions hold
+#: no fluid and have none).
+_STEPS = {
+    Opcode.INPUT: ForwardAnalysis._step_input,
+    Opcode.OUTPUT: ForwardAnalysis._step_output,
+    Opcode.MOVE: ForwardAnalysis._step_move,
+    Opcode.MOVE_ABS: ForwardAnalysis._step_move,
+    Opcode.MIX: ForwardAnalysis._step_operate,
+    Opcode.INCUBATE: ForwardAnalysis._step_operate,
+    Opcode.CONCENTRATE: ForwardAnalysis._step_operate,
+    Opcode.SEPARATE: ForwardAnalysis._step_separate,
+    Opcode.SENSE: ForwardAnalysis._step_sense,
+}

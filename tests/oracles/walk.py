@@ -13,6 +13,12 @@ through :meth:`AbstractState.set`.  That class is kept here with its
 fact for fact.  ``tests/properties/test_walk_equivalence.py`` requires
 the same accesses, value flow, final location order and pre-state at
 every instruction.
+
+:class:`Routes` is the certifier's route check as it was before it
+looked up each transfer's route ahead of the walk: an observer called at
+every instruction, stringifying each transfer's operands.  The same
+property requires the production check's ``SCHED-UNROUTABLE`` findings
+and route-through records to match it.
 """
 
 from __future__ import annotations
@@ -28,14 +34,19 @@ from repro.analysis.dataflow import (
     is_waste_output,
 )
 from repro.analysis.state import AbsContent, ContentKind, Volume, VolumeInterval
+from repro.compiler.diagnostics import Diagnostic, Severity
 from repro.ir.instructions import Instruction, Opcode, Operand
 from repro.ir.program import AISProgram
+from repro.machine.errors import ComponentError
 from repro.machine.spec import MachineSpec
+from repro.machine.topology import ChannelTopology
 
-__all__ = ["AbstractState", "ForwardAnalysis"]
+__all__ = ["AbstractState", "ForwardAnalysis", "Routes"]
 
 _EMPTY = AbsContent.empty()
 _MAY_HOLD = (ContentKind.HOLDS, ContentKind.UNKNOWN)
+_EMPTY_KINDS = (ContentKind.EMPTY, ContentKind.CONSUMED)
+_TRANSFERS = (Opcode.INPUT, Opcode.OUTPUT, Opcode.MOVE, Opcode.MOVE_ABS)
 
 
 def _after_metered_draw(
@@ -373,3 +384,66 @@ class ForwardAnalysis:
         self._add_flow(before.defs, index)
         self.flow.product_sinks.add(index)
         # non-destructive: the sample stays in the cell
+
+
+class Routes:
+    """The certifier's route checks, made on the walk's live pre-state of
+    every transfer: ``observe`` runs at each instruction."""
+
+    def __init__(
+        self,
+        program: AISProgram,
+        spec: MachineSpec,
+        topology: ChannelTopology,
+    ) -> None:
+        self.program = program
+        self.spec = spec
+        self.topology = topology
+        self.unroutable: list[Diagnostic] = []
+        #: (index, src, dst, base, content) per occupied location passed.
+        self.through: list[tuple[int, str, str, str, AbsContent]] = []
+        #: per (src, dst): the components its route passes, None when
+        #: there is no route.
+        self._passed: dict[tuple[str, str], frozenset[str] | None] = {}
+
+    def _components_passed(self, src: str, dst: str) -> frozenset[str] | None:
+        key = (src, dst)
+        if key not in self._passed:
+            try:
+                path = self.topology.route(src, dst)
+            except ComponentError:
+                self._passed[key] = None
+            else:
+                # the components passed on the way (a bus junction holds
+                # nothing)
+                self._passed[key] = frozenset(
+                    node for node in path[1:-1] if self.spec.component_kind(node)
+                )
+        return self._passed[key]
+
+    def observe(self, index: int, state: AbstractState) -> None:
+        instruction = self.program.instructions[index]
+        if instruction.opcode not in _TRANSFERS:
+            return
+        src, dst = str(instruction.src), str(instruction.dst)
+        if instruction.opcode is Opcode.OUTPUT and state.get(src).kind in _EMPTY_KINDS:
+            return
+        through = self._components_passed(src, dst)
+        if through is None:
+            self.unroutable.append(
+                Diagnostic(
+                    Severity.ERROR,
+                    "SCHED-UNROUTABLE",
+                    f"no channel route from {src!r} to {dst!r} on topology "
+                    f"{self.topology.name!r}",
+                    instruction=index,
+                    operand=dst,
+                )
+            )
+            return
+        if not through or instruction.meta.get("guard") is not None:
+            return
+        for location, content in state.items():
+            base = location.partition(".")[0]
+            if base in through and content.kind is ContentKind.HOLDS:
+                self.through.append((index, src, dst, base, content))

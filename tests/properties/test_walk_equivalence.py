@@ -19,7 +19,10 @@ instruction once.  Over
 both walks must report the same accesses (place, kind, ``before``,
 ``moved``, ``guarded``, volumes of the same numeric type), the same value
 flow, the same final location order, and the same pre-state at every
-``observe`` call.
+``observe`` call.  On the same listings, over the bus and ring
+topologies and one with an island and a route through a reservoir, the
+certifier's route check must report what :class:`oracles.walk.Routes`
+reports on the oracle walk.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.certify.schedule import _Routes
 from repro.analysis.dataflow import SEPARATOR_SUBPORTS, ForwardAnalysis
 from repro.analysis.state import AbsContent, ContentKind, VolumeInterval
 from repro.assays import generators
@@ -41,6 +45,7 @@ from repro.core.errors import VolumeError
 from repro.ir.instructions import Instruction, Opcode, Operand
 from repro.ir.program import AISProgram
 from repro.machine.spec import MACHINES
+from repro.machine.topology import ChannelTopology, bus_topology, ring_topology
 
 from oracles import walk as oracle
 
@@ -104,6 +109,41 @@ def assert_same_walk(program, spec, initial=None):
     ]
     assert got_observed == want_observed
     assert [index for index, __ in got_observed] == list(range(len(program)))
+    for topology in _topologies(spec):
+        assert_same_routes(program, spec, topology, initial)
+
+
+def _sparse(spec) -> ChannelTopology:
+    """ip1 reaches mixer1 only through s1; heater1 is an island."""
+    topology = ChannelTopology("sparse")
+    topology.add_channel("ip1", "s1")
+    topology.add_channel("s1", "mixer1")
+    topology.add_channel("mixer1", "op1")
+    topology.add_location("heater1")
+    return topology
+
+
+def _topologies(spec) -> list[ChannelTopology]:
+    return [bus_topology(spec), ring_topology(spec), _sparse(spec)]
+
+
+def assert_same_routes(program, spec, topology, initial):
+    routes = _Routes(program, spec, topology)
+    ForwardAnalysis(
+        program,
+        spec,
+        initial=initial,
+        observe=routes.observe if routes.watch else None,
+    )
+    reference = oracle.Routes(program, spec, topology)
+    oracle.ForwardAnalysis(program, spec, initial=initial, observe=reference.observe)
+    assert routes.through == reference.through
+    assert [
+        (d.code, d.message, d.instruction, d.operand) for d in routes.unroutable
+    ] == [
+        (d.code, d.message, d.instruction, d.operand)
+        for d in reference.unroutable
+    ]
 
 
 # ---------------------------------------------------------------------------
