@@ -103,7 +103,7 @@ class _Routes:
     depends on it: one with no route (an ``output`` from an empty location
     moves nothing and is not routed) and an unguarded one whose route
     passes a component.  On a bus every route passes only the junction,
-    so the walk needs no observer."""
+    so a listing whose transfers all have a route needs no observer."""
 
     def __init__(
         self,
