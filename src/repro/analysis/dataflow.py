@@ -115,14 +115,13 @@ class AccessKind(Enum):
 
 
 _READS = tuple(kind for kind in AccessKind if kind.value.startswith("read-"))
+# the members the steps name on every instruction, as module globals: an
+# Enum member looked up on its class costs ten times a global read
 _READ_METERED = AccessKind.READ_METERED
 _READ_DRAIN = AccessKind.READ_DRAIN
 _READ_OUTPUT = AccessKind.READ_OUTPUT
 _READ_FEED = AccessKind.READ_FEED
-_READ_SENSE = AccessKind.READ_SENSE
-_WRITE_FILL = AccessKind.WRITE_FILL
 _WRITE_DEPOSIT = AccessKind.WRITE_DEPOSIT
-_WRITE_PRODUCE = AccessKind.WRITE_PRODUCE
 
 _HOLDS = ContentKind.HOLDS
 _CONSUMED = ContentKind.CONSUMED
@@ -176,6 +175,27 @@ class ValueFlow:
             seen.add(node)
             stack.extend(self.edges.get(node, ()))
         return False
+
+
+def _deposit(
+    before: AbsContent,
+    moved: VolumeInterval,
+    defs: frozenset[int],
+    place: Place,
+    product: bool,
+) -> AbsContent:
+    """The contents of ``place`` after ``moved`` arrives: a sensor's
+    flow cell and a location holding nothing take the deposit alone,
+    anything else accumulates it (and keeps its product mark);
+    ``product`` marks a finished fluid (an ``input`` load)."""
+    if place.kind == "sensor" or before.kind not in _MAY_HOLD:
+        return AbsContent(_HOLDS, moved.clamped(place.capacity), defs, product)
+    return AbsContent(
+        _HOLDS,
+        before.volume.add(moved).clamped(place.capacity),
+        before.defs | defs,
+        product or before.product,
+    )
 
 
 def is_waste_output(instruction: Instruction) -> bool:
@@ -301,15 +321,12 @@ class ForwardAnalysis:
             Access(index, src, _READ_METERED, _UNKNOWN, moved, guarded)
         )
         self.accesses.append(
-            Access(index, dst, _WRITE_FILL, before, moved, guarded)
+            Access(index, dst, AccessKind.WRITE_FILL, before, moved, guarded)
         )
         if tracked:
             self.state.set(
                 dst.text,
-                before.deposit(
-                    moved, frozenset((index,)), capacity=dst.capacity,
-                    product=True,
-                ),
+                _deposit(before, moved, frozenset((index,)), dst, True),
                 guarded,
             )
         self._label(index, instruction, f"input {dst.text}")
@@ -380,16 +397,7 @@ class ForwardAnalysis:
         if src_tracked:
             state.set(src.text, _UNKNOWN if dry else residue, guarded)
         if dst_tracked:
-            capacity = dst.capacity
-            if dst.kind == "sensor" or dst_before.kind not in _MAY_HOLD:
-                after = AbsContent(_HOLDS, moved.clamped(capacity), defs)
-            else:
-                after = AbsContent(
-                    _HOLDS,
-                    dst_before.volume.add(moved).clamped(capacity),
-                    dst_before.defs | defs,
-                    dst_before.product,
-                )
+            after = _deposit(dst_before, moved, defs, dst, False)
             if dry:
                 after = dst_before.join(after)
             state.set(dst.text, after, guarded)
@@ -468,7 +476,7 @@ class ForwardAnalysis:
             place = self._locate(Operand(unit.base, outlet))[0]
             self.accesses.append(
                 Access(
-                    index, place, _WRITE_PRODUCE, state.get(place.text),
+                    index, place, AccessKind.WRITE_PRODUCE, state.get(place.text),
                     outlet_volume, guarded,
                 )
             )
@@ -484,7 +492,7 @@ class ForwardAnalysis:
         unit = self._locate(instruction.dst)[0]
         before = self.state.get(unit.text)
         self.accesses.append(
-            Access(index, unit, _READ_SENSE, before, None, guarded)
+            Access(index, unit, AccessKind.READ_SENSE, before, None, guarded)
         )
         self._add_flow(before.defs, index)
         self.flow.product_sinks.add(index)

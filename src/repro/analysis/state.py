@@ -182,30 +182,6 @@ class AbsContent(NamedTuple):
     def may_hold_fluid(self) -> bool:
         return self.kind in _MAY_HOLD
 
-    def deposit(
-        self,
-        moved: VolumeInterval,
-        defs: frozenset[int],
-        *,
-        capacity: Volume | None = None,
-        replace_contents: bool = False,
-        product: bool = False,
-    ) -> "AbsContent":
-        """The post-state of depositing ``moved`` into this location.
-
-        ``replace_contents`` models flow cells (sensors flush the previous
-        sample when a new one arrives); ``product`` marks a deposit that
-        is a finished fluid (an ``input`` load).  Merging into held
-        contents keeps their product mark.
-        """
-        if replace_contents or not self.may_hold_fluid:
-            return AbsContent.holding(moved.clamped(capacity), defs, product)
-        return AbsContent.holding(
-            self.volume.add(moved).clamped(capacity),
-            self.defs | defs,
-            product or self.product,
-        )
-
     # ------------------------------------------------------------------
     # lattice operators.  ``UNKNOWN`` doubles as ⊤ (two disagreeing
     # definite states join to it); ⊥ is represented by absence of state

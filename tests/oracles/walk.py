@@ -5,8 +5,8 @@ the walk decoded each instruction once and wrote its steps inline: every
 step classifies its operands through :meth:`ForwardAnalysis.place`,
 records each access through ``_access``, and updates the location map
 through :meth:`AbstractState.set`.  That class is kept here with its
-``weak`` flag, and ``AbsContent.after_metered_draw`` as
-:func:`_after_metered_draw`.  The walk shares the fact types
+``weak`` flag, and ``AbsContent.deposit`` and ``.after_metered_draw``
+as :func:`_deposit` and :func:`_after_metered_draw`.  The walk shares the fact types
 (:class:`~repro.analysis.dataflow.Place`, ``Access``, ``AccessKind``,
 ``ValueFlow``) and the abstract domain's values (``AbsContent``,
 ``VolumeInterval``) with the production walk, so the two are compared
@@ -57,6 +57,31 @@ def _after_metered_draw(
     if content.kind is not ContentKind.HOLDS:
         return content
     return content._replace(volume=content.volume.subtract(moved))
+
+
+def _deposit(
+    content: AbsContent,
+    moved: VolumeInterval,
+    defs: frozenset[int],
+    *,
+    capacity: Volume | None = None,
+    replace_contents: bool = False,
+    product: bool = False,
+) -> AbsContent:
+    """The post-state of depositing ``moved`` into this location.
+
+    ``replace_contents`` models flow cells (sensors flush the previous
+    sample when a new one arrives); ``product`` marks a deposit that
+    is a finished fluid (an ``input`` load).  Merging into held
+    contents keeps their product mark.
+    """
+    if replace_contents or not content.may_hold_fluid:
+        return AbsContent.holding(moved.clamped(capacity), defs, product)
+    return AbsContent.holding(
+        content.volume.add(moved).clamped(capacity),
+        content.defs | defs,
+        product or content.product,
+    )
 
 
 class AbstractState:
@@ -224,8 +249,8 @@ class ForwardAnalysis:
         if dst.holds_fluid or dst.kind is None:
             self.state.set(
                 dst.text,
-                before.deposit(
-                    moved, frozenset({index}), capacity=dst.capacity,
+                _deposit(
+                    before, moved, frozenset({index}), capacity=dst.capacity,
                     product=True,
                 ),
             )
@@ -286,7 +311,8 @@ class ForwardAnalysis:
                 self.state.set(src.text, _after_metered_draw(src_before, moved))
         # destination post-state
         if dst.holds_fluid or dst.kind is None:
-            after = dst_before.deposit(
+            after = _deposit(
+                dst_before,
                 moved,
                 src_before.defs,
                 capacity=dst.capacity,
