@@ -1,8 +1,8 @@
 """Reference implementations kept as test oracles.
 
 ``src/`` has exactly one DAGSolve, one LP model builder, one backward
-slicer, one replication loop, one rounding pass, one plan checker and
-one occupancy walk.
+slicer, one replication loop, one rounding pass, one plan checker, one
+occupancy walk and one reservoir allocator.
 The modules here are the straightforward versions they replaced, kept
 verbatim so the property and identity suites can check the production
 code against an independent derivation:
@@ -29,5 +29,7 @@ code against an independent derivation:
   component kept as its own Fraction;
 * :mod:`oracles.walk` — the abstract occupancy walk with one method per
   step, each operand classified and each access recorded through a
-  helper (paper Sections 2.1 and 3.2).
+  helper (paper Sections 2.1 and 3.2);
+* :mod:`oracles.regalloc` — the linear-scan reservoir allocator that
+  rescans every live reservoir at each DAG node (paper Section 2.1).
 """
