@@ -21,6 +21,7 @@ Allocation is a linear scan over the execution order of the volume DAG:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -156,16 +157,24 @@ class ReservoirAllocator:
             key=lambda item: item[0],
         )
         death = {node_id: last_use(node_id) for node_id in position}
+        # the live fluids keyed by the last event that still needs their
+        # reservoir (their last use, or their own position if later), then
+        # by the order they were taken; auxiliary loads stay all program
+        live = [
+            (max(death[node.id], position[node.id]), taken, node.id)
+            for taken, node in enumerate(sources)
+        ]
+        heapq.heapify(live)
+        taken = len(live)
         for when, node_id in events:
             node = dag.node(node_id)
-            # free everything whose last use has passed
-            for owner in [o for o, __ in in_use.items()]:
-                if owner.startswith("aux:"):
-                    continue
-                if death.get(owner, -1) < when and owner != node_id:
-                    # inputs freed after their last use, intermediates too
-                    if position.get(owner, when) < when:
-                        release(owner)
+            # free everything whose last use has passed, in the order the
+            # reservoirs were taken
+            due: list[tuple[int, int, str]] = []
+            while live and live[0][0] < when:
+                due.append(heapq.heappop(live))
+            for __, __, owner in sorted(due, key=lambda entry: entry[1]):
+                release(owner)
             if node.kind in source_kinds or node.kind is NodeKind.EXCESS:
                 continue
             consumers = [
@@ -182,4 +191,6 @@ class ReservoirAllocator:
                 result.storage_less.add(node_id)
                 continue
             result.reservoir_of[node_id] = take_reservoir(node_id)
+            heapq.heappush(live, (max(death[node_id], when), taken, node_id))
+            taken += 1
         return result
