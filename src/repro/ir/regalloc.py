@@ -168,13 +168,12 @@ class ReservoirAllocator:
         taken = len(live)
         for when, node_id in events:
             node = dag.node(node_id)
-            # free everything whose last use has passed, in the order the
-            # reservoirs were taken
-            due: list[tuple[int, int, str]] = []
+            # free everything whose last use has passed: every key is some
+            # node's position and each event popped the keys below it, so
+            # the fluids due here share one key and leave in the order
+            # their reservoirs were taken
             while live and live[0][0] < when:
-                due.append(heapq.heappop(live))
-            for __, __, owner in sorted(due, key=lambda entry: entry[1]):
-                release(owner)
+                release(heapq.heappop(live)[2])
             if node.kind in source_kinds or node.kind is NodeKind.EXCESS:
                 continue
             consumers = [

@@ -2,12 +2,13 @@
 
 :mod:`oracles.regalloc` is the linear-scan allocator that rescans every
 live reservoir at each DAG node.  Over random layered DAGs (with
-separators, in codegen's execution order and in a random topological
-order), with and without storage-less operands and auxiliary loads, on
-the default machine and on machines with few reservoirs or ports (so
-reservoirs are reused and allocation can fail), and over the corpus's
-final DAGs, the production allocator must give the same assignment,
-every table in the same order, or fail with the same message.
+separators; in codegen's execution order, a random topological order,
+or any order, which the allocator does not check), with and without
+storage-less operands and auxiliary loads, on the default machine and
+on machines with few reservoirs or ports (so reservoirs are reused and
+allocation can fail), and over the corpus's final DAGs, the production
+allocator must give the same assignment, every table in the same
+order, or fail with the same message.
 """
 
 from __future__ import annotations
@@ -88,18 +89,24 @@ def _random_order(dag, seed: int) -> list[str]:
     shape=st.tuples(st.integers(2, 6), st.integers(1, 4), st.integers(1, 4)),
     separators=st.sampled_from([0.0, 0.4]),
     spec=st.sampled_from(SPECS),
-    shuffled=st.booleans(),
+    ordering=st.sampled_from(["codegen", "topological", "any"]),
     storage_less=st.booleans(),
     aux=st.sampled_from([(), ("matrix",), ("matrix", "pusher")]),
 )
 @settings(max_examples=200, deadline=None)
 def test_random_dags_allocate_alike(
-    seed, shape, separators, spec, shuffled, storage_less, aux
+    seed, shape, separators, spec, ordering, storage_less, aux
 ):
     dag = generators.layered_random_dag(
         *shape, seed=seed, max_ratio=9, separator_probability=separators
     )
-    order = _random_order(dag, seed) if shuffled else execution_order(dag)
+    if ordering == "codegen":
+        order = execution_order(dag)
+    elif ordering == "topological":
+        order = _random_order(dag, seed)
+    else:  # the allocator does not check the order it is given
+        order = [node.id for node in dag.nodes()]
+        random.Random(seed).shuffle(order)
     assert_same_allocation(spec, dag, order, aux, storage_less)
 
 
