@@ -127,6 +127,7 @@ _HOLDS = ContentKind.HOLDS
 _CONSUMED = ContentKind.CONSUMED
 #: contents a read finds nothing in.
 _DRY = (ContentKind.EMPTY, ContentKind.CONSUMED)
+_EMPTY = AbsContent.empty()
 _UNKNOWN = AbsContent.unknown()
 _UNBOUNDED = VolumeInterval()
 _ZERO = VolumeInterval.zero()
@@ -181,18 +182,17 @@ def _deposit(
     before: AbsContent,
     moved: VolumeInterval,
     defs: frozenset[int],
-    place: Place,
+    capacity: Volume | None,
     product: bool,
 ) -> AbsContent:
-    """The contents of ``place`` after ``moved`` arrives: a sensor's
-    flow cell and a location holding nothing take the deposit alone,
-    anything else accumulates it (and keeps its product mark);
+    """The contents of a location holding ``before`` after ``moved``
+    arrives: held contents accumulate it (and keep their product mark);
     ``product`` marks a finished fluid (an ``input`` load)."""
-    if place.kind == "sensor" or before.kind not in _MAY_HOLD:
-        return AbsContent(_HOLDS, moved.clamped(place.capacity), defs, product)
+    if before.kind not in _MAY_HOLD:
+        return AbsContent(_HOLDS, moved.clamped(capacity), defs, product)
     return AbsContent(
         _HOLDS,
-        before.volume.add(moved).clamped(place.capacity),
+        before.volume.add(moved).clamped(capacity),
         before.defs | defs,
         product or before.product,
     )
@@ -326,7 +326,7 @@ class ForwardAnalysis:
         if tracked:
             self.state.set(
                 dst.text,
-                _deposit(before, moved, frozenset((index,)), dst, True),
+                _deposit(before, moved, frozenset((index,)), dst.capacity, True),
                 guarded,
             )
         self._label(index, instruction, f"input {dst.text}")
@@ -397,7 +397,9 @@ class ForwardAnalysis:
         if src_tracked:
             state.set(src.text, _UNKNOWN if dry else residue, guarded)
         if dst_tracked:
-            after = _deposit(dst_before, moved, defs, dst, False)
+            # a sensor is a flow cell: the new sample replaces the last one
+            held = _EMPTY if dst.kind == "sensor" else dst_before
+            after = _deposit(held, moved, defs, dst.capacity, False)
             if dry:
                 after = dst_before.join(after)
             state.set(dst.text, after, guarded)

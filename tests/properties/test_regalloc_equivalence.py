@@ -43,7 +43,11 @@ def _spec(reservoirs: int, ports: int) -> MachineSpec:
     )
 
 
-SPECS = [AQUACORE_SPEC, _spec(6, 8), _spec(4, 4), _spec(12, 3)]
+#: the default machine, and smaller ones on which reservoirs are reused
+#: (10 and 12 reservoirs: fluids freed at one node are taken again
+#: later, so the order they are freed in shows) or run out (4 and 6;
+#: 3 ports runs out of ports).
+SPECS = [AQUACORE_SPEC, _spec(12, 16), _spec(10, 16), _spec(6, 8), _spec(4, 3)]
 
 
 def _outcome(allocator_class, spec, dag, order, aux, storage_less):

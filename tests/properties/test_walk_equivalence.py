@@ -232,6 +232,37 @@ def test_random_listings_walk_alike(case):
     assert_same_walk(*case)
 
 
+@pytest.mark.parametrize("guard", [None, "g"])
+@pytest.mark.parametrize("machine", MACHINE_NAMES)
+def test_every_location_seeded(machine, guard):
+    """Every location, ports and invalid sub-ports included, starts out
+    holding fluid, and every wet opcode reads or writes each of them."""
+    spec = MACHINES[machine]
+    locations = [Operand.parse(name) for name in _locations(spec)]
+    program = AISProgram("seeded", machine=spec.name)
+    meta = {} if guard is None else {"guard": guard}
+    for place in locations:
+        program.instructions += [
+            Instruction(Opcode.OUTPUT, dst=Operand("op1"), src=place, meta=dict(meta)),
+            Instruction(Opcode.MOVE, dst=place, src=Operand("s1"), meta=dict(meta)),
+            Instruction(Opcode.MOVE, dst=Operand("mixer1"), src=place,
+                        edge=("a", "b"), meta=dict(meta)),
+            Instruction(Opcode.INPUT, dst=place, src=Operand("ip1"), meta=dict(meta)),
+            Instruction(Opcode.MIX, dst=place, duration=Fraction(1), meta=dict(meta)),
+            Instruction(Opcode.SEPARATE, dst=place, mode="AF",
+                        duration=Fraction(1), meta=dict(meta)),
+            Instruction(Opcode.SENSE, dst=place, mode="OD", result="r",
+                        meta=dict(meta)),
+        ]
+    seeds = {
+        str(place): AbsContent(
+            ContentKind.HOLDS, VolumeInterval(1, 5), frozenset({-1}), False
+        )
+        for place in locations
+    }
+    assert_same_walk(program, spec, seeds)
+
+
 # ---------------------------------------------------------------------------
 # compiled listings
 # ---------------------------------------------------------------------------
