@@ -114,6 +114,19 @@ def test_random_dags_allocate_alike(
     assert_same_allocation(spec, dag, order, aux, storage_less)
 
 
+@pytest.mark.parametrize("storage_less", [True, False])
+@pytest.mark.parametrize("reservoirs", [10, 12])
+def test_freed_reservoirs_are_taken_again_in_order(reservoirs, storage_less):
+    """Fixed DAGs on which fluids freed at one node are taken again
+    later, so the order they are freed in decides the assignment."""
+    spec = _spec(reservoirs, 16)
+    for seed in range(40):
+        dag = generators.layered_random_dag(4, 4, 4, seed=seed, max_ratio=9)
+        assert_same_allocation(
+            spec, dag, execution_order(dag), storage_less=storage_less
+        )
+
+
 def _corpus_entries() -> list[tuple[str, dict]]:
     path = ROOT / "tools" / "corpus.py"
     spec = importlib.util.spec_from_file_location("corpus_harness", path)

@@ -236,13 +236,16 @@ def test_random_listings_walk_alike(case):
 @pytest.mark.parametrize("machine", MACHINE_NAMES)
 def test_every_location_seeded(machine, guard):
     """Every location, ports and invalid sub-ports included, starts out
-    holding fluid, and every wet opcode reads or writes each of them."""
+    holding fluid (every other one a product), and every wet opcode reads
+    or writes each of them."""
     spec = MACHINES[machine]
     locations = [Operand.parse(name) for name in _locations(spec)]
     program = AISProgram("seeded", machine=spec.name)
     meta = {} if guard is None else {"guard": guard}
     for place in locations:
         program.instructions += [
+            Instruction(Opcode.MOVE, dst=place, src=Operand("s2"),
+                        rel_volume=Fraction(1), meta=dict(meta)),
             Instruction(Opcode.OUTPUT, dst=Operand("op1"), src=place, meta=dict(meta)),
             Instruction(Opcode.MOVE, dst=place, src=Operand("s1"), meta=dict(meta)),
             Instruction(Opcode.MOVE, dst=Operand("mixer1"), src=place,
@@ -256,9 +259,9 @@ def test_every_location_seeded(machine, guard):
         ]
     seeds = {
         str(place): AbsContent(
-            ContentKind.HOLDS, VolumeInterval(1, 5), frozenset({-1}), False
+            ContentKind.HOLDS, VolumeInterval(1, 5), frozenset({-1}), k % 2 == 0
         )
-        for place in locations
+        for k, place in enumerate(locations)
     }
     assert_same_walk(program, spec, seeds)
 
