@@ -60,7 +60,7 @@ def _nl(value: Fraction) -> str:
     return f"{float(value):.6g} nl"
 
 
-def _common_denominator(*groups) -> int:
+def _lcm_of_denominators(*groups) -> int:
     """The least common multiple of the denominators of every rational in
     ``groups`` (``None`` entries, missing volumes, are skipped)."""
     denominators = {
@@ -99,7 +99,7 @@ class _PlanChecker:
         node_input_volume = dict(assignment.node_input_volume)
         edge_volume = dict(assignment.edge_volume)
         slack = as_fraction(getattr(assignment, "tolerance", 0) or 0)
-        scale = _common_denominator(
+        scale = _lcm_of_denominators(
             node_volume.values(),
             node_input_volume.values(),
             edge_volume.values(),

@@ -132,8 +132,7 @@ class RaceDetector:
         order = BarrierOrder(self.programs, self.barriers)
         extracted = [
             extract_accesses(
-                program,
-                self.spec,
+                ForwardAnalysis(program, self.spec),
                 program_index=p,
                 namespace="" if self.share_storage else f"p{p}:",
             )
@@ -311,7 +310,7 @@ class RaceDetector:
         program = self.programs[0]
         analysis = ForwardAnalysis(program, self.spec)
         order = DataflowOrder(program, analysis)
-        facts = extract_accesses(program, self.spec)
+        facts = extract_accesses(analysis)
         if self.topology is not None:
             self._check_single_routes(facts)
         by_resource: dict[str, list[ResourceAccess]] = {}

@@ -92,19 +92,20 @@ def _is_write(kind: AccessKind) -> bool:
 
 
 def extract_accesses(
-    program: AISProgram,
-    spec: MachineSpec,
+    analysis: ForwardAnalysis,
     *,
     program_index: int = 0,
     namespace: str = "",
 ) -> ProgramAccesses:
-    """Project one program's dataflow facts to resource-access records.
+    """Project one program's dataflow facts (its forward walk, which the
+    caller may share with other checks) to resource-access records.
 
     ``namespace`` (e.g. ``"p0:"``) is prepended to reservoir names only —
     functional units, their sub-wells, and ports are bound by opcodes and
     modes, so they stay globally shared.
     """
-    analysis = ForwardAnalysis(program, spec)
+    program = analysis.program
+    spec = analysis.spec
     records: list[ResourceAccess] = []
     reservoirs: set[str] = set()
     for access in analysis.accesses:

@@ -31,13 +31,20 @@ would otherwise *be* the solve):
   ``q // gcd(v * p, q)``, after which it divides evenly;
 * the dispensing pass picks its scale as an integer ratio ``num / den``
   and keeps the backward pass's integers: volume ``= int_value * num /
-  (M * den)``;
-* results are read-only exact views over those integers.  An entry
-  becomes the canonical ``Fraction`` Figure 4 defines only when it is
-  first read, and reading a whole table materializes it once.  The
-  feasibility verdicts (:meth:`VolumeAssignment.violations`,
-  :meth:`~VolumeAssignment.min_edge`) compare the integers directly, so a
-  failed attempt builds a Fraction only for each violator's volume.
+  (M * den)``.
+
+Every plan holds its tables the same way, whatever made it: an
+:class:`ExactTable` is a read-only map of integers ``ints`` over a
+``basis`` ``(num, den)``, and the three tables of one
+:class:`VolumeAssignment` (or :class:`VnormResult`) share one basis, so the
+verdicts (:meth:`VolumeAssignment.violations`,
+:meth:`~VolumeAssignment.min_edge`) compare integers directly and a
+failed attempt builds a Fraction only for each violator's volume.
+DAGSolve's tables are views over its own integers; the rounded, LP and
+ILP plans come from :func:`assignment_from_counts`; serde restores and
+hand-built tables are put over one common denominator once, at
+construction (:func:`common_basis`).  An entry becomes the canonical
+``Fraction`` Figure 4 defines only when it is first read.
 
 The backward pass reads a flat per-DAG context (reverse-topological row
 tuples with pre-resolved edge keys and ratio numerators/denominators),
@@ -66,9 +73,12 @@ from .exact import trusted_fraction as _fraction
 from .limits import HardwareLimits, Number, as_fraction
 
 __all__ = [
+    "ExactTable",
     "VnormResult",
     "Violation",
     "VolumeAssignment",
+    "assignment_from_counts",
+    "common_basis",
     "compute_vnorms",
     "dispense",
     "scale_for_required_outputs",
@@ -76,57 +86,57 @@ __all__ = [
 ]
 
 EdgeKey = tuple[str, str]
-#: integer Vnorm tables (node, node input, edge) over one denominator M.
-_Scaled = tuple[dict[str, int], dict[str, int], dict[EdgeKey, int], int]
 
 _CONTEXT_KEY = "dagsolve-context"
 #: ``NodeRecord.views`` key of the node's backward-pass row.
 _ROW = "dagsolve-row"
 
 
-class _ExactTable(Mapping):
-    """Read-only exact view of one integer table: ``value = int * num / den``.
+class ExactTable(Mapping):
+    """Read-only exact table of integers: ``value = ints[key] * num / den``.
 
-    DAGSolve's results (three Vnorm tables, three volume tables) are views
-    over the backward pass's integers.  ``basis`` is the ``(num, den)`` pair
-    with ``num >= 0`` and ``den > 0``; the tables of one result share one
-    basis object, so their integers compare directly.  An entry becomes a
-    canonical :class:`Fraction` when first read; a whole-table read
-    (``items``, ``values``, ``==``) materializes every entry once, in the
-    integers' order.
+    ``ints`` maps each key (node id or edge key) to an integer and
+    ``basis`` is the ``(num, den)`` pair; the three tables of one plan
+    share one basis with ``num > 0`` and ``den > 0``, so their integers
+    compare directly and integer order is value order.  ``ints`` is
+    shared, not copied (DAGSolve's Vnorm and volume tables read the same
+    integers), so it is never written after construction.  An entry
+    becomes a canonical :class:`Fraction` when first read; a whole-table
+    read (``items``, ``values``, ``==``) materializes every entry once, in
+    the integers' order.
     """
 
-    __slots__ = ("_ints", "_basis", "_values", "_full")
+    __slots__ = ("ints", "basis", "_values", "_full")
 
     def __init__(self, ints: dict, basis: tuple[int, int]) -> None:
-        self._ints = ints
-        self._basis = basis
+        self.ints = ints
+        self.basis = basis
         self._values: dict = {}
         self._full = False
 
     def __getitem__(self, key) -> Fraction:
         value = self._values.get(key)
         if value is None:
-            num, den = self._basis
-            value = self._values[key] = _fraction(self._ints[key] * num, den)
+            num, den = self.basis
+            value = self._values[key] = _fraction(self.ints[key] * num, den)
         return value
 
     def __contains__(self, key) -> bool:
-        return key in self._ints
+        return key in self.ints
 
     def __iter__(self) -> Iterator:
-        return iter(self._ints)
+        return iter(self.ints)
 
     def __len__(self) -> int:
-        return len(self._ints)
+        return len(self.ints)
 
     def _materialized(self) -> dict:
         if not self._full:
             values = self._values
-            num, den = self._basis
+            num, den = self.basis
             self._values = {
                 key: values[key] if key in values else _fraction(v * num, den)
-                for key, v in self._ints.items()
+                for key, v in self.ints.items()
             }
             self._full = True
         return self._values
@@ -141,19 +151,56 @@ class _ExactTable(Mapping):
         return repr(self._materialized())
 
 
-def _shared_basis(
-    first: Mapping, second: Mapping, third: Mapping
-) -> tuple[int, int] | None:
-    """The basis of three views over one result's integers, else None."""
-    if (
-        type(first) is _ExactTable
-        and type(second) is _ExactTable
-        and type(third) is _ExactTable
+def common_basis(
+    tables: tuple[Mapping, ...], tolerance: Fraction = Fraction(0)
+) -> tuple[tuple[ExactTable, ...], int]:
+    """Put tables of any origin over one common denominator.
+
+    Every entry (a Fraction or an int) and ``tolerance`` go over the least
+    common multiple ``L`` of their denominators: the tables come back on
+    the basis ``(1, L)``, with ``tolerance`` as an integer on it.  This is
+    how cache restores and hand-built tables enter a plan; DAGSolve and
+    :func:`assignment_from_counts` build their tables on a shared basis
+    directly.
+    """
+    common = lcm(
+        tolerance.denominator,
+        *{value.denominator for table in tables for value in table.values()},
+    )
+    basis = (1, common)
+    exact = tuple(
+        ExactTable(
+            {
+                key: value.numerator * (common // value.denominator)
+                for key, value in table.items()
+            },
+            basis,
+        )
+        for table in tables
+    )
+    return exact, tolerance.numerator * (common // tolerance.denominator)
+
+
+def _on_one_basis(
+    tables: tuple[Mapping, ...], tolerance: Fraction
+) -> tuple[tuple[ExactTable, ...], int]:
+    """``tables`` on one shared basis, with ``tolerance`` an integer on it.
+
+    Tables already sharing a positive basis on which the tolerance is a
+    whole number are kept as they are; anything else (plain dicts, a zero
+    scale, mixed bases) goes through :func:`common_basis`.
+    """
+    basis = getattr(tables[0], "basis", (0, 1))
+    num, den = basis
+    if num > 0 and all(
+        type(table) is ExactTable and table.basis == basis for table in tables
     ):
-        basis = first._basis
-        if second._basis is basis and third._basis is basis:
-            return basis
-    return None
+        slack, rest = divmod(
+            tolerance.numerator * den, tolerance.denominator * num
+        )
+        if not rest:
+            return tables, slack
+    return common_basis(tables, tolerance)
 
 
 @dataclass
@@ -166,9 +213,10 @@ class VnormResult:
     ``output_fraction != 1`` (separators) and is the quantity bounded by the
     capacity constraint (paper Figure 3 bounds ``K = r + s``).
 
-    :func:`compute_vnorms` returns the three tables as read-only views over
-    the backward pass's integers, which :func:`dispense` reuses as they
-    are; tables of any other origin are plain dicts.
+    The three tables are :class:`ExactTable` on one basis:
+    :func:`compute_vnorms` returns views over the backward pass's integers,
+    which :func:`dispense` reuses as they are, and tables of any other
+    origin are put over one common denominator on construction.
     """
 
     node_vnorm: Mapping[str, Fraction]
@@ -177,6 +225,14 @@ class VnormResult:
     #: number of node and edge visits; used by tests to certify linearity.
     nodes_visited: int = 0
     edges_visited: int = 0
+
+    def __post_init__(self) -> None:
+        (self.node_vnorm, self.node_input_vnorm, self.edge_vnorm), __ = (
+            _on_one_basis(
+                (self.node_vnorm, self.node_input_vnorm, self.edge_vnorm),
+                Fraction(0),
+            )
+        )
 
     def max_vnorm(self) -> Fraction:
         """Largest volume Vnorm over all nodes (paper line 8, ``Max_V``).
@@ -212,17 +268,17 @@ class Violation:
 class VolumeAssignment:
     """Absolute volumes for every node and edge of an assay DAG.
 
-    Produced by :func:`dispense` (DAGSolve), by the LP/ILP solvers, or by the
-    run-time assigner; consumers (codegen, the simulator, the benchmarks)
-    treat all sources uniformly.
+    Produced by :func:`dispense` (DAGSolve), by the LP/ILP solvers, by
+    rounding, or by the run-time assigner; consumers (codegen, the
+    simulator, the benchmarks) treat all sources uniformly.
 
-    DAGSolve's tables are read-only exact views over its integers, and its
+    The three tables are read-only :class:`ExactTable` on one basis, and
+    the ``tolerance`` is held as an integer on that basis too, so the
     verdicts (:meth:`violations`, :meth:`min_edge`,
-    :meth:`min_edge_volume`) compare those integers.  To fabricate a
-    different assignment, pass new dicts (``dataclasses.replace(a,
-    node_volume={...})``).  :meth:`violations` puts such plain tables
-    over one common denominator; :meth:`min_edge` compares their
-    Fractions.
+    :meth:`min_edge_volume`) compare integers.  To fabricate a different
+    assignment, build a new one (``dataclasses.replace(a,
+    node_volume={...})``): tables given as plain dicts are put over one
+    common denominator on construction (:func:`common_basis`).
     """
 
     dag: AssayDAG
@@ -237,33 +293,25 @@ class VolumeAssignment:
     #: keep it at 0 so their checks stay strict.
     tolerance: Fraction = Fraction(0)
     meta: dict[str, object] = field(default_factory=dict)
+    #: ``tolerance`` as an integer on the tables' basis.
+    _slack: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        (
+            (self.node_volume, self.node_input_volume, self.edge_volume),
+            self._slack,
+        ) = _on_one_basis(
+            (self.node_volume, self.node_input_volume, self.edge_volume),
+            self.tolerance,
+        )
 
     # -- inspection ----------------------------------------------------
-    def _integer_basis(self) -> tuple[int, int] | None:
-        """The shared ``(num, den)`` basis when the tables are DAGSolve's
-        own views and the checks are strict, else None (Fraction path).
-
-        ``num > 0`` keeps the integer order equal to the volume order, so
-        ties in :meth:`min_edge` break exactly as on the Fraction path.
-        """
-        if self.tolerance:
-            return None
-        basis = _shared_basis(
-            self.node_volume, self.node_input_volume, self.edge_volume
-        )
-        if basis is None or basis[0] <= 0:
-            return None
-        return basis
-
     def min_edge(self) -> tuple[EdgeKey, Fraction]:
         """The edge with the smallest volume (first in table order on ties)."""
-        if not self.edge_volume:
+        ints = self.edge_volume.ints
+        if not ints:
             raise VolumeError("assignment has no edges")
-        if self._integer_basis() is not None:
-            ints = self.edge_volume._ints
-            key = min(ints, key=ints.__getitem__)
-        else:
-            key = min(self.edge_volume, key=self.edge_volume.__getitem__)
+        key = min(ints, key=ints.__getitem__)
         return key, self.edge_volume[key]
 
     def min_edge_volume(self) -> Fraction:
@@ -282,64 +330,20 @@ class VolumeAssignment:
         share never needs to be metered separately — it simply stays behind
         in the functional unit.
 
-        Decided on integers.  DAGSolve's views lend theirs; a plain table
-        (LP, rounded, restored) is put over one common denominator ``L``
-        of its volumes and the slack, as the certifier's plan checker
-        does.  A violation reports the table's own entry, so only a
-        DAGSolve violator's volume becomes a Fraction.
-        """
-        basis = self._integer_basis()
-        if basis is not None:
-            num, den = basis
-            return self._integer_violations(
-                self.node_volume._ints,
-                self.node_input_volume._ints,
-                self.edge_volume._ints,
-                num,
-                den,
-                0,
-            )
-        tables = (self.node_volume, self.node_input_volume, self.edge_volume)
-        slack = self.tolerance
-        scale = lcm(
-            slack.denominator,
-            *{value.denominator for table in tables for value in table.values()},
-        )
-        node_ints, held_ints, edge_ints = (
-            {
-                key: value.numerator * (scale // value.denominator)
-                for key, value in table.items()
-            }
-            for table in tables
-        )
-        return self._integer_violations(
-            node_ints,
-            held_ints,
-            edge_ints,
-            1,
-            scale,
-            slack.numerator * (scale // slack.denominator),
-        )
-
-    def _integer_violations(
-        self,
-        node_ints: Mapping[str, int],
-        held_ints: Mapping[str, int],
-        edge_ints: Mapping[EdgeKey, int],
-        num: int,
-        den: int,
-        slack: int,
-    ) -> list[Violation]:
-        """:meth:`violations` over integer tables.
-
-        A volume is ``v * num / den`` and the slack ``slack / den``, so
-        ``volume < p / q - slack`` is ``(v * num + slack) * q < p * den``
-        and ``volume > p / q + slack`` is ``(v * num - slack) * q > p *
-        den``.
+        Decided on the tables' integers: a volume is ``v * num / den`` and
+        the slack ``slack / den``, so ``volume < p / q - slack`` is ``(v *
+        num + slack) * q < p * den`` and ``volume > p / q + slack`` is ``(v
+        * num - slack) * q > p * den``.  A violation reports the table's own
+        entry, so only a violator's volume becomes a Fraction.
         """
         node_table = self.node_volume
         held_table = self.node_input_volume
         edge_table = self.edge_volume
+        node_ints = node_table.ints
+        held_ints = held_table.ints
+        edge_ints = edge_table.ints
+        num, den = edge_table.basis
+        slack = self._slack
         found: list[Violation] = []
         least_count = self.limits.least_count
         factor = num * least_count.denominator
@@ -419,7 +423,7 @@ class VolumeAssignment:
         }
 
 
-def _assignment_from_counts(
+def assignment_from_counts(
     dag: AssayDAG,
     limits: HardwareLimits,
     counts: Mapping[EdgeKey, int],
@@ -435,28 +439,24 @@ def _assignment_from_counts(
     it is ``output_fraction`` times the inbound total.  Excess edges, if
     the DAG has them, receive the node's production surplus (LP treats
     discarding as slack, DAGSolve as an explicit edge — this keeps the two
-    representations interchangeable).  Every volume is an integer in one
-    basis, ``unit`` refined by the output fractions' denominators, and
-    becomes a canonical Fraction once, in plain, writable dicts; the edge
-    table keeps the key order of ``counts``.
+    representations interchangeable).  Every volume is an integer on one
+    basis: ``unit`` refined by the output fractions' denominators, and
+    further so the ``tolerance`` is a whole number of it.  The edge table
+    keeps the key order of ``counts``.
     """
     nodes = [node for node in dag.nodes() if node.kind is not NodeKind.EXCESS]
     refine = lcm(
         *{(node.output_fraction or Fraction(1)).denominator for node in nodes}
     )
     num, den = unit.numerator, unit.denominator * refine
-    cache: dict[int, Fraction] = {}
-
-    def volume(count: int) -> Fraction:
-        value = cache.get(count)
-        if value is None:
-            value = cache[count] = _fraction(count * num, den)
-        return value
-
-    units = {key: count * refine for key, count in counts.items()}
-    node_volume: dict[str, Fraction] = {}
-    node_input_volume: dict[str, Fraction] = {}
-    edge_volume = {key: volume(count) for key, count in units.items()}
+    if tolerance:
+        slack_den = tolerance.denominator * num
+        grow = slack_den // gcd(tolerance.numerator * den, slack_den)
+        refine *= grow
+        den *= grow
+    edge_ints = {key: count * refine for key, count in counts.items()}
+    node_ints: dict[str, int] = {}
+    held_ints: dict[str, int] = {}
     for node in nodes:
         out_total = 0
         excess = []
@@ -464,30 +464,33 @@ def _assignment_from_counts(
             if edge.is_excess:
                 excess.append(edge)
             else:
-                out_total += units[edge.key]
+                out_total += edge_ints[edge.key]
         if node.kind in (NodeKind.INPUT, NodeKind.CONSTRAINED_INPUT):
             production = entering = out_total
         else:
             entering = sum(
-                units[e.key] for e in dag.in_edges(node.id) if not e.is_excess
+                edge_ints[e.key]
+                for e in dag.in_edges(node.id)
+                if not e.is_excess
             )
             fraction_out = node.output_fraction or Fraction(1)
             production = (
                 fraction_out.numerator * entering // fraction_out.denominator
             )
-        node_volume[node.id] = volume(production)
-        node_input_volume[node.id] = volume(entering)
+        node_ints[node.id] = production
+        held_ints[node.id] = entering
         for edge in excess:
-            surplus = volume(max(0, production - out_total))
-            edge_volume[edge.key] = surplus
-            node_volume[edge.dst] = surplus
-            node_input_volume[edge.dst] = surplus
+            surplus = max(0, production - out_total)
+            edge_ints[edge.key] = surplus
+            node_ints[edge.dst] = surplus
+            held_ints[edge.dst] = surplus
+    basis = (num, den)
     return VolumeAssignment(
         dag=dag,
         limits=limits,
-        node_volume=node_volume,
-        node_input_volume=node_input_volume,
-        edge_volume=edge_volume,
+        node_volume=ExactTable(node_ints, basis),
+        node_input_volume=ExactTable(held_ints, basis),
+        edge_volume=ExactTable(edge_ints, basis),
         method=method,
         tolerance=tolerance,
         meta=meta or {},
@@ -640,8 +643,9 @@ def _validated_targets(
 def _backward(
     context: _SolveContext,
     targets: dict[str, Fraction],
-) -> _Scaled:
-    """The backward pass over integers (paper Figure 4, lines 2-7)."""
+) -> VnormResult:
+    """The backward pass over integers (paper Figure 4, lines 2-7); the
+    Vnorms are views on the basis ``(1, M)``."""
     node_vn: dict[str, int] = {}
     node_in: dict[str, int] = {}
     edge_vn: dict[EdgeKey, int] = {}
@@ -729,16 +733,11 @@ def _backward(
                 product = input_total * frac_num
             edge_vn[key] = product // frac_den
 
-    return node_vn, node_in, edge_vn, scale
-
-
-def _vnorm_result(scaled: _Scaled, context: _SolveContext) -> VnormResult:
-    node_vn, node_in, edge_vn, scale = scaled
     basis = (1, scale)
     return VnormResult(
-        node_vnorm=_ExactTable(node_vn, basis),
-        node_input_vnorm=_ExactTable(node_in, basis),
-        edge_vnorm=_ExactTable(edge_vn, basis),
+        node_vnorm=ExactTable(node_vn, basis),
+        node_input_vnorm=ExactTable(node_in, basis),
+        edge_vnorm=ExactTable(edge_vn, basis),
         nodes_visited=context.nodes_visited,
         edges_visited=context.edges_visited,
     )
@@ -761,58 +760,7 @@ def compute_vnorms(
         over the pass's integers).
     """
     context = _context(dag)
-    scaled = _backward(context, _validated_targets(context, output_targets))
-    return _vnorm_result(scaled, context)
-
-
-def _common_denominator(vnorms: VnormResult) -> _Scaled:
-    """Put a :class:`VnormResult` over one denominator ``M``.
-
-    Vnorms restored from a cache entry (or built by hand) carry no shared
-    scale, so the dispensing pass first takes the LCM of their
-    denominators.  Vnorms from :func:`compute_vnorms` skip this: see
-    :func:`_scaled_vnorms`.
-    """
-    tables = (vnorms.node_vnorm, vnorms.node_input_vnorm, vnorms.edge_vnorm)
-    scale = 1
-    for table in tables:
-        for value in table.values():
-            den = value.denominator
-            if scale % den:
-                scale *= den // gcd(scale, den)
-    factors: dict[int, int] = {}
-    scaled = []
-    for table in tables:
-        ints = {}
-        for key, value in table.items():
-            den = value.denominator
-            factor = factors.get(den)
-            if factor is None:
-                factor = factors[den] = scale // den
-            ints[key] = value.numerator * factor
-        scaled.append(ints)
-    return scaled[0], scaled[1], scaled[2], scale
-
-
-def _scaled_vnorms(vnorms: VnormResult) -> _Scaled:
-    """The integer tables behind ``vnorms``.
-
-    Vnorms :func:`compute_vnorms` returned are views over the backward
-    pass's integers under basis ``(1, M)``; those are used as they are.
-    Anything else (a cache restore, hand-built tables) goes through
-    :func:`_common_denominator`.
-    """
-    basis = _shared_basis(
-        vnorms.node_vnorm, vnorms.node_input_vnorm, vnorms.edge_vnorm
-    )
-    if basis is not None and basis[0] == 1:
-        return (
-            vnorms.node_vnorm._ints,
-            vnorms.node_input_vnorm._ints,
-            vnorms.edge_vnorm._ints,
-            basis[1],
-        )
-    return _common_denominator(vnorms)
+    return _backward(context, _validated_targets(context, output_targets))
 
 
 def _min_ratio(
@@ -833,19 +781,36 @@ def _max_ratio(
     return best
 
 
-def _forward(
+def dispense(
     dag: AssayDAG,
-    limits: HardwareLimits,
-    scaled: _Scaled,
-    objective,
     vnorms: VnormResult,
+    limits: HardwareLimits,
+    *,
+    objective=None,
 ) -> VolumeAssignment:
-    """Forward (dispensing) pass over integers (paper Figure 4, lines 8-11).
+    """Forward (dispensing) pass of DAGSolve (paper Figure 4, lines 8-11).
 
-    The scale is picked as an integer ratio ``(num, den)`` applied to the
-    integer Vnorms, so ``volume = vnorm_int * num / (M * den)``.
+    Anchors the node with the largest Vnorm at its capacity (the paper's
+    ``max_default``) and scales every other node and edge proportionally,
+    honouring per-node capacity overrides and measured constrained inputs.
+
+    When ``objective`` (a :class:`~repro.core.objectives.PlanningObjective`)
+    asks for scale minimisation (``--objective waste``), the pass instead
+    settles at the smallest feasible scale — the capacity anchor stays an
+    upper cap, but no node is filled to capacity just because capacity is
+    there, so unused headroom is never loaded.  The feasibility window is
+    unchanged: a DAG infeasible under the default anchor is dispensed at
+    the anchor so its violations read identically.
+
+    The pass runs over the Vnorms' integers: a Vnorm is ``vnorm_int * vn /
+    M`` on their basis ``(vn, M)`` (``vn`` is 1 for the backward pass's
+    own tables), and the scale is picked as an integer ratio ``(num,
+    den)``, so ``volume = vnorm_int * vn * num / (M * den)``.
     """
-    node_vn, node_in, edge_vn, scale = scaled
+    node_vn = vnorms.node_vnorm.ints
+    node_in = vnorms.node_input_vnorm.ints
+    edge_vn = vnorms.edge_vnorm.ints
+    vn, scale = vnorms.edge_vnorm.basis
     max_load = 0
     for node_id, load in node_vn.items():
         other = node_in[node_id]
@@ -869,9 +834,12 @@ def _forward(
         if other > load:
             load = other
         if load:
-            # bound = capacity / (load / M) = (cap_num * M) / (cap_den * load)
+            # bound = capacity / (load * vn / M)
+            #       = (cap_num * M) / (cap_den * vn * load)
             best = _min_ratio(
-                best, capacity.numerator * scale, capacity.denominator * load
+                best,
+                capacity.numerator * scale,
+                capacity.denominator * vn * load,
             )
         if node.kind is NodeKind.CONSTRAINED_INPUT:
             available = node.available_volume
@@ -885,7 +853,7 @@ def _forward(
                 best = _min_ratio(
                     best,
                     available.numerator * scale,
-                    available.denominator * vnorm,
+                    available.denominator * vn * vnorm,
                 )
     assert best is not None
     if objective is not None:
@@ -899,7 +867,7 @@ def _forward(
         floor: tuple[int, int] | None = None
         least_count: Fraction = limits.least_count
         lc_num = least_count.numerator * scale
-        lc_den = least_count.denominator
+        lc_den = least_count.denominator * vn
         for edge in dag.edges():
             if edge.is_excess:
                 continue
@@ -917,47 +885,25 @@ def _forward(
             if held <= 0:
                 continue
             floor = _max_ratio(
-                floor, minimum.numerator * scale, minimum.denominator * held
+                floor,
+                minimum.numerator * scale,
+                minimum.denominator * vn * held,
             )
         if floor is not None and floor[0] * best[1] < best[0] * floor[1]:
             best = floor
 
     scale_num, scale_den = best
-    basis = (scale_num, scale * scale_den)
+    basis = (vn * scale_num, scale * scale_den)
     return VolumeAssignment(
         dag=dag,
         limits=limits,
-        node_volume=_ExactTable(node_vn, basis),
-        node_input_volume=_ExactTable(node_in, basis),
-        edge_volume=_ExactTable(edge_vn, basis),
+        node_volume=ExactTable(node_vn, basis),
+        node_input_volume=ExactTable(node_in, basis),
+        edge_volume=ExactTable(edge_vn, basis),
         scale=Fraction(scale_num, scale_den),
         method="dagsolve",
         vnorms=vnorms,
     )
-
-
-def dispense(
-    dag: AssayDAG,
-    vnorms: VnormResult,
-    limits: HardwareLimits,
-    *,
-    objective=None,
-) -> VolumeAssignment:
-    """Forward (dispensing) pass of DAGSolve (paper Figure 4, lines 8-11).
-
-    Anchors the node with the largest Vnorm at its capacity (the paper's
-    ``max_default``) and scales every other node and edge proportionally,
-    honouring per-node capacity overrides and measured constrained inputs.
-
-    When ``objective`` (a :class:`~repro.core.objectives.PlanningObjective`)
-    asks for scale minimisation (``--objective waste``), the pass instead
-    settles at the smallest feasible scale — the capacity anchor stays an
-    upper cap, but no node is filled to capacity just because capacity is
-    there, so unused headroom is never loaded.  The feasibility window is
-    unchanged: a DAG infeasible under the default anchor is dispensed at
-    the anchor so its violations read identically.
-    """
-    return _forward(dag, limits, _scaled_vnorms(vnorms), objective, vnorms)
 
 
 def scale_for_required_outputs(
@@ -987,17 +933,14 @@ def scale_for_required_outputs(
         scale = needed if scale is None else max(scale, needed)
     if scale is None:
         raise VolumeError("required_outputs must not be empty")
-    node_volume = {n: v * scale for n, v in vnorms.node_vnorm.items()}
-    node_input_volume = {
-        n: v * scale for n, v in vnorms.node_input_vnorm.items()
-    }
-    edge_volume = {key: v * scale for key, v in vnorms.edge_vnorm.items()}
+    num, den = vnorms.edge_vnorm.basis
+    basis = (num * scale.numerator, den * scale.denominator)
     return VolumeAssignment(
         dag=dag,
         limits=limits,
-        node_volume=node_volume,
-        node_input_volume=node_input_volume,
-        edge_volume=edge_volume,
+        node_volume=ExactTable(vnorms.node_vnorm.ints, basis),
+        node_input_volume=ExactTable(vnorms.node_input_vnorm.ints, basis),
+        edge_volume=ExactTable(vnorms.edge_vnorm.ints, basis),
         scale=scale,
         method="dagsolve/required-outputs",
         vnorms=vnorms,
@@ -1029,10 +972,8 @@ def dagsolve(
             PlanningObjective` steering the dispensing anchor (see
             :func:`dispense`).
     """
-    context = _context(dag)
-    scaled = _backward(context, _validated_targets(context, output_targets))
-    assignment = _forward(
-        dag, limits, scaled, objective, _vnorm_result(scaled, context)
+    assignment = dispense(
+        dag, compute_vnorms(dag, output_targets), limits, objective=objective
     )
     if strict:
         assignment.require_feasible()

@@ -19,10 +19,10 @@ import numpy as np
 from scipy.optimize import Bounds, milp
 
 from .dag import AssayDAG
-from .dagsolve import VolumeAssignment
+from .dagsolve import VolumeAssignment, assignment_from_counts
 from .errors import InfeasibleError, SolverError
 from .limits import HardwareLimits
-from .lp import assignment_from_edge_volumes, highs_problem
+from .lp import highs_problem
 from .lpmodel import LPModel, build_lp_model
 
 __all__ = ["ilp_solve", "solve_model_ilp"]
@@ -63,15 +63,12 @@ def solve_model_ilp(
             f"ILP did not finish for DAG {model.dag.name!r} "
             f"(status {result.status}): {result.message}"
         )
-    least_fraction = model.limits.least_count
-    edge_volume = {
-        key: Fraction(round(result.x[i])) * least_fraction
-        for key, i in model.var_index.items()
-    }
-    return assignment_from_edge_volumes(
+    counts = {key: round(result.x[i]) for key, i in model.var_index.items()}
+    return assignment_from_counts(
         model.dag,
         model.limits,
-        edge_volume,
+        counts,
+        model.limits.least_count,
         method="ilp",
         tolerance=model.limits.max_capacity * Fraction(1, 10_000_000),
         meta={

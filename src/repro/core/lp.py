@@ -16,15 +16,14 @@ hierarchy can fall back from one to the other transparently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .dag import AssayDAG
-from .dagsolve import VolumeAssignment, _assignment_from_counts
+from .dagsolve import VolumeAssignment, assignment_from_counts, common_basis
 from .errors import InfeasibleError, SolverError
-from .limits import HardwareLimits, as_fraction
+from .limits import HardwareLimits
 from .lpmodel import LPModel, build_lp_model
 
 __all__ = [
@@ -52,20 +51,15 @@ def assignment_from_edge_volumes(
     is ``output_fraction`` times the inbound total.  Excess edges, if the DAG
     has them, receive the node's production surplus (LP treats discarding as
     slack, DAGSolve as an explicit edge — this keeps the two representations
-    interchangeable).  The volumes are put over the least common multiple
-    of their denominators and derived on integers.
+    interchangeable).  The volumes are put over one common denominator
+    (:func:`~repro.core.dagsolve.common_basis`) and derived on integers.
     """
-    volumes = {key: as_fraction(value) for key, value in edge_volume.items()}
-    common = lcm(*{volume.denominator for volume in volumes.values()})
-    counts = {
-        key: volume.numerator * (common // volume.denominator)
-        for key, volume in volumes.items()
-    }
-    return _assignment_from_counts(
+    (table,), __ = common_basis((edge_volume,))
+    return assignment_from_counts(
         dag,
         limits,
-        counts,
-        Fraction(1, common),
+        table.ints,
+        Fraction(*table.basis),
         method=method,
         meta=meta,
         tolerance=tolerance,

@@ -28,7 +28,7 @@ from math import ceil
 from collections.abc import Mapping
 
 from .dag import AssayDAG, Edge, Node, NodeKind
-from .dagsolve import _scaled_vnorms, compute_vnorms, dispense
+from .dagsolve import compute_vnorms, dispense
 from .errors import DagError, ResourceExhaustedError
 from .limits import HardwareLimits
 
@@ -240,8 +240,11 @@ def iterative_replication(
         if not underflows:
             return current, reports
         min_key, min_volume = assignment.min_edge()
-        node_vn, node_in, edge_vn, scale = _scaled_vnorms(vnorms)
-        min_vnorm = edge_vn[min_key]
+        # compute_vnorms' tables are integers on the basis (1, M)
+        node_vn = vnorms.node_vnorm.ints
+        node_in = vnorms.node_input_vnorm.ints
+        min_vnorm = vnorms.edge_vnorm.ints[min_key]
+        scale = vnorms.edge_vnorm.basis[1]
 
         # Find the binding node: the one whose capacity bound yields the
         # current (insufficient) scale.  Its bound ``capacity / (load/M)``

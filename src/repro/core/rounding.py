@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .dag import AssayDAG, NodeKind
-from .dagsolve import VolumeAssignment, _assignment_from_counts, _ExactTable
-from .limits import HardwareLimits, as_fraction
+from .dagsolve import VolumeAssignment, assignment_from_counts
+from .limits import HardwareLimits
 
 __all__ = [
     "RatioError",
@@ -73,14 +72,16 @@ def round_assignment(assignment: VolumeAssignment) -> VolumeAssignment:
 
     Node volumes are recomputed from the rounded edges so the result is
     internally consistent; the caller should re-check
-    :meth:`VolumeAssignment.violations` because rounding down can in
-    principle re-introduce underflow (the paper did not observe this and
-    neither do our benchmarks, but the check is how one would find out).
+    :meth:`VolumeAssignment.violations` because rounding down can
+    re-introduce underflow.  The paper did not observe this on its
+    assays, but it happens: a random layered DAG
+    (``tests/integration/test_certified_runs.py``, seed 9) rounds edge
+    ``('in1', 'n0_0')`` to 0 nl.
 
     The work is done in integer least-count steps: an edge's exact volume
     is ``N / D`` steps over one common ``D``, so rounding half up is
-    ``(2N + D) // 2D``.  The result's tables are plain, writable dicts of
-    :class:`~fractions.Fraction` volumes.
+    ``(2N + D) // 2D``.  The result's tables hold integers on the least
+    count (:func:`~repro.core.dagsolve.assignment_from_counts`).
     """
     dag = assignment.dag
     keys = [edge.key for edge in dag.edges() if not edge.is_excess]
@@ -96,26 +97,16 @@ def _exact_steps(
     """Exact edge volumes in least-count steps, as integers ``N`` over one
     positive denominator ``D`` (an edge carries ``N / D`` steps).
 
-    DAGSolve's edge table is a view over integers already (``value = i *
-    num / den``), which are read directly; any other table is brought onto
-    the least common multiple of its denominators.
+    The edge table's integers are read directly: a volume is ``i * num /
+    den`` on the table's basis.
     """
     least = assignment.limits.least_count
     table = assignment.edge_volume
-    if type(table) is _ExactTable:
-        num, den = table._basis
-        ints = table._ints
-        factor = num * least.denominator
-        exact = {key: ints[key] * factor for key in keys}
-        return exact, den * least.numerator
-    volumes = {key: as_fraction(table[key]) for key in keys}
-    common = lcm(*{volume.denominator for volume in volumes.values()})
-    factor = least.denominator
-    exact = {
-        key: volume.numerator * (common // volume.denominator) * factor
-        for key, volume in volumes.items()
-    }
-    return exact, common * least.numerator
+    num, den = table.basis
+    ints = table.ints
+    factor = num * least.denominator
+    exact = {key: ints[key] * factor for key in keys}
+    return exact, den * least.numerator
 
 
 def _rounded(
@@ -131,7 +122,7 @@ def _rounded(
     _repair_deficits(dag, steps, limits, exact, denominator)
     meta = dict(assignment.meta)
     meta["rounded_from"] = assignment.method
-    return _assignment_from_counts(
+    return assignment_from_counts(
         dag,
         limits,
         steps,
@@ -312,13 +303,13 @@ def ratio_errors(assignment: VolumeAssignment) -> list[RatioError]:
 def max_ratio_error(assignment: VolumeAssignment) -> Fraction:
     """Largest relative ratio deviation (0 when the ratios are exact).
 
-    Per mix, the inbound volumes are brought onto one denominator, so an
-    edge of ``v`` against a total of ``t`` and a declared share ``a / b``
-    deviates by ``|v b - a t| / (a |t|)``.  Deviations are compared by
-    cross-multiplication; only the largest becomes a Fraction.
+    A mix's inbound volumes share the plan's basis, so an edge of ``v``
+    against a total of ``t`` (both integers on it) and a declared share
+    ``a / b`` deviates by ``|v b - a t| / (a |t|)``.  Deviations are
+    compared by cross-multiplication; only the largest becomes a Fraction.
     """
     dag = assignment.dag
-    table = assignment.edge_volume
+    ints = assignment.edge_volume.ints
     worst_num, worst_den = 0, 1
     for node in dag.nodes():
         if node.kind is NodeKind.EXCESS:
@@ -326,12 +317,7 @@ def max_ratio_error(assignment: VolumeAssignment) -> Fraction:
         inbound = [e for e in dag.in_edges(node.id) if not e.is_excess]
         if len(inbound) < 2:
             continue
-        volumes = [as_fraction(table[e.key]) for e in inbound]
-        common = lcm(*{volume.denominator for volume in volumes})
-        scaled = [
-            volume.numerator * (common // volume.denominator)
-            for volume in volumes
-        ]
+        scaled = [ints[e.key] for e in inbound]
         total = sum(scaled)
         if total == 0:
             continue

@@ -6,6 +6,7 @@ plan — a single dispensed volume off by one least count, a broken ratio,
 an overdrawn budget — must fail with the *correct* stable PLAN-* code.
 """
 
+import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -128,14 +129,19 @@ class TestSingleLeastCountPerturbation:
     @pytest.mark.parametrize("direction", [1, -1], ids=["up", "down"])
     def test_perturbed_edge_caught(self, direction):
         compiled = _glucose()
-        assignment = compiled.assignment
+        planned = compiled.assignment.edge_volume
         least = compiled.spec.limits.least_count
         edge = next(
             e
             for e in compiled.final_dag.edges()
-            if not e.is_excess and assignment.edge_volume[e.key] > least
+            if not e.is_excess and planned[e.key] > least
         )
-        assignment.edge_volume[edge.key] += direction * least
+        assignment = dataclasses.replace(
+            compiled.assignment,
+            edge_volume={
+                **planned, edge.key: planned[edge.key] + direction * least
+            },
+        )
         diagnostics, _ = certify_plan(
             compiled.final_dag, assignment, compiled.spec.limits
         )

@@ -401,6 +401,30 @@ class TestSingleMode:
         codes = analyze_races(program).codes()
         assert "RACE-GUARDED" in codes
 
+    def test_compile_with_every_analyzer_walks_the_listing_three_times(
+        self, monkeypatch
+    ):
+        """Lint, certify and the race detector walk the listing once
+        each: the detector's ordering and its access records share one
+        forward walk."""
+        from repro.analysis.dataflow import ForwardAnalysis
+        from repro.assays import enzyme
+        from repro.compiler.passes import run_compile
+
+        walks = []
+        original = ForwardAnalysis.__init__
+
+        def counting(self, *args, **kwargs):
+            walks.append(args[0])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ForwardAnalysis, "__init__", counting)
+        ctx = run_compile(
+            dag=enzyme.build_dag(), lint=True, certify=True, race_check=True
+        )
+        assert ctx.compiled.listing()
+        assert len(walks) == 3
+
 
 # ---------------------------------------------------------------------------
 class TestReportShape:

@@ -219,9 +219,9 @@ class TestViolations:
 
     def test_overflow_error_type(self, fig2_dag, limits):
         assignment = dagsolve(fig2_dag, limits)
-        # Fabricate an overflow to check the error mapping.  DAGSolve's
-        # tables are read-only views, so the fabricated assignment gets
-        # new dicts (and with them the Fraction path of the checks).
+        # Fabricate an overflow to check the error mapping.  The tables
+        # are read-only, so the fabricated assignment is built from new
+        # dicts (put over one common denominator on construction).
         assignment = dataclasses.replace(
             assignment,
             node_volume={**assignment.node_volume, "B": Fraction(1000)},

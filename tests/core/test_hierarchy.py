@@ -184,25 +184,60 @@ class TestStructureRecords:
         assert len(derived) == 528
 
 
+def normalizer_calls(monkeypatch) -> list:
+    """Record each call of the one normalizer, ``common_basis``, from
+    ``dagsolve`` and from the LP's packaging."""
+    calls = []
+    original = dagsolve_module.common_basis
+
+    def counting(tables, tolerance=Fraction(0)):
+        calls.append(tables)
+        return original(tables, tolerance)
+
+    monkeypatch.setattr(dagsolve_module, "common_basis", counting)
+    monkeypatch.setattr(
+        importlib.import_module("repro.core.lp"), "common_basis", counting
+    )
+    return calls
+
+
 class TestIntegerVerdicts:
-    """DAGSolve's verdicts read its integers, not Fractions."""
+    """Every plan's verdicts read its integers, not Fractions."""
 
     def test_cold_compile_never_rebuilds_a_common_denominator(
         self, monkeypatch
     ):
-        """Every dispense in a cold compile reuses the backward pass's
-        integers; only restored or hand-built Vnorms need the LCM."""
-        calls = []
-        original = dagsolve_module._common_denominator
-
-        def counting(vnorms):
-            calls.append(vnorms)
-            return original(vnorms)
-
-        monkeypatch.setattr(dagsolve_module, "_common_denominator", counting)
+        """Every plan of a cold compile is built on a shared basis:
+        DAGSolve's views, and the rounded plan from its counts.  Only
+        restored or hand-built tables (and an LP's solution) go through
+        the one normalizer, :func:`~repro.core.dagsolve.common_basis`."""
+        calls = normalizer_calls(monkeypatch)
         ctx = run_compile(dag=generators.enzyme_n(6), spec=AQUACORE_XL_SPEC)
         assert ctx.plan.feasible
         assert calls == []
+        # a restored Vnorm table is the normalizer's traffic
+        serde = importlib.import_module("repro.core.serde")
+        vnorms = ctx.plan.assignment.vnorms
+        restored = serde.vnorms_from_dict(serde.vnorms_to_dict(vnorms))
+        assert len(calls) == 1
+        assert restored.edge_vnorm == vnorms.edge_vnorm
+
+    def test_solver_plans_hold_their_slack_on_their_basis(self, monkeypatch):
+        """The LP and ILP plans come from their counts on a basis that
+        holds the 1e-7 slack as a whole number: the LP puts its Fractions
+        over one denominator once, the ILP not at all."""
+        from repro.assays import glucose
+        from repro.core.ilp import ilp_solve
+        from repro.core.lp import lp_solve
+
+        calls = normalizer_calls(monkeypatch)
+        for solve, made in ((lp_solve, 1), (ilp_solve, 0)):
+            calls.clear()
+            plan = solve(glucose.build_dag(), PAPER_LIMITS)
+            assert len(calls) == made
+            num, den = plan.edge_volume.basis
+            assert plan.tolerance > 0
+            assert Fraction(plan._slack * num, den) == plan.tolerance
 
     def test_failed_attempt_reads_only_its_violators(self, monkeypatch):
         """A failed DAGSolve attempt materializes one Fraction per

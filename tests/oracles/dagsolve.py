@@ -24,7 +24,7 @@ from repro.core.dagsolve import (
 from repro.core.errors import DagError, VolumeError
 from repro.core.limits import HardwareLimits, Number, as_fraction
 
-__all__ = ["compute_vnorms", "dispense", "dagsolve", "violations"]
+__all__ = ["compute_vnorms", "dispense", "dagsolve", "violations", "min_edge"]
 
 
 def compute_vnorms(
@@ -296,3 +296,13 @@ def violations(assignment: VolumeAssignment) -> list[Violation]:
             if held < (minimum - slack if slack else minimum):
                 found.append(Violation("min-volume", node.id, held, minimum))
     return found
+
+
+def min_edge(assignment: VolumeAssignment) -> tuple[EdgeKey, Fraction]:
+    """:meth:`VolumeAssignment.min_edge` in Fraction comparisons: the
+    smallest edge volume, the first in table order on ties."""
+    table = assignment.edge_volume
+    if not table:
+        raise VolumeError("assignment has no edges")
+    key = min(table, key=table.__getitem__)
+    return key, table[key]

@@ -2,8 +2,8 @@
 
 This is :func:`repro.core.replication.iterative_replication` as it was
 before its verdicts moved to DAGSolve's integers: each round solves with
-the Fraction oracle (:mod:`oracles.dagsolve`), whose plain-dict
-assignments take the Fraction path of ``violations()`` and ``min_edge()``,
+the Fraction oracle (:mod:`oracles.dagsolve`), takes its verdicts from
+:func:`oracles.dagsolve.violations` and :func:`oracles.dagsolve.min_edge`,
 and finds the binding node by comparing ``capacity / load`` Fractions.
 The rewrite itself (``_replicate_in_place``) and the copy count
 (``needed_copies``) are shared with production: they are not under test.
@@ -20,7 +20,7 @@ from repro.core.replication import (
     needed_copies,
 )
 
-from oracles.dagsolve import compute_vnorms, dispense
+from oracles.dagsolve import compute_vnorms, dispense, min_edge, violations
 
 __all__ = ["iterative_replication"]
 
@@ -39,11 +39,11 @@ def iterative_replication(
         vnorms = compute_vnorms(current)
         assignment = dispense(current, vnorms, limits)
         underflows = [
-            v for v in assignment.violations() if v.kind != "overflow"
+            v for v in violations(assignment) if v.kind != "overflow"
         ]
         if not underflows:
             return current, reports
-        min_key, min_volume = assignment.min_edge()
+        min_key, min_volume = min_edge(assignment)
         min_vnorm = vnorms.edge_vnorm[min_key]
         required_scale = limits.least_count / min_vnorm
 

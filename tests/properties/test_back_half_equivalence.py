@@ -30,6 +30,7 @@ from repro.core.dag import AssayDAG, NodeKind
 from repro.core.dagsolve import dagsolve
 from repro.core.errors import VolumeError
 from repro.core.limits import PAPER_LIMITS
+from repro.core.ilp import ilp_solve
 from repro.core.lp import assignment_from_edge_volumes, lp_solve
 from repro.core.rounding import (
     max_ratio_error,
@@ -78,7 +79,6 @@ def assert_same_rounding(candidate, reference):
     for table in ("node_volume", "node_input_volume", "edge_volume"):
         got = getattr(candidate, table)
         want = getattr(reference, table)
-        assert type(got) is dict, table
         assert list(got.items()) == list(want.items()), table
         assert all(type(value) is Fraction for value in got.values()), table
     assert candidate.method == reference.method
@@ -86,6 +86,7 @@ def assert_same_rounding(candidate, reference):
     assert candidate.tolerance == reference.tolerance
     assert candidate.scale == reference.scale
     assert candidate.violations() == reference.violations()
+    assert_oracle_verdicts(candidate)
     assert max_ratio_error(candidate) == rounding_oracle.max_ratio_error(
         reference
     )
@@ -184,13 +185,17 @@ class TestRoundingEquivalence:
             )
         )
         key = next(e.key for e in dag.in_edges(mix) if not e.is_excess)
-        negative = hand_built(exact, lambda: Fraction(0))
-        negative.edge_volume[key] = -sum(
-            volume for volume in exact.edge_volume.values()
-        ) - 1
+        negative = dataclasses.replace(
+            exact,
+            edge_volume={
+                **exact.edge_volume,
+                key: -sum(exact.edge_volume.values()) - 1,
+            },
+        )
         assert_rounds_alike(negative)
-        missing = hand_built(exact, lambda: Fraction(0))
-        del missing.edge_volume[key]
+        edges = dict(exact.edge_volume)
+        del edges[key]
+        missing = dataclasses.replace(exact, edge_volume=edges)
         with pytest.raises(KeyError):
             rounding_oracle.round_assignment(missing)
         with pytest.raises(KeyError):
@@ -241,19 +246,27 @@ class TestEdgeVolumePackaging:
 
 
 # ---------------------------------------------------------------------------
-# feasibility verdicts on plain tables
+# feasibility verdicts on every kind of plan
 # ---------------------------------------------------------------------------
-#: slacks a plain table may carry: none, the LP's kind, a least count.
+#: slacks a plan may carry: none, the LP's kind, a least count.
 SLACKS = (Fraction(0), Fraction(1, 200), LEAST)
 
 
+def assert_oracle_verdicts(assignment):
+    """The one integer verdict path against the Fraction oracle: the same
+    violations in the same order, and the same minimum edge (the first in
+    table order on ties)."""
+    assert assignment.violations() == dagsolve_oracle.violations(assignment)
+    assert assignment.min_edge() == dagsolve_oracle.min_edge(assignment)
+    assert max_ratio_error(assignment) == rounding_oracle.max_ratio_error(
+        assignment
+    )
+
+
 def assert_same_violations(assignment):
-    """The same violations in the same order as the Fraction loop, with
-    every slack; the tables stay plain, writable dicts."""
+    """:func:`assert_oracle_verdicts` with every slack."""
     for slack in SLACKS:
-        candidate = dataclasses.replace(assignment, tolerance=slack)
-        assert type(candidate.edge_volume) is dict
-        assert candidate.violations() == dagsolve_oracle.violations(candidate)
+        assert_oracle_verdicts(dataclasses.replace(assignment, tolerance=slack))
 
 
 class TestViolationsEquivalence:
@@ -269,22 +282,64 @@ class TestViolationsEquivalence:
     def test_rounded_restored_lp_and_hand_built_tables(
         self, seed, shape, sep, half, max_ratio, data
     ):
+        """Every kind of plan holds its tables on one shared positive
+        basis and decides like the oracle: DAGSolve under both
+        objectives, both roundings, a serde restore, ``replace``-built
+        tables (also mixing two plans' tables), and the LP (with its
+        slack) and its rounding."""
         dag = random_dag(seed, shape, sep, half, max_ratio)
         exact = dagsolve(dag, PAPER_LIMITS)
         rounded = round_assignment(exact)
         restored = assignment_from_dict(assignment_to_dict(rounded), dag)
         offset = st.sampled_from(OFFSETS)
         tables = [
+            exact,
+            dagsolve(dag, PAPER_LIMITS, objective="waste"),
             rounded,
+            round_assignment_ratio_preserving(exact),
             restored,
             hand_built(exact, lambda: data.draw(offset, label="offset")),
+            # tables of two plans, on two bases
+            dataclasses.replace(exact, edge_volume=rounded.edge_volume),
         ]
         try:
-            tables.append(lp_solve(dag, PAPER_LIMITS))
+            lp = lp_solve(dag, PAPER_LIMITS)
         except VolumeError:
             pass  # an infeasible LP has no tables
+        else:
+            tables += [lp, round_assignment(lp)]
         for assignment in tables:
+            basis = assignment.edge_volume.basis
+            assert basis[0] > 0 and basis[1] > 0
+            assert assignment.node_volume.basis == basis
+            assert assignment.node_input_volume.basis == basis
             assert_same_violations(assignment)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ilp_plans_on_small_dags(self, seed):
+        dag = random_dag(seed, (2, 2, 2))
+        plan = ilp_solve(dag, PAPER_LIMITS, time_limit=10)
+        assert plan.tolerance > 0
+        assert_same_violations(plan)
+
+    def test_zero_scale_ties_break_in_table_order(self):
+        """A measured input holding nothing dispenses every edge at 0 nl:
+        all edges tie (their Vnorm integers do not), and the first in
+        table order is the minimum."""
+        dag = random_dag(3, (3, 2, 2))
+        source = next(node for node in dag.nodes() if not dag.in_edges(node.id))
+        source.kind = NodeKind.CONSTRAINED_INPUT
+        source.available_volume = Fraction(0)
+        plan = dagsolve(dag, PAPER_LIMITS)
+        assert plan.scale == 0
+        first = next(iter(plan.edge_volume))
+        assert plan.min_edge() == (first, Fraction(0))
+        built = dataclasses.replace(
+            plan, edge_volume=dict.fromkeys(plan.edge_volume, Fraction(0))
+        )
+        assert built.min_edge() == (first, Fraction(0))
+        assert_same_violations(plan)
+        assert_same_violations(built)
 
     @given(seed=dag_seeds, shape=shapes, sep=separators, data=st.data())
     @settings(max_examples=30, deadline=None)

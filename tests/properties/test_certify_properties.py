@@ -10,6 +10,7 @@ Two directions:
   catches it with a PLAN-* error.
 """
 
+import dataclasses
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -83,14 +84,16 @@ class TestSingleStepSensitivity:
             return
         edge = data.draw(st.sampled_from(dispensed), label="edge")
         direction = data.draw(st.sampled_from([1, -1]), label="direction")
-        original = assignment.edge_volume[edge.key]
-        assignment.edge_volume[edge.key] = original + direction * least
-        try:
-            diagnostics, _ = certify_plan(
-                compiled.final_dag, assignment, compiled.spec.limits
-            )
-        finally:
-            assignment.edge_volume[edge.key] = original
+        planned = assignment.edge_volume
+        lie = dataclasses.replace(
+            assignment,
+            edge_volume={
+                **planned, edge.key: planned[edge.key] + direction * least
+            },
+        )
+        diagnostics, _ = certify_plan(
+            compiled.final_dag, lie, compiled.spec.limits
+        )
         errors = [d for d in diagnostics if d.severity.value == "error"]
         assert errors, "a one-least-count lie slipped through"
         assert all(d.code.startswith("PLAN-") for d in errors)

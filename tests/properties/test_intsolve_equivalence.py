@@ -21,6 +21,8 @@ from repro.assays import generators, glycomics
 from repro.core.dag import NodeKind
 from repro.core.dagsolve import (
     _CONTEXT_KEY,
+    ExactTable,
+    VnormResult,
     _context,
     compute_vnorms,
     dagsolve,
@@ -180,10 +182,19 @@ class TestDispense:
         """The plan-cache path: Vnorms round-tripped through
         ``vnorms_to_dict``/``vnorms_from_dict`` (and rescaled by an
         arbitrary factor, so no denominator is the solver's) dispense
-        exactly like the oracle."""
+        exactly like the oracle; so do the solver's own integers on the
+        rescaled basis ``(num, den * M)``."""
         dag = random_dag(seed, shape, max_ratio=99)
         factor = Fraction(num, den)
-        stored = vnorms_to_dict(compute_vnorms(dag))
+        vnorms = compute_vnorms(dag)
+        tables = (vnorms.node_vnorm, vnorms.node_input_vnorm, vnorms.edge_vnorm)
+        vn, scale = vnorms.edge_vnorm.basis
+        rebased = VnormResult(
+            *(ExactTable(table.ints, (vn * num, scale * den)) for table in tables),
+            nodes_visited=vnorms.nodes_visited,
+            edges_visited=vnorms.edges_visited,
+        )
+        stored = vnorms_to_dict(vnorms)
         for table in ("node_vnorm", "node_input_vnorm"):
             stored[table] = {
                 key: fraction_to_str(Fraction(value) * factor)
@@ -194,10 +205,14 @@ class TestDispense:
             for src, dst, value in stored["edge_vnorm"]
         ]
         restored = vnorms_from_dict(stored)
-        assert_same_assignment(
-            oracle.dispense(dag, restored, PAPER_LIMITS, objective=objective),
-            dispense(dag, restored, PAPER_LIMITS, objective=objective),
+        reference = oracle.dispense(
+            dag, restored, PAPER_LIMITS, objective=objective
         )
+        for candidate in (restored, rebased):
+            assert_same_assignment(
+                reference,
+                dispense(dag, candidate, PAPER_LIMITS, objective=objective),
+            )
 
     @given(
         sep1=st.fractions(min_value=Fraction(1, 100), max_value=200),
@@ -295,17 +310,25 @@ def draw_node_bounds(dag, rng):
             node.min_volume = Fraction(rng.randint(1, 90), rng.randint(1, 3))
 
 
+def assert_oracle_verdicts(assignment):
+    """The one integer verdict path against the Fraction oracle."""
+    assert assignment.violations() == oracle.violations(assignment)
+    assert assignment.min_edge() == oracle.min_edge(assignment)
+
+
 def assert_same_verdicts(reference, candidate):
-    assert candidate._integer_basis() is not None  # the integer path
-    assert reference._integer_basis() is None  # the Fraction path
+    assert_oracle_verdicts(reference)
+    assert_oracle_verdicts(candidate)
     assert reference.violations() == candidate.violations()
     assert reference.min_edge() == candidate.min_edge()
     assert reference.min_edge_volume() == candidate.min_edge_volume()
 
 
 class TestIntegerVerdicts:
-    """``violations()``/``min_edge()`` decide on DAGSolve's integers; the
-    oracle's plain-dict assignments decide in Fractions."""
+    """``violations()``/``min_edge()`` decide on the tables' integers, for
+    DAGSolve's views and for the oracle's tables put on a common basis
+    alike; :func:`oracles.dagsolve.violations` and
+    :func:`oracles.dagsolve.min_edge` decide in Fractions."""
 
     @given(
         seed=dag_seeds,

@@ -135,18 +135,29 @@ class TestRuntimeExecution:
         assert poor_scale < rich_scale
 
 
+def quartered_inputs(assignment):
+    """The assignment with the glucose inputs' planned volumes quartered."""
+    planned = assignment.node_volume
+    return dataclasses.replace(
+        assignment,
+        node_volume={
+            **planned,
+            **{
+                node: planned[node] / 4
+                for node in ("Glucose", "Reagent", "Sample")
+            },
+        },
+    )
+
+
 class TestRegenerationPath:
     def test_sabotaged_plan_triggers_regeneration(self):
         """Halve every planned input volume: draws must exhaust sources and
         the executor must recover by re-executing backward slices."""
         compiled = run_compile(source=glucose.SOURCE).compiled
-        sabotaged = dataclasses.replace(compiled)
-        assignment = compiled.assignment
-        for node in list(assignment.node_volume):
-            if node in ("Glucose", "Reagent", "Sample"):
-                assignment.node_volume[node] = (
-                    assignment.node_volume[node] / 4
-                )
+        sabotaged = dataclasses.replace(
+            compiled, assignment=quartered_inputs(compiled.assignment)
+        )
         executor = AssayExecutor(sabotaged, glucose_machine())
         result = executor.run()
         assert result.regenerations > 0
@@ -156,10 +167,9 @@ class TestRegenerationPath:
         from repro.machine.errors import EmptyError
 
         compiled = run_compile(source=glucose.SOURCE).compiled
-        for node in ("Glucose", "Reagent", "Sample"):
-            compiled.assignment.node_volume[node] = (
-                compiled.assignment.node_volume[node] / 4
-            )
+        compiled = dataclasses.replace(
+            compiled, assignment=quartered_inputs(compiled.assignment)
+        )
         executor = AssayExecutor(
             compiled, glucose_machine(), allow_regeneration=False
         )

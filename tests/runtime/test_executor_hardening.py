@@ -25,11 +25,17 @@ from repro.runtime.executor import AssayExecutor, FailureReport, RetryPolicy
 def sabotaged_glucose(divisor=4):
     """Quarter the planned input volumes so draws exhaust their sources."""
     compiled = run_compile(source=glucose.SOURCE).compiled
-    for node in ("Glucose", "Reagent", "Sample"):
-        compiled.assignment.node_volume[node] = (
-            compiled.assignment.node_volume[node] / divisor
-        )
-    return compiled
+    planned = compiled.assignment.node_volume
+    sabotaged = {
+        node: planned[node] / divisor
+        for node in ("Glucose", "Reagent", "Sample")
+    }
+    return dataclasses.replace(
+        compiled,
+        assignment=dataclasses.replace(
+            compiled.assignment, node_volume={**planned, **sabotaged}
+        ),
+    )
 
 
 def first_move_index(compiled):
