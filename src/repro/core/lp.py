@@ -5,7 +5,11 @@ substitute HiGHS through scipy's ``milp`` with no integrality constraint —
 the same algorithmic class with the same asymptotic behaviour, which is
 what the Table 2 runtime comparison is about.  ``milp`` hands the model's
 rows and bounds to HiGHS as they are; ``linprog`` would first re-clean
-and re-parse them on every solve.
+and re-parse them on every solve.  The solve turns HiGHS's output flag
+off, as ``linprog`` does: on a degenerate LP (several optimal vertices,
+such as the waste objective's zero-waste face) HiGHS pivots to a
+different optimal vertex with the flag on, so the flag keeps the plans
+bit-identical to ``linprog``'s.
 
 The entry point :func:`lp_solve` accepts the same ``(dag, limits)`` pair as
 :func:`repro.core.dagsolve.dagsolve` and returns the same
@@ -15,6 +19,7 @@ hierarchy can fall back from one to the other transparently.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -101,7 +106,20 @@ def solve_model(model: LPModel) -> VolumeAssignment:
         SolverError: any other solver failure (unbounded, numerical, ...).
     """
     constraints, bounds = highs_problem(model)
-    result = milp(model.objective, constraints=constraints, bounds=bounds)
+    with warnings.catch_warnings():
+        # ``milp`` passes the flag to HiGHS verbatim but warns that it
+        # does not know it.
+        warnings.filterwarnings(
+            "ignore",
+            message=r"Unrecognized options detected: \{'output_flag'\}",
+            category=RuntimeWarning,
+        )
+        result = milp(
+            model.objective,
+            constraints=constraints,
+            bounds=bounds,
+            options={"output_flag": False},
+        )
     if result.status == 2:
         raise InfeasibleError(
             f"LP infeasible for DAG {model.dag.name!r}: {result.message}"
