@@ -35,7 +35,12 @@ def test_certify_is_cheaper_than_compiling(benchmark, name):
     report = benchmark(lambda: certify(compiled))
     assert report.counts["error"] == 0, report.render_text()
 
-    certify_seconds = benchmark.stats.stats.mean
+    if benchmark.stats is None:  # --benchmark-disable: time one run
+        started = time.perf_counter()
+        certify(compiled)
+        certify_seconds = time.perf_counter() - started
+    else:
+        certify_seconds = benchmark.stats.stats.mean
     _report.record(
         "plan-certificate verifier overhead",
         name,

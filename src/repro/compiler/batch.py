@@ -55,7 +55,7 @@ from .passes import (
     front_end_dag,
     run_compile,
 )
-from .pool import default_workers, pool_map, worker_cache
+from .pool import default_workers, pool_map
 
 __all__ = [
     "BatchJob",
@@ -283,19 +283,15 @@ def compile_task(payload: dict[str, Any]) -> dict[str, Any]:
     """Compile one cold job; runs in a pool worker or inline.
 
     The payload carries :func:`compile_one`'s arguments with the DAG in
-    serde form (``"dag"``), so workers never re-run the frontend.  The
-    summary gains ``entry``: the serialized plan for the parent to
-    deposit, or None when the plan is runtime-deferred or does not
-    serialize.  This is the only compile path that makes a cache entry.
+    serde form (``"dag"``), so workers never re-run the frontend.  It
+    compiles with no cache: the summary gains ``entry``, the serialized
+    plan for the caller to deposit in its own cache, or None when the
+    plan is runtime-deferred or does not serialize.  This is the only
+    compile path that makes a cache entry.
     """
     arguments = dict(payload)
     compiled, summary = compile_one(
-        dag_from_dict(arguments.pop("dag")),
-        # in a persistent-pool worker a read-mostly handle over the
-        # parent's cache directory (vnorm memo, plan prefix hits)
-        cache=worker_cache(),
-        bus=PassEventBus(),
-        **arguments,
+        dag_from_dict(arguments.pop("dag")), bus=PassEventBus(), **arguments
     )
     summary["entry"] = None
     if summary["ok"] and summary["cacheable"]:
@@ -452,7 +448,6 @@ def compile_many(
         compile_task,
         payloads.values(),
         max_workers=max_workers if len(payloads) > 1 else 1,
-        cache_dir=cache.directory,
     )
     for (fingerprint, indices), summary in zip(pending.items(), summaries):
         if summary["ok"] and summary["entry"] is not None:

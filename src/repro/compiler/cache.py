@@ -6,15 +6,12 @@ sweeps, EnzymeN families, regeneration re-runs — so compiled
 canonical content hash (:mod:`repro.core.fingerprint`) of the normalized
 DAG plus hardware limits, machine spec, and pipeline options.
 
-Three key namespaces share one store:
+Two key namespaces share one store:
 
 * ``plan-<sha256>`` — a full compiled plan entry: the serialized
   :class:`VolumePlan` (final DAG, attempts, transforms, exact-Fraction
   assignment) plus the least-count-rounded assignment.  Built and decoded
   by :func:`entry_from_plan` / :func:`plan_from_entry`.
-* ``vnorms-<sha256>`` — one memoized DAGSolve backward pass, keyed by the
-  *structural* fingerprint only; partitioned sub-DAGs and transformed
-  slices hit here independently of the enclosing assay.
 * ``src-<sha256>`` — raw source text (plus spec/options) mapped to its
   compile fingerprint, letting the batch driver skip the whole frontend
   on warm re-runs.  ``repro serve`` stores the job's answer there too
@@ -65,8 +62,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core.dagsolve import VnormResult, VolumeAssignment, compute_vnorms
-from ..core.fingerprint import plan_key, source_key, vnorm_key
+from ..core.dagsolve import VolumeAssignment
+from ..core.fingerprint import plan_key, source_key
 from ..core.hierarchy import VolumePlan
 from ..core.serde import (
     SERDE_VERSION,
@@ -76,8 +73,6 @@ from ..core.serde import (
     dumps_canonical,
     plan_from_dict,
     plan_to_dict,
-    vnorms_from_dict,
-    vnorms_to_dict,
 )
 
 __all__ = [
@@ -115,7 +110,7 @@ class CacheStats:
     disk_hits: int = 0
     uncacheable: int = 0
     expired: int = 0
-    #: per-namespace hit/miss counts, e.g. {"plan": [3, 1], "vnorms": ...}
+    #: per-namespace hit/miss counts, e.g. {"plan": [3, 1], "src": ...}
     by_namespace: dict[str, list] = field(default_factory=dict)
 
     def _bucket(self, key: str) -> list:
@@ -194,10 +189,6 @@ class PlanCache:
         self._memory: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
         #: per-key write stamps for TTL expiry of the memory level.
         self._stamps: dict[str, float] = {}
-        #: live VnormResult objects alongside their serde dicts, so
-        #: in-process memo hits skip Fraction re-parsing.  Treated as
-        #: read-only by every consumer (dispense never mutates vnorms).
-        self._vnorm_objects: dict[str, VnormResult] = {}
 
     # ------------------------------------------------------------------
     # tenancy / stats hooks
@@ -254,7 +245,6 @@ class PlanCache:
         with self._lock:
             self._memory.clear()
             self._stamps.clear()
-            self._vnorm_objects.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -318,7 +308,6 @@ class PlanCache:
         if self._memory_stale(qkey):
             self._memory.pop(qkey, None)
             self._stamps.pop(qkey, None)
-            self._vnorm_objects.pop(qkey, None)
             path = self._disk_path(qkey)
             if path is not None:
                 try:
@@ -333,7 +322,6 @@ class PlanCache:
         self._stamps[qkey] = self._clock()
         while len(self._memory) > self.max_entries:
             evicted, __ = self._memory.popitem(last=False)
-            self._vnorm_objects.pop(evicted, None)
             self._stamps.pop(evicted, None)
             self._note_eviction()
 
@@ -423,33 +411,6 @@ class PlanCache:
         return True
 
     # ------------------------------------------------------------------
-    # vnorm memo namespace
-    # ------------------------------------------------------------------
-    def memo_vnorms(self, dag, output_targets=None) -> VnormResult:
-        """DAGSolve backward pass, memoized by structural fingerprint."""
-        qkey = self._qualify(vnorm_key(dag, output_targets))
-        with self._lock:
-            self._expire(qkey)
-            cached = self._vnorm_objects.get(qkey)
-            if cached is not None:
-                if qkey in self._memory:
-                    self._memory.move_to_end(qkey)
-                self._note_hit(qkey)
-                return cached
-            entry = self._lookup(qkey)
-            if entry is not None:
-                result = vnorms_from_dict(entry)
-                self._vnorm_objects[qkey] = result
-                return result
-        # compute outside the lock: the solve can be slow and needs no
-        # shared state (a racing duplicate just overwrites identically)
-        result = compute_vnorms(dag, output_targets)
-        with self._lock:
-            self._store(qkey, vnorms_to_dict(result))
-            self._vnorm_objects[qkey] = result
-        return result
-
-    # ------------------------------------------------------------------
     # source fast-key namespace
     # ------------------------------------------------------------------
     def get_source_fingerprint(self, src_fingerprint: str) -> str | None:
@@ -504,8 +465,8 @@ class PlanCache:
 class TenantCache(PlanCache):
     """A per-tenant namespace over a shared :class:`PlanCache`.
 
-    The view shares the base cache's storage (LRU map, vnorm objects,
-    disk directory), policy (size bound, TTL), lock, and global stats
+    The view shares the base cache's storage (LRU map, disk
+    directory), policy (size bound, TTL), lock, and global stats
     by reference — only key *qualification* differs: every key is
     stored as ``<tenant>~<key>``, so identical fingerprints under
     different tenants never resolve to the same entry, in memory or on
@@ -535,7 +496,6 @@ class TenantCache(PlanCache):
         self._lock = base._lock
         self._memory = base._memory
         self._stamps = base._stamps
-        self._vnorm_objects = base._vnorm_objects
 
     def _qualify(self, key: str) -> str:
         return f"{self.tenant}~{key}"

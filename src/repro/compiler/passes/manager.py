@@ -7,9 +7,9 @@ list in order and wraps every run in the same instrumentation: wall and
 CPU timing, optional input/output fingerprints, diagnostic-count deltas,
 and a structured :class:`~repro.compiler.passes.events.PassEvent` on the
 context's bus.  Pass-level caching falls out of the same shape: a pass
-whose product is already available (a restored plan, a memoized Vnorm
-table) reports ``cached``/``skipped`` and the manager records the prefix
-that never ran.
+whose product is already available (a restored plan) reports
+``cached``/``skipped`` and the manager records the prefix that never
+ran.
 """
 
 from __future__ import annotations

@@ -35,7 +35,9 @@ from collections.abc import Sequence
 
 from ...core.cascading import cascade_extreme_mixes, find_extreme_mixes
 from ...core.dag import AssayDAG
-from ...core.dagsolve import dagsolve as exact_dagsolve, dispense
+from ...core.dagsolve import dagsolve as exact_dagsolve
+# unused here; perfbench/tracing.py wraps stages.dispense by name
+from ...core.dagsolve import dispense  # noqa: F401
 from ...core.errors import (
     InfeasibleError,
     ResourceExhaustedError,
@@ -217,7 +219,7 @@ class Partition(Pass):
     def run(self, ctx: CompileContext) -> PassOutcome:
         from ...core.runtime_assign import RuntimePlanner
 
-        planner = RuntimePlanner(ctx.dag, ctx.spec.limits, cache=ctx.cache)
+        planner = RuntimePlanner(ctx.dag, ctx.spec.limits)
         ctx.planner = planner
         ctx.diagnostics.note(
             "runtime-assignment",
@@ -295,9 +297,7 @@ class DAGSolvePass(Pass):
 
     Runs :func:`repro.core.dagsolve.dagsolve`, whose flat per-DAG
     context is cached on the DAG, so retry rounds over an untransformed
-    graph skip the adjacency walk entirely.  With a plan cache, the
-    backward pass goes through the cache's Vnorm memo and only the
-    dispensing pass runs here.
+    graph skip the adjacency walk entirely.
     """
 
     name = "dagsolve"
@@ -305,29 +305,13 @@ class DAGSolvePass(Pass):
     def run(self, ctx: CompileContext) -> PassOutcome:
         state = ctx.hierarchy
         manager = ctx.manager
-        cache = ctx.cache
-        cache_note: str | None = None
-        if cache is not None:
-            state.current.validate()
-            hits_before = cache.stats.hits
-            vnorms = cache.memo_vnorms(state.current, ctx.output_targets)
-            cache_note = "hit" if cache.stats.hits > hits_before else "miss"
-            assignment = dispense(
-                state.current,
-                vnorms,
-                manager.limits,
-                objective=manager.objective,
-            )
-        else:
-            assignment = exact_dagsolve(
-                state.current,
-                manager.limits,
-                ctx.output_targets,
-                objective=manager.objective,
-            )
-        return PassOutcome(
-            cache=cache_note, detail=state.settle(self.name, assignment)
+        assignment = exact_dagsolve(
+            state.current,
+            manager.limits,
+            ctx.output_targets,
+            objective=manager.objective,
         )
+        return PassOutcome(detail=state.settle(self.name, assignment))
 
 
 def _failed(

@@ -6,13 +6,11 @@ and both the batch driver and ``repro serve`` send small batches
 repeatedly.  This module keeps **one warm pool per process**:
 
 * :func:`get_pool` returns the live executor, creating it on first use
-  (or when the requested worker count / cache directory changes).  The
-  pool's initializer pre-imports the compiler stack so the first task a
-  worker receives does not pay import latency, and opens a read-mostly
-  :class:`~repro.compiler.cache.PlanCache` handle over the parent's
-  cache *directory* when there is one — workers then serve their own
-  vnorm-memo and plan-prefix hits from disk.  (Disk writes are atomic
-  and canonical, so concurrent writers are safe by construction.)
+  (or when the requested worker count changes).  The pool's initializer
+  pre-imports the compiler stack so the first task a worker receives
+  does not pay import latency.  Workers hold no plan cache: a task
+  returns its plan entry, and the process that owns the cache deposits
+  it (in the caller's tenant namespace under ``repro serve``).
 * :func:`submit` queues one task and returns a cancellable future; every
   task ends counted once as ``completed``, ``cancelled`` or ``broken``
   (lost to a ``BrokenProcessPool``: a worker was OOM-killed or crashed).
@@ -20,10 +18,6 @@ repeatedly.  This module keeps **one warm pool per process**:
   serve``: it reruns in-process whatever a broken pool lost, so a caller
   never fails because of pool state.
 * :func:`shutdown_pool` disposes the pool (also at exit).
-
-The worker-side cache handle is exposed via :func:`worker_cache`; in
-the parent process (inline compiles, ``max_workers == 1``) it is simply
-``None``.
 """
 
 from __future__ import annotations
@@ -45,11 +39,10 @@ __all__ = [
     "pool_stats",
     "shutdown_pool",
     "submit",
-    "worker_cache",
 ]
 
 _POOL: ProcessPoolExecutor | None = None
-_POOL_KEY: tuple[int, str | None] | None = None
+_POOL_KEY: int | None = None
 _STATS = {
     "created": 0,
     "reused": 0,
@@ -63,12 +56,9 @@ _STATS = {
 #: so a done callback taking it cannot deadlock a joining thread.
 _LOCK = threading.Lock()
 
-#: set inside worker processes by the initializer; None in the parent.
-_WORKER_CACHE = None
 
-
-def _warm_worker(cache_dir: str | None) -> None:
-    """Pool initializer: preload the compiler stack, open the cache.
+def _warm_worker() -> None:
+    """Pool initializer: preload the compiler stack.
 
     Runs once per worker process.  The imports cover everything
     :func:`repro.compiler.batch.compile_task` touches (parser, pass
@@ -78,39 +68,23 @@ def _warm_worker(cache_dir: str | None) -> None:
     import repro.compiler.batch  # noqa: F401  (pulls pipeline + passes)
     import repro.core.lp  # noqa: F401  (pulls scipy.optimize)
 
-    global _WORKER_CACHE
-    if cache_dir is not None:
-        from .cache import PlanCache
 
-        _WORKER_CACHE = PlanCache(directory=cache_dir)
+def get_pool(max_workers: int) -> ProcessPoolExecutor:
+    """The process-wide warm pool, (re)created only when the size changes.
 
-
-def worker_cache():
-    """The worker-local :class:`PlanCache`, or None outside a worker."""
-    return _WORKER_CACHE
-
-
-def get_pool(
-    max_workers: int, cache_dir: str | None = None
-) -> ProcessPoolExecutor:
-    """The process-wide warm pool, (re)created only when the shape changes.
-
-    A pool is identified by ``(max_workers, cache_dir)``; asking for a
-    different shape shuts the old pool down first, so there is never
-    more than one alive.  Safe to call from several threads.
+    A pool is identified by its worker count; asking for a different
+    count shuts the old pool down first, so there is never more than one
+    alive.  Safe to call from several threads.
     """
     global _POOL, _POOL_KEY
-    key = (max_workers, cache_dir)
     with _LOCK:
-        if _POOL is not None and _POOL_KEY == key:
+        if _POOL is not None and _POOL_KEY == max_workers:
             _STATS["reused"] += 1
             return _POOL
         old, pool = _POOL, ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_warm_worker,
-            initargs=(cache_dir,),
+            max_workers=max_workers, initializer=_warm_worker
         )
-        _POOL, _POOL_KEY = pool, key
+        _POOL, _POOL_KEY = pool, max_workers
         _STATS["created"] += 1
     if old is not None:
         old.shutdown(wait=_blocking_ok(), cancel_futures=True)
@@ -118,11 +92,7 @@ def get_pool(
 
 
 def submit(
-    fn: Callable[[Any], Any],
-    payload: Any,
-    *,
-    max_workers: int,
-    cache_dir: str | None = None,
+    fn: Callable[[Any], Any], payload: Any, *, max_workers: int
 ) -> "Future[Any]":
     """Queue one task on the warm pool; returns a cancellable future.
 
@@ -130,7 +100,7 @@ def submit(
     broken yields a future failed with ``BrokenProcessPool``.  A done
     callback keeps the counters either way.
     """
-    pool = get_pool(max_workers, cache_dir)
+    pool = get_pool(max_workers)
     with _LOCK:
         _STATS["submitted"] += 1
         _STATS["inflight"] += 1
@@ -160,11 +130,7 @@ def _task_done(pool: ProcessPoolExecutor, future: "Future[Any]") -> None:
 
 
 def pool_map(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    *,
-    max_workers: int,
-    cache_dir: str | None = None,
+    fn: Callable[[Any], Any], items: Iterable[Any], *, max_workers: int
 ) -> list[Any]:
     """``fn`` over ``items`` on the warm pool; lost tasks rerun inline.
 
@@ -174,10 +140,7 @@ def pool_map(
     items = list(items)
     if max_workers <= 1:
         return [fn(item) for item in items]
-    futures = [
-        submit(fn, item, max_workers=max_workers, cache_dir=cache_dir)
-        for item in items
-    ]
+    futures = [submit(fn, item, max_workers=max_workers) for item in items]
     results = []
     for future, item in zip(futures, items):
         try:

@@ -49,7 +49,7 @@ construction (:func:`common_basis`).  An entry becomes the canonical
 The backward pass reads a flat per-DAG context (reverse-topological row
 tuples with pre-resolved edge keys and ratio numerators/denominators),
 cached in ``AssayDAG._derived`` and dropped on any structural mutation.
-Hierarchy attempts, the Vnorm memo and the runtime planner reuse it.  Its
+Hierarchy attempts and the runtime planner reuse it.  Its
 rows come from the DAG's node records (:meth:`AssayDAG.record`), and each
 record memoizes its row, so a rewritten version re-derives only the rows
 of the nodes the rewrite touched.

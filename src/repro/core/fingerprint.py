@@ -1,8 +1,7 @@
 """Canonical content fingerprints for DAGs, specs, and compile requests.
 
 The plan cache is **content-addressed**: a compiled plan is stored under a
-stable hash of everything that determines it.  Two fingerprints exist at
-different altitudes:
+stable hash of everything that determines it:
 
 * :func:`compile_fingerprint` — the full key for a compiled plan: the
   canonical DAG (structure, ratios, output fractions, labels, metadata)
@@ -12,11 +11,8 @@ different altitudes:
   produces a different fingerprint — a cache miss — while DAGs that are
   identical in content but were *built in a different node order* collide
   deliberately (the canonical form sorts nodes and edges).
-* :func:`structural_fingerprint` — the narrower key for Vnorm memoization:
-  only what the DAGSolve backward pass reads (kinds, edge fractions,
-  output fractions, excess shares).  Labels, metadata, capacities, and
-  measured volumes are excluded, so partitioned sub-DAGs and transformed
-  slices hit across enclosing assays and across runtime re-dispensing.
+* :func:`source_fingerprint` — the request digest: raw source text plus
+  spec and options, the batch driver's and the service's frontend bypass.
 
 Fingerprints are hex SHA-256 digests over the canonical JSON text and
 embed :data:`~repro.core.serde.SERDE_VERSION`, so a serde format bump
@@ -31,7 +27,7 @@ from typing import Any
 from collections.abc import Mapping
 
 from .dag import AssayDAG
-from .limits import HardwareLimits, Number, as_fraction
+from .limits import HardwareLimits, as_fraction
 from .serde import (
     SERDE_VERSION,
     _node_to_dict,
@@ -43,12 +39,10 @@ from .serde import (
 __all__ = [
     "canonical_dag_form",
     "fingerprint_dag",
-    "structural_fingerprint",
     "spec_form",
     "options_form",
     "compile_fingerprint",
     "source_fingerprint",
-    "vnorm_key",
     "plan_key",
     "source_key",
 ]
@@ -106,35 +100,6 @@ def canonical_dag_form(dag: AssayDAG) -> dict[str, Any]:
 def fingerprint_dag(dag: AssayDAG) -> str:
     """Content hash of a DAG alone (no limits/spec/options)."""
     return _digest({"v": SERDE_VERSION, "dag": canonical_dag_form(dag)})
-
-
-def structural_fingerprint(dag: AssayDAG) -> str:
-    """Hash of exactly what the Vnorm backward pass reads.
-
-    Excludes labels, metadata, per-node capacities, minimum volumes, and
-    measured ``available_volume`` (the dispensing pass reads those, the
-    backward pass does not), so runtime re-dispensing with fresh
-    measurements still hits the memoized Vnorms.
-    """
-    nodes = [
-        {
-            "id": node.id,
-            "kind": node.kind.value,
-            "output_fraction": (
-                fraction_to_str(node.output_fraction)
-                if node.output_fraction is not None
-                else None
-            ),
-            "unknown_volume": node.unknown_volume,
-            "excess_fraction": fraction_to_str(node.excess_fraction),
-        }
-        for node in sorted(dag.nodes(), key=lambda n: n.id)
-    ]
-    edges = [
-        [edge.src, edge.dst, fraction_to_str(edge.fraction), edge.is_excess]
-        for edge in sorted(dag.edges(), key=lambda e: e.key)
-    ]
-    return _digest({"v": SERDE_VERSION, "nodes": nodes, "edges": edges})
 
 
 def spec_form(spec) -> dict[str, Any]:
@@ -229,32 +194,9 @@ def source_fingerprint(
     )
 
 
-def _targets_form(
-    output_targets: Mapping[str, Number] | None,
-) -> dict[str, str]:
-    return {
-        str(node_id): fraction_to_str(as_fraction(value))
-        for node_id, value in sorted((output_targets or {}).items())
-    }
-
-
 # ---------------------------------------------------------------------------
 # namespaced cache keys
 # ---------------------------------------------------------------------------
-def vnorm_key(
-    dag: AssayDAG,
-    output_targets: Mapping[str, Number] | None = None,
-) -> str:
-    """Cache key for a memoized Vnorm backward pass."""
-    digest = _digest(
-        {
-            "structure": structural_fingerprint(dag),
-            "targets": _targets_form(output_targets),
-        }
-    )
-    return f"vnorms-{digest}"
-
-
 def plan_key(fingerprint: str) -> str:
     """Cache key for a full compiled plan entry."""
     return f"plan-{fingerprint}"

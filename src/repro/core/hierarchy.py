@@ -119,8 +119,8 @@ class VolumeManager:
             loaded-minus-delivered volume at every stage of the hierarchy.
 
     The plan cache is not a planning knob: a compile hands its cache to
-    :func:`repro.compiler.passes.run_compile`, whose DAGSolve stage
-    serves the backward pass from the cache's Vnorm memo.
+    :func:`repro.compiler.passes.run_compile`, which restores or stores
+    whole plans around the hierarchy.
     """
 
     def __init__(

@@ -45,24 +45,13 @@ class RuntimePlanner:
     the expensive graph pass happens offline).
     """
 
-    def __init__(
-        self, dag: AssayDAG, limits: HardwareLimits, *, cache=None
-    ) -> None:
+    def __init__(self, dag: AssayDAG, limits: HardwareLimits) -> None:
         self.limits = limits
         self.partitioned: PartitionedAssay = partition_unknown_volumes(
             dag, limits
         )
-        # With a cache (``repro.compiler.cache.PlanCache`` or anything with
-        # a ``memo_vnorms`` method), each partition's backward pass is
-        # memoized by structural fingerprint — a sub-DAG shared with
-        # another assay (or a previous compile of this one) hits
-        # independently of the enclosing assay.
         self.vnorms: dict[int, VnormResult] = {
-            partition.index: (
-                cache.memo_vnorms(partition.dag)
-                if cache is not None
-                else compute_vnorms(partition.dag)
-            )
+            partition.index: compute_vnorms(partition.dag)
             for partition in self.partitioned.partitions
         }
 

@@ -14,7 +14,9 @@ same pass manager as the CLI:
 * **cold compiles** run the batch driver's pool task
   :func:`~repro.compiler.batch.compile_task` on the persistent worker
   pool (:func:`~repro.compiler.pool.pool_map`) when the service runs
-  with more than one worker, else in the job's thread;
+  with more than one worker, else in the job's thread.  The task
+  compiles with no cache; the job deposits its plan entry into the
+  tenant's namespace;
 * **identical concurrent submissions coalesce**: the first becomes the
   leader, every other job (any tenant) awaits the same result and each
   deposits the entry into its *own* tenant namespace;
@@ -195,7 +197,7 @@ class _CompileWork:
         self.remember(summary)
         return summary
 
-    def lead(self, workers: int, cache_dir: str | None) -> dict[str, Any]:
+    def lead(self, workers: int) -> dict[str, Any]:
         """Compile a cold plan with ``compile_task`` on the pool."""
         payload = {
             "dag": dag_to_dict(self.dag),
@@ -205,10 +207,7 @@ class _CompileWork:
             "fingerprint": self.fingerprint,
         }
         [summary] = pool_module.pool_map(
-            batch_module.compile_task,
-            [payload],
-            max_workers=workers,
-            cache_dir=cache_dir,
+            batch_module.compile_task, [payload], max_workers=workers
         )
         return self.follow(summary)
 
@@ -637,7 +636,6 @@ class ReproService:
                 self._threads,
                 work.lead,
                 self.config.workers if self.config.use_process_pool else 1,
-                self.cache.directory,
             )
         except BaseException as error:
             outcome = ("error", error)

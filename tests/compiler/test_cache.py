@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.assays import enzyme, glycomics, paper_example
+from repro.assays import enzyme, paper_example
 from repro.compiler.cache import PlanCache, entry_from_plan, plan_from_entry
 from repro.compiler.passes import run_compile
 from repro.core.hierarchy import VolumeManager
@@ -71,10 +71,10 @@ class TestStore:
         cache = PlanCache()
         cache.put("plan-a", {})
         cache.get("plan-a")
-        cache.get("vnorms-zzz")
+        cache.get("src-zzz")
         stats = cache.stats.to_dict()
         assert stats["by_namespace"]["plan"] == {"hits": 1, "misses": 0}
-        assert stats["by_namespace"]["vnorms"] == {"hits": 0, "misses": 1}
+        assert stats["by_namespace"]["src"] == {"hits": 0, "misses": 1}
 
 
 class TestPlanNamespace:
@@ -157,16 +157,6 @@ class TestPipelineIntegration:
             d.code == "plan-cache" for d in recompiled.diagnostics.items
         )
 
-    def test_runtime_partition_vnorms_memoized(self):
-        cache = PlanCache()
-        run_compile(dag=glycomics.build_dag(), cache=cache)
-        misses = cache.stats.to_dict()["by_namespace"]["vnorms"]["misses"]
-        run_compile(dag=glycomics.build_dag(), cache=cache)
-        stats = cache.stats.to_dict()["by_namespace"]["vnorms"]
-        assert misses > 0
-        assert stats["hits"] >= misses      # second compile all served
-        assert stats["misses"] == misses
-
     def test_disk_cache_serves_new_process_state(self, tmp_path):
         """A fresh PlanCache over the same directory restores the plan."""
         directory = str(tmp_path)
@@ -177,25 +167,6 @@ class TestPipelineIntegration:
         warm = run_compile(dag=enzyme.build_dag(), cache=fresh).compiled
         assert fresh.stats.disk_hits >= 1
         assert warm.listing() == cold.listing()
-
-
-class TestVnormMemo:
-    def test_memo_returns_equal_result(self):
-        from repro.core.dagsolve import compute_vnorms
-
-        cache = PlanCache()
-        dag = paper_example.build_dag()
-        memo = cache.memo_vnorms(dag)
-        direct = compute_vnorms(dag)
-        assert memo.node_vnorm == direct.node_vnorm
-
-    def test_second_call_hits(self):
-        cache = PlanCache()
-        dag = paper_example.build_dag()
-        first = cache.memo_vnorms(dag)
-        second = cache.memo_vnorms(paper_example.build_dag())
-        assert second is first      # live-object side table
-        assert cache.stats.hits == 1
 
 
 class TestTenantNamespaces:

@@ -92,11 +92,13 @@ class TestEventContract:
         manager = VolumeManager(AQUACORE_SPEC.limits)
         cache = PlanCache()
         run_compile(source=glucose.SOURCE, manager=manager, cache=cache)
-        vnorms = list(cache.stats.by_namespace["vnorms"])
+        plans = list(cache.stats.by_namespace["plan"])
         bus = PassEventBus()
         run_compile(source=glucose.SOURCE, manager=manager, bus=bus)
-        assert self.event(bus, "dagsolve").cache is None
-        assert cache.stats.by_namespace["vnorms"] == vnorms
+        restore = self.event(bus, "restore-plan")
+        assert (restore.status, restore.cache) == ("skipped", None)
+        assert self.event(bus, "round").cache is None
+        assert cache.stats.by_namespace["plan"] == plans
 
     def test_failed_pass_emits_failed_event_and_reraises(self):
         bus = PassEventBus(fingerprints=False)

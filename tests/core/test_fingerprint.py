@@ -11,8 +11,6 @@ from repro.core.fingerprint import (
     plan_key,
     source_fingerprint,
     source_key,
-    structural_fingerprint,
-    vnorm_key,
 )
 from repro.core.limits import PAPER_LIMITS, HardwareLimits
 from repro.machine.spec import AQUACORE_SPEC, AQUACORE_XL_SPEC
@@ -132,33 +130,12 @@ class TestSensitivity:
             ), delta
 
 
-class TestStructuralFingerprint:
-    def test_ignores_labels_and_availability(self):
-        a = small_dag()
-        b = small_dag()
-        b.node("A").label = "renamed input"
-        b.node("A").available_volume = Fraction(50)
-        assert structural_fingerprint(a) == structural_fingerprint(b)
-
-    def test_sees_structure(self):
-        b = small_dag()
-        b.add_mix("M2", {"M": 2})
-        assert structural_fingerprint(small_dag()) != structural_fingerprint(
-            b
-        )
-
-
 class TestKeys:
     def test_namespaces_disjoint(self):
         dag = small_dag()
         fp = compile_fingerprint(dag, PAPER_LIMITS, AQUACORE_SPEC, OPTIONS)
         assert plan_key(fp).startswith("plan-")
-        assert vnorm_key(dag).startswith("vnorms-")
         assert source_key("abc").startswith("src-")
-
-    def test_vnorm_key_depends_on_targets(self):
-        dag = small_dag()
-        assert vnorm_key(dag) != vnorm_key(dag, {"M": Fraction(10)})
 
     def test_source_fingerprint_sensitivity(self):
         base = source_fingerprint("assay x {}", AQUACORE_SPEC, OPTIONS)

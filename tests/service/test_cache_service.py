@@ -257,7 +257,7 @@ class TestPoolBreakage:
     ):
         monkeypatch.setattr(
             pool_module, "get_pool",
-            lambda workers, cache_dir=None: _BrokenFutures(),
+            lambda workers: _BrokenFutures(),
         )
         handle = service_factory(workers=2, use_process_pool=True)
         client = ServiceClient(handle.url)
